@@ -287,6 +287,103 @@ TEST(Testbed, RejectsBadConfig) {
   EXPECT_THROW(run_saturated_testbed(config), plc::Error);
 }
 
+// --- Golden pins: the testbed's output, exactly -------------------------------------
+//
+// Reports carry the testbed's counters and des.events_dispatched, so the
+// data plane (sources, segmenter, receive path) may get cheaper but must
+// not change a single event or RNG draw. These values were recorded from
+// the per-byte deque segmenter and the push-then-read saturated source.
+
+struct TestbedPin {
+  std::vector<std::uint64_t> acknowledged;
+  std::vector<std::uint64_t> collided;
+  std::int64_t frames_delivered = 0;
+  std::int64_t idle_slots = 0;
+  std::int64_t successes = 0;
+  std::int64_t collision_events = 0;
+  std::int64_t events_dispatched = 0;
+  std::size_t captures = 0;
+};
+
+TestbedPin observe_testbed(TestbedConfig config) {
+  obs::Registry registry;
+  config.registry = &registry;
+  config.duration = des::SimTime::from_seconds(5.0);
+  const TestbedResult result = run_saturated_testbed(config);
+  const obs::Snapshot snapshot = registry.snapshot();
+  const obs::MetricSample* dispatched = snapshot.find("des.events_dispatched");
+  EXPECT_NE(dispatched, nullptr);
+  TestbedPin pin;
+  pin.acknowledged = result.acknowledged;
+  pin.collided = result.collided;
+  pin.frames_delivered = result.frames_delivered_to_destination;
+  pin.idle_slots = result.domain.idle_slots;
+  pin.successes = result.domain.successes;
+  pin.collision_events = result.domain.collision_events;
+  pin.events_dispatched =
+      dispatched == nullptr ? -1
+                            : static_cast<std::int64_t>(dispatched->value);
+  pin.captures = result.captures.size();
+  return pin;
+}
+
+void expect_pin(const TestbedPin& actual, const TestbedPin& expected) {
+  EXPECT_EQ(actual.acknowledged, expected.acknowledged);
+  EXPECT_EQ(actual.collided, expected.collided);
+  EXPECT_EQ(actual.frames_delivered, expected.frames_delivered);
+  EXPECT_EQ(actual.idle_slots, expected.idle_slots);
+  EXPECT_EQ(actual.successes, expected.successes);
+  EXPECT_EQ(actual.collision_events, expected.collision_events);
+  EXPECT_EQ(actual.events_dispatched, expected.events_dispatched);
+  EXPECT_EQ(actual.captures, expected.captures);
+}
+
+TEST(TestbedGolden, OneStation) {
+  TestbedConfig config;
+  config.stations = 1;
+  expect_pin(observe_testbed(config),
+             {{3746}, {0}, 28886, 6576, 1873, 0, 25977, 0});
+}
+
+TEST(TestbedGolden, ThreeStations) {
+  TestbedConfig config;
+  config.stations = 3;
+  expect_pin(observe_testbed(config), {{1296, 1250, 1442},
+                                       {140, 178, 166},
+                                       26869, 5431, 1752, 120, 52327, 0});
+}
+
+TEST(TestbedGolden, SevenStations) {
+  TestbedConfig config;
+  config.stations = 7;
+  expect_pin(observe_testbed(config),
+             {{468, 646, 720, 570, 552, 684, 642},
+              {120, 184, 150, 138, 128, 146, 166},
+              24749, 4004, 1626, 247, 106226, 0});
+}
+
+TEST(TestbedGolden, PbErrorsWithToneMapAdaptation) {
+  // Bad PBs leave holes that later PBs overtake (the receiver's
+  // out-of-order path), and the error EWMA drives tone-map update MMEs
+  // from D back to the stations.
+  TestbedConfig config;
+  config.stations = 3;
+  config.device.pb_error_rate = 0.12;
+  config.device.adaptation.enabled = true;
+  expect_pin(observe_testbed(config), {{1196, 1158, 1382},
+                                       {132, 170, 162},
+                                       1940, 5090, 1636, 115, 51672, 0});
+}
+
+TEST(TestbedGolden, MmeChatterWithSniffer) {
+  TestbedConfig config;
+  config.stations = 2;
+  config.mme_interval = des::SimTime::from_us(50'000.0);
+  config.sniff_at_destination = true;
+  expect_pin(observe_testbed(config), {{1784, 1862}, {184, 184},
+                                       25616, 6537, 1839, 105, 40082, 3872});
+}
+
 // --- benchdiff: JSON parsing -------------------------------------------------
 
 TEST(BenchDiffJson, ParsesScalarsArraysAndEscapes) {
