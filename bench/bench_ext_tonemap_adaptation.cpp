@@ -51,11 +51,8 @@ RunResult run_case(double mean_good_s, bool adaptation_enabled,
   frame_template.source = sender.mac();
   workload::SaturatedSource source(
       network.scheduler(), frame_template,
-      [&sender](frames::EthernetFrame frame) {
-        sender.host_send(std::move(frame));
-        return sender.tx_backlog_pbs();
-      },
-      256);
+      [&sender](frames::EthernetFrame frame) { sender.host_send(frame); },
+      [&sender] { return sender.tx_backlog_pbs(); }, 256);
 
   network.start();
   source.start();

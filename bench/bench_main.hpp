@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -64,7 +65,9 @@ class Harness {
   }
 
   /// Stamps the report, saves BENCH_<name>.json and returns the process
-  /// exit code (0). Call exactly once, as `return harness.finish();`.
+  /// exit code: 0, or 2 after one "bench_<name>: error: ..." line on
+  /// stderr when the report cannot be saved (e.g. $PLC_BENCH_DIR does not
+  /// exist). Call exactly once, as `return harness.finish();`.
   int finish() {
     report_.wall_seconds = stopwatch_.elapsed_seconds();
     report_.metrics = registry_.snapshot();
@@ -78,7 +81,13 @@ class Harness {
       report_.profile = obs::Profiler::instance().snapshot();
     }
     const std::string path = output_path(report_.name);
-    report_.save(path);
+    try {
+      report_.save(path);
+    } catch (const std::exception& e) {
+      std::cerr << "bench_" << report_.name << ": error: cannot save "
+                << path << ": " << e.what() << "\n";
+      return 2;
+    }
     PLC_LOG_INFO("bench", "report saved")
         .str("path", path)
         .num("scalars", static_cast<double>(report_.scalars.size()))

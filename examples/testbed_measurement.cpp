@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
     sources.push_back(std::make_unique<workload::SaturatedSource>(
         network.scheduler(), frames,
         [station](plc::frames::EthernetFrame frame) {
-          station->host_send(std::move(frame));
-          return station->tx_backlog_pbs();
+          station->host_send(frame);
         },
+        [station] { return station->tx_backlog_pbs(); },
         /*target_backlog=*/128));
     sources.back()->start();
   }

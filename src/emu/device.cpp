@@ -317,10 +317,13 @@ std::optional<medium::TxDescriptor> HpavDevice::stage_and_describe(
                   "HpavDevice::poll_transmit: backoff expired with no data");
     StagedBurst burst;
     burst.link = LinkKey{link->dst_tei, link->priority};
+    burst.mpdus.reserve(static_cast<std::size_t>(config_.burst_mpdus));
     const int pb_limit = max_pbs_for(*link);
     for (int mpdu_index = 0; mpdu_index < config_.burst_mpdus;
          ++mpdu_index) {
-      std::vector<frames::PhysicalBlock> pbs;
+      frames::Mpdu& mpdu = burst.mpdus.emplace_back();
+      std::vector<frames::PhysicalBlock>& pbs = mpdu.blocks;
+      pbs.reserve(static_cast<std::size_t>(pb_limit));
       while (static_cast<int>(pbs.size()) < pb_limit &&
              !link->retx.empty()) {
         pbs.push_back(link->retx.front());
@@ -332,12 +335,13 @@ std::optional<medium::TxDescriptor> HpavDevice::stage_and_describe(
             (link->segmenter.has_pending_bytes() &&
              network_.scheduler().now() - link->oldest_arrival >=
                  config_.aggregation_timeout);
-        auto fresh = link->segmenter.pop_pbs(
-            pb_limit - static_cast<int>(pbs.size()), flush);
-        for (auto& pb : fresh) pbs.push_back(std::move(pb));
+        link->segmenter.pop_pbs(pb_limit - static_cast<int>(pbs.size()),
+                                flush, pbs);
       }
-      if (pbs.empty()) break;
-      frames::Mpdu mpdu;
+      if (pbs.empty()) {
+        burst.mpdus.pop_back();
+        break;
+      }
       mpdu.sof.src_tei = static_cast<std::uint8_t>(tei_);
       mpdu.sof.dst_tei = static_cast<std::uint8_t>(link->dst_tei);
       mpdu.sof.link_id = static_cast<std::uint8_t>(link->priority);
@@ -345,8 +349,6 @@ std::optional<medium::TxDescriptor> HpavDevice::stage_and_describe(
       mpdu.sof.mme_flag = link->is_mme;
       mpdu.sof.set_frame_duration(
           mpdu_duration(*link, static_cast<int>(pbs.size())));
-      mpdu.blocks = std::move(pbs);
-      burst.mpdus.push_back(std::move(mpdu));
     }
     util::require(!burst.mpdus.empty(),
                   "HpavDevice::poll_transmit: link ready but yielded no PBs");
@@ -465,25 +467,25 @@ frames::SackDelimiter HpavDevice::receive_mpdu(const frames::Mpdu& mpdu) {
       ++bad_blocks;
       continue;
     }
-    if (ssn_distance(pb.ssn, stream.expected_ssn) < 0) {
+    const int distance = ssn_distance(pb.ssn, stream.expected_ssn);
+    if (distance < 0) {
       // Duplicate (already delivered); acknowledge and drop.
       continue;
     }
-    stream.out_of_order[pb.ssn] = pb;
-  }
-  // Drain the in-order prefix into the reassembler.
-  for (auto it = stream.out_of_order.find(stream.expected_ssn);
-       it != stream.out_of_order.end();
-       it = stream.out_of_order.find(stream.expected_ssn)) {
-    for (const frames::EthernetFrame& frame :
-         stream.reassembler.push_pb(it->second)) {
-      if (consume_plc_mme(frame)) continue;
-      ++host_frames_delivered_;
-      if (metrics_) metrics_->host_frames->add();
-      deliver_to_host(frame);
+    if (distance > 0) {
+      // A hole precedes it: park it until the hole is repaired.
+      stream.out_of_order[pb.ssn] = pb;
+      continue;
     }
-    stream.out_of_order.erase(it);
-    ++stream.expected_ssn;
+    // In order: straight to the reassembler, then every parked PB this
+    // one unblocks.
+    reassemble(stream, pb);
+    for (auto it = stream.out_of_order.find(stream.expected_ssn);
+         it != stream.out_of_order.end();
+         it = stream.out_of_order.find(stream.expected_ssn)) {
+      reassemble(stream, it->second);
+      stream.out_of_order.erase(it);
+    }
   }
 
   if (config_.adaptation.enabled) {
@@ -497,6 +499,17 @@ frames::SackDelimiter HpavDevice::receive_mpdu(const frames::Mpdu& mpdu) {
   counters_.on_rx_acked(src_mac, priority, 1);
   return frames::SackDelimiter::from_outcomes(
       static_cast<std::uint8_t>(tei_), mpdu.sof.src_tei, pb_ok);
+}
+
+void HpavDevice::reassemble(RxStream& stream,
+                            const frames::PhysicalBlock& pb) {
+  for (const frames::EthernetFrame& frame : stream.reassembler.push_pb(pb)) {
+    if (consume_plc_mme(frame)) continue;
+    ++host_frames_delivered_;
+    if (metrics_) metrics_->host_frames->add();
+    deliver_to_host(frame);
+  }
+  ++stream.expected_ssn;
 }
 
 void HpavDevice::update_rx_adaptation(RxStream& stream,

@@ -215,6 +215,8 @@ class HpavDevice final : public medium::Participant,
     frames::Reassembler reassembler;
     std::uint16_t expected_ssn = 0;
     bool started = false;
+    /// Good PBs that arrived behind a hole (a bad PB awaiting its
+    /// retransmission); in-order PBs bypass this map.
     std::map<std::uint16_t, frames::PhysicalBlock> out_of_order;
     /// Receiver-side adaptation state (§4.1 model).
     double ewma_error = 0.0;
@@ -240,6 +242,9 @@ class HpavDevice final : public medium::Participant,
   std::optional<medium::TxDescriptor> stage_and_describe(
       frames::Priority priority);
   void emit_periodic_mme(std::size_t index);
+  /// Feeds the next in-order PB (SSN `expected_ssn`) to the stream's
+  /// reassembler and hands the frames it completes to the firmware/host.
+  void reassemble(RxStream& stream, const frames::PhysicalBlock& pb);
   /// Receiver-side adaptation step after one MPDU's outcomes.
   void update_rx_adaptation(RxStream& stream, const frames::Mpdu& mpdu,
                             int bad_blocks);

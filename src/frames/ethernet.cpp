@@ -1,6 +1,7 @@
 #include "frames/ethernet.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/error.hpp"
 
@@ -11,15 +12,22 @@ std::size_t EthernetFrame::wire_size() const {
 }
 
 std::vector<std::uint8_t> EthernetFrame::serialize() const {
+  std::vector<std::uint8_t> bytes;
+  serialize_into(bytes);
+  return bytes;
+}
+
+void EthernetFrame::serialize_into(std::vector<std::uint8_t>& out) const {
   util::require(payload.size() <= kMaxEthernetPayload,
                 "EthernetFrame: payload exceeds 1500 bytes");
-  std::vector<std::uint8_t> bytes(wire_size(), 0);
-  destination.write_to(std::span(bytes).subspan(0, 6));
-  source.write_to(std::span(bytes).subspan(6, 6));
-  bytes[12] = static_cast<std::uint8_t>(ether_type >> 8);
-  bytes[13] = static_cast<std::uint8_t>(ether_type & 0xFF);
-  std::copy(payload.begin(), payload.end(), bytes.begin() + 14);
-  return bytes;
+  std::array<std::uint8_t, 14> header{};
+  destination.write_to(std::span(header).subspan(0, 6));
+  source.write_to(std::span(header).subspan(6, 6));
+  header[12] = static_cast<std::uint8_t>(ether_type >> 8);
+  header[13] = static_cast<std::uint8_t>(ether_type & 0xFF);
+  out.insert(out.end(), header.begin(), header.end());
+  out.insert(out.end(), payload.begin(), payload.end());
+  out.resize(out.size() + (wire_size() - header.size() - payload.size()), 0);
 }
 
 EthernetFrame EthernetFrame::deserialize(

@@ -6,37 +6,52 @@
 
 namespace plc::frames {
 
+namespace {
+
+/// Drops the consumed prefix [0, consumed) of `stream` once it reaches
+/// kCompactBytes and outgrows the live bytes behind it (or when nothing
+/// is live, which costs no copy). Returns true when it dropped it.
+bool compact_prefix(std::vector<std::uint8_t>& stream, std::size_t consumed) {
+  const std::size_t live = stream.size() - consumed;
+  if (live == 0) {
+    stream.clear();
+    return true;
+  }
+  if (consumed < kCompactBytes || consumed < live) return false;
+  stream.erase(stream.begin(),
+               stream.begin() + static_cast<std::ptrdiff_t>(consumed));
+  return true;
+}
+
+}  // namespace
+
 void Segmenter::push_frame(const EthernetFrame& frame) {
-  const std::vector<std::uint8_t> bytes = frame.serialize();
-  util::require(bytes.size() <= 0xFFFF,
-                "Segmenter: serialized frame too large");
-  stream_.push_back(static_cast<std::uint8_t>(bytes.size() >> 8));
-  stream_.push_back(static_cast<std::uint8_t>(bytes.size() & 0xFF));
-  stream_.insert(stream_.end(), bytes.begin(), bytes.end());
+  util::require(frame.payload.size() <= kMaxEthernetPayload,
+                "Segmenter: frame payload exceeds 1500 bytes");
+  if (compact_prefix(stream_, read_)) read_ = 0;
+  const std::size_t size = frame.wire_size();
+  stream_.push_back(static_cast<std::uint8_t>(size >> 8));
+  stream_.push_back(static_cast<std::uint8_t>(size & 0xFF));
+  frame.serialize_into(stream_);
 }
 
-int Segmenter::complete_pb_count() const {
-  return static_cast<int>(stream_.size() / kPbBytes);
-}
-
-std::vector<PhysicalBlock> Segmenter::pop_pbs(int max_pbs, bool flush) {
+int Segmenter::pop_pbs(int max_pbs, bool flush,
+                       std::vector<PhysicalBlock>& out) {
   util::check_arg(max_pbs >= 0, "max_pbs", "must be non-negative");
-  std::vector<PhysicalBlock> pbs;
-  while (static_cast<int>(pbs.size()) < max_pbs) {
-    const std::size_t available = stream_.size();
+  int popped = 0;
+  for (; popped < max_pbs; ++popped) {
+    const std::size_t available = buffered_bytes();
     if (available == 0) break;
     if (available < kPbBytes && !flush) break;
-    PhysicalBlock pb;
-    pb.ssn = next_ssn_++;
     const std::size_t take = std::min(available, kPbBytes);
+    PhysicalBlock& pb = out.emplace_back();
+    pb.ssn = next_ssn_++;
     pb.used = static_cast<std::uint16_t>(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      pb.body[i] = stream_.front();
-      stream_.pop_front();
-    }
-    pbs.push_back(pb);
+    std::copy_n(stream_.begin() + static_cast<std::ptrdiff_t>(read_), take,
+                pb.body.begin());
+    read_ += take;
   }
-  return pbs;
+  return popped;
 }
 
 bool Reassembler::range_corrupt(std::size_t begin, std::size_t end) const {
@@ -47,17 +62,15 @@ bool Reassembler::range_corrupt(std::size_t begin, std::size_t end) const {
 }
 
 void Reassembler::compact() {
-  if (consumed_ == 0) return;
-  stream_.erase(stream_.begin(),
-                stream_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-  std::vector<std::pair<std::size_t, std::size_t>> shifted;
-  for (const auto& [begin, end] : corrupt_ranges_) {
-    if (end > consumed_) {
-      shifted.emplace_back(begin > consumed_ ? begin - consumed_ : 0,
-                           end - consumed_);
-    }
+  // Ranges inside the consumed prefix can no longer overlap a frame.
+  std::erase_if(corrupt_ranges_, [this](const auto& range) {
+    return range.second <= consumed_;
+  });
+  if (!compact_prefix(stream_, consumed_)) return;
+  for (auto& [begin, end] : corrupt_ranges_) {
+    begin = begin > consumed_ ? begin - consumed_ : 0;
+    end -= consumed_;
   }
-  corrupt_ranges_ = std::move(shifted);
   consumed_ = 0;
 }
 

@@ -8,12 +8,16 @@
 // (2-byte big-endian length prefix per frame) — the standard's MAC frame
 // stream is more elaborate, but only segmentation/reassembly fidelity and
 // PB accounting matter to the reproduced experiments.
+//
+// Both ends keep the stream in one contiguous byte buffer with a read
+// offset: PB bodies are filled and frames parsed with block copies, and
+// the consumed prefix is reclaimed in batches (once it reaches
+// kCompactBytes and outgrows the live bytes behind it), so every byte is
+// moved O(1) times on average.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -36,6 +40,10 @@ struct PhysicalBlock {
   bool received_ok = true;
 };
 
+/// A stream buffer drops its consumed prefix only once the prefix is at
+/// least this long and longer than the live bytes behind it.
+inline constexpr std::size_t kCompactBytes = 16 * kPbBytes;
+
 /// Chops a sequence of Ethernet frames into physical blocks.
 class Segmenter {
  public:
@@ -43,20 +51,25 @@ class Segmenter {
   void push_frame(const EthernetFrame& frame);
 
   /// Number of *complete* (full 512-byte) PBs available right now.
-  int complete_pb_count() const;
+  int complete_pb_count() const {
+    return static_cast<int>(buffered_bytes() / kPbBytes);
+  }
 
   /// True when any buffered bytes exist (even less than one full PB).
-  bool has_pending_bytes() const { return !stream_.empty(); }
+  bool has_pending_bytes() const { return read_ < stream_.size(); }
 
-  /// Pops up to `max_pbs` physical blocks. When `flush` is true, a final
-  /// partly-filled PB is emitted for the stream tail (zero-padded).
-  std::vector<PhysicalBlock> pop_pbs(int max_pbs, bool flush);
+  /// Appends up to `max_pbs` physical blocks to `out` and returns how many
+  /// it appended. When `flush` is true, a final partly-filled PB is
+  /// emitted for the stream tail (zero-padded).
+  int pop_pbs(int max_pbs, bool flush, std::vector<PhysicalBlock>& out);
 
   /// Total bytes currently buffered.
-  std::size_t buffered_bytes() const { return stream_.size(); }
+  std::size_t buffered_bytes() const { return stream_.size() - read_; }
 
  private:
-  std::deque<std::uint8_t> stream_;
+  /// Stream bytes; [read_, size) are still buffered.
+  std::vector<std::uint8_t> stream_;
+  std::size_t read_ = 0;
   std::uint16_t next_ssn_ = 0;
 };
 
@@ -73,8 +86,9 @@ class Reassembler {
   std::int64_t frames_dropped() const { return frames_dropped_; }
 
  private:
+  /// Stream bytes; [consumed_, size) are not yet parsed into frames.
   std::vector<std::uint8_t> stream_;
-  /// Byte ranges of `stream_` known to be corrupt.
+  /// Byte ranges of `stream_` known to be corrupt, in stream order.
   std::vector<std::pair<std::size_t, std::size_t>> corrupt_ranges_;
   std::size_t consumed_ = 0;
   std::int64_t frames_delivered_ = 0;

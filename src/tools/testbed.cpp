@@ -35,16 +35,14 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
     workload::FrameTemplate frame_template;
     frame_template.destination = destination.mac();
     frame_template.source = station->mac();
-    auto sink = [station](frames::EthernetFrame frame) {
-      station->host_send(frame);
-      return station->tx_backlog_pbs();
-    };
     // Keep at least two full bursts' worth of physical blocks queued so
     // every burst has the full shape (saturation).
     const std::size_t backlog_pbs = static_cast<std::size_t>(
         4 * config.device.burst_mpdus * config.device.max_pbs_per_mpdu);
     sources.push_back(std::make_unique<workload::SaturatedSource>(
-        network.scheduler(), frame_template, sink, backlog_pbs));
+        network.scheduler(), frame_template,
+        [station](frames::EthernetFrame frame) { station->host_send(frame); },
+        [station] { return station->tx_backlog_pbs(); }, backlog_pbs));
     sources.back()->start();
   }
 

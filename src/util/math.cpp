@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <math.h>  // lgamma_r (POSIX, not in std::)
 
 #include "util/error.hpp"
 
@@ -9,7 +10,10 @@ namespace plc::util {
 
 double log_factorial(int n) {
   require(n >= 0, "log_factorial: n must be non-negative");
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  // lgamma_r, not std::lgamma: lgamma stores the sign in the global
+  // signgam, a data race when models are solved on several threads.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
 }
 
 double log_binomial_coefficient(int n, int k) {

@@ -11,7 +11,8 @@
 
 namespace plc::util {
 
-/// Natural log of n! computed via lgamma. Exact enough for all n >= 0.
+/// Natural log of n! computed via lgamma_r (thread-safe). Exact enough for
+/// all n >= 0.
 double log_factorial(int n);
 
 /// Natural log of the binomial coefficient C(n, k).

@@ -23,14 +23,17 @@ frames::EthernetFrame FrameTemplate::make(std::uint32_t sequence) const {
 
 SaturatedSource::SaturatedSource(des::Scheduler& scheduler,
                                  FrameTemplate frame_template, FrameSink sink,
+                                 BacklogProbe backlog,
                                  std::size_t target_backlog,
                                  des::SimTime poll_interval)
     : scheduler_(scheduler),
       template_(frame_template),
       sink_(std::move(sink)),
+      backlog_(std::move(backlog)),
       target_backlog_(target_backlog),
       poll_interval_(poll_interval) {
   util::check_arg(static_cast<bool>(sink_), "sink", "must not be empty");
+  util::check_arg(static_cast<bool>(backlog_), "backlog", "must not be empty");
   util::check_arg(target_backlog >= 1, "target_backlog", "must be >= 1");
   util::check_arg(poll_interval > des::SimTime::zero(), "poll_interval",
                   "must be positive");
@@ -41,10 +44,8 @@ void SaturatedSource::start() {
 }
 
 void SaturatedSource::refill() {
-  std::size_t backlog = sink_(template_.make(sequence_++));
-  ++frames_generated_;
-  while (backlog < target_backlog_) {
-    backlog = sink_(template_.make(sequence_++));
+  while (backlog_() < target_backlog_) {
+    sink_(template_.make(sequence_++));
     ++frames_generated_;
   }
   scheduler_.schedule(poll_interval_, [this] { refill(); });

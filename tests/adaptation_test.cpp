@@ -142,11 +142,8 @@ struct AdaptationFixture {
     frame_template.source = sender->mac();
     source = std::make_unique<workload::SaturatedSource>(
         network.scheduler(), frame_template,
-        [this](frames::EthernetFrame frame) {
-          sender->host_send(std::move(frame));
-          return sender->tx_backlog_pbs();
-        },
-        256);
+        [this](frames::EthernetFrame frame) { sender->host_send(frame); },
+        [this] { return sender->tx_backlog_pbs(); }, 256);
   }
 
   void run(double seconds) {

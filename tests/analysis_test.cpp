@@ -1,5 +1,7 @@
 #include <cmath>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -163,6 +165,29 @@ TEST(Model1901, SuccessRatePositive) {
   const Model1901Result result = solve_1901(3, kCa1);
   EXPECT_GT(result.success_rate_per_second(kTiming, kFrame), 100.0);
   EXPECT_LT(result.success_rate_per_second(kTiming, kFrame), 1e6);
+}
+
+TEST(Model1901Threads, ConcurrentSolvesMatchSerial) {
+  // Scenarios solve models on pool workers at the same time; the log-
+  // gamma calls underneath must not race (ThreadSanitizer runs this under
+  // the `threaded` label) and must give the serial bits.
+  std::vector<Model1901Result> serial;
+  for (int n = 2; n <= 8; ++n) serial.push_back(solve_1901(n, kCa1));
+  std::vector<std::vector<Model1901Result>> solved(4);
+  std::vector<std::thread> threads;
+  for (auto& results : solved) {
+    threads.emplace_back([&results] {
+      for (int n = 2; n <= 8; ++n) results.push_back(solve_1901(n, kCa1));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const auto& results : solved) {
+    ASSERT_EQ(results.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(results[i].tau, serial[i].tau);
+      EXPECT_EQ(results[i].gamma, serial[i].gamma);
+    }
+  }
 }
 
 // --- DCF model ---------------------------------------------------------------------------

@@ -119,20 +119,16 @@ TEST(Device, CountersMatchDomainGroundTruth) {
   workload::FrameTemplate ta;
   ta.destination = d.mac();
   ta.source = a.mac();
-  workload::SaturatedSource sa(network.scheduler(), ta,
-                               [&a](frames::EthernetFrame f) {
-                                 a.host_send(f);
-                                 return a.tx_backlog_pbs();
-                               },
-                               128);
+  workload::SaturatedSource sa(
+      network.scheduler(), ta,
+      [&a](frames::EthernetFrame f) { a.host_send(f); },
+      [&a] { return a.tx_backlog_pbs(); }, 128);
   workload::FrameTemplate tb = ta;
   tb.source = b.mac();
-  workload::SaturatedSource sb(network.scheduler(), tb,
-                               [&b](frames::EthernetFrame f) {
-                                 b.host_send(f);
-                                 return b.tx_backlog_pbs();
-                               },
-                               128);
+  workload::SaturatedSource sb(
+      network.scheduler(), tb,
+      [&b](frames::EthernetFrame f) { b.host_send(f); },
+      [&b] { return b.tx_backlog_pbs(); }, 128);
   sa.start();
   sb.start();
   network.run_for(des::SimTime::from_seconds(5.0));
@@ -177,18 +173,49 @@ TEST(Device, BurstsHaveUniformShapeUnderSaturation) {
   workload::FrameTemplate t;
   t.destination = receiver.mac();
   t.source = sender.mac();
-  workload::SaturatedSource source(network.scheduler(), t,
-                                   [&sender](frames::EthernetFrame f) {
-                                     sender.host_send(f);
-                                     return sender.tx_backlog_pbs();
-                                   },
-                                   128);
+  workload::SaturatedSource source(
+      network.scheduler(), t,
+      [&sender](frames::EthernetFrame f) { sender.host_send(f); },
+      [&sender] { return sender.tx_backlog_pbs(); }, 128);
   network.start();
   source.start();
   network.run_for(des::SimTime::from_seconds(2.0));
   ASSERT_GT(tap.burst_sizes.size(), 100u);
   for (const int size : tap.burst_sizes) {
     EXPECT_EQ(size, 2);  // The paper's measured burst size.
+  }
+}
+
+TEST(Device, SaturatedBacklogStaysBoundedWhenContending) {
+  // At N = 4 each station gets about a quarter of the medium, far less
+  // than one frame per source poll; the source must still hold every
+  // backlog at its target instead of letting the queues grow.
+  Network network(6);
+  std::vector<HpavDevice*> stations;
+  for (int i = 0; i < 4; ++i) stations.push_back(&network.add_device());
+  HpavDevice& destination = network.add_device();
+  constexpr std::size_t kTarget = 128;
+  std::vector<std::unique_ptr<workload::SaturatedSource>> sources;
+  workload::FrameTemplate t;
+  t.destination = destination.mac();
+  for (HpavDevice* station : stations) {
+    t.source = station->mac();
+    sources.push_back(std::make_unique<workload::SaturatedSource>(
+        network.scheduler(), t,
+        [station](frames::EthernetFrame f) { station->host_send(f); },
+        [station] { return station->tx_backlog_pbs(); }, kTarget));
+  }
+  network.start();
+  for (auto& source : sources) source->start();
+  network.run_for(des::SimTime::from_seconds(10.0));
+
+  // One frame (length prefix included) completes at most this many PBs.
+  const std::size_t frame_pbs =
+      (2 + t.make(0).wire_size() + frames::kPbBytes - 1) / frames::kPbBytes;
+  for (const HpavDevice* station : stations) {
+    EXPECT_GT(station->counters().tx_totals().acknowledged, 0u);
+    EXPECT_LE(station->tx_backlog_pbs(), kTarget + frame_pbs)
+        << "station " << station->tei();
   }
 }
 

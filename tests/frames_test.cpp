@@ -1,4 +1,7 @@
+#include <algorithm>
+#include <deque>
 #include <numeric>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -98,8 +101,10 @@ TEST(Segmentation, FramesSurviveTheConvergenceLayer) {
                               static_cast<std::uint8_t>(i)));
     segmenter.push_frame(sent.back());
   }
+  std::vector<PhysicalBlock> pbs;
+  segmenter.pop_pbs(1000, /*flush=*/true, pbs);
   std::vector<EthernetFrame> received;
-  for (const PhysicalBlock& pb : segmenter.pop_pbs(1000, /*flush=*/true)) {
+  for (const PhysicalBlock& pb : pbs) {
     for (const EthernetFrame& frame : reassembler.push_pb(pb)) {
       received.push_back(frame);
     }
@@ -116,7 +121,9 @@ TEST(Segmentation, FramesSurviveTheConvergenceLayer) {
 TEST(Segmentation, PbsAreFixedSizeWithSequentialSsns) {
   Segmenter segmenter;
   for (int i = 0; i < 10; ++i) segmenter.push_frame(make_frame(1400));
-  const auto pbs = segmenter.pop_pbs(1000, false);
+  std::vector<PhysicalBlock> pbs;
+  const int popped = segmenter.pop_pbs(1000, false, pbs);
+  EXPECT_EQ(popped, static_cast<int>(pbs.size()));
   ASSERT_GT(pbs.size(), 2u);
   for (std::size_t i = 0; i < pbs.size(); ++i) {
     EXPECT_EQ(pbs[i].ssn, static_cast<std::uint16_t>(i));
@@ -129,8 +136,10 @@ TEST(Segmentation, WithoutFlushKeepsPartialTail) {
   segmenter.push_frame(make_frame(100));  // ~116 bytes < 512.
   EXPECT_EQ(segmenter.complete_pb_count(), 0);
   EXPECT_TRUE(segmenter.has_pending_bytes());
-  EXPECT_TRUE(segmenter.pop_pbs(10, false).empty());
-  const auto flushed = segmenter.pop_pbs(10, true);
+  std::vector<PhysicalBlock> flushed;
+  EXPECT_EQ(segmenter.pop_pbs(10, false, flushed), 0);
+  EXPECT_TRUE(flushed.empty());
+  EXPECT_EQ(segmenter.pop_pbs(10, true, flushed), 1);
   ASSERT_EQ(flushed.size(), 1u);
   EXPECT_LT(flushed[0].used, kPbBytes);
   EXPECT_FALSE(segmenter.has_pending_bytes());
@@ -140,7 +149,8 @@ TEST(Segmentation, PopRespectsMaxCount) {
   Segmenter segmenter;
   for (int i = 0; i < 20; ++i) segmenter.push_frame(make_frame(1400));
   const int total = segmenter.complete_pb_count();
-  const auto first = segmenter.pop_pbs(3, false);
+  std::vector<PhysicalBlock> first;
+  EXPECT_EQ(segmenter.pop_pbs(3, false, first), 3);
   EXPECT_EQ(first.size(), 3u);
   EXPECT_EQ(segmenter.complete_pb_count(), total - 3);
 }
@@ -152,7 +162,8 @@ TEST(Segmentation, CorruptPbDropsOnlyOverlappingFrames) {
     sent.push_back(make_frame(400, static_cast<std::uint8_t>(0x10 + i)));
     segmenter.push_frame(sent.back());
   }
-  auto pbs = segmenter.pop_pbs(1000, true);
+  std::vector<PhysicalBlock> pbs;
+  segmenter.pop_pbs(1000, true, pbs);
   ASSERT_GE(pbs.size(), 3u);
   pbs[1].received_ok = false;  // Corrupt the second physical block.
   Reassembler reassembler;
@@ -177,6 +188,180 @@ TEST(Segmentation, CorruptPbDropsOnlyOverlappingFrames) {
     EXPECT_TRUE(found);
   }
 }
+
+TEST(Segmentation, CorruptRangeSurvivesCompaction) {
+  // The first compaction lands right after bad PB 16, whose last byte
+  // starts the next frame's length prefix: that frame is then the only
+  // live data, and its one bad byte must still be found after the shift.
+  const std::size_t bad_pb = kCompactBytes / kPbBytes;
+  const std::size_t prefix_end = (bad_pb + 1) * kPbBytes - 1;
+  constexpr std::size_t kFullFrame = 2 + 14 + 1500;  // Stream bytes.
+  Segmenter segmenter;
+  std::vector<EthernetFrame> sent;
+  std::size_t filled = 0;
+  while (prefix_end - filled > 2 * kFullFrame) {
+    sent.push_back(make_frame(1500, static_cast<std::uint8_t>(sent.size())));
+    filled += kFullFrame;
+  }
+  const std::size_t rest = prefix_end - filled;  // Two frames fill it.
+  for (const std::size_t stream_bytes : {rest / 2, rest - rest / 2}) {
+    sent.push_back(make_frame(static_cast<int>(stream_bytes - 16),
+                              static_cast<std::uint8_t>(sent.size())));
+  }
+  sent.push_back(make_frame(100, 0xE1));  // Starts on PB 16's last byte.
+  sent.push_back(make_frame(100, 0xE2));
+  for (const EthernetFrame& frame : sent) segmenter.push_frame(frame);
+  std::vector<PhysicalBlock> pbs;
+  segmenter.pop_pbs(1000, true, pbs);
+  ASSERT_GT(pbs.size(), bad_pb + 1);
+  pbs[bad_pb].received_ok = false;
+
+  Reassembler reassembler;
+  std::vector<EthernetFrame> received;
+  for (const PhysicalBlock& pb : pbs) {
+    for (const EthernetFrame& frame : reassembler.push_pb(pb)) {
+      received.push_back(frame);
+    }
+  }
+  // Dropped: the frame that runs into PB 16 and the one starting on its
+  // last byte.
+  std::vector<EthernetFrame> expected = sent;
+  expected.erase(expected.end() - 3, expected.end() - 1);
+  ASSERT_EQ(received.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(received[i].payload, expected[i].payload) << "frame " << i;
+  }
+  EXPECT_EQ(reassembler.frames_dropped(), 2);
+}
+
+// One long stream through both ends: 46..1500-byte payloads, pops of 0 to
+// 40 PBs with and without flush, PB errors, and alternating fill/drain
+// phases that swing the segmenter between empty and well past the
+// compaction threshold, for more than 2^16 PBs so the SSNs wrap. Exactly
+// the frames that overlap no bad PB must come out, intact and in order.
+class SegmentationStream : public ::testing::TestWithParam<double> {};
+
+TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
+  const double pb_error_rate = GetParam();
+  std::mt19937_64 rng(static_cast<std::uint64_t>(1 + 1000 * pb_error_rate));
+  const auto chance = [&rng](double p) {
+    return std::uniform_real_distribution<double>(0.0, 1.0)(rng) < p;
+  };
+  struct Sent {
+    EthernetFrame frame;
+    std::uint64_t begin = 0;  ///< Stream offset of the length prefix.
+    std::uint64_t end = 0;
+  };
+  Segmenter segmenter;
+  Reassembler reassembler;
+  std::deque<Sent> unresolved;  // Pushed, not yet fully fed.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> bad_ranges;
+  std::uint64_t pushed_bytes = 0;
+  std::uint64_t fed_bytes = 0;
+  std::uint16_t next_ssn = 0;
+  std::int64_t pbs_fed = 0;
+  std::int64_t frames_pushed = 0;
+  std::int64_t expect_delivered = 0;
+  std::int64_t expect_dropped = 0;
+  std::size_t most_buffered = 0;
+  int times_emptied = 0;
+
+  const auto feed = [&](PhysicalBlock pb) {
+    ASSERT_EQ(pb.ssn, next_ssn++);
+    pb.received_ok = !chance(pb_error_rate);
+    if (!pb.received_ok) {
+      bad_ranges.emplace_back(fed_bytes, fed_bytes + pb.used);
+    }
+    fed_bytes += pb.used;
+    ++pbs_fed;
+    const std::vector<EthernetFrame> delivered =
+        reassembler.push_pb(pb);
+    std::size_t next = 0;
+    while (!unresolved.empty() && unresolved.front().end <= fed_bytes) {
+      const Sent& sent = unresolved.front();
+      const bool hit = std::any_of(
+          bad_ranges.begin(), bad_ranges.end(), [&sent](const auto& range) {
+            return range.first < sent.end && sent.begin < range.second;
+          });
+      if (hit) {
+        ++expect_dropped;
+      } else {
+        ++expect_delivered;
+        ASSERT_LT(next, delivered.size()) << "clean frame not delivered";
+        EXPECT_EQ(delivered[next].payload, sent.frame.payload);
+        EXPECT_EQ(delivered[next].source, sent.frame.source);
+        ++next;
+      }
+      std::erase_if(bad_ranges, [&sent](const auto& range) {
+        return range.second <= sent.end;
+      });
+      unresolved.pop_front();
+    }
+    EXPECT_EQ(next, delivered.size()) << "delivered a frame it should not";
+  };
+
+  std::vector<PhysicalBlock> pbs;
+  for (int step = 0; pbs_fed <= 70'000; ++step) {
+    const bool filling = (step / 256) % 2 == 0;
+    if (chance(filling ? 0.97 : 0.25)) {
+      Sent sent;
+      sent.frame.destination = MacAddress::for_station(2);
+      sent.frame.source = MacAddress::for_station(
+          1 + static_cast<int>(frames_pushed % 7));
+      sent.frame.ether_type = kEtherTypeIpv4;
+      sent.frame.payload.resize(static_cast<std::size_t>(
+          std::uniform_int_distribution<int>(46, 1500)(rng)));
+      for (auto& byte : sent.frame.payload) {
+        byte = static_cast<std::uint8_t>(rng());
+      }
+      sent.begin = pushed_bytes;
+      sent.end = pushed_bytes + 2 + sent.frame.wire_size();
+      pushed_bytes = sent.end;
+      segmenter.push_frame(sent.frame);
+      unresolved.push_back(std::move(sent));
+      ++frames_pushed;
+    } else {
+      const int max_pbs = std::uniform_int_distribution<int>(0, 40)(rng);
+      const bool flush = chance(0.3);
+      pbs.clear();
+      const int popped = segmenter.pop_pbs(max_pbs, flush, pbs);
+      ASSERT_EQ(popped, static_cast<int>(pbs.size()));
+      ASSERT_LE(pbs.size(), static_cast<std::size_t>(max_pbs));
+      for (const PhysicalBlock& pb : pbs) {
+        if (!flush) {
+          ASSERT_EQ(pb.used, kPbBytes);
+        }
+        feed(pb);
+        if (HasFatalFailure()) return;
+      }
+    }
+    ASSERT_EQ(segmenter.buffered_bytes(), pushed_bytes - fed_bytes);
+    most_buffered = std::max(most_buffered, segmenter.buffered_bytes());
+    if (!segmenter.has_pending_bytes()) ++times_emptied;
+  }
+  pbs.clear();
+  segmenter.pop_pbs(1 << 30, /*flush=*/true, pbs);
+  for (const PhysicalBlock& pb : pbs) {
+    feed(pb);
+    if (HasFatalFailure()) return;
+  }
+
+  EXPECT_GT(pbs_fed, 65'536);  // The SSNs wrapped.
+  // The phases crossed the compaction threshold both ways.
+  EXPECT_GT(most_buffered, 4 * kCompactBytes);
+  EXPECT_GT(times_emptied, 100);
+  EXPECT_TRUE(unresolved.empty());
+  EXPECT_FALSE(segmenter.has_pending_bytes());
+  EXPECT_EQ(reassembler.frames_delivered(), expect_delivered);
+  EXPECT_EQ(reassembler.frames_dropped(), expect_dropped);
+  EXPECT_EQ(expect_delivered + expect_dropped, frames_pushed);
+  if (pb_error_rate > 0.0) {
+    EXPECT_GT(expect_dropped, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ErrorRates, SegmentationStream,
+                         ::testing::Values(0.0, 0.002, 0.02));
 
 // --- SoF delimiter ----------------------------------------------------------------
 

@@ -167,7 +167,8 @@ TEST_P(SegmentationFuzz, RandomFramesSurviveRandomCorruption) {
     segmenter.push_frame(frame);
     sent.push_back(std::move(frame));
   }
-  auto pbs = segmenter.pop_pbs(100000, /*flush=*/true);
+  std::vector<frames::PhysicalBlock> pbs;
+  segmenter.pop_pbs(100000, /*flush=*/true, pbs);
   // Corrupt a random subset of blocks.
   const double corruption_rate =
       std::uniform_real_distribution<double>(0.0, 0.3)(rng);

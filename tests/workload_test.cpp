@@ -39,8 +39,8 @@ TEST(Saturated, KeepsBacklogAboveTarget) {
       scheduler, make_template(),
       [&queue](frames::EthernetFrame frame) {
         queue.push_back(std::move(frame));
-        return queue.size();
       },
+      [&queue] { return queue.size(); },
       /*target_backlog=*/16, des::SimTime::from_us(100.0));
   source.start();
   // Consume 5 frames per 100 us; the source must keep up.
@@ -52,15 +52,27 @@ TEST(Saturated, KeepsBacklogAboveTarget) {
   EXPECT_GT(source.frames_generated(), 400);
 }
 
+TEST(Saturated, NeverPushesAtOrAboveTarget) {
+  // A sink that never drains: the first poll fills it to target, and each
+  // of the ~2000 later polls must find it full and push nothing.
+  des::Scheduler scheduler;
+  std::size_t queued = 0;
+  SaturatedSource source(
+      scheduler, make_template(),
+      [&queued](frames::EthernetFrame) { ++queued; },
+      [&queued] { return queued; }, /*target_backlog=*/16);
+  source.start();
+  scheduler.run_until(des::SimTime::from_seconds(1.0));
+  EXPECT_EQ(queued, 16u);
+  EXPECT_EQ(source.frames_generated(), 16);
+}
+
 TEST(Poisson, RateIsStatisticallyCorrect) {
   des::Scheduler scheduler;
   std::int64_t arrivals = 0;
   PoissonSource source(
       scheduler, make_template(),
-      [&arrivals](frames::EthernetFrame) {
-        ++arrivals;
-        return std::size_t{0};
-      },
+      [&arrivals](frames::EthernetFrame) { ++arrivals; },
       /*rate_fps=*/1000.0, des::RandomStream(7));
   source.start();
   scheduler.run_until(des::SimTime::from_seconds(20.0));
@@ -73,10 +85,7 @@ TEST(Poisson, StopHaltsArrivals) {
   std::int64_t arrivals = 0;
   PoissonSource source(
       scheduler, make_template(),
-      [&arrivals](frames::EthernetFrame) {
-        ++arrivals;
-        return std::size_t{0};
-      },
+      [&arrivals](frames::EthernetFrame) { ++arrivals; },
       1000.0, des::RandomStream(8));
   source.start();
   scheduler.run_until(des::SimTime::from_seconds(1.0));
@@ -91,10 +100,7 @@ TEST(OnOff, GeneratesOnlyDuringOnPeriods) {
   std::int64_t arrivals = 0;
   OnOffSource source(
       scheduler, make_template(),
-      [&arrivals](frames::EthernetFrame) {
-        ++arrivals;
-        return std::size_t{0};
-      },
+      [&arrivals](frames::EthernetFrame) { ++arrivals; },
       /*on_rate_fps=*/1000.0, des::SimTime::from_seconds(0.5),
       des::SimTime::from_seconds(0.5), des::RandomStream(9));
   source.start();
@@ -106,8 +112,11 @@ TEST(OnOff, GeneratesOnlyDuringOnPeriods) {
 
 TEST(Sources, ValidateArguments) {
   des::Scheduler scheduler;
-  const auto sink = [](frames::EthernetFrame) { return std::size_t{0}; };
-  EXPECT_THROW(SaturatedSource(scheduler, make_template(), sink, 0),
+  const auto sink = [](frames::EthernetFrame) {};
+  const auto backlog = [] { return std::size_t{0}; };
+  EXPECT_THROW(SaturatedSource(scheduler, make_template(), sink, backlog, 0),
+               plc::Error);
+  EXPECT_THROW(SaturatedSource(scheduler, make_template(), sink, nullptr),
                plc::Error);
   EXPECT_THROW(PoissonSource(scheduler, make_template(), sink, 0.0,
                              des::RandomStream(1)),
