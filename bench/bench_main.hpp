@@ -113,11 +113,13 @@ class Harness {
   obs::RunReport report_;
 };
 
-/// Records the parallel phase of a bench in its report: how many workers
-/// ran, the phase's wall time, the summed per-task wall time, and the
-/// resulting speedup scalar ("parallel.speedup_vs_serial" — named so the
-/// bench gate's throughput patterns never match it; it is wall-clock
-/// noise, not a regression signal). Also prints a one-line summary.
+/// Records the parallel accounting of a bench in its report: how many
+/// workers ran, the wall time (for scenario benches RunOutcome's, which
+/// covers the whole run_scenario call, serial legs included), the summed
+/// per-task wall time, and the resulting speedup scalar
+/// ("parallel.speedup_vs_serial" — named so the bench gate's throughput
+/// patterns never match it; it is wall-clock noise, not a regression
+/// signal). Also prints a one-line summary.
 inline void record_parallel(Harness& harness, int jobs, double wall_seconds,
                             double serial_equivalent_seconds) {
   const double speedup = wall_seconds > 0.0 && serial_equivalent_seconds > 0.0

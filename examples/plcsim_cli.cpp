@@ -21,8 +21,10 @@
 //
 // --jobs N shards repetitions (sim), tests (testbed --tests), or sweep
 // points (sweep) across N worker threads; 0 means one per hardware
-// thread. Results are bit-identical for every N, including the default
-// serial path — seeds derive from task indices, never thread schedule.
+// thread. It only sets the worker count: every command runs its tasks on
+// the same engine (sim and scenario default to $PLC_JOBS), and results
+// are bit-identical for every N — seeds derive from task indices, never
+// thread schedule.
 //
 // --kernel K picks the contention kernel for simulation legs: "slot"
 // (the slot-stepped oracle), "event" (the event-driven kernel, which
@@ -389,9 +391,8 @@ int cmd_sim(const Args& args) {
     observability.observatory = &observatory_options;
     observability.stations_sink = &stations_summary;
   }
-  // Scheduler spans only exist on the parallel path, and only when a
-  // trace is being collected anyway (they change the trace contents, so
-  // they stay off the serial-comparison path).
+  // Scheduler spans only when --jobs is typed and a trace is being
+  // collected anyway: they add wall-clock events to the trace.
   observability.task_spans =
       args.has("jobs") && observability.trace != nullptr;
   if (telemetry.recorder) {
@@ -402,16 +403,13 @@ int cmd_sim(const Args& args) {
   }
   const ProfileOutputs profile = ProfileOutputs::from(args);
 
-  obs::RunReport report;
-  if (args.has("jobs")) {
-    sim::ParallelRunner runner(args.get_int("jobs", 0));
-    report = runner.run_point_report(spec, "plcsim-sim", observability);
-    std::printf("jobs=%d  speedup=%.2fx (serial-equivalent %.2f s)\n",
-                runner.jobs(), runner.speedup(),
-                runner.serial_equivalent_seconds());
-  } else {
-    report = sim::run_point_report(spec, "plcsim-sim", observability);
-  }
+  sim::ParallelRunner runner(args.has("jobs") ? args.get_int("jobs", 0)
+                                              : util::jobs_from_env());
+  obs::RunReport report =
+      runner.run_point_report(spec, "plcsim-sim", observability);
+  std::printf("jobs=%d  speedup=%.2fx (serial-equivalent %.2f s)\n",
+              runner.jobs(), runner.speedup(),
+              runner.serial_equivalent_seconds());
   profile.write();
   if (telemetry.hub != nullptr) {
     // Sim reports already carry wall-clock fields, so embedding the
@@ -513,8 +511,10 @@ int cmd_testbed_suite(const Args& args, tools::TestbedConfig base,
     configs.push_back(config);
   }
   const ProfileOutputs profile = ProfileOutputs::from(args);
+  const obs::Stopwatch wall;
   const tools::TestbedSuiteResult suite =
       tools::run_testbed_suite(configs, args.get_int("jobs", 0));
+  const double wall_seconds = wall.elapsed_seconds();
   profile.write();
 
   util::TablePrinter table({"test", "sum Ai", "sum Ci", "Ci/Ai"});
@@ -534,7 +534,10 @@ int cmd_testbed_suite(const Args& args, tools::TestbedConfig base,
               tests, collision.mean(), collision.stddev());
   std::printf("jobs=%d  speedup=%.2fx (serial-equivalent %.2f s)\n",
               util::ThreadPool::resolve_jobs(args.get_int("jobs", 0)),
-              suite.speedup(), suite.serial_equivalent_seconds);
+              wall_seconds > 0.0
+                  ? suite.serial_equivalent_seconds / wall_seconds
+                  : 1.0,
+              suite.serial_equivalent_seconds);
 
   const std::string metrics_path = args.get_string("metrics", "");
   if (!metrics_path.empty()) {
@@ -547,7 +550,7 @@ int cmd_testbed_suite(const Args& args, tools::TestbedConfig base,
   if (!report_path.empty()) {
     obs::RunReport report;
     report.name = "plcsim-testbed-suite";
-    report.wall_seconds = suite.wall_seconds;
+    report.wall_seconds = wall_seconds;
     report.simulated_seconds =
         static_cast<double>(tests) *
         (base.warmup + base.duration).seconds();

@@ -105,7 +105,7 @@ void FlightRecorder::disarm() {
   trace_ = nullptr;
   registry_ = nullptr;
   hub_ = nullptr;
-  observatory_ = nullptr;
+  observatory_.store(nullptr, std::memory_order_release);
 }
 
 std::string FlightRecorder::dump_path() const {
@@ -171,12 +171,13 @@ std::string FlightRecorder::render(const std::string& reason) const {
     snapshot.write_into(json);
   }
 
-  if (observatory_ != nullptr) {
+  if (const Observatory* observatory =
+          observatory_.load(std::memory_order_acquire)) {
     // Same honesty budget as the registry read: the observatory belongs
     // to the (crashed) simulation thread, so the read is unsynchronized
     // — a torn FSM tail beats none.
     json.key("stations");
-    observatory_->write_flight_section(json, /*tail=*/16);
+    observatory->write_flight_section(json, /*tail=*/16);
   }
 
   if (trace_ != nullptr) {

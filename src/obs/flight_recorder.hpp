@@ -62,10 +62,11 @@ class FlightRecorder {
   void attach_hub(TelemetryHub* hub) { hub_ = hub; }
   /// When a MAC observatory is live, dumps carry each station's backoff
   /// FSM tail (the "stations" section) — what every station was doing
-  /// right before the crash. Runners attach per repetition and detach
-  /// before the observatory goes out of scope.
+  /// right before the crash. The runner's repetition-0 tasks attach from
+  /// their worker threads (hence the atomic) and detach before the
+  /// observatory goes out of scope.
   void attach_observatory(const Observatory* observatory) {
-    observatory_ = observatory;
+    observatory_.store(observatory, std::memory_order_release);
   }
 
   /// Writes the dump now (also used by the crash path) and returns its
@@ -86,7 +87,7 @@ class FlightRecorder {
   const TraceSink* trace_ = nullptr;
   const Registry* registry_ = nullptr;
   TelemetryHub* hub_ = nullptr;
-  const Observatory* observatory_ = nullptr;
+  std::atomic<const Observatory*> observatory_{nullptr};
 };
 
 }  // namespace plc::obs

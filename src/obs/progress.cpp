@@ -33,18 +33,9 @@ ProgressMeter::ProgressMeter(des::SimTime goal, Options options)
 void ProgressMeter::on_event_dispatched(des::SimTime when,
                                         std::int64_t dispatched,
                                         std::size_t /*pending*/) {
-  sample(when, dispatched);
-}
-
-void ProgressMeter::sample(des::SimTime now, std::int64_t events) {
   if (--check_countdown_ > 0) return;
   check_countdown_ = kCheckEvery;
-  const double elapsed = stopwatch_.elapsed_seconds();
-  if (elapsed - last_report_seconds_ < options_.interval_wall_seconds) {
-    return;
-  }
-  last_report_seconds_ = elapsed;
-  report(now, events, /*final_line=*/false);
+  sample_coarse(when, dispatched);
 }
 
 void ProgressMeter::sample_coarse(des::SimTime now, std::int64_t events) {

@@ -3,9 +3,10 @@
 // A ProgressMeter knows the simulated-time goal of a run and is fed the
 // current simulated time plus a processed-event count — either through
 // the des::SchedulerObserver hook (event-driven runs: attach with
-// Scheduler::add_observer) or by calling sample() from any per-event
-// callback (the slot simulator). Every `interval_wall_seconds` of wall
-// time it prints one status line to its sink (stderr by default):
+// Scheduler::add_observer) or through sample_coarse() from a caller that
+// throttles itself (the parallel runner's workers). Every
+// `interval_wall_seconds` of wall time it prints one status line to its
+// sink (stderr by default):
 //
 //   progress: 12.0/60.0 sim-s (20.0%)  1.23M ev/s  ETA 3.2s
 //
@@ -47,12 +48,10 @@ class ProgressMeter final : public des::SchedulerObserver {
   void on_event_dispatched(des::SimTime when, std::int64_t dispatched,
                            std::size_t pending) override;
 
-  /// Manual driver for non-scheduler loops; `events` is cumulative.
-  void sample(des::SimTime now, std::int64_t events);
-
-  /// Coarse driver for callers that already throttle their calls (the
-  /// parallel runner samples once per worker check interval): skips the
-  /// per-event countdown and applies only the wall-interval check.
+  /// Feed for callers that already throttle their calls (the parallel
+  /// runner samples once per worker check interval): skips the per-event
+  /// countdown and applies only the wall-interval check. `events` is
+  /// cumulative.
   void sample_coarse(des::SimTime now, std::int64_t events);
 
   /// Announces a sweep task goal (cumulative across legs). Once set,

@@ -63,6 +63,11 @@ void TraceSink::clear() {
   size_ = 0;
 }
 
+void TraceSink::splice(const TraceSink& other) {
+  for (const TraceEvent& event : other.events()) record(event);
+  recorded_ += other.dropped();
+}
+
 std::vector<TraceEvent> TraceSink::events() const {
   std::vector<TraceEvent> out;
   out.reserve(size_);

@@ -89,6 +89,11 @@ class TraceSink {
 
   void clear();
 
+  /// Records `other`'s retained events here, oldest first, and carries
+  /// its dropped count over — how the parallel runner merges a task's
+  /// private ring into the caller's sink without hiding its overflow.
+  void splice(const TraceSink& other);
+
   /// The retained events, oldest first.
   std::vector<TraceEvent> events() const;
 

@@ -1,8 +1,6 @@
 #include "scenario/run.hpp"
 
 #include <cstddef>
-#include <cstdio>
-#include <deque>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -41,125 +39,17 @@ std::optional<mac::MacModelResult> solve_model(const sim::MacSpec& mac,
   return mac.def().solve(mac.config(), stations, timing, frame_length);
 }
 
-/// Canonical point JSON of one testbed test — the testbed leg's cache
-/// key coordinate, mirroring sim::canonical_point_json. The device
-/// configuration is deliberately absent: scenario testbed legs always
-/// run the default emu::DeviceConfig, so changing those defaults is a
-/// simulation-semantics change covered by store::kResultEpoch.
-std::string testbed_point_json(const tools::TestbedConfig& config) {
-  char seed_hex[24];
-  std::snprintf(seed_hex, sizeof(seed_hex), "0x%llx",
-                static_cast<unsigned long long>(config.seed));
-  std::ostringstream out;
-  obs::JsonWriter json(out);
-  json.begin_object();
-  json.field("stations", config.stations);
-  json.field("warmup_ns", config.warmup.ns());
-  json.field("duration_ns", config.duration.ns());
-  json.field("seed", seed_hex);
-  json.key("timing").begin_object();
-  json.field("slot_ns", config.timing.slot.ns());
-  json.field("success_overhead_ns", config.timing.success_overhead.ns());
-  json.field("collision_overhead_ns", config.timing.collision_overhead.ns());
-  json.field("burst_gap_ns", config.timing.burst_gap.ns());
-  json.end_object();
-  json.field("sniff", config.sniff_at_destination);
-  json.field("mme_interval_ns", config.mme_interval.ns());
-  json.field("mme_payload_bytes", config.mme_payload_bytes);
-  json.end_object();
-  return out.str();
-}
+}  // namespace
 
-/// Serializes what a warm run needs from one testbed test: the counter
-/// vectors, the paper's estimator, and the test's metric snapshot.
-/// Sniffer artifacts (captures, burst sources) are not cached — the
-/// scenario testbed leg never enables the sniffer.
-std::string testbed_payload_json(const tools::TestbedResult& run,
-                                 const obs::Snapshot& metrics) {
-  std::ostringstream out;
-  obs::JsonWriter json(out);
-  json.begin_object();
-  json.key("acknowledged").begin_array();
-  for (const std::uint64_t a : run.acknowledged) {
-    json.value(static_cast<std::int64_t>(a));
-  }
-  json.end_array();
-  json.key("collided").begin_array();
-  for (const std::uint64_t c : run.collided) {
-    json.value(static_cast<std::int64_t>(c));
-  }
-  json.end_array();
-  json.field("total_acknowledged",
-             static_cast<std::int64_t>(run.total_acknowledged));
-  json.field("total_collided", static_cast<std::int64_t>(run.total_collided));
-  json.field("collision_probability", run.collision_probability);
-  json.field("frames_delivered", run.frames_delivered_to_destination);
-  json.key("metrics");
-  store::write_metrics_payload(json, metrics);
-  json.end_object();
-  return out.str();
-}
-
-/// Inverse of testbed_payload_json; false on a shape mismatch (the
-/// caller then re-runs the test).
-bool testbed_result_from_payload(const obs::JsonValue& payload,
-                                 tools::TestbedResult* run,
-                                 obs::Snapshot* metrics) {
-  try {
-    const obs::JsonValue* acknowledged = payload.find("acknowledged");
-    const obs::JsonValue* collided = payload.find("collided");
-    const obs::JsonValue* total_acknowledged =
-        payload.find("total_acknowledged");
-    const obs::JsonValue* total_collided = payload.find("total_collided");
-    const obs::JsonValue* collision = payload.find("collision_probability");
-    const obs::JsonValue* delivered = payload.find("frames_delivered");
-    const obs::JsonValue* metric_samples = payload.find("metrics");
-    if (acknowledged == nullptr || !acknowledged->is_array() ||
-        collided == nullptr || !collided->is_array() ||
-        total_acknowledged == nullptr || !total_acknowledged->is_number() ||
-        total_collided == nullptr || !total_collided->is_number() ||
-        collision == nullptr || !collision->is_number() ||
-        delivered == nullptr || !delivered->is_number() ||
-        metric_samples == nullptr) {
-      return false;
-    }
-    tools::TestbedResult decoded;
-    for (const obs::JsonValue& item : acknowledged->items) {
-      if (!item.is_number()) return false;
-      decoded.acknowledged.push_back(static_cast<std::uint64_t>(item.number));
-    }
-    for (const obs::JsonValue& item : collided->items) {
-      if (!item.is_number()) return false;
-      decoded.collided.push_back(static_cast<std::uint64_t>(item.number));
-    }
-    decoded.total_acknowledged =
-        static_cast<std::uint64_t>(total_acknowledged->number);
-    decoded.total_collided = static_cast<std::uint64_t>(total_collided->number);
-    decoded.collision_probability = collision->number;
-    decoded.frames_delivered_to_destination =
-        static_cast<std::int64_t>(delivered->number);
-    *metrics = store::read_metrics_payload(*metric_samples);
-    *run = std::move(decoded);
-    return true;
-  } catch (const Error&) {
-    return false;
-  }
-}
-
-/// Throws when the caller's cancel flag is up — the between-leg
-/// counterpart of the per-task check in ParallelRunner.
-void check_cancelled(const RunOptions& options) {
+RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
+  const obs::Stopwatch wall;
+  spec.validate();
+  // The engine checks the flag before every task; this catches a job
+  // cancelled before it started, including one with no engine legs.
   if (options.cancel != nullptr &&
       options.cancel->load(std::memory_order_relaxed)) {
     throw Error("sweep cancelled");
   }
-}
-
-}  // namespace
-
-RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
-  spec.validate();
-  check_cancelled(options);
 
   // Store counters are atomics, safe to read from any thread — ideal
   // live probes: the hub's /metrics scrape sees hit/miss progress while
@@ -203,6 +93,21 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
   const std::size_t variants = spec.macs.size();
   const std::size_t points = spec.stations.size();
 
+  // Both engine legs run on one runner. A caller-owned runner (the serve
+  // scheduler's warm pool) wins over a per-run pool; either merges task
+  // results in task-index order, so the choice cannot change a single
+  // output byte.
+  std::optional<sim::ParallelRunner> local_runner;
+  sim::ParallelRunner* runner = options.runner;
+  if (runner == nullptr && (spec.legs.sim || spec.legs.testbed)) {
+    runner = &local_runner.emplace(options.jobs);
+  }
+  sim::RunObservability attach;
+  attach.registry = registry;
+  attach.store = options.store;
+  attach.telemetry = options.telemetry;
+  attach.cancel = options.cancel;
+
   // Sim leg: one parallel sweep over every (variant x N) point —
   // summaries indexed variant-major, bit-identical for any jobs count.
   std::vector<sim::RunSummary> summaries;
@@ -217,29 +122,17 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
         store_legs.push_back("sim/" + spec.macs[variant].label);
       }
     }
-    // A caller-owned runner (the serve scheduler's warm pool) wins over
-    // a per-run pool; both merge task results in task-index order, so
-    // the choice cannot change a single output byte.
-    std::optional<sim::ParallelRunner> local_runner;
-    if (options.runner == nullptr) local_runner.emplace(options.jobs);
-    sim::ParallelRunner& runner =
-        options.runner != nullptr ? *options.runner : *local_runner;
-    sim::RunObservability attach;
-    attach.registry = registry;
-    attach.store = options.store;
-    attach.store_legs = &store_legs;
-    attach.telemetry = options.telemetry;
-    attach.cancel = options.cancel;
+    sim::RunObservability sim_attach = attach;
+    sim_attach.store_legs = &store_legs;
     obs::ObservatoryOptions observatory_options;
     if (spec.observatory) {
       observatory_options.fairness_window = spec.observatory_window;
       observatory_options.trajectory_capacity =
           static_cast<std::size_t>(spec.observatory_trajectory);
-      attach.observatory = &observatory_options;
+      sim_attach.observatory = &observatory_options;
     }
-    summaries = runner.run_points(run_specs, attach);
-    outcome.wall_seconds += runner.wall_seconds();
-    outcome.serial_equivalent_seconds += runner.serial_equivalent_seconds();
+    summaries = runner->run_points(run_specs, sim_attach);
+    outcome.serial_equivalent_seconds += runner->serial_equivalent_seconds();
     for (const sim::RunSummary& summary : summaries) {
       report.events += summary.medium_events;
       report.simulated_seconds += summary.simulated.seconds();
@@ -251,73 +144,20 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
   // testbed_tests independent tests per station count.
   tools::TestbedSuiteResult suite;
   if (spec.legs.testbed) {
-    check_cancelled(options);
     std::vector<tools::TestbedConfig> configs;
     configs.reserve(points * static_cast<std::size_t>(spec.testbed_tests));
     for (const int n : spec.stations) {
       for (int test = 0; test < spec.testbed_tests; ++test) {
-        tools::TestbedConfig config = spec.to_testbed_config(n, test, 0);
-        config.registry = registry;
-        configs.push_back(config);
+        configs.push_back(spec.to_testbed_config(n, test, 0));
       }
     }
-    if (options.store == nullptr) {
-      suite = tools::run_testbed_suite(configs, options.jobs);
-      outcome.wall_seconds += suite.wall_seconds;
-      outcome.serial_equivalent_seconds += suite.serial_equivalent_seconds;
-    } else {
-      // Cached path. Each test gets a private registry so its metric
-      // snapshot can travel in the cache entry; absorbing those
-      // snapshots into the shared registry in config order afterwards
-      // performs exactly the arithmetic run_testbed_suite would have —
-      // so cold-with-store, warm-with-store and store-less runs all
-      // produce byte-identical reports.
-      const std::string leg = "testbed/" + spec.macs[0].label;
-      const std::size_t count = configs.size();
-      suite.runs.resize(count);
-      std::deque<obs::Registry> local_registries(count);
-      std::vector<obs::Snapshot> snapshots(count);
-      std::vector<store::Key> keys;
-      std::vector<bool> hit(count, false);
-      keys.reserve(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const int test = static_cast<int>(i) % spec.testbed_tests;
-        keys.push_back(
-            store::make_key(leg, testbed_point_json(configs[i]), test));
-        if (auto payload = options.store->lookup(keys[i])) {
-          hit[i] = testbed_result_from_payload(*payload, &suite.runs[i],
-                                               &snapshots[i]);
-        }
-      }
-      std::vector<tools::TestbedConfig> miss_configs;
-      std::vector<std::size_t> miss_index;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (hit[i]) continue;
-        tools::TestbedConfig config = configs[i];
-        config.registry = &local_registries[i];
-        miss_configs.push_back(config);
-        miss_index.push_back(i);
-      }
-      if (!miss_configs.empty()) {
-        tools::TestbedSuiteResult partial =
-            tools::run_testbed_suite(miss_configs, options.jobs);
-        outcome.wall_seconds += partial.wall_seconds;
-        outcome.serial_equivalent_seconds +=
-            partial.serial_equivalent_seconds;
-        for (std::size_t j = 0; j < miss_index.size(); ++j) {
-          const std::size_t i = miss_index[j];
-          suite.runs[i] = std::move(partial.runs[j]);
-          snapshots[i] = local_registries[i].snapshot();
-        }
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        if (!hit[i]) {
-          options.store->publish(
-              keys[i], testbed_payload_json(suite.runs[i], snapshots[i]));
-        }
-        registry->absorb(snapshots[i]);
-      }
-    }
+    const std::vector<std::string> store_legs(
+        points, "testbed/" + spec.macs[0].label);
+    sim::RunObservability testbed_attach = attach;
+    testbed_attach.store_legs = &store_legs;
+    suite = tools::run_testbed_suite(*runner, configs, spec.testbed_tests,
+                                     testbed_attach);
+    outcome.serial_equivalent_seconds += suite.serial_equivalent_seconds;
     for (const tools::TestbedConfig& config : configs) {
       report.simulated_seconds += (config.warmup + config.duration).seconds();
     }
@@ -492,6 +332,7 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
     }
   }
 
+  outcome.wall_seconds = wall.elapsed_seconds();
   return outcome;
 }
 

@@ -2,12 +2,12 @@
 // the outcome as one deterministic obs::RunReport.
 //
 // Determinism contract: the report depends only on the spec (and the
-// build), never on the jobs count or the clock. Simulation runs go
-// through sim::ParallelRunner and the testbed leg through
-// tools::run_testbed_suite — both bit-identical for any jobs count — and
-// the report's wall_seconds stays 0, so two runs of the same spec produce
-// byte-identical JSON whatever --jobs was. Wall-clock accounting is
-// returned separately in RunOutcome for the bench harnesses.
+// build), never on the jobs count or the clock. The sim and testbed legs
+// both run as tasks on one sim::ParallelRunner — bit-identical for any
+// jobs count, cold or warm — and the report's wall_seconds stays 0, so
+// two runs of the same spec produce byte-identical JSON whatever --jobs
+// was. Wall-clock accounting is returned separately in RunOutcome for
+// the CLI summary and the bench harnesses.
 #pragma once
 
 #include <atomic>
@@ -48,21 +48,21 @@ struct RunOptions {
   /// fully warm run reproduces the cold run's report byte-for-byte, and
   /// the report carries a run-invariant "cache" provenance section.
   store::ResultStore* store = nullptr;
-  /// Live telemetry hub (see obs::TelemetryHub): fed the sim leg's task
-  /// lifecycle plus store counters as probe gauges. Strictly a live
+  /// Live telemetry hub (see obs::TelemetryHub): fed the sim and testbed
+  /// legs' task lifecycle plus store counters as probe gauges. Strictly a live
   /// view for the exposition server — never feeds the report, so
   /// attaching it preserves byte-identical output.
   obs::TelemetryHub* telemetry = nullptr;
-  /// Shared runner for the sim leg. A long-lived caller (the serve
-  /// scheduler) passes one runner so consecutive scenarios reuse one
-  /// warm ThreadPool instead of spawning and joining workers per job.
-  /// Overrides `jobs` for the sim leg (the runner's pool size wins);
-  /// nullptr (the default) constructs a per-run runner. Results are
+  /// Shared runner for the sim and testbed legs. A long-lived caller
+  /// (the serve scheduler) passes one runner so consecutive scenarios
+  /// reuse one warm ThreadPool instead of spawning and joining workers
+  /// per job. Overrides `jobs` (the runner's pool size wins); nullptr
+  /// (the default) constructs a per-run runner. Results are
   /// byte-identical either way.
   sim::ParallelRunner* runner = nullptr;
   /// Cooperative cancellation (see sim::RunObservability::cancel).
-  /// Checked before each leg and at sim-task granularity; a cancelled
-  /// run throws plc::Error("sweep cancelled").
+  /// Checked on entry and before every sim and testbed task; a
+  /// cancelled run throws plc::Error("sweep cancelled").
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -71,9 +71,12 @@ struct RunOutcome {
   /// Deterministic report: name = spec.name, the serialized spec under
   /// "scenario", one scalar per (variant, N, metric), wall_seconds = 0.
   obs::RunReport report;
-  /// Wall-clock seconds of the parallel legs (not part of the report).
+  /// Wall-clock seconds of run_scenario from entry to return: every leg,
+  /// the table rendering and the report assembly (not part of the
+  /// report).
   double wall_seconds = 0.0;
-  /// Sum of per-task wall times — the honest serial-equivalent cost.
+  /// Sum of the sim and testbed tasks' wall times — their honest
+  /// serial-equivalent cost.
   double serial_equivalent_seconds = 0.0;
 };
 

@@ -8,12 +8,16 @@
 #include <utility>
 
 #include "des/random.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
-#include "store/result_store.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace plc::sim {
 namespace {
@@ -22,80 +26,18 @@ namespace {
 /// set once per worker by the on_worker_start hook, read by task spans.
 thread_local int t_worker_index = -1;
 
-/// Everything one (point × repetition) task produces. Tasks only write
-/// their own slot; the merge after the barrier walks slots in task-index
-/// order, so the result stream is independent of worker scheduling.
-struct TaskResult {
-  double collision_probability = 0.0;
-  double normalized_throughput = 0.0;
-  double jain_index = 0.0;
-  std::int64_t medium_events = 0;
-  des::SimTime elapsed = des::SimTime::zero();
+/// The engine's record of one task: its metric snapshot until the
+/// ordered absorb, plus scheduling observability (offsets on the run's
+/// wall stopwatch) for telemetry and the opt-in task spans.
+struct TaskStamp {
   obs::Snapshot metrics;
-  std::vector<obs::TraceEvent> trace;
-  /// This repetition's observatory reduction (engaged runs only).
-  std::optional<obs::ObservatorySummary> stations;
   double wall_seconds = 0.0;
-
-  // Scheduling observability (offsets on the sweep's wall stopwatch),
-  // filled by every task for telemetry and the opt-in task spans.
   double submit_seconds = 0.0;
   double start_seconds = 0.0;
   double end_seconds = 0.0;
   int worker = -1;
   int store_outcome = -1;  ///< -1 no store consulted, 0 miss, 1 hit.
 };
-
-/// Serializes everything a warm run needs to refill a TaskResult slot
-/// bit-identically: the summary statistics, event/time accounting, and
-/// the task's metric snapshot with raw-moment fidelity. The trace is
-/// deliberately absent — trace-attached tasks bypass the cache.
-std::string task_payload_json(const TaskResult& slot) {
-  std::ostringstream out;
-  obs::JsonWriter json(out);
-  json.begin_object();
-  json.field("collision_probability", slot.collision_probability);
-  json.field("normalized_throughput", slot.normalized_throughput);
-  json.field("jain_index", slot.jain_index);
-  json.field("medium_events", slot.medium_events);
-  json.field("elapsed_ns", slot.elapsed.ns());
-  json.key("metrics");
-  store::write_metrics_payload(json, slot.metrics);
-  json.end_object();
-  return out.str();
-}
-
-/// Inverse of task_payload_json; false when the payload does not have
-/// the expected shape (the caller then re-runs the simulation — the
-/// entry already passed the store's checksum, so a shape mismatch means
-/// a schema change that should have bumped kResultEpoch).
-bool fill_slot_from_payload(const obs::JsonValue& payload, TaskResult* slot) {
-  try {
-    const obs::JsonValue* collision = payload.find("collision_probability");
-    const obs::JsonValue* throughput = payload.find("normalized_throughput");
-    const obs::JsonValue* jain = payload.find("jain_index");
-    const obs::JsonValue* events = payload.find("medium_events");
-    const obs::JsonValue* elapsed = payload.find("elapsed_ns");
-    const obs::JsonValue* metrics = payload.find("metrics");
-    if (collision == nullptr || !collision->is_number() ||
-        throughput == nullptr || !throughput->is_number() ||
-        jain == nullptr || !jain->is_number() || events == nullptr ||
-        !events->is_number() || elapsed == nullptr || !elapsed->is_number() ||
-        metrics == nullptr) {
-      return false;
-    }
-    slot->collision_probability = collision->number;
-    slot->normalized_throughput = throughput->number;
-    slot->jain_index = jain->number;
-    slot->medium_events = static_cast<std::int64_t>(events->number);
-    slot->elapsed =
-        des::SimTime::from_ns(static_cast<std::int64_t>(elapsed->number));
-    slot->metrics = store::read_metrics_payload(*metrics);
-    return true;
-  } catch (const Error&) {
-    return false;
-  }
-}
 
 std::vector<std::string> make_worker_names(int jobs) {
   const int count = util::ThreadPool::resolve_jobs(jobs);
@@ -107,22 +49,10 @@ std::vector<std::string> make_worker_names(int jobs) {
   return names;
 }
 
-}  // namespace
-
-ParallelRunner::ParallelRunner(int jobs)
-    : worker_names_(make_worker_names(jobs)),
-      pool_(static_cast<int>(worker_names_.size()), [this](int worker) {
-        t_worker_index = worker;
-        obs::Profiler::instance().set_thread_name(
-            worker_names_[static_cast<std::size_t>(worker)].c_str());
-      }) {}
-
-namespace {
-
-/// Detaches the pool.* probes when the sweep leaves run_points, on any
-/// path. The probes capture `this`, so they must never outlive the
-/// sweep: callers are free to destroy the hub and the runner in either
-/// order afterwards (the refreshed gauge values survive in the hub).
+/// Detaches the pool.* probes when run_tasks returns, on any path. The
+/// probes capture the runner, so they must never outlive the run:
+/// callers are free to destroy the hub and the runner in either order
+/// afterwards (the refreshed gauge values survive in the hub).
 class ProbeGuard {
  public:
   explicit ProbeGuard(obs::TelemetryHub* hub) : hub_(hub) {}
@@ -139,10 +69,414 @@ class ProbeGuard {
   obs::TelemetryHub* hub_;
 };
 
+/// The sim leg: one task per (point × repetition), point-major.
+class SimLeg final : public TaskLeg {
+ public:
+  SimLeg(const std::vector<RunSpec>& specs, const RunObservability& obs)
+      : specs_(specs), obs_(obs), summaries_(specs.size()) {
+    for (std::size_t p = 0; p < specs.size(); ++p) {
+      util::check_arg(specs[p].repetitions >= 1, "repetitions",
+                      "must be >= 1");
+      for (int rep = 0; rep < specs[p].repetitions; ++rep) {
+        tasks_.emplace_back(p, rep);
+      }
+    }
+    slots_.resize(tasks_.size());
+    // Cache key coordinates, derived once per point (tasks share them
+    // read-only). The digest is over canonical bytes, never over
+    // anything schedule- or jobs-dependent, so warm hits line up for any
+    // --jobs.
+    if (obs.store != nullptr) {
+      util::check_arg(
+          obs.store_legs != nullptr && obs.store_legs->size() == specs.size(),
+          "store_legs", "must carry one leg label per spec when store is set");
+      point_json_.reserve(specs.size());
+      for (const RunSpec& spec : specs) {
+        point_json_.push_back(canonical_point_json(spec));
+      }
+    }
+  }
+
+  std::size_t size() const override { return tasks_.size(); }
+
+  std::pair<std::size_t, int> coordinates(std::size_t task) const override {
+    return tasks_[task];
+  }
+
+  store::Key key(std::size_t task) const override {
+    const auto [p, rep] = tasks_[task];
+    return store::make_key((*obs_.store_legs)[p], point_json_[p], rep);
+  }
+
+  // The trace (rep 0 with a sink attached) and the observatory reduction
+  // are not in the payload — caching them would change the payload
+  // schema for every cached run — so those tasks always run.
+  bool must_run_live(std::size_t task) const override {
+    return (obs_.trace != nullptr && tasks_[task].second == 0) ||
+           obs_.observatory != nullptr;
+  }
+
+  void run(std::size_t task, obs::Registry* metrics) override;
+  std::string encode(std::size_t task,
+                     const obs::Snapshot& metrics) const override;
+  bool decode(std::size_t task, const obs::JsonValue& payload,
+              obs::Snapshot* metrics) override;
+  void finished(std::size_t task) override;
+  void merge(std::size_t task) override;
+
+  std::vector<RunSummary> take_summaries() { return std::move(summaries_); }
+
+ private:
+  /// Everything one task produces besides its metrics.
+  struct Slot {
+    double collision_probability = 0.0;
+    double normalized_throughput = 0.0;
+    double jain_index = 0.0;
+    std::int64_t medium_events = 0;
+    des::SimTime elapsed = des::SimTime::zero();
+    /// Repetition 0's medium trace (trace-attached runs only).
+    std::unique_ptr<obs::TraceSink> trace;
+    /// This repetition's observatory reduction (engaged runs only).
+    std::optional<obs::ObservatorySummary> stations;
+  };
+
+  const std::vector<RunSpec>& specs_;
+  const RunObservability& obs_;
+  std::vector<std::pair<std::size_t, int>> tasks_;
+  std::vector<std::string> point_json_;
+  std::vector<Slot> slots_;
+  std::vector<RunSummary> summaries_;
+
+  // Shared heartbeat state. Workers batch kCheckEvery events locally,
+  // then fold their deltas in under the mutex; the meter itself is not
+  // thread-safe, so sample_coarse() only ever runs while holding it.
+  std::mutex progress_mutex_;
+  des::SimTime progress_sim_ = des::SimTime::zero();
+  std::int64_t progress_events_ = 0;
+};
+
+void SimLeg::run(std::size_t task, obs::Registry* metrics) {
+  PROF_SCOPE("sim.repetition");
+  const auto [p, rep] = tasks_[task];
+  const RunSpec& spec = specs_[p];
+  Slot& slot = slots_[task];
+
+  // Kernel dispatch: the event kernel takes every repetition without
+  // per-slot hooks; trace, progress-observer and observatory repetitions
+  // replay slot-stepped (both kernels produce identical results, so any
+  // mix merges into one byte-identical summary).
+  const bool per_slot_hooks = obs_.observatory != nullptr ||
+                              obs_.progress != nullptr ||
+                              (obs_.trace != nullptr && rep == 0);
+  SlotSimResults results;
+  if (use_event_kernel(spec.kernel, per_slot_hooks)) {
+    EventKernel kernel = make_event_kernel(spec, rep);
+    if (metrics != nullptr) kernel.bind_metrics(*metrics);
+    results = kernel.run(spec.duration);
+  } else {
+    SlotSimulator simulator = make_simulator(spec, rep);
+
+    // Per-task observatory: the merge folds the per-repetition summaries
+    // in repetition order.
+    std::optional<obs::Observatory> observatory;
+    obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
+    const bool recorded = recorder.armed() && rep == 0;
+    if (obs_.observatory != nullptr) {
+      obs::ObservatoryOptions options = *obs_.observatory;
+      // The merge keeps repetition 0's trajectory only (the trace
+      // convention); skip capturing the others' entirely.
+      if (rep > 0) options.trajectory_capacity = 0;
+      observatory.emplace(simulator.station_count(),
+                          simulator.max_stage_count(), options);
+      simulator.attach_observatory(&*observatory);
+      // Crash dumps carry this repetition's FSM tail while it runs.
+      if (recorded) recorder.attach_observatory(&*observatory);
+    }
+
+    if (metrics != nullptr) simulator.bind_metrics(*metrics);
+    if (obs_.trace != nullptr && rep == 0) {
+      slot.trace = std::make_unique<obs::TraceSink>(obs_.trace->capacity());
+      simulator.set_trace(slot.trace.get(), obs_.trace_counter_samples);
+    }
+    if (obs_.progress != nullptr) {
+      simulator.set_observer(
+          [this, countdown = obs::ProgressMeter::kCheckEvery,
+           pending = std::int64_t{0}, flushed_sim = des::SimTime::zero()](
+              const SlotEvent& event) mutable {
+            ++pending;
+            if (--countdown > 0) return;
+            countdown = obs::ProgressMeter::kCheckEvery;
+            std::lock_guard<std::mutex> lock(progress_mutex_);
+            progress_sim_ += event.start - flushed_sim;
+            flushed_sim = event.start;
+            progress_events_ += pending;
+            pending = 0;
+            obs_.progress->sample_coarse(progress_sim_, progress_events_);
+            if (obs_.telemetry != nullptr) {
+              obs_.telemetry->advance_sim(progress_sim_.seconds(),
+                                          progress_events_);
+            }
+          });
+    }
+
+    results = simulator.run(spec.duration);
+    if (observatory) {
+      simulator.flush_observatory();
+      slot.stations = observatory->summarize();
+      if (recorded) recorder.attach_observatory(nullptr);
+    }
+  }
+  slot.medium_events =
+      results.idle_slots + results.successes + results.collision_events;
+  slot.elapsed = results.elapsed;
+  slot.collision_probability = results.collision_probability();
+  slot.normalized_throughput = results.normalized_throughput(spec.frame_length);
+  std::vector<double> shares;
+  shares.reserve(results.tx_success.size());
+  for (const std::int64_t s : results.tx_success) {
+    shares.push_back(static_cast<double>(s));
+  }
+  slot.jain_index = util::jain_index(shares);
+}
+
+/// Serializes everything a warm run needs to refill a slot
+/// bit-identically: the summary statistics, event/time accounting, and
+/// the task's metric snapshot with raw-moment fidelity. The trace is
+/// deliberately absent — trace-attached tasks run live.
+std::string SimLeg::encode(std::size_t task,
+                           const obs::Snapshot& metrics) const {
+  const Slot& slot = slots_[task];
+  std::ostringstream out;
+  obs::JsonWriter json(out);
+  json.begin_object();
+  json.field("collision_probability", slot.collision_probability);
+  json.field("normalized_throughput", slot.normalized_throughput);
+  json.field("jain_index", slot.jain_index);
+  json.field("medium_events", slot.medium_events);
+  json.field("elapsed_ns", slot.elapsed.ns());
+  json.key("metrics");
+  store::write_metrics_payload(json, metrics);
+  json.end_object();
+  return out.str();
+}
+
+/// False when the payload does not have the expected shape or carries an
+/// invalid count (the entry already passed the store's checksum, so a
+/// shape mismatch means a schema change that should have bumped
+/// kResultEpoch, or a hand-made entry).
+bool SimLeg::decode(std::size_t task, const obs::JsonValue& payload,
+                    obs::Snapshot* metrics) {
+  try {
+    const obs::JsonValue* collision = payload.find("collision_probability");
+    const obs::JsonValue* throughput = payload.find("normalized_throughput");
+    const obs::JsonValue* jain = payload.find("jain_index");
+    const obs::JsonValue* events = payload.find("medium_events");
+    const obs::JsonValue* elapsed = payload.find("elapsed_ns");
+    const obs::JsonValue* metric_samples = payload.find("metrics");
+    if (collision == nullptr || !collision->is_number() ||
+        throughput == nullptr || !throughput->is_number() ||
+        jain == nullptr || !jain->is_number() || events == nullptr ||
+        elapsed == nullptr || metric_samples == nullptr) {
+      return false;
+    }
+    Slot decoded;
+    decoded.collision_probability = collision->number;
+    decoded.normalized_throughput = throughput->number;
+    decoded.jain_index = jain->number;
+    decoded.medium_events = store::read_count(*events);
+    decoded.elapsed = des::SimTime::from_ns(store::read_count(*elapsed));
+    *metrics = store::read_metrics_payload(*metric_samples);
+    slots_[task] = std::move(decoded);
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
+void SimLeg::finished(std::size_t task) {
+  const Slot& slot = slots_[task];
+  if (obs_.telemetry != nullptr && slot.stations) {
+    // Live view only (arrival order): never feeds reports.
+    obs_.telemetry->publish_stations(
+        "point-" + std::to_string(tasks_[task].first), *slot.stations);
+  }
+  // The engine released the hub lock before this runs, so taking the
+  // progress lock here never deadlocks against the event-observer path
+  // (progress -> hub).
+  if (obs_.progress != nullptr) {
+    std::lock_guard<std::mutex> lock(progress_mutex_);
+    obs_.progress->task_complete();
+  } else if (obs_.telemetry != nullptr) {
+    // Telemetry-only runs skip the per-event observer (its indirect call
+    // on the hottest loop is the one cost that would bust the < 5%
+    // budget), so the hub learns simulated time at task granularity.
+    std::lock_guard<std::mutex> lock(progress_mutex_);
+    progress_sim_ += slot.elapsed;
+    progress_events_ += slot.medium_events;
+    obs_.telemetry->advance_sim(progress_sim_.seconds(), progress_events_);
+  }
+}
+
+// Exactly the arithmetic a serial loop would perform: ordered
+// RunningStats::add calls per repetition, never batch merges (those
+// differ in the last float bits).
+void SimLeg::merge(std::size_t task) {
+  const auto [p, rep] = tasks_[task];
+  Slot& slot = slots_[task];
+  RunSummary& summary = summaries_[p];
+  summary.medium_events += slot.medium_events;
+  summary.simulated = summary.simulated + slot.elapsed;
+  summary.collision_probability.add(slot.collision_probability);
+  summary.normalized_throughput.add(slot.normalized_throughput);
+  summary.jain_index.add(slot.jain_index);
+  if (slot.stations) {
+    if (!summary.stations) summary.stations.emplace();
+    summary.stations->merge(std::move(*slot.stations));
+  }
+  if (slot.trace != nullptr) {
+    obs_.trace->splice(*slot.trace);
+    slot.trace.reset();
+  }
+}
+
 }  // namespace
+
+ParallelRunner::ParallelRunner(int jobs)
+    : worker_names_(make_worker_names(jobs)),
+      pool_(static_cast<int>(worker_names_.size()), [this](int worker) {
+        t_worker_index = worker;
+        obs::Profiler::instance().set_thread_name(
+            worker_names_[static_cast<std::size_t>(worker)].c_str());
+      }) {}
+
+void ParallelRunner::run_tasks(TaskLeg& leg, const RunObservability& obs) {
+  PROF_SCOPE("sim.parallel.run_tasks");
+  obs::Stopwatch wall;
+  const std::size_t total = leg.size();
+  std::vector<TaskStamp> stamps(total);
+
+  ProbeGuard probe_guard(obs.telemetry);
+  if (obs.telemetry != nullptr) {
+    obs.telemetry->begin_tasks(static_cast<std::int64_t>(total));
+    // Scheduling-backpressure gauges (plc_pool_*), sampled straight from
+    // the pool at scrape time. add_probe replaces same-named probes, so
+    // repeated runs against one hub never accumulate duplicates; the
+    // guard detaches them before either the pool or the hub dies.
+    obs.telemetry->add_probe("pool.queue_depth", [this] {
+      return static_cast<double>(pool_.queue_depth());
+    });
+    obs.telemetry->add_probe("pool.in_flight", [this] {
+      return static_cast<double>(pool_.in_flight());
+    });
+    obs.telemetry->add_probe(
+        "pool.workers", [this] { return static_cast<double>(pool_.size()); });
+  }
+
+  for (std::size_t task = 0; task < total; ++task) {
+    TaskStamp* stamp = &stamps[task];
+    stamp->submit_seconds = wall.elapsed_seconds();
+    pool_.submit([&leg, &obs, &wall, task, stamp] {
+      PROF_SCOPE("sim.parallel.task");
+      // Cooperative cancel: tasks that have not started yet bail out
+      // before touching the store or the hub; the barrier rethrows.
+      if (obs.cancel != nullptr &&
+          obs.cancel->load(std::memory_order_relaxed)) {
+        throw Error("sweep cancelled");
+      }
+      obs::Stopwatch task_wall;
+      stamp->start_seconds = wall.elapsed_seconds();
+      stamp->worker = t_worker_index;
+      if (obs.telemetry != nullptr) obs.telemetry->task_started();
+
+      // Store lookup happens inside the task, so warm-run file I/O is as
+      // parallel as the cold-run work it replaces.
+      std::optional<store::Key> key;
+      bool store_hit = false;
+      if (obs.store != nullptr) {
+        key = leg.key(task);
+        if (!leg.must_run_live(task)) {
+          if (const auto payload = obs.store->lookup(*key)) {
+            store_hit = leg.decode(task, *payload, &stamp->metrics);
+          }
+        }
+      }
+      if (!store_hit) {
+        // Per-task registry: the hot path never crosses threads, and the
+        // ordered absorb below lands everything into the caller's sinks.
+        obs::Registry registry;
+        const bool want_metrics = obs.registry != nullptr ||
+                                  obs.telemetry != nullptr || key.has_value();
+        leg.run(task, want_metrics ? &registry : nullptr);
+        if (want_metrics) stamp->metrics = registry.snapshot();
+        if (key.has_value()) {
+          obs.store->publish(*key, leg.encode(task, stamp->metrics));
+        }
+      }
+
+      stamp->end_seconds = wall.elapsed_seconds();
+      stamp->wall_seconds = task_wall.elapsed_seconds();
+      if (key.has_value()) stamp->store_outcome = store_hit ? 1 : 0;
+      if (obs.telemetry != nullptr) {
+        obs::TelemetryHub::TaskEnd end;
+        end.used_store = key.has_value();
+        end.store_hit = store_hit;
+        end.queue_wait_seconds = stamp->start_seconds - stamp->submit_seconds;
+        end.task_seconds = stamp->end_seconds - stamp->start_seconds;
+        obs.telemetry->task_finished(end);
+        obs.telemetry->absorb(stamp->metrics);
+      }
+      leg.finished(task);
+    });
+  }
+  pool_.wait();
+
+  double serial_equivalent = 0.0;
+  for (std::size_t task = 0; task < total; ++task) {
+    if (obs.registry != nullptr) obs.registry->absorb(stamps[task].metrics);
+    leg.merge(task);
+    serial_equivalent += stamps[task].wall_seconds;
+  }
+
+  // Opt-in scheduler spans: one "task" span per task in task order
+  // (deterministic ordering; the timestamps are wall-clock and therefore
+  // run-specific, which is why this never runs by default).
+  if (obs.trace != nullptr && obs.task_spans) {
+    for (std::size_t task = 0; task < total; ++task) {
+      const TaskStamp& stamp = stamps[task];
+      const auto [point, rep] = leg.coordinates(task);
+      obs::TraceEvent event;
+      event.phase = obs::TracePhase::kSpan;
+      event.track = obs::worker_track(stamp.worker < 0 ? 0 : stamp.worker);
+      event.name = "task";
+      event.category = "sched";
+      event.start = des::SimTime::from_ns(
+          static_cast<std::int64_t>(stamp.start_seconds * 1e9));
+      event.duration = des::SimTime::from_ns(static_cast<std::int64_t>(
+          (stamp.end_seconds - stamp.start_seconds) * 1e9));
+      event.add_arg("point", static_cast<double>(point));
+      event.add_arg("rep", static_cast<double>(rep));
+      event.add_arg("store_hit", static_cast<double>(stamp.store_outcome));
+      event.add_arg("queue_wait_us",
+                    (stamp.start_seconds - stamp.submit_seconds) * 1e6);
+      obs.trace->record(event);
+    }
+  }
+
+#if defined(__GLIBC__)
+  // Each worker allocates from its own malloc arena, which keeps freed
+  // pages resident. Hand them back, so the caller's next phase (the
+  // scenario's exact-pair solve, on this thread's arena) does not stack
+  // its peak on top of them (~9 MB, a quarter of a warm figure2 op's
+  // peak RSS).
+  malloc_trim(0);
+#endif
+  wall_seconds_ = wall.elapsed_seconds();
+  serial_equivalent_seconds_ = serial_equivalent;
+}
 
 RunSummary ParallelRunner::run_point(const RunSpec& spec,
                                      const RunObservability& obs) {
+  PROF_SCOPE("sim.run_point");
   const std::vector<RunSpec> specs{spec};
   RunSummary summary = run_points(specs, obs)[0];
   if (obs.stations_sink != nullptr && summary.stations) {
@@ -154,292 +488,12 @@ RunSummary ParallelRunner::run_point(const RunSpec& spec,
 std::vector<RunSummary> ParallelRunner::run_points(
     const std::vector<RunSpec>& specs, const RunObservability& obs) {
   PROF_SCOPE("sim.parallel.run_points");
-  obs::Stopwatch wall;
-
-  std::vector<std::size_t> offsets;  // First task index of each point.
-  offsets.reserve(specs.size());
-  std::size_t total_tasks = 0;
-  for (const RunSpec& spec : specs) {
-    util::check_arg(spec.repetitions >= 1, "repetitions", "must be >= 1");
-    offsets.push_back(total_tasks);
-    total_tasks += static_cast<std::size_t>(spec.repetitions);
-  }
-  std::vector<TaskResult> slots(total_tasks);
-
-  // Cache key coordinates, derived once per point (tasks share them
-  // read-only). The digest is over canonical bytes, never over anything
-  // schedule- or jobs-dependent, so warm hits line up for any --jobs.
-  std::vector<std::string> point_json;
-  if (obs.store != nullptr) {
-    util::check_arg(
-        obs.store_legs != nullptr && obs.store_legs->size() == specs.size(),
-        "store_legs", "must carry one leg label per spec when store is set");
-    point_json.reserve(specs.size());
-    for (const RunSpec& spec : specs) {
-      point_json.push_back(canonical_point_json(spec));
-    }
-  }
-
-  // Shared heartbeat state. Workers batch kCheckEvery events locally,
-  // then fold their deltas in under the mutex; the meter itself is not
-  // thread-safe, so sample_coarse() only ever runs while holding it.
-  std::mutex progress_mutex;
-  des::SimTime progress_sim = des::SimTime::zero();
-  std::int64_t progress_events = 0;
-
-  ProbeGuard probe_guard(obs.telemetry);
-  if (obs.telemetry != nullptr) {
-    obs.telemetry->begin_tasks(static_cast<std::int64_t>(total_tasks));
-    // Scheduling-backpressure gauges (plc_pool_*), sampled straight from
-    // the pool at scrape time. add_probe replaces same-named probes, so
-    // repeated sweeps against one hub never accumulate duplicates; the
-    // guard detaches them before either the pool or the hub dies.
-    obs.telemetry->add_probe("pool.queue_depth", [this] {
-      return static_cast<double>(pool_.queue_depth());
-    });
-    obs.telemetry->add_probe("pool.in_flight", [this] {
-      return static_cast<double>(pool_.in_flight());
-    });
-    obs.telemetry->add_probe(
-        "pool.workers", [this] { return static_cast<double>(pool_.size()); });
-  }
+  SimLeg leg(specs, obs);
   if (obs.progress != nullptr) {
-    obs.progress->set_task_goal(static_cast<std::int64_t>(total_tasks));
+    obs.progress->set_task_goal(static_cast<std::int64_t>(leg.size()));
   }
-
-  for (std::size_t p = 0; p < specs.size(); ++p) {
-    for (int rep = 0; rep < specs[p].repetitions; ++rep) {
-      TaskResult* slot = &slots[offsets[p] + rep];
-      slot->submit_seconds = wall.elapsed_seconds();
-      pool_.submit([&specs, &obs, &point_json, &progress_mutex, &progress_sim,
-                    &progress_events, &wall, p, rep, slot] {
-        PROF_SCOPE("sim.repetition");
-        // Cooperative cancel: tasks that have not started yet bail out
-        // before touching the store or the hub; the barrier rethrows.
-        if (obs.cancel != nullptr &&
-            obs.cancel->load(std::memory_order_relaxed)) {
-          throw Error("sweep cancelled");
-        }
-        obs::Stopwatch task_wall;
-        const RunSpec& spec = specs[p];
-        slot->start_seconds = wall.elapsed_seconds();
-        slot->worker = t_worker_index;
-        if (obs.telemetry != nullptr) obs.telemetry->task_started();
-
-        std::optional<store::Key> key;
-        // Everything every exit path owes the observers: span bounds,
-        // the telemetry lifecycle events, and the heartbeat's task
-        // counter. The hub lock is released before the progress lock is
-        // taken, so the two observers never deadlock against the
-        // event-observer path (progress -> hub).
-        const auto finish_task = [&](bool store_hit) {
-          slot->end_seconds = wall.elapsed_seconds();
-          slot->wall_seconds = task_wall.elapsed_seconds();
-          if (key.has_value()) slot->store_outcome = store_hit ? 1 : 0;
-          if (obs.telemetry != nullptr) {
-            obs::TelemetryHub::TaskEnd end;
-            end.used_store = key.has_value();
-            end.store_hit = store_hit;
-            end.queue_wait_seconds =
-                slot->start_seconds - slot->submit_seconds;
-            end.task_seconds = slot->end_seconds - slot->start_seconds;
-            obs.telemetry->task_finished(end);
-            obs.telemetry->absorb(slot->metrics);
-            if (slot->stations) {
-              // Live view only (arrival order): never feeds reports.
-              obs.telemetry->publish_stations("point-" + std::to_string(p),
-                                              *slot->stations);
-            }
-          }
-          if (obs.progress != nullptr) {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            obs.progress->task_complete();
-          } else if (obs.telemetry != nullptr) {
-            // Telemetry-only runs skip the per-event observer (its
-            // indirect call on the hottest loop is the one cost that
-            // would bust the < 5% budget), so the hub learns simulated
-            // time at task granularity instead.
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            progress_sim += slot->elapsed;
-            progress_events += slot->medium_events;
-            obs.telemetry->advance_sim(progress_sim.seconds(),
-                                       progress_events);
-          }
-        };
-
-        // Cache lookup happens inside the task, so warm-run file I/O is
-        // as parallel as the cold-run simulation it replaces. Tasks that
-        // must produce a trace (rep 0 with a sink attached) or an
-        // observatory reduction (not part of the cached payload — caching
-        // it would change the payload schema for every cached run) always
-        // run live; everything else takes a validated hit as-is.
-        if (obs.store != nullptr) {
-          key = store::make_key((*obs.store_legs)[p], point_json[p], rep);
-          const bool must_run_live = (obs.trace != nullptr && rep == 0) ||
-                                     obs.observatory != nullptr;
-          if (!must_run_live) {
-            if (auto payload = obs.store->lookup(*key)) {
-              if (fill_slot_from_payload(*payload, slot)) {
-                finish_task(/*store_hit=*/true);
-                return;
-              }
-            }
-          }
-        }
-
-        // Per-task registry: the hot path never crosses threads, and the
-        // barrier merge lands everything into the caller's sinks in
-        // task-index order.
-        obs::Registry local_registry;
-        const bool want_metrics = obs.registry != nullptr ||
-                                  obs.telemetry != nullptr || key.has_value();
-
-        // Kernel dispatch, identical to the serial runner: the event
-        // kernel takes every repetition without per-slot hooks; trace,
-        // progress-observer and observatory repetitions replay
-        // slot-stepped (both kernels produce identical results, so any
-        // mix merges into one byte-identical summary).
-        const bool per_slot_hooks = obs.observatory != nullptr ||
-                                    obs.progress != nullptr ||
-                                    (obs.trace != nullptr && rep == 0);
-        SlotSimResults results;
-        std::unique_ptr<obs::TraceSink> local_trace;
-        if (use_event_kernel(spec.kernel, per_slot_hooks)) {
-          EventKernel kernel = make_event_kernel(spec, rep);
-          if (want_metrics) kernel.bind_metrics(local_registry);
-          results = kernel.run(spec.duration);
-        } else {
-          SlotSimulator simulator = make_simulator(spec, rep);
-
-          // Per-task observatory: the barrier merge folds the
-          // per-repetition summaries in task (= repetition) order —
-          // exactly the serial runner's arithmetic.
-          std::optional<obs::Observatory> observatory;
-          if (obs.observatory != nullptr) {
-            obs::ObservatoryOptions options = *obs.observatory;
-            // The merge keeps repetition 0's trajectory only (the trace
-            // convention); skip capturing the others' entirely.
-            if (rep > 0) options.trajectory_capacity = 0;
-            observatory.emplace(simulator.station_count(),
-                                simulator.max_stage_count(), options);
-            simulator.attach_observatory(&*observatory);
-          }
-
-          if (want_metrics) simulator.bind_metrics(local_registry);
-          if (obs.trace != nullptr && rep == 0) {
-            local_trace =
-                std::make_unique<obs::TraceSink>(obs.trace->capacity());
-            simulator.set_trace(local_trace.get(), obs.trace_counter_samples);
-          }
-          if (obs.progress != nullptr) {
-            simulator.set_observer(
-                [&obs, &progress_mutex, &progress_sim, &progress_events,
-                 countdown = obs::ProgressMeter::kCheckEvery,
-                 pending = std::int64_t{0},
-                 flushed_sim = des::SimTime::zero()](
-                    const SlotEvent& event) mutable {
-                  ++pending;
-                  if (--countdown > 0) return;
-                  countdown = obs::ProgressMeter::kCheckEvery;
-                  std::lock_guard<std::mutex> lock(progress_mutex);
-                  progress_sim += event.start - flushed_sim;
-                  flushed_sim = event.start;
-                  progress_events += pending;
-                  pending = 0;
-                  if (obs.progress != nullptr) {
-                    obs.progress->sample_coarse(progress_sim,
-                                                progress_events);
-                  }
-                  if (obs.telemetry != nullptr) {
-                    obs.telemetry->advance_sim(progress_sim.seconds(),
-                                               progress_events);
-                  }
-                });
-          }
-
-          results = simulator.run(spec.duration);
-          if (observatory) {
-            simulator.flush_observatory();
-            slot->stations = observatory->summarize();
-          }
-        }
-        slot->medium_events =
-            results.idle_slots + results.successes + results.collision_events;
-        slot->elapsed = results.elapsed;
-        slot->collision_probability = results.collision_probability();
-        slot->normalized_throughput =
-            results.normalized_throughput(spec.frame_length);
-        std::vector<double> shares;
-        shares.reserve(results.tx_success.size());
-        for (const std::int64_t s : results.tx_success) {
-          shares.push_back(static_cast<double>(s));
-        }
-        slot->jain_index = util::jain_index(shares);
-        if (want_metrics) slot->metrics = local_registry.snapshot();
-        if (local_trace != nullptr) slot->trace = local_trace->events();
-        if (key.has_value()) {
-          obs.store->publish(*key, task_payload_json(*slot));
-        }
-        finish_task(/*store_hit=*/false);
-      });
-    }
-  }
-  pool_.wait();
-
-  // Merge in task-index order, performing exactly the arithmetic the
-  // serial loop would: ordered RunningStats::add calls per repetition,
-  // never batch merges (those differ in the last float bits).
-  std::vector<RunSummary> summaries(specs.size());
-  double serial_equivalent = 0.0;
-  for (std::size_t p = 0; p < specs.size(); ++p) {
-    RunSummary& summary = summaries[p];
-    for (int rep = 0; rep < specs[p].repetitions; ++rep) {
-      TaskResult& slot = slots[offsets[p] + rep];
-      summary.medium_events += slot.medium_events;
-      summary.simulated = summary.simulated + slot.elapsed;
-      summary.collision_probability.add(slot.collision_probability);
-      summary.normalized_throughput.add(slot.normalized_throughput);
-      summary.jain_index.add(slot.jain_index);
-      if (slot.stations) {
-        if (!summary.stations) summary.stations.emplace();
-        summary.stations->merge(std::move(*slot.stations));
-      }
-      if (obs.registry != nullptr) obs.registry->absorb(slot.metrics);
-      serial_equivalent += slot.wall_seconds;
-    }
-    if (obs.trace != nullptr) {
-      for (const obs::TraceEvent& event : slots[offsets[p]].trace) {
-        obs.trace->record(event);
-      }
-    }
-  }
-
-  // Opt-in scheduler spans: one "task" span per slot in task-index
-  // order (deterministic ordering; the timestamps are wall-clock and
-  // therefore run-specific, which is why this never runs by default).
-  if (obs.trace != nullptr && obs.task_spans) {
-    for (std::size_t p = 0; p < specs.size(); ++p) {
-      for (int rep = 0; rep < specs[p].repetitions; ++rep) {
-        const TaskResult& slot = slots[offsets[p] + rep];
-        obs::TraceEvent event;
-        event.phase = obs::TracePhase::kSpan;
-        event.track = obs::worker_track(slot.worker < 0 ? 0 : slot.worker);
-        event.name = "task";
-        event.category = "sched";
-        event.start = des::SimTime::from_ns(
-            static_cast<std::int64_t>(slot.start_seconds * 1e9));
-        event.duration = des::SimTime::from_ns(static_cast<std::int64_t>(
-            (slot.end_seconds - slot.start_seconds) * 1e9));
-        event.add_arg("point", static_cast<double>(p));
-        event.add_arg("rep", static_cast<double>(rep));
-        event.add_arg("store_hit", static_cast<double>(slot.store_outcome));
-        event.add_arg("queue_wait_us",
-                      (slot.start_seconds - slot.submit_seconds) * 1e6);
-        obs.trace->record(event);
-      }
-    }
-  }
-
+  run_tasks(leg, obs);
+  std::vector<RunSummary> summaries = leg.take_summaries();
   if (obs.progress != nullptr) {
     des::SimTime total_sim = des::SimTime::zero();
     std::int64_t total_events = 0;
@@ -449,9 +503,6 @@ std::vector<RunSummary> ParallelRunner::run_points(
     }
     obs.progress->finish(total_sim, total_events);
   }
-
-  wall_seconds_ = wall.elapsed_seconds();
-  serial_equivalent_seconds_ = serial_equivalent;
   return summaries;
 }
 
@@ -465,9 +516,6 @@ obs::RunReport ParallelRunner::run_point_report(const RunSpec& spec,
   obs::Stopwatch stopwatch;
   const RunSummary summary = run_point(spec, effective);
 
-  // Field-for-field the serial run_point_report: no jobs-dependent
-  // scalars, so reports from different --jobs values are byte-identical
-  // once the wall-clock fields are zeroed.
   obs::RunReport report;
   report.name = std::move(name);
   report.wall_seconds = stopwatch.elapsed_seconds();
@@ -493,7 +541,7 @@ obs::RunReport ParallelRunner::run_point_report(const RunSpec& spec,
   if (obs::Profiler::enabled()) {
     report.profile = obs::Profiler::instance().snapshot();
   }
-  PLC_LOG_DEBUG("sim", "parallel run_point complete")
+  PLC_LOG_DEBUG("sim", "run_point complete")
       .num("stations", spec.stations)
       .num("repetitions", spec.repetitions)
       .num("jobs", jobs())

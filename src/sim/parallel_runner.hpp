@@ -1,22 +1,21 @@
-// Deterministic parallel sweep engine.
+// The task engine: the one place that owns a worker pool and runs tasks.
 //
-// A sweep is embarrassingly parallel: every (sweep-point × repetition)
-// pair is an independent simulation. ParallelRunner shards those tasks
-// across a fixed worker pool and rejoins at a barrier, with three hard
-// guarantees:
+// Every leg of an experiment is embarrassingly parallel: each sim
+// (point × repetition) pair and each testbed test is an independent
+// run. ParallelRunner shards a leg's tasks across a fixed worker pool
+// and rejoins at a barrier, with three hard guarantees:
 //
 //   1. **Bit-identical results for any jobs count, including 1.** Seeds
-//      are a pure function of (spec seed, repetition index) — the same
-//      derivation the serial runner uses — never of thread identity or
-//      schedule order; every task writes into its own pre-allocated slot;
-//      and the merge walks slots in task-index order, performing exactly
-//      the arithmetic the serial loop would (ordered RunningStats::add
-//      calls, not batch merges). `ParallelRunner(1).run_point(spec)` is
-//      therefore bit-identical to `sim::run_point(spec)`, and so is any
-//      other jobs count.
+//      are a pure function of the task's coordinates (for sim, spec seed
+//      and repetition index), never of thread identity or schedule
+//      order; every task writes into its own pre-allocated slot; and the
+//      merge walks slots in task-index order, performing exactly the
+//      arithmetic a serial loop would (ordered RunningStats::add calls,
+//      not batch merges). Any jobs count therefore produces the same
+//      bytes as ParallelRunner(1).
 //   2. **Allocation-free observability on the hot path.** Each task gets
-//      its own metrics registry (and, for repetition 0 of a point, its
-//      own trace ring); the runner absorbs the snapshots into the
+//      its own metrics registry (and, for repetition 0 of a sim point,
+//      its own trace ring); the runner absorbs the snapshots into the
 //      caller's registry and splices the trace rings into the caller's
 //      sink at the barrier, in task-index order. Workers name their
 //      profiler tracks ("worker N"), so PLC_PROFILE + the Chrome trace
@@ -26,19 +25,71 @@
 //      speedup of the last run, which the heavy benches record in their
 //      BENCH_*.json.
 //
+// run_tasks is the leg-agnostic loop behind both legs: run_points (sim
+// repetitions) and tools::run_testbed_suite (testbed tests) each hand it
+// a TaskLeg.
+//
 // For dense N×CW×DC grids, seed the points with
 // des::derive_task_seed(root, point, rep) (see seed_grid) so adding or
 // reordering points never perturbs the streams of the others.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "sim/runner.hpp"
+#include "store/result_store.hpp"
 #include "util/thread_pool.hpp"
 
 namespace plc::sim {
+
+/// One leg's tasks as ParallelRunner::run_tasks sees them. The engine
+/// owns what every leg shares: the cancel check, scheduling stamps, the
+/// telemetry task lifecycle, store lookup and publish inside the task, a
+/// private metrics registry per task, the ordered absorb, the
+/// serial-equivalent sum and the task spans. A leg supplies only what
+/// differs: how to key, run, encode and decode one task, and how to fold
+/// it into the leg's result. Tasks write only their own slot in the leg.
+class TaskLeg {
+ public:
+  TaskLeg() = default;
+  // The engine's workers hold the leg's address while it runs.
+  TaskLeg(const TaskLeg&) = delete;
+  TaskLeg& operator=(const TaskLeg&) = delete;
+  virtual ~TaskLeg() = default;
+
+  /// Number of tasks, indexed 0..size()-1 in merge order.
+  virtual std::size_t size() const = 0;
+  /// The task's (point, rep) coordinates: the args of its task span.
+  virtual std::pair<std::size_t, int> coordinates(std::size_t task) const = 0;
+  /// The task's store key; asked only when a store is attached.
+  virtual store::Key key(std::size_t task) const = 0;
+  /// True when the task must run even if the store holds its entry,
+  /// because it produces output the payload does not carry. It still
+  /// publishes.
+  virtual bool must_run_live(std::size_t /*task*/) const { return false; }
+  /// Runs the task into its slot. `metrics` is the task's private
+  /// registry, or nullptr when nothing reads the task's metrics.
+  virtual void run(std::size_t task, obs::Registry* metrics) = 0;
+  /// The store payload of a finished task with metric snapshot `metrics`.
+  virtual std::string encode(std::size_t task,
+                             const obs::Snapshot& metrics) const = 0;
+  /// Inverse of encode: refills the task's slot and `metrics`. False when
+  /// the payload does not decode; the engine then runs the task and
+  /// re-publishes.
+  virtual bool decode(std::size_t task, const obs::JsonValue& payload,
+                      obs::Snapshot* metrics) = 0;
+  /// Live observers, on the worker right after the task finished (from
+  /// the store or by running).
+  virtual void finished(std::size_t /*task*/) {}
+  /// Folds the task into the leg's result after the barrier, in task
+  /// order.
+  virtual void merge(std::size_t /*task*/) {}
+};
 
 class ParallelRunner {
  public:
@@ -48,9 +99,8 @@ class ParallelRunner {
 
   int jobs() const { return pool_.size(); }
 
-  /// Parallel equivalent of sim::run_point: repetitions are sharded
-  /// across the pool. Bit-identical to the serial runner for any jobs
-  /// count (see the file comment for why).
+  /// Runs one sweep point: its repetitions are sharded across the pool.
+  /// Bit-identical for any jobs count (see the file comment for why).
   RunSummary run_point(const RunSpec& spec,
                        const RunObservability& obs = {});
 
@@ -61,12 +111,21 @@ class ParallelRunner {
   std::vector<RunSummary> run_points(const std::vector<RunSpec>& specs,
                                      const RunObservability& obs = {});
 
-  /// Parallel equivalent of sim::run_point_report. The report carries
-  /// exactly the serial report's fields (no jobs-dependent scalars), so
+  /// run_point packaged as a RunReport: wall time, simulated-vs-wall
+  /// speed, event counts, the summary statistics as scalars, and a metric
+  /// snapshot (from `obs.registry` when supplied, otherwise from an
+  /// internal registry). It carries no jobs-dependent scalars, so
   /// reports from different --jobs values are byte-identical once the
   /// wall-clock fields are zeroed.
   obs::RunReport run_point_report(const RunSpec& spec, std::string name,
                                   const RunObservability& obs = {});
+
+  /// The engine loop: runs every task of `leg` across the pool and
+  /// returns after the barrier and the ordered merge. Of `obs` it reads
+  /// registry, store, telemetry, cancel, and trace with task_spans; the
+  /// leg reads the rest. Rethrows the first task exception, including
+  /// plc::Error("sweep cancelled").
+  void run_tasks(TaskLeg& leg, const RunObservability& obs);
 
   /// Copies `specs`, overwriting each spec's seed with
   /// des::derive_task_seed(root_seed, point_index, 0) — the documented
@@ -74,10 +133,11 @@ class ParallelRunner {
   static std::vector<RunSpec> seed_grid(std::vector<RunSpec> specs,
                                         std::uint64_t root_seed);
 
-  /// Wall-clock seconds of the last run_point/run_points call.
+  /// Wall-clock seconds of the last run_tasks call (run_point[s] make
+  /// one).
   double wall_seconds() const { return wall_seconds_; }
-  /// Sum of the per-task wall times of the last call — what a serial
-  /// loop would have spent on the same work.
+  /// Sum of the per-task wall times of the last run_tasks call — what a
+  /// serial loop would have spent on the same work.
   double serial_equivalent_seconds() const {
     return serial_equivalent_seconds_;
   }

@@ -6,13 +6,8 @@
 #include <type_traits>
 
 #include "des/random.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
-#include "obs/log.hpp"
-#include "obs/profiler.hpp"
-#include "obs/telemetry.hpp"
 #include "util/error.hpp"
-#include "util/math.hpp"
 
 namespace plc::sim {
 
@@ -99,159 +94,6 @@ EventKernel make_event_kernel(const RunSpec& spec, int repetition) {
       root.derive_seed("rep-" + std::to_string(repetition));
   return EventKernel(spec.mac, spec.stations, spec.timing, spec.frame_length,
                      rep_seed);
-}
-
-RunSummary run_point(const RunSpec& spec) {
-  return run_point(spec, RunObservability{});
-}
-
-RunSummary run_point(const RunSpec& spec, const RunObservability& obs) {
-  PROF_SCOPE("sim.run_point");
-  util::check_arg(spec.repetitions >= 1, "repetitions", "must be >= 1");
-  RunSummary summary;
-  std::int64_t progress_events = 0;
-  for (int rep = 0; rep < spec.repetitions; ++rep) {
-    PROF_SCOPE("sim.repetition");
-    // Kernel dispatch: the event kernel takes every repetition that has
-    // no per-slot hooks; repetitions that must feed a trace, progress
-    // observer or observatory replay slot-stepped (both kernels produce
-    // identical results, so the mix is invisible in the summary).
-    const bool per_slot_hooks = obs.observatory != nullptr ||
-                                obs.progress != nullptr ||
-                                (obs.trace != nullptr && rep == 0);
-    SlotSimResults results;
-    if (use_event_kernel(spec.kernel, per_slot_hooks)) {
-      EventKernel kernel = make_event_kernel(spec, rep);
-      if (obs.registry != nullptr) kernel.bind_metrics(*obs.registry);
-      results = kernel.run(spec.duration);
-    } else {
-      SlotSimulator simulator = make_simulator(spec, rep);
-      std::optional<obs::Observatory> observatory;
-      if (obs.observatory != nullptr) {
-        obs::ObservatoryOptions options = *obs.observatory;
-        // The merge keeps repetition 0's trajectory only (the trace
-        // convention); skip capturing the others' entirely.
-        if (rep > 0) options.trajectory_capacity = 0;
-        observatory.emplace(simulator.station_count(),
-                            simulator.max_stage_count(), options);
-        simulator.attach_observatory(&*observatory);
-        if (obs::FlightRecorder::instance().armed()) {
-          // Crash dumps carry this repetition's FSM tail while it runs.
-          obs::FlightRecorder::instance().attach_observatory(&*observatory);
-        }
-      }
-      if (obs.registry != nullptr) {
-        // One registry across every repetition: counters and histograms
-        // accumulate, which is the repeated-run aggregation story.
-        simulator.bind_metrics(*obs.registry);
-      }
-      if (obs.trace != nullptr && rep == 0) {
-        simulator.set_trace(obs.trace, obs.trace_counter_samples);
-      }
-      if (obs.progress != nullptr) {
-        // Cumulative sim time across repetitions; the meter's modulo check
-        // keeps the per-event cost at a decrement and branch. The hub is
-        // mutex-guarded, so it only hears every 64Ki-th event.
-        simulator.set_observer(
-            [&, base = summary.simulated](const SlotEvent& event) {
-              ++progress_events;
-              obs.progress->sample(base + event.start, progress_events);
-              if (obs.telemetry != nullptr &&
-                  (progress_events & 0xFFFF) == 0) {
-                obs.telemetry->advance_sim((base + event.start).seconds(),
-                                           progress_events);
-              }
-            });
-      }
-      results = simulator.run(spec.duration);
-      if (observatory) {
-        simulator.flush_observatory();
-        if (!summary.stations) summary.stations.emplace();
-        summary.stations->merge(observatory->summarize());
-        if (obs::FlightRecorder::instance().armed()) {
-          obs::FlightRecorder::instance().attach_observatory(nullptr);
-        }
-      }
-    }
-    summary.medium_events +=
-        results.idle_slots + results.successes + results.collision_events;
-    summary.simulated = summary.simulated + results.elapsed;
-    summary.collision_probability.add(results.collision_probability());
-    summary.normalized_throughput.add(
-        results.normalized_throughput(spec.frame_length));
-    std::vector<double> shares;
-    shares.reserve(results.tx_success.size());
-    for (const std::int64_t s : results.tx_success) {
-      shares.push_back(static_cast<double>(s));
-    }
-    summary.jain_index.add(util::jain_index(shares));
-    if (obs.telemetry != nullptr && obs.progress == nullptr) {
-      // Without a progress meter there is no per-event observer (its
-      // indirect call on the hottest loop would bust the telemetry
-      // budget); the hub advances at repetition granularity instead.
-      obs.telemetry->advance_sim(summary.simulated.seconds(),
-                                 summary.medium_events);
-    }
-  }
-  if (obs.stations_sink != nullptr && summary.stations) {
-    *obs.stations_sink = *summary.stations;
-  }
-  if (obs.progress != nullptr) {
-    obs.progress->finish(summary.simulated, progress_events);
-  }
-  if (obs.telemetry != nullptr) {
-    obs.telemetry->advance_sim(summary.simulated.seconds(),
-                               summary.medium_events);
-    if (obs.registry != nullptr) {
-      obs.telemetry->absorb(obs.registry->snapshot());
-    }
-    if (summary.stations) {
-      obs.telemetry->publish_stations("point-0", *summary.stations);
-    }
-  }
-  return summary;
-}
-
-obs::RunReport run_point_report(const RunSpec& spec, std::string name,
-                                const RunObservability& obs) {
-  obs::Registry local_registry;
-  RunObservability effective = obs;
-  if (effective.registry == nullptr) effective.registry = &local_registry;
-
-  obs::Stopwatch stopwatch;
-  const RunSummary summary = run_point(spec, effective);
-
-  obs::RunReport report;
-  report.name = std::move(name);
-  report.wall_seconds = stopwatch.elapsed_seconds();
-  report.simulated_seconds = summary.simulated.seconds();
-  report.events = summary.medium_events;
-  report.scalars["stations"] = static_cast<double>(spec.stations);
-  report.scalars["repetitions"] = static_cast<double>(spec.repetitions);
-  report.scalars["collision_probability_mean"] =
-      summary.collision_probability.mean();
-  report.scalars["collision_probability_stddev"] =
-      summary.collision_probability.stddev();
-  report.scalars["normalized_throughput_mean"] =
-      summary.normalized_throughput.mean();
-  report.scalars["normalized_throughput_stddev"] =
-      summary.normalized_throughput.stddev();
-  report.scalars["jain_index_mean"] = summary.jain_index.mean();
-  if (summary.stations) {
-    report.scalars["window_jain_mean"] = summary.stations->window_jain.mean();
-    report.stations = obs::stations_section_json(
-        {{"n" + std::to_string(spec.stations), &*summary.stations}});
-  }
-  report.metrics = effective.registry->snapshot();
-  if (obs::Profiler::enabled()) {
-    report.profile = obs::Profiler::instance().snapshot();
-  }
-  PLC_LOG_DEBUG("sim", "run_point complete")
-      .num("stations", spec.stations)
-      .num("repetitions", spec.repetitions)
-      .num("medium_events", static_cast<double>(summary.medium_events))
-      .num("wall_seconds", report.wall_seconds);
-  return report;
 }
 
 }  // namespace plc::sim

@@ -1,9 +1,10 @@
-// Experiment runner: repeated slot-simulator runs with aggregation.
+// Experiment description for repeated slot-simulator runs.
 //
 // The paper reports averages over repeated tests (Figure 2 averages 10
-// testbed runs); this runner mirrors that: a sweep point is simulated
+// testbed runs); a sweep point mirrors that: it is simulated
 // `repetitions` times with independent derived seeds and the mean and
-// sample standard deviation of each metric are reported.
+// sample standard deviation of each metric are reported. The runs
+// themselves go through sim::ParallelRunner (parallel_runner.hpp).
 #pragma once
 
 #include <atomic>
@@ -101,7 +102,7 @@ struct RunSummary {
   des::SimTime simulated = des::SimTime::zero();
   /// MAC-state observatory reduction over all repetitions (engaged only
   /// when RunObservability::observatory is set). Merged in repetition
-  /// order on both runners, so it is byte-identical for any --jobs.
+  /// order, so it is byte-identical for any --jobs.
   std::optional<obs::ObservatorySummary> stations;
 };
 
@@ -120,30 +121,30 @@ struct RunObservability {
   /// medium-event count across all repetitions (construct the meter with
   /// goal = duration * repetitions). finish() fires when the point ends.
   obs::ProgressMeter* progress = nullptr;
-  /// Result cache (see plc::store): consulted before each repetition
-  /// runs — a validated hit skips the simulation and restores the task's
-  /// results (metrics included) bit-identically — and published to on
-  /// completion. Only honored by ParallelRunner::run_points; requires
-  /// `store_legs`. Repetition-0 tasks with a trace sink attached always
-  /// execute (the trace is not cached), but still publish.
+  /// Result cache (see plc::store): consulted before each task runs — a
+  /// validated hit skips the run and restores the task's results
+  /// (metrics included) bit-identically — and published to on
+  /// completion. Requires `store_legs`. Repetition-0 tasks with a trace
+  /// sink attached always execute (the trace is not cached), but still
+  /// publish.
   store::ResultStore* store = nullptr;
-  /// Logical leg labels, one per spec passed to run_points (e.g.
-  /// "sim/CA1") — the leg coordinate of the cache key. Must be non-null
-  /// with size() == specs.size() when `store` is set.
+  /// Logical leg labels, one per point: per spec passed to run_points
+  /// (e.g. "sim/CA1"), per station count of a testbed suite (e.g.
+  /// "testbed/CA1") — the leg coordinate of the cache key. Must be
+  /// non-null with one label per point when `store` is set.
   const std::vector<std::string>* store_legs = nullptr;
   /// Live telemetry hub (see obs::TelemetryHub): fed the task lifecycle
   /// (started/finished with queue-wait and store hit/miss), cumulative
   /// simulated progress, and every finished task's metric snapshot.
   /// Strictly a live view for /metrics and /progress — it never feeds
-  /// reports, so attaching it cannot change any output byte. Only
-  /// honored by ParallelRunner::run_points.
+  /// reports, so attaching it cannot change any output byte.
   obs::TelemetryHub* telemetry = nullptr;
-  /// Also emit one scheduler span per (point, repetition) task into
-  /// `trace` after the barrier merge — name "task" on a per-worker
-  /// track (see obs::worker_track) with point/rep/store_hit/
-  /// queue_wait_us args, so Perfetto shows the parallel schedule next
-  /// to the repetition-0 medium trace. Opt-in because it adds events a
-  /// serial run's trace does not have.
+  /// Also emit one scheduler span per (point, rep) task into `trace`
+  /// after the barrier merge — name "task" on a per-worker track (see
+  /// obs::worker_track) with point/rep/store_hit/queue_wait_us args, so
+  /// Perfetto shows the parallel schedule next to the repetition-0
+  /// medium trace. Opt-in because it adds wall-clock events to an
+  /// otherwise deterministic trace.
   bool task_spans = false;
   /// MAC-state observatory knobs (nullptr = detached, the default).
   /// When set, every repetition runs with per-station FSM capture and
@@ -156,27 +157,13 @@ struct RunObservability {
   /// --stations-out export hook. Single-point runs only.
   obs::ObservatorySummary* stations_sink = nullptr;
   /// Cooperative cancellation flag (e.g. a serve job's DELETE, or a
-  /// drain). Checked at task granularity — a repetition that already
-  /// started runs to completion — by ParallelRunner::run_points: when
-  /// it reads true, not-yet-started tasks throw plc::Error("sweep
-  /// cancelled"), which the pool barrier rethrows to the caller. The
-  /// store stays consistent (finished tasks published, the rest
-  /// absent), so a resubmit resumes from what completed.
+  /// drain). Checked at task granularity — a task that already started
+  /// runs to completion: when it reads true, not-yet-started tasks throw
+  /// plc::Error("sweep cancelled"), which the pool barrier rethrows to
+  /// the caller. The store stays consistent (finished tasks published,
+  /// the rest absent), so a resubmit resumes from what completed.
   const std::atomic<bool>* cancel = nullptr;
 };
-
-/// Runs one sweep point.
-RunSummary run_point(const RunSpec& spec);
-
-/// Runs one sweep point with observability attachments.
-RunSummary run_point(const RunSpec& spec, const RunObservability& obs);
-
-/// Runs one sweep point and packages the outcome as a RunReport: wall
-/// time, simulated-vs-wall speed, event counts, the summary statistics as
-/// scalars, and a metric snapshot (from `obs.registry` when supplied,
-/// otherwise from an internal registry).
-obs::RunReport run_point_report(const RunSpec& spec, std::string name,
-                                const RunObservability& obs = {});
 
 /// Builds the simulator for a spec with the given repetition index
 /// (exposed for harnesses needing traces/observers).
@@ -187,9 +174,9 @@ SlotSimulator make_simulator(const RunSpec& spec, int repetition);
 /// kernels replay identical randomness for any (spec, repetition).
 EventKernel make_event_kernel(const RunSpec& spec, int repetition);
 
-/// The runners' kernel dispatch, shared by the serial and parallel
-/// paths: event-driven exactly when the spec does not force the slot
-/// kernel and the repetition has no per-slot hooks attached.
+/// The runner's kernel dispatch: event-driven exactly when the spec does
+/// not force the slot kernel and the repetition has no per-slot hooks
+/// attached.
 bool use_event_kernel(Kernel kernel, bool per_slot_hooks);
 
 /// Canonical JSON of a RunSpec's result-determining content — the

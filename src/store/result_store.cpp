@@ -1,6 +1,7 @@
 #include "store/result_store.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <sstream>
 #include <system_error>
@@ -416,8 +417,8 @@ obs::Snapshot read_metrics_payload(const obs::JsonValue& value) {
                         min != nullptr && max != nullptr && sum != nullptr,
                     "metrics payload: histogram missing raw moments");
       sample.distribution = util::RunningStats::from_moments(
-          static_cast<std::int64_t>(count->number), mean->number, m2->number,
-          min->number, max->number, sum->number);
+          read_count(*count), mean->number, m2->number, min->number,
+          max->number, sum->number);
     } else {
       util::require(kind->text == "counter" || kind->text == "gauge",
                     "metrics payload: unknown sample kind");
@@ -427,11 +428,23 @@ obs::Snapshot read_metrics_payload(const obs::JsonValue& value) {
           find_member(item, "value", obs::JsonValue::Kind::kNumber);
       util::require(sample_value != nullptr,
                     "metrics payload: sample missing value");
-      sample.value = sample_value->number;
+      // Registry::absorb casts a counter's value to an integer.
+      sample.value = sample.kind == obs::MetricKind::kCounter
+                         ? static_cast<double>(read_count(*sample_value))
+                         : sample_value->number;
     }
     samples.push_back(std::move(sample));
   }
   return obs::Snapshot(std::move(samples));
+}
+
+std::int64_t read_count(const obs::JsonValue& value) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  util::require(value.is_number() && std::isfinite(value.number) &&
+                    value.number >= 0.0 && value.number <= kMaxExact &&
+                    std::trunc(value.number) == value.number,
+                "store payload: expected an integer count in [0, 2^53]");
+  return static_cast<std::int64_t>(value.number);
 }
 
 }  // namespace plc::store

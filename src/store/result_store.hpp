@@ -184,7 +184,17 @@ void write_metrics_payload(obs::JsonWriter& json,
                            const obs::Snapshot& snapshot);
 
 /// Inverse of write_metrics_payload. Throws plc::Error on malformed
-/// input (callers treat that as a corrupt entry).
+/// input (callers treat that as a corrupt entry), including a counter
+/// value or histogram count that read_count rejects.
 obs::Snapshot read_metrics_payload(const obs::JsonValue& value);
+
+/// Reads an integer count (event totals, nanoseconds, MPDU counters)
+/// from a store payload, which is untrusted input: the number must be
+/// finite, integral and in [0, 2^53], the range where a double holds
+/// every integer exactly. Anything else throws plc::Error, which the
+/// payload decoders treat like a shape mismatch (the task re-runs and
+/// re-publishes). A bare cast would be undefined behaviour for a
+/// negative, huge or non-finite value.
+std::int64_t read_count(const obs::JsonValue& value);
 
 }  // namespace plc::store

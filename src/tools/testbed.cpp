@@ -1,16 +1,20 @@
 #include "tools/testbed.hpp"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 
-#include "des/random.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
-#include "obs/report.hpp"
+#include "sim/parallel_runner.hpp"
+#include "store/result_store.hpp"
 #include "tools/ampstat.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/sources.hpp"
 
 namespace plc::tools {
@@ -132,70 +136,193 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
   return result;
 }
 
-double TestbedSuiteResult::speedup() const {
-  if (wall_seconds <= 0.0 || serial_equivalent_seconds <= 0.0) return 1.0;
-  return serial_equivalent_seconds / wall_seconds;
+std::string testbed_point_json(const TestbedConfig& config) {
+  char seed_hex[24];
+  std::snprintf(seed_hex, sizeof(seed_hex), "0x%llx",
+                static_cast<unsigned long long>(config.seed));
+  std::ostringstream out;
+  obs::JsonWriter json(out);
+  json.begin_object();
+  json.field("stations", config.stations);
+  json.field("warmup_ns", config.warmup.ns());
+  json.field("duration_ns", config.duration.ns());
+  json.field("seed", seed_hex);
+  json.key("timing").begin_object();
+  json.field("slot_ns", config.timing.slot.ns());
+  json.field("success_overhead_ns", config.timing.success_overhead.ns());
+  json.field("collision_overhead_ns", config.timing.collision_overhead.ns());
+  json.field("burst_gap_ns", config.timing.burst_gap.ns());
+  json.end_object();
+  json.field("sniff", config.sniff_at_destination);
+  json.field("mme_interval_ns", config.mme_interval.ns());
+  json.field("mme_payload_bytes", config.mme_payload_bytes);
+  json.end_object();
+  return out.str();
+}
+
+namespace {
+
+/// Serializes what a warm run needs from one testbed test: the counter
+/// vectors, the paper's estimator, and the test's metric snapshot.
+/// Sniffer artifacts (captures, burst sources) are not cached — the
+/// scenario testbed leg never enables the sniffer.
+std::string testbed_payload_json(const TestbedResult& run,
+                                 const obs::Snapshot& metrics) {
+  std::ostringstream out;
+  obs::JsonWriter json(out);
+  json.begin_object();
+  json.key("acknowledged").begin_array();
+  for (const std::uint64_t a : run.acknowledged) {
+    json.value(static_cast<std::int64_t>(a));
+  }
+  json.end_array();
+  json.key("collided").begin_array();
+  for (const std::uint64_t c : run.collided) {
+    json.value(static_cast<std::int64_t>(c));
+  }
+  json.end_array();
+  json.field("total_acknowledged",
+             static_cast<std::int64_t>(run.total_acknowledged));
+  json.field("total_collided", static_cast<std::int64_t>(run.total_collided));
+  json.field("collision_probability", run.collision_probability);
+  json.field("frames_delivered", run.frames_delivered_to_destination);
+  json.key("metrics");
+  store::write_metrics_payload(json, metrics);
+  json.end_object();
+  return out.str();
+}
+
+/// Inverse of testbed_payload_json; false on a shape mismatch or an
+/// invalid count (the caller then re-runs the test).
+bool testbed_result_from_payload(const obs::JsonValue& payload,
+                                 TestbedResult* run, obs::Snapshot* metrics) {
+  try {
+    const obs::JsonValue* acknowledged = payload.find("acknowledged");
+    const obs::JsonValue* collided = payload.find("collided");
+    const obs::JsonValue* total_acknowledged =
+        payload.find("total_acknowledged");
+    const obs::JsonValue* total_collided = payload.find("total_collided");
+    const obs::JsonValue* collision = payload.find("collision_probability");
+    const obs::JsonValue* delivered = payload.find("frames_delivered");
+    const obs::JsonValue* metric_samples = payload.find("metrics");
+    if (acknowledged == nullptr || !acknowledged->is_array() ||
+        collided == nullptr || !collided->is_array() ||
+        total_acknowledged == nullptr || total_collided == nullptr ||
+        collision == nullptr || !collision->is_number() ||
+        delivered == nullptr || metric_samples == nullptr) {
+      return false;
+    }
+    TestbedResult decoded;
+    for (const obs::JsonValue& item : acknowledged->items) {
+      decoded.acknowledged.push_back(
+          static_cast<std::uint64_t>(store::read_count(item)));
+    }
+    for (const obs::JsonValue& item : collided->items) {
+      decoded.collided.push_back(
+          static_cast<std::uint64_t>(store::read_count(item)));
+    }
+    decoded.total_acknowledged =
+        static_cast<std::uint64_t>(store::read_count(*total_acknowledged));
+    decoded.total_collided =
+        static_cast<std::uint64_t>(store::read_count(*total_collided));
+    decoded.collision_probability = collision->number;
+    decoded.frames_delivered_to_destination = store::read_count(*delivered);
+    *metrics = store::read_metrics_payload(*metric_samples);
+    *run = std::move(decoded);
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
+/// The testbed leg: one task per test, point-major.
+class TestbedLeg final : public sim::TaskLeg {
+ public:
+  TestbedLeg(const std::vector<TestbedConfig>& configs, int tests_per_point,
+             const sim::RunObservability& obs,
+             std::vector<TestbedResult>* runs)
+      : configs_(configs),
+        tests_(static_cast<std::size_t>(tests_per_point)),
+        obs_(obs),
+        runs_(runs) {
+    util::check_arg(tests_per_point >= 1 && configs.size() % tests_ == 0,
+                    "tests_per_point",
+                    "must be >= 1 and divide the config count");
+    for (const TestbedConfig& config : configs) {
+      util::check_arg(config.trace == nullptr, "configs",
+                      "suite runs cannot share a trace sink");
+      util::check_arg(config.progress == nullptr, "configs",
+                      "suite runs cannot share a progress meter");
+    }
+    util::check_arg(obs.store == nullptr ||
+                        (obs.store_legs != nullptr &&
+                         obs.store_legs->size() == configs.size() / tests_),
+                    "store_legs",
+                    "must carry one leg label per point when store is set");
+    runs_->resize(configs.size());
+  }
+
+  std::size_t size() const override { return configs_.size(); }
+
+  std::pair<std::size_t, int> coordinates(std::size_t task) const override {
+    return {task / tests_, static_cast<int>(task % tests_)};
+  }
+
+  store::Key key(std::size_t task) const override {
+    return store::make_key((*obs_.store_legs)[task / tests_],
+                           testbed_point_json(configs_[task]),
+                           static_cast<std::int64_t>(task % tests_));
+  }
+
+  void run(std::size_t task, obs::Registry* metrics) override {
+    TestbedConfig config = configs_[task];
+    config.registry = metrics;
+    (*runs_)[task] = run_saturated_testbed(config);
+  }
+
+  std::string encode(std::size_t task,
+                     const obs::Snapshot& metrics) const override {
+    return testbed_payload_json((*runs_)[task], metrics);
+  }
+
+  bool decode(std::size_t task, const obs::JsonValue& payload,
+              obs::Snapshot* metrics) override {
+    return testbed_result_from_payload(payload, &(*runs_)[task], metrics);
+  }
+
+ private:
+  const std::vector<TestbedConfig>& configs_;
+  std::size_t tests_;
+  const sim::RunObservability& obs_;
+  std::vector<TestbedResult>* runs_;
+};
+
+}  // namespace
+
+TestbedSuiteResult run_testbed_suite(sim::ParallelRunner& runner,
+                                     const std::vector<TestbedConfig>& configs,
+                                     int tests_per_point,
+                                     const sim::RunObservability& obs) {
+  PROF_SCOPE("testbed.suite");
+  TestbedSuiteResult suite;
+  TestbedLeg leg(configs, tests_per_point, obs, &suite.runs);
+  runner.run_tasks(leg, obs);
+  suite.serial_equivalent_seconds = runner.serial_equivalent_seconds();
+  return suite;
 }
 
 TestbedSuiteResult run_testbed_suite(const std::vector<TestbedConfig>& configs,
                                      int jobs) {
-  PROF_SCOPE("testbed.suite");
-  obs::Stopwatch wall;
-
-  struct Slot {
-    TestbedResult result;
-    obs::Snapshot metrics;
-    double wall_seconds = 0.0;
-  };
-  std::vector<Slot> slots(configs.size());
-
-  std::vector<std::string> worker_names;
-  {
-    const int count = util::ThreadPool::resolve_jobs(jobs);
-    worker_names.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i) {
-      worker_names.push_back("worker " + std::to_string(i));
-    }
+  sim::RunObservability attach;
+  if (!configs.empty()) attach.registry = configs.front().registry;
+  for (const TestbedConfig& config : configs) {
+    util::check_arg(config.registry == attach.registry, "configs",
+                    "must share one registry (or none)");
   }
-  util::ThreadPool pool(
-      static_cast<int>(worker_names.size()), [&worker_names](int worker) {
-        obs::Profiler::instance().set_thread_name(
-            worker_names[static_cast<std::size_t>(worker)].c_str());
-      });
-
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    util::check_arg(configs[i].trace == nullptr, "configs",
-                    "suite runs cannot share a trace sink");
-    util::check_arg(configs[i].progress == nullptr, "configs",
-                    "suite runs cannot share a progress meter");
-    Slot* slot = &slots[i];
-    pool.submit([&configs, i, slot] {
-      obs::Stopwatch run_wall;
-      // Private registry per run; the caller's registry (if any) receives
-      // the snapshot at the barrier, in config order.
-      obs::Registry local_registry;
-      TestbedConfig config = configs[i];
-      if (config.registry != nullptr) config.registry = &local_registry;
-      slot->result = run_saturated_testbed(config);
-      if (configs[i].registry != nullptr) {
-        slot->metrics = local_registry.snapshot();
-      }
-      slot->wall_seconds = run_wall.elapsed_seconds();
-    });
-  }
-  pool.wait();
-
-  TestbedSuiteResult suite;
-  suite.runs.reserve(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (configs[i].registry != nullptr) {
-      configs[i].registry->absorb(slots[i].metrics);
-    }
-    suite.runs.push_back(std::move(slots[i].result));
-    suite.serial_equivalent_seconds += slots[i].wall_seconds;
-  }
-  suite.wall_seconds = wall.elapsed_seconds();
-  return suite;
+  sim::ParallelRunner runner(jobs);
+  return run_testbed_suite(
+      runner, configs, std::max<int>(1, static_cast<int>(configs.size())),
+      attach);
 }
 
 }  // namespace plc::tools

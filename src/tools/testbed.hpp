@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "emu/network.hpp"
@@ -16,6 +17,11 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "tools/faifa.hpp"
+
+namespace plc::sim {
+class ParallelRunner;
+struct RunObservability;
+}  // namespace plc::sim
 
 namespace plc::tools {
 
@@ -69,28 +75,46 @@ struct TestbedResult {
 /// whole §3 code path, byte-encoded MMEs included.
 TestbedResult run_saturated_testbed(const TestbedConfig& config);
 
-/// Results of a parallel batch of testbed runs (see run_testbed_suite).
+/// Results of a batch of testbed runs (see run_testbed_suite).
 struct TestbedSuiteResult {
   /// One result per config, indexed like the input.
   std::vector<TestbedResult> runs;
-  /// Wall-clock seconds of the whole batch.
-  double wall_seconds = 0.0;
   /// Sum of the per-run wall times — what a serial loop would have spent.
   double serial_equivalent_seconds = 0.0;
-  /// serial_equivalent_seconds / wall_seconds (1.0 when degenerate).
-  double speedup() const;
 };
 
-/// Runs a batch of independent testbed tests across a worker pool
-/// (`jobs` <= 0 means one worker per hardware thread) and rejoins at a
-/// barrier. Bit-identical to running the configs serially in order, for
-/// any jobs count: each run's seed comes from its config alone, each run
-/// gets a private metrics registry, and the runner absorbs the snapshots
-/// into the configs' registries in config order after the barrier
-/// (configs may share one registry — the Figure 2 bench binds all 7×10
-/// runs to the harness registry). Configs must not attach trace sinks or
-/// progress meters: those sinks are not shareable across workers, so the
-/// suite rejects them (run such configs through run_saturated_testbed).
+/// Canonical JSON of one test's result-determining configuration — the
+/// testbed leg's store key coordinate, mirroring sim::canonical_point_json.
+/// The device configuration is deliberately absent: scenario testbed
+/// legs always run the default emu::DeviceConfig, so changing those
+/// defaults is a simulation-semantics change covered by
+/// store::kResultEpoch.
+std::string testbed_point_json(const TestbedConfig& config);
+
+/// Runs a batch of independent testbed tests as one leg of the task
+/// engine (sim::ParallelRunner::run_tasks). `configs` are point-major
+/// with `tests_per_point` consecutive tests per point; a test's index
+/// within its point is the rep coordinate of its store key and task
+/// span, and `obs.store_legs` carries one leg label per point (e.g.
+/// "testbed/CA1"). Of `obs` the leg reads registry, store, store_legs,
+/// telemetry, cancel, and trace with task_spans. The engine runs each
+/// test on a private registry and absorbs the snapshots into
+/// `obs.registry` in config order, so the configs' own `registry` is
+/// ignored. Configs must not attach trace sinks or progress meters:
+/// those are not shareable across workers, so the suite rejects them
+/// (run such configs through run_saturated_testbed). Bit-identical to
+/// running the configs serially in order, for any jobs count, cold or
+/// warm.
+TestbedSuiteResult run_testbed_suite(sim::ParallelRunner& runner,
+                                     const std::vector<TestbedConfig>& configs,
+                                     int tests_per_point,
+                                     const sim::RunObservability& obs);
+
+/// The same, as one point on a fresh runner of `jobs` workers (<= 0: one
+/// per hardware thread) without a store. The configs must share one
+/// registry (or none), which receives every test's snapshot in config
+/// order — the Figure 2 bench binds all 7×10 runs to the harness
+/// registry.
 TestbedSuiteResult run_testbed_suite(const std::vector<TestbedConfig>& configs,
                                      int jobs);
 

@@ -19,6 +19,7 @@
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
 #include "sim/event_kernel.hpp"
+#include "serial_reference.hpp"
 #include "sim/parallel_runner.hpp"
 #include "sim/runner.hpp"
 #include "sim/slot_simulator.hpp"
@@ -219,10 +220,11 @@ TEST(EventKernelRunner, RunPointSummariesEqualForBothKernels) {
   spec.stations = 5;
   spec.duration = SimTime::from_seconds(10.0);
   spec.repetitions = 3;
+  sim::ParallelRunner runner(2);
   spec.kernel = sim::Kernel::kSlot;
-  const sim::RunSummary slot = sim::run_point(spec);
+  const sim::RunSummary slot = runner.run_point(spec);
   spec.kernel = sim::Kernel::kEvent;
-  const sim::RunSummary event = sim::run_point(spec);
+  const sim::RunSummary event = runner.run_point(spec);
   EXPECT_EQ(slot.medium_events, event.medium_events);
   EXPECT_EQ(slot.simulated.ns(), event.simulated.ns());
   EXPECT_EQ(slot.collision_probability.mean(),
@@ -242,14 +244,15 @@ TEST(EventKernelRunner, AutoFallsBackToSlotPathUnderPerSlotHooks) {
   spec.duration = SimTime::from_seconds(2.0);
   spec.repetitions = 2;
 
+  sim::ParallelRunner runner(2);
   obs::TraceSink with_hooks_trace(1 << 16);
   sim::RunObservability with_hooks;
   with_hooks.trace = &with_hooks_trace;
   spec.kernel = sim::Kernel::kEvent;
-  const sim::RunSummary hooked = sim::run_point(spec, with_hooks);
+  const sim::RunSummary hooked = runner.run_point(spec, with_hooks);
 
   spec.kernel = sim::Kernel::kSlot;
-  const sim::RunSummary slot = sim::run_point(spec);
+  const sim::RunSummary slot = runner.run_point(spec);
 
   // Identical summaries AND a non-empty trace: the hook ran against the
   // slot-stepped replay, not against the batching kernel.
@@ -265,7 +268,7 @@ TEST(EventKernelRunner, ParallelRunnerMatchesSerialForEventKernel) {
   spec.duration = SimTime::from_seconds(5.0);
   spec.repetitions = 4;
   spec.kernel = sim::Kernel::kEvent;
-  const sim::RunSummary serial = sim::run_point(spec);
+  const sim::RunSummary serial = serial_reference(spec);
   sim::ParallelRunner runner(4);
   const sim::RunSummary parallel =
       runner.run_point(spec, sim::RunObservability{});

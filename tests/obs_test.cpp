@@ -22,6 +22,7 @@
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "sim/parallel_runner.hpp"
 #include "sim/runner.hpp"
 #include "sim/slot_simulator.hpp"
 #include "tools/testbed.hpp"
@@ -337,7 +338,8 @@ TEST(RunnerObs, RegistryAccumulatesAcrossRepetitions) {
   sim::RunObservability observability;
   observability.registry = &registry;
   observability.trace = &trace;
-  const sim::RunSummary summary = sim::run_point(spec, observability);
+  const sim::RunSummary summary =
+      sim::ParallelRunner(2).run_point(spec, observability);
 
   EXPECT_EQ(summary.collision_probability.count(), 3);
   EXPECT_GT(summary.medium_events, 0);
@@ -362,7 +364,8 @@ TEST(RunnerObs, RunPointReportIsSelfConsistent) {
   spec.duration = des::SimTime::from_seconds(0.5);
   spec.repetitions = 2;
 
-  const obs::RunReport report = sim::run_point_report(spec, "unit-run");
+  const obs::RunReport report =
+      sim::ParallelRunner(2).run_point_report(spec, "unit-run");
   EXPECT_EQ(report.name, "unit-run");
   EXPECT_GT(report.events, 0);
   EXPECT_GE(report.wall_seconds, 0.0);

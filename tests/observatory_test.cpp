@@ -17,6 +17,7 @@
 #include "obs/observatory.hpp"
 #include "obs/telemetry.hpp"
 #include "scenario/spec.hpp"
+#include "serial_reference.hpp"
 #include "sim/parallel_runner.hpp"
 #include "sim/runner.hpp"
 #include "sim/slot_simulator.hpp"
@@ -170,7 +171,8 @@ TEST(Observatory, SerialAndParallelStationsAgree) {
   sim::RunObservability attach;
   attach.observatory = &options;
 
-  const sim::RunSummary serial = sim::run_point(spec, attach);
+  const sim::RunSummary serial =
+      serial_reference(spec, nullptr, nullptr, &options);
   sim::ParallelRunner runner(3);
   const sim::RunSummary parallel = runner.run_point(spec, attach);
 
@@ -185,9 +187,10 @@ TEST(Observatory, SerialAndParallelStationsAgree) {
 
 TEST(Observatory, ReportCarriesStationsOnlyWhenAttached) {
   const sim::RunSpec spec = small_spec(3, 1);
+  sim::ParallelRunner runner(2);
   sim::RunObservability plain;
   const obs::RunReport without =
-      sim::run_point_report(spec, "plain", plain);
+      runner.run_point_report(spec, "plain", plain);
   EXPECT_TRUE(without.stations.empty());
   std::ostringstream without_json;
   without.write_json(without_json);
@@ -197,7 +200,7 @@ TEST(Observatory, ReportCarriesStationsOnlyWhenAttached) {
   obs::ObservatoryOptions options;
   sim::RunObservability attach;
   attach.observatory = &options;
-  const obs::RunReport with = sim::run_point_report(spec, "obs", attach);
+  const obs::RunReport with = runner.run_point_report(spec, "obs", attach);
   EXPECT_NE(with.stations.find("plc-stations/1"), std::string::npos);
   EXPECT_GT(with.scalars.count("window_jain_mean"), 0u);
   // The section is valid JSON with the expected shape.
@@ -223,7 +226,7 @@ TEST(Observatory, StationsEndpointServesHubView) {
   sim::RunObservability attach;
   attach.observatory = &options;
   attach.telemetry = &hub;
-  sim::run_point(spec, attach);
+  sim::ParallelRunner(2).run_point(spec, attach);
   response = server.handle_request("GET /stations HTTP/1.1\r\n\r\n");
   EXPECT_NE(response.find("point-0"), std::string::npos);
   // The headline gauges surface as plc_station_* families.

@@ -1,8 +1,8 @@
 // The determinism contract of the parallel layer: the thread pool's
 // barrier/exception semantics, counter-based seed derivation, and the
 // headline guarantee — ParallelRunner and run_testbed_suite produce
-// bit-identical results for any --jobs count, including against the
-// serial loops they replace.
+// bit-identical results for any --jobs count, including against
+// independent serial loops written out in the tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "serial_reference.hpp"
 #include "sim/parallel_runner.hpp"
 #include "sim/runner.hpp"
 #include "tools/testbed.hpp"
@@ -127,7 +128,7 @@ TEST(TaskSeed, PointAndRepAreNotInterchangeable) {
             des::derive_task_seed(0x1901, 5, 2));
 }
 
-// --- ParallelRunner vs the serial runner --------------------------------
+// --- ParallelRunner vs a serial reference loop --------------------------
 
 sim::RunSpec small_spec(int stations, int repetitions) {
   sim::RunSpec spec;
@@ -152,7 +153,7 @@ void expect_identical(const sim::RunSummary& a, const sim::RunSummary& b) {
 
 TEST(ParallelRunner, BitIdenticalToSerialRunPoint) {
   const sim::RunSpec spec = small_spec(3, 5);
-  const sim::RunSummary serial = sim::run_point(spec);
+  const sim::RunSummary serial = serial_reference(spec);
   for (const int jobs : {1, 2, 8}) {
     sim::ParallelRunner runner(jobs);
     expect_identical(runner.run_point(spec), serial);
@@ -166,7 +167,7 @@ TEST(ParallelRunner, RunPointsMatchesSerialLoopPerSpec) {
   const std::vector<sim::RunSummary> summaries = runner.run_points(specs);
   ASSERT_EQ(summaries.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(summaries[i], sim::run_point(specs[i]));
+    expect_identical(summaries[i], serial_reference(specs[i]));
   }
 }
 
@@ -190,9 +191,7 @@ TEST(ParallelRunner, AbsorbedCountersMatchSerialRegistry) {
   const sim::RunSpec spec = small_spec(2, 3);
 
   obs::Registry serial_registry;
-  sim::RunObservability serial_obs;
-  serial_obs.registry = &serial_registry;
-  sim::run_point(spec, serial_obs);
+  serial_reference(spec, &serial_registry);
 
   obs::Registry parallel_registry;
   sim::RunObservability parallel_obs;
@@ -219,9 +218,7 @@ TEST(ParallelRunner, TraceSpliceMatchesSerialRepetitionZero) {
   const sim::RunSpec spec = small_spec(2, 2);
 
   obs::TraceSink serial_trace(1 << 12);
-  sim::RunObservability serial_obs;
-  serial_obs.trace = &serial_trace;
-  sim::run_point(spec, serial_obs);
+  serial_reference(spec, nullptr, &serial_trace);
 
   obs::TraceSink parallel_trace(1 << 12);
   sim::RunObservability parallel_obs;

@@ -8,6 +8,7 @@
 //    through Segmenter/Reassembler with random corruption patterns.
 //  * Exact-chain sweep: the stationary solver matches long simulations
 //    for a family of small configurations.
+#include <ostream>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -104,6 +105,13 @@ struct OracleCase {
   std::vector<int> cw;
   std::vector<int> dc;
 };
+
+// gtest appends the printed parameter to each case's ctest name. Without
+// this it prints the struct's raw bytes, pointer bytes included, so the
+// names changed with the build's address layout.
+void PrintTo(const OracleCase& test_case, std::ostream* out) {
+  *out << test_case.name;
+}
 
 class MatlabOracle : public ::testing::TestWithParam<OracleCase> {};
 

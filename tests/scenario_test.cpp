@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "des/random.hpp"
+#include "obs/report.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
@@ -286,6 +287,27 @@ TEST(RunScenario, ReportCarriesSpecAndScalars) {
   // provenance chain: report -> spec -> identical rerun).
   EXPECT_EQ(Spec::from_json(outcome.report.scenario).to_json(),
             outcome.report.scenario);
+}
+
+// RunOutcome::wall_seconds times run_scenario from entry to return, so
+// legs outside the engine count too. A model-only spec runs no engine
+// task at all.
+TEST(RunScenario, WallSecondsCoversTheWholeRun) {
+  Spec spec;
+  spec.name = "model-only";
+  spec.macs = {MacVariant{"CA1", mac::BackoffConfig::ca0_ca1()}};
+  spec.stations = {2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
+  spec.legs.sim = false;
+  spec.legs.model = true;
+  spec.legs.testbed = false;
+  spec.legs.exact_pair = false;
+  const obs::Stopwatch stopwatch;
+  const RunOutcome outcome = run_scenario(spec);
+  const double outside = stopwatch.elapsed_seconds();
+  EXPECT_GT(outcome.wall_seconds, 0.0);
+  EXPECT_GE(outcome.wall_seconds, 0.95 * outside);
+  EXPECT_LE(outcome.wall_seconds, outside);
+  EXPECT_EQ(outcome.serial_equivalent_seconds, 0.0);
 }
 
 TEST(RunScenario, TestbedLegProducesPerStationScalars) {

@@ -1,0 +1,68 @@
+// An independent serial reference for the engine's determinism tests:
+// the repetition loop written out directly on make_simulator /
+// make_event_kernel, with one registry, one trace sink and one
+// observatory per repetition bound straight into the simulator — no
+// pool, no per-task registries, no trace splice, no store. Whatever
+// sim::ParallelRunner produces for any jobs count must equal this.
+#pragma once
+
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "obs/metrics.hpp"
+#include "obs/observatory.hpp"
+#include "obs/trace.hpp"
+#include "sim/runner.hpp"
+#include "util/math.hpp"
+
+namespace plc {
+
+inline sim::RunSummary serial_reference(
+    const sim::RunSpec& spec, obs::Registry* registry = nullptr,
+    obs::TraceSink* trace = nullptr,
+    const obs::ObservatoryOptions* observatory = nullptr) {
+  sim::RunSummary summary;
+  for (int rep = 0; rep < spec.repetitions; ++rep) {
+    const bool per_slot_hooks =
+        observatory != nullptr || (trace != nullptr && rep == 0);
+    sim::SlotSimResults results;
+    if (sim::use_event_kernel(spec.kernel, per_slot_hooks)) {
+      sim::EventKernel kernel = sim::make_event_kernel(spec, rep);
+      if (registry != nullptr) kernel.bind_metrics(*registry);
+      results = kernel.run(spec.duration);
+    } else {
+      sim::SlotSimulator simulator = sim::make_simulator(spec, rep);
+      std::optional<obs::Observatory> stations;
+      if (observatory != nullptr) {
+        obs::ObservatoryOptions options = *observatory;
+        if (rep > 0) options.trajectory_capacity = 0;
+        stations.emplace(simulator.station_count(),
+                         simulator.max_stage_count(), options);
+        simulator.attach_observatory(&*stations);
+      }
+      if (registry != nullptr) simulator.bind_metrics(*registry);
+      if (trace != nullptr && rep == 0) simulator.set_trace(trace, false);
+      results = simulator.run(spec.duration);
+      if (stations) {
+        simulator.flush_observatory();
+        if (!summary.stations) summary.stations.emplace();
+        summary.stations->merge(stations->summarize());
+      }
+    }
+    summary.medium_events +=
+        results.idle_slots + results.successes + results.collision_events;
+    summary.simulated = summary.simulated + results.elapsed;
+    summary.collision_probability.add(results.collision_probability());
+    summary.normalized_throughput.add(
+        results.normalized_throughput(spec.frame_length));
+    std::vector<double> shares;
+    for (const std::int64_t s : results.tx_success) {
+      shares.push_back(static_cast<double>(s));
+    }
+    summary.jain_index.add(util::jain_index(shares));
+  }
+  return summary;
+}
+
+}  // namespace plc

@@ -60,6 +60,25 @@ std::string spec_json(const std::string& name, int reps = 2,
   return out.str();
 }
 
+/// A testbed spec: `tests` tests of `testbed_ns` per station count, plus
+/// a sim leg of `reps` repetitions when `reps` > 0.
+std::string testbed_spec_json(const std::string& name,
+                              const std::string& stations, int tests,
+                              std::int64_t testbed_ns, int reps = 0) {
+  std::ostringstream out;
+  out << "{\"schema\":\"plc-scenario/1\",\"name\":\"" << name << "\","
+      << "\"macs\":[{\"label\":\"CA1\",\"type\":\"1901\","
+      << "\"preset\":\"ca0_ca1\"}],\"stations\":[" << stations << "],"
+      << "\"duration_ns\":500000000,"
+      << "\"repetitions\":" << (reps > 0 ? reps : 1)
+      << ",\"seed\":\"0x7e57\","
+      << "\"legs\":{\"sim\":" << (reps > 0 ? "true" : "false")
+      << ",\"model\":false,\"testbed\":true},"
+      << "\"testbed\":{\"tests\":" << tests
+      << ",\"duration_ns\":" << testbed_ns << "}}";
+  return out.str();
+}
+
 util::HttpRequest make_request(const std::string& method,
                                const std::string& path,
                                const std::string& body = "") {
@@ -433,6 +452,57 @@ TEST(ServeEndToEnd, CancelMidRunStopsTheJob) {
   // A second cancel is a conflict, not a crash.
   EXPECT_EQ(status_of(*server.handle(
                 make_request("DELETE", "/v1/jobs/" + id))),
+            409);
+}
+
+// Both engine legs report task progress: a done job's count covers its
+// testbed tests as well as its sim repetitions.
+TEST(ServeEndToEnd, DoneJobCountsSimAndTestbedTasks) {
+  serve::Server::Options options;
+  options.jobs = 2;
+  serve::Server server(options);
+
+  const std::string submit = *server.handle(make_request(
+      "POST", "/v1/jobs",
+      testbed_spec_json("both-legs", "2,3", 3, 500'000'000, 2)));
+  ASSERT_EQ(status_of(submit), 202);
+  const std::string id = json_string(obs::parse_json(body_of(submit)), "id");
+  const serve::JobInfo job = wait_terminal(server, id);
+  ASSERT_EQ(job.state, serve::JobState::kDone);
+  EXPECT_EQ(job.tasks_total, 10);  // 2 N x 2 reps + 2 N x 3 tests.
+  EXPECT_EQ(job.tasks_completed, job.tasks_total);
+}
+
+// DELETE interrupts a testbed leg at task granularity: with more tests
+// than workers, the tests not yet started never run and the job ends
+// cancelled. Five tests on two workers: when the first finishes, at most
+// two more can start before the DELETE lands, so the fifth never does.
+TEST(ServeEndToEnd, CancelInterruptsTestbedLeg) {
+  serve::Server::Options options;
+  options.jobs = 2;
+  serve::Server server(options);
+
+  const std::string submit = *server.handle(make_request(
+      "POST", "/v1/jobs",
+      testbed_spec_json("testbed-cancel", "7", 5, 100'000'000'000)));
+  ASSERT_EQ(status_of(submit), 202);
+  const std::string id = json_string(obs::parse_json(body_of(submit)), "id");
+  for (int i = 0; i < 60'000; ++i) {
+    const auto job = server.scheduler().job(id);
+    if (job.has_value() && (job->tasks_completed >= 1 ||
+                            serve::job_state_terminal(job->state))) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.scheduler().job(id)->state, serve::JobState::kRunning);
+  EXPECT_EQ(status_of(*server.handle(make_request("DELETE", "/v1/jobs/" + id))),
+            200);
+  const serve::JobInfo job = wait_terminal(server, id);
+  EXPECT_EQ(job.state, serve::JobState::kCancelled);
+  EXPECT_LT(job.tasks_completed, 5);
+  EXPECT_EQ(status_of(*server.handle(
+                make_request("GET", "/v1/jobs/" + id + "/report"))),
             409);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "mac/config.hpp"
+#include "sim/parallel_runner.hpp"
 #include "sim/runner.hpp"
 #include "sim/sim_1901.hpp"
 #include "sim/slot_simulator.hpp"
@@ -202,7 +203,7 @@ TEST(Runner, AggregatesRepetitions) {
   spec.stations = 3;
   spec.duration = des::SimTime::from_seconds(1.0);
   spec.repetitions = 5;
-  const RunSummary summary = run_point(spec);
+  const RunSummary summary = ParallelRunner(2).run_point(spec);
   EXPECT_EQ(summary.collision_probability.count(), 5);
   EXPECT_GT(summary.collision_probability.mean(), 0.0);
   EXPECT_GT(summary.normalized_throughput.mean(), 0.3);
@@ -215,7 +216,7 @@ TEST(Runner, DcfSpecUsesDcfEntities) {
   spec.stations = 3;
   spec.duration = des::SimTime::from_seconds(1.0);
   spec.repetitions = 2;
-  const RunSummary summary = run_point(spec);
+  const RunSummary summary = ParallelRunner(2).run_point(spec);
   EXPECT_GT(summary.normalized_throughput.mean(), 0.0);
 }
 
@@ -224,7 +225,7 @@ TEST(Runner, RepetitionsUseIndependentSeeds) {
   spec.stations = 2;
   spec.duration = des::SimTime::from_seconds(1.0);
   spec.repetitions = 3;
-  const RunSummary summary = run_point(spec);
+  const RunSummary summary = ParallelRunner(2).run_point(spec);
   // Independent repetitions virtually never agree to full precision.
   EXPECT_GT(summary.collision_probability.stddev(), 0.0);
 }

@@ -19,9 +19,12 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/telemetry.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
+#include "sim/runner.hpp"
 #include "store/result_store.hpp"
+#include "tools/testbed.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/hash.hpp"
@@ -408,6 +411,39 @@ TEST(MetricsPayload, RoundTripsCountersGaugesAndRawMoments) {
                plc::Error);
 }
 
+// Store entries are untrusted input: a count that is negative,
+// fractional or too large for a double to hold exactly must fail the
+// decode instead of reaching an integer cast.
+TEST(MetricsPayload, RejectsInvalidCounts) {
+  for (const char* bad : {"-1", "2.5", "1e300"}) {
+    const std::string histogram =
+        std::string(R"([{"name":"h","labels":[],"kind":"histogram","count":)") +
+        bad + R"(,"mean":0,"m2":0,"min":0,"max":0,"sum":0}])";
+    EXPECT_THROW(store::read_metrics_payload(obs::parse_json(histogram)),
+                 plc::Error)
+        << bad;
+    const std::string counter =
+        std::string(R"([{"name":"c","labels":[],"kind":"counter","value":)") +
+        bad + "}]";
+    EXPECT_THROW(store::read_metrics_payload(obs::parse_json(counter)),
+                 plc::Error)
+        << bad;
+    EXPECT_THROW(store::read_count(obs::parse_json(bad)), plc::Error) << bad;
+  }
+  // Gauges are plain doubles; only counts are checked.
+  EXPECT_EQ(store::read_metrics_payload(
+                obs::parse_json(
+                    R"([{"name":"g","labels":[],"kind":"gauge","value":-2.5}])"))
+                .samples()[0]
+                .value,
+            -2.5);
+  EXPECT_EQ(store::read_count(obs::parse_json("9007199254740992")),
+            std::int64_t{1} << 53);
+  EXPECT_THROW(store::read_count(obs::parse_json("9007199254740994")),
+               plc::Error);
+  EXPECT_THROW(store::read_count(obs::parse_json("\"7\"")), plc::Error);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: warm scenario runs are byte-identical and 100% hits.
 
@@ -501,6 +537,104 @@ TEST(StoreScenario, TestbedLegCachesAndReproducesReport) {
   EXPECT_EQ(warm.counters().hits, 2);
   EXPECT_EQ(warm.counters().misses, 0);
   EXPECT_EQ(warm_text, cold_text);
+}
+
+// Hostile payloads that still pass the store's checksum (a hand-made or
+// foreign entry): an invalid count in a real sim or testbed entry fails
+// the decode, so the task re-runs and heals the entry, and the report
+// does not change by a byte.
+TEST(StoreScenario, InvalidCountsInPayloadsAreRerunAndRepublished) {
+  TempDir dir("counts");
+  scenario::Spec spec = tiny_sim_spec();
+  spec.stations = {2};
+  spec.repetitions = 1;
+  spec.legs.testbed = true;
+  spec.testbed_tests = 1;
+  spec.testbed_duration = des::SimTime::from_seconds(0.5);
+  spec.validate();
+  store::ResultStore cache(dir.str() + "/cache");
+  const std::string cold_text =
+      run_report_text(spec, &cache, 1, dir.str() + "/cold.json");
+
+  const store::Key sim_key = store::make_key(
+      "sim/CA1", sim::canonical_point_json(spec.to_run_spec(2, 0)), 0);
+  const store::Key testbed_key = store::make_key(
+      "testbed/CA1", tools::testbed_point_json(spec.to_testbed_config(2, 0)),
+      0);
+  struct Poison {
+    const store::Key* key;
+    std::vector<std::string> path;  ///< Member names; "0" = first item.
+  };
+  const std::vector<Poison> poisons = {
+      {&sim_key, {"medium_events"}},
+      {&sim_key, {"elapsed_ns"}},
+      {&sim_key, {"metrics", "0", "value"}},
+      {&testbed_key, {"acknowledged", "0"}},
+      {&testbed_key, {"collided", "0"}},
+      {&testbed_key, {"total_acknowledged"}},
+      {&testbed_key, {"total_collided"}},
+      {&testbed_key, {"frames_delivered"}},
+  };
+  const auto step_into = [](obs::JsonValue* value,
+                            const std::string& step) -> obs::JsonValue* {
+    if (step == "0") return value->items.empty() ? nullptr : &value->items[0];
+    for (auto& [name, member] : value->members) {
+      if (name == step) return &member;
+    }
+    return nullptr;
+  };
+  for (const Poison& poison : poisons) {
+    const std::string healthy = cache.lookup(*poison.key)->dump();
+    for (const double bad : {-1.0, 2.5, 1e300}) {
+      obs::JsonValue payload = obs::parse_json(healthy);
+      obs::JsonValue* field = &payload;
+      for (const std::string& step : poison.path) {
+        field = step_into(field, step);
+        ASSERT_NE(field, nullptr) << step;
+      }
+      ASSERT_TRUE(field->is_number());
+      field->number = bad;
+      cache.publish(*poison.key, payload.dump());
+
+      const std::int64_t publishes = cache.counters().publishes;
+      const std::string warm_text =
+          run_report_text(spec, &cache, 1, dir.str() + "/warm.json");
+      EXPECT_EQ(warm_text, cold_text) << poison.path[0] << " = " << bad;
+      EXPECT_EQ(cache.counters().publishes, publishes + 1)
+          << poison.path[0] << " = " << bad;
+      EXPECT_EQ(cache.lookup(*poison.key)->dump(), healthy)
+          << poison.path[0] << " = " << bad;
+    }
+  }
+}
+
+// The testbed leg runs on the engine, so an attached hub sees its tasks
+// and their store traffic like the sim leg's.
+TEST(StoreScenario, TelemetryCountsTestbedTasksAndStoreTraffic) {
+  TempDir dir("telemetry");
+  scenario::Spec spec = tiny_sim_spec();
+  spec.legs.sim = false;
+  spec.legs.testbed = true;
+  spec.testbed_tests = 2;
+  spec.testbed_duration = des::SimTime::from_seconds(0.5);
+  spec.validate();
+  store::ResultStore cache(dir.str() + "/cache");
+  for (const bool warm : {false, true}) {
+    obs::TelemetryHub hub;
+    scenario::RunOptions options;
+    options.jobs = 2;
+    options.store = &cache;
+    options.telemetry = &hub;
+    scenario::run_scenario(spec, options);
+    const obs::TelemetryHub::Progress progress = hub.progress();
+    EXPECT_EQ(progress.tasks_total, 4) << warm;  // 2 station counts x 2.
+    EXPECT_EQ(progress.tasks_completed, 4) << warm;
+    EXPECT_EQ(progress.tasks_in_flight, 0) << warm;
+    EXPECT_EQ(progress.store_hits, warm ? 4 : 0);
+    EXPECT_EQ(progress.store_misses, warm ? 0 : 4);
+    // Cold tasks feed their testbed metrics to the live view too.
+    EXPECT_NE(hub.metrics_snapshot().find("des.events_dispatched"), nullptr);
+  }
 }
 
 // A corrupted entry mid-sweep degrades to a re-simulation, not a wrong
