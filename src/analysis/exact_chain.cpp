@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "obs/profiler.hpp"
 #include "util/error.hpp"
 
 namespace plc::analysis {
@@ -132,6 +133,7 @@ ExactPairResult solve_exact_pair(const mac::BackoffConfig& config_a,
                                  const mac::BackoffConfig& config_b,
                                  int max_iterations, double tolerance,
                                  int max_states_per_station) {
+  PROF_SCOPE("analysis.exact_pair");
   config_a.validate();
   config_b.validate();
   const StationModel a(config_a);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/profiler.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
 
@@ -117,6 +118,7 @@ Model1901Result solve_1901(int n, const mac::BackoffConfig& config) {
 
 Model1901Result solve_1901_continuous(double n,
                                       const mac::BackoffConfig& config) {
+  PROF_SCOPE("analysis.model_1901");
   util::check_arg(n >= 1.0, "n_effective", "must be >= 1");
   config.validate();
 

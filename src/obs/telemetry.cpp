@@ -160,12 +160,12 @@ void TelemetryHub::task_finished(const TaskEnd& end) {
   maybe_sample_locked();
 }
 
-void TelemetryHub::advance_sim(double sim_seconds, std::int64_t events) {
+void TelemetryHub::add_sim(double delta_seconds, std::int64_t delta_events) {
   std::lock_guard<std::mutex> lock(mutex_);
-  sim_seconds_ = sim_seconds;
-  events_ = events;
-  registry_.gauge("sweep.sim_seconds").set(sim_seconds);
-  registry_.gauge("sweep.events_observed").set(static_cast<double>(events));
+  sim_seconds_ += delta_seconds;
+  events_ += delta_events;
+  registry_.gauge("sweep.sim_seconds").set(sim_seconds_);
+  registry_.gauge("sweep.events_observed").set(static_cast<double>(events_));
   maybe_sample_locked();
 }
 

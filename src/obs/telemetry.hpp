@@ -86,8 +86,9 @@ class TelemetryHub {
   void begin_tasks(std::int64_t total);
   void task_started();
   void task_finished(const TaskEnd& end);
-  /// Cumulative simulated progress from the heartbeat path.
-  void advance_sim(double sim_seconds, std::int64_t events);
+  /// Adds simulated progress: each leg feeds the deltas of its own
+  /// tasks, so the total covers every leg and run fed to the hub.
+  void add_sim(double delta_seconds, std::int64_t delta_events);
   /// Folds a finished task's metric snapshot into the hub registry.
   void absorb(const Snapshot& snapshot);
 

@@ -1,5 +1,6 @@
 #include "scenario/run.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <ostream>
@@ -38,6 +39,96 @@ std::optional<mac::MacModelResult> solve_model(const sim::MacSpec& mac,
   if (mac.def().solve == nullptr) return std::nullopt;
   return mac.def().solve(mac.config(), stations, timing, frame_length);
 }
+
+/// The exact N = 2 chain's iteration cap and convergence tolerance.
+constexpr int kExactMaxIterations = 3000;
+constexpr double kExactTolerance = 1e-10;
+
+/// The exact-pair leg: one task per 1901-family variant when the sweep
+/// includes N = 2, each solving the exact joint chain
+/// (analysis::solve_exact_pair, ~1.4M joint states for CA1). The key is
+/// the chain's whole input — CW and DC vectors, iteration cap and
+/// tolerance — so relabelled or renamed variants share one entry. The
+/// payload is the one number the report reads.
+class ExactPairLeg final : public sim::TaskLeg {
+ public:
+  explicit ExactPairLeg(const Spec& spec) : collision_(spec.macs.size(), 0.0) {
+    const bool has_pair = std::find(spec.stations.begin(), spec.stations.end(),
+                                    2) != spec.stations.end();
+    if (!spec.legs.exact_pair || !has_pair) return;
+    for (std::size_t variant = 0; variant < spec.macs.size(); ++variant) {
+      if (const mac::BackoffConfig* chain =
+              spec.macs[variant].mac.backoff_config()) {
+        tasks_.push_back({variant, chain});
+      }
+    }
+  }
+
+  std::size_t size() const override { return tasks_.size(); }
+
+  std::pair<std::size_t, int> coordinates(std::size_t task) const override {
+    return {tasks_[task].variant, 0};
+  }
+
+  store::Key key(std::size_t task) const override {
+    const mac::BackoffConfig& chain = *tasks_[task].chain;
+    std::ostringstream point;
+    obs::JsonWriter json(point);
+    json.begin_object();
+    json.key("cw").begin_array();
+    for (const int w : chain.cw) json.value(w);
+    json.end_array();
+    json.key("dc").begin_array();
+    for (const int d : chain.dc) json.value(d);
+    json.end_array();
+    json.field("max_iterations", kExactMaxIterations);
+    json.field("tolerance", kExactTolerance);
+    json.end_object();
+    return store::make_key("exact_pair", point.str(), 0);
+  }
+
+  void run(std::size_t task, obs::Registry* /*metrics*/) override {
+    collision_[tasks_[task].variant] =
+        analysis::solve_exact_pair(*tasks_[task].chain, kExactMaxIterations,
+                                   kExactTolerance)
+            .collision_probability;
+  }
+
+  std::string encode(std::size_t task,
+                     const obs::Snapshot& /*metrics*/) const override {
+    std::ostringstream out;
+    obs::JsonWriter json(out);
+    json.begin_object();
+    json.field("collision_probability", collision_[tasks_[task].variant]);
+    json.end_object();
+    return out.str();
+  }
+
+  /// Accepts only a finite number in [0, 1]; anything else re-solves.
+  bool decode(std::size_t task, const obs::JsonValue& payload,
+              obs::Snapshot* /*metrics*/) override {
+    const obs::JsonValue* value = payload.find("collision_probability");
+    if (value == nullptr || !value->is_number() ||
+        !(value->number >= 0.0 && value->number <= 1.0)) {
+      return false;
+    }
+    collision_[tasks_[task].variant] = value->number;
+    return true;
+  }
+
+  /// The solved collision probability of `variant` (a task's variant).
+  double collision_probability(std::size_t variant) const {
+    return collision_[variant];
+  }
+
+ private:
+  struct Task {
+    std::size_t variant = 0;
+    const mac::BackoffConfig* chain = nullptr;
+  };
+  std::vector<Task> tasks_;
+  std::vector<double> collision_;  ///< Per variant.
+};
 
 }  // namespace
 
@@ -93,13 +184,15 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
   const std::size_t variants = spec.macs.size();
   const std::size_t points = spec.stations.size();
 
-  // Both engine legs run on one runner. A caller-owned runner (the serve
+  // Every engine leg runs on one runner. A caller-owned runner (the serve
   // scheduler's warm pool) wins over a per-run pool; either merges task
   // results in task-index order, so the choice cannot change a single
   // output byte.
+  ExactPairLeg exact(spec);
   std::optional<sim::ParallelRunner> local_runner;
   sim::ParallelRunner* runner = options.runner;
-  if (runner == nullptr && (spec.legs.sim || spec.legs.testbed)) {
+  if (runner == nullptr &&
+      (spec.legs.sim || spec.legs.testbed || exact.size() > 0)) {
     runner = &local_runner.emplace(options.jobs);
   }
   sim::RunObservability attach;
@@ -161,6 +254,13 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
     for (const tools::TestbedConfig& config : configs) {
       report.simulated_seconds += (config.warmup + config.duration).seconds();
     }
+  }
+
+  // Exact-pair leg: its own batch after the testbed leg, so the solve's
+  // ~23 MB joint vectors never stack on top of testbed tasks.
+  if (exact.size() > 0) {
+    runner->run_tasks(exact, attach);
+    outcome.serial_equivalent_seconds += runner->serial_equivalent_seconds();
   }
 
   if (options.out != nullptr && !spec.title.empty()) {
@@ -265,11 +365,9 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
 
       if (with_exact) {
         if (n == 2) {
-          const analysis::ExactPairResult exact =
-              analysis::solve_exact_pair(*mac.backoff_config(), 3000, 1e-10);
-          report.scalars[prefix + "exact_collision_probability"] =
-              exact.collision_probability;
-          row.push_back(util::format_fixed(exact.collision_probability, 4));
+          const double collision = exact.collision_probability(variant);
+          report.scalars[prefix + "exact_collision_probability"] = collision;
+          row.push_back(util::format_fixed(collision, 4));
         } else {
           row.push_back(n == 1 ? "0.0000" : "-");
         }

@@ -38,6 +38,14 @@ std::int64_t Scheduler::estimate_tasks(const scenario::Spec& spec) {
   const auto points = static_cast<std::int64_t>(spec.stations.size());
   if (spec.legs.sim) tasks += variants * points * spec.repetitions;
   if (spec.legs.testbed) tasks += points * spec.testbed_tests;
+  // The exact-pair leg: one task per 1901-family variant at N = 2.
+  if (spec.legs.exact_pair && std::find(spec.stations.begin(),
+                                        spec.stations.end(),
+                                        2) != spec.stations.end()) {
+    for (const scenario::MacVariant& variant : spec.macs) {
+      if (variant.mac.backoff_config() != nullptr) ++tasks;
+    }
+  }
   return tasks;
 }
 

@@ -206,16 +206,16 @@ void SimLeg::run(std::size_t task, obs::Registry* metrics) {
             ++pending;
             if (--countdown > 0) return;
             countdown = obs::ProgressMeter::kCheckEvery;
-            std::lock_guard<std::mutex> lock(progress_mutex_);
-            progress_sim_ += event.start - flushed_sim;
+            const des::SimTime advanced = event.start - flushed_sim;
             flushed_sim = event.start;
+            std::lock_guard<std::mutex> lock(progress_mutex_);
+            progress_sim_ += advanced;
             progress_events_ += pending;
-            pending = 0;
             obs_.progress->sample_coarse(progress_sim_, progress_events_);
             if (obs_.telemetry != nullptr) {
-              obs_.telemetry->advance_sim(progress_sim_.seconds(),
-                                          progress_events_);
+              obs_.telemetry->add_sim(advanced.seconds(), pending);
             }
+            pending = 0;
           });
     }
 
@@ -310,10 +310,7 @@ void SimLeg::finished(std::size_t task) {
     // Telemetry-only runs skip the per-event observer (its indirect call
     // on the hottest loop is the one cost that would bust the < 5%
     // budget), so the hub learns simulated time at task granularity.
-    std::lock_guard<std::mutex> lock(progress_mutex_);
-    progress_sim_ += slot.elapsed;
-    progress_events_ += slot.medium_events;
-    obs_.telemetry->advance_sim(progress_sim_.seconds(), progress_events_);
+    obs_.telemetry->add_sim(slot.elapsed.seconds(), slot.medium_events);
   }
 }
 
@@ -464,10 +461,10 @@ void ParallelRunner::run_tasks(TaskLeg& leg, const RunObservability& obs) {
 
 #if defined(__GLIBC__)
   // Each worker allocates from its own malloc arena, which keeps freed
-  // pages resident. Hand them back, so the caller's next phase (the
-  // scenario's exact-pair solve, on this thread's arena) does not stack
-  // its peak on top of them (~9 MB, a quarter of a warm figure2 op's
-  // peak RSS).
+  // pages resident. Hand them back, so the caller's next leg does not
+  // stack its peak on top of them: the exact-pair solve (~23 MB, on
+  // whichever worker takes it) would otherwise sit on the testbed leg's
+  // leftovers (~9 MB).
   malloc_trim(0);
 #endif
   wall_seconds_ = wall.elapsed_seconds();

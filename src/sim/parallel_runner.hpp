@@ -25,9 +25,9 @@
 //      speedup of the last run, which the heavy benches record in their
 //      BENCH_*.json.
 //
-// run_tasks is the leg-agnostic loop behind both legs: run_points (sim
-// repetitions) and tools::run_testbed_suite (testbed tests) each hand it
-// a TaskLeg.
+// run_tasks is the leg-agnostic loop behind every leg: run_points (sim
+// repetitions), tools::run_testbed_suite (testbed tests) and
+// scenario::run_scenario's exact N = 2 chain each hand it a TaskLeg.
 //
 // For dense N×CW×DC grids, seed the points with
 // des::derive_task_seed(root, point, rep) (see seed_grid) so adding or

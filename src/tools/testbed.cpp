@@ -11,6 +11,7 @@
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/parallel_runner.hpp"
 #include "store/result_store.hpp"
 #include "tools/ampstat.hpp"
@@ -288,6 +289,12 @@ class TestbedLeg final : public sim::TaskLeg {
   bool decode(std::size_t task, const obs::JsonValue& payload,
               obs::Snapshot* metrics) override {
     return testbed_result_from_payload(payload, &(*runs_)[task], metrics);
+  }
+
+  void finished(std::size_t task) override {
+    if (obs_.telemetry == nullptr) return;
+    const TestbedConfig& config = configs_[task];
+    obs_.telemetry->add_sim((config.warmup + config.duration).seconds(), 0);
   }
 
  private:

@@ -9,6 +9,7 @@
 
 #include "des/random.hpp"
 #include "obs/report.hpp"
+#include "obs/telemetry.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
@@ -327,6 +328,32 @@ TEST(RunScenario, TestbedLegProducesPerStationScalars) {
     EXPECT_TRUE(outcome.report.scalars.count(key) == 1) << key;
   }
   EXPECT_GT(outcome.report.scalars.at("CA1.n2.testbed_acknowledged"), 0.0);
+}
+
+// The hub's simulated seconds add up every leg and every run fed to it:
+// the sim repetitions' elapsed time plus each testbed test's warmup and
+// duration, which is what the report's simulated_seconds sums too.
+TEST(RunScenario, HubSimSecondsCoverEveryLegAndRun) {
+  Spec spec;
+  spec.name = "hub-sim-seconds";
+  spec.macs = {MacVariant{"CA1", mac::BackoffConfig::ca0_ca1()}};
+  spec.stations = {2};
+  spec.duration = des::SimTime::from_seconds(0.5);
+  spec.repetitions = 2;
+  spec.legs.sim = true;
+  spec.legs.model = false;
+  spec.legs.testbed = true;
+  spec.legs.exact_pair = false;
+  spec.testbed_tests = 2;
+  spec.testbed_duration = des::SimTime::from_seconds(0.5);
+  obs::TelemetryHub hub;
+  RunOptions options;
+  options.jobs = 2;
+  options.telemetry = &hub;
+  const double both_legs = run_scenario(spec, options).report.simulated_seconds;
+  EXPECT_NEAR(hub.progress().sim_seconds, both_legs, 1e-9);
+  run_scenario(spec, options);
+  EXPECT_NEAR(hub.progress().sim_seconds, 2.0 * both_legs, 1e-9);
 }
 
 }  // namespace

@@ -473,6 +473,30 @@ TEST(ServeEndToEnd, DoneJobCountsSimAndTestbedTasks) {
   EXPECT_EQ(job.tasks_completed, job.tasks_total);
 }
 
+// The exact N = 2 chain is an engine task too: a tiny 1901 chain (CW
+// {4, 8}, DC {0, 1}) at N = 2 and 3 with two sim repetitions is 2 x 2
+// sim tasks plus 1 exact task.
+TEST(ServeEndToEnd, DoneJobCountsTheExactPairTask) {
+  serve::Server::Options options;
+  options.jobs = 2;
+  serve::Server server(options);
+
+  const std::string spec =
+      "{\"schema\":\"plc-scenario/1\",\"name\":\"exact-leg\","
+      "\"macs\":[{\"label\":\"TINY\",\"type\":\"1901\",\"cw\":[4,8],"
+      "\"dc\":[0,1]}],\"stations\":[2,3],\"duration_ns\":200000000,"
+      "\"repetitions\":2,\"seed\":\"0x7e57\","
+      "\"legs\":{\"sim\":true,\"model\":false,\"exact_pair\":true}}";
+  const std::string submit =
+      *server.handle(make_request("POST", "/v1/jobs", spec));
+  ASSERT_EQ(status_of(submit), 202);
+  const std::string id = json_string(obs::parse_json(body_of(submit)), "id");
+  const serve::JobInfo job = wait_terminal(server, id);
+  ASSERT_EQ(job.state, serve::JobState::kDone);
+  EXPECT_EQ(job.tasks_total, 5);
+  EXPECT_EQ(job.tasks_completed, job.tasks_total);
+}
+
 // DELETE interrupts a testbed leg at task granularity: with more tests
 // than workers, the tests not yet started never run and the job ends
 // cancelled. Five tests on two workers: when the first finishes, at most

@@ -10,12 +10,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/exact_chain.hpp"
+#include "mac/config.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -634,6 +637,152 @@ TEST(StoreScenario, TelemetryCountsTestbedTasksAndStoreTraffic) {
     EXPECT_EQ(progress.store_misses, warm ? 0 : 4);
     // Cold tasks feed their testbed metrics to the live view too.
     EXPECT_NE(hub.metrics_snapshot().find("des.events_dispatched"), nullptr);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The exact-pair leg: the N = 2 chain is one store-backed engine task.
+
+/// CW {4, 8}, DC {0, 1}: 4 + 8 * 2 = 20 states per station, so the
+/// exact chain solves in milliseconds.
+const mac::BackoffConfig kTinyChain{"tiny", {4, 8}, {0, 1}};
+
+scenario::Spec tiny_exact_spec() {
+  scenario::Spec spec;
+  spec.name = "store-test-exact";
+  spec.title = "store exact-pair test";
+  spec.macs = {scenario::MacVariant{"TINY", kTinyChain}};
+  spec.stations = {2};
+  spec.legs.sim = false;
+  spec.legs.model = false;
+  spec.legs.exact_pair = true;
+  spec.validate();
+  return spec;
+}
+
+TEST(StoreExactPair, WarmRunReadsTheOneEntry) {
+  TempDir dir("exact");
+  const scenario::Spec spec = tiny_exact_spec();
+  store::ResultStore cold(dir.str() + "/cache");
+  const std::string cold_text =
+      run_report_text(spec, &cold, 1, dir.str() + "/cold.json");
+  EXPECT_EQ(cold.counters().hits, 0);
+  EXPECT_EQ(cold.counters().misses, 1);
+  EXPECT_EQ(cold.counters().publishes, 1);
+
+  store::ResultStore warm(dir.str() + "/cache");
+  scenario::RunOptions options;
+  options.jobs = 1;
+  options.store = &warm;
+  const obs::RunReport warm_report =
+      scenario::run_scenario(spec, options).report;
+  warm_report.save(dir.str() + "/warm.json");
+  EXPECT_EQ(warm.counters().hits, 1);
+  EXPECT_EQ(warm.counters().misses, 0);
+  EXPECT_EQ(warm.counters().publishes, 0);
+  EXPECT_EQ(slurp(dir.str() + "/warm.json"), cold_text);
+  // The entry carries the solver's value bit for bit.
+  EXPECT_EQ(warm_report.scalars.at("TINY.n2.exact_collision_probability"),
+            analysis::solve_exact_pair(kTinyChain, 3000, 1e-10)
+                .collision_probability);
+}
+
+// The key is the chain's input (CW, DC, iteration cap, tolerance), not
+// the variant's label or display name.
+TEST(StoreExactPair, RelabelledVariantHitsAndChangedChainMisses) {
+  TempDir dir("exact_key");
+  const scenario::Spec spec = tiny_exact_spec();
+  store::ResultStore cache(dir.str() + "/cache");
+  run_report_text(spec, &cache, 1, dir.str() + "/cold.json");
+
+  scenario::Spec relabelled = spec;
+  relabelled.macs[0].label = "OTHER";
+  relabelled.macs[0].mac = mac::BackoffConfig{"renamed", {4, 8}, {0, 1}};
+  store::ResultStore relabelled_store(dir.str() + "/cache");
+  run_report_text(relabelled, &relabelled_store, 1,
+                  dir.str() + "/relabelled.json");
+  EXPECT_EQ(relabelled_store.counters().hits, 1);
+  EXPECT_EQ(relabelled_store.counters().misses, 0);
+
+  scenario::Spec changed = spec;
+  changed.macs[0].mac = mac::BackoffConfig{"tiny", {4, 16}, {0, 1}};
+  store::ResultStore changed_store(dir.str() + "/cache");
+  run_report_text(changed, &changed_store, 1, dir.str() + "/changed.json");
+  EXPECT_EQ(changed_store.counters().hits, 0);
+  EXPECT_EQ(changed_store.counters().misses, 1);
+  EXPECT_EQ(changed_store.counters().publishes, 1);
+}
+
+// A payload that passes the store's checksum but is not a probability
+// is re-solved and re-published; the report does not change.
+TEST(StoreExactPair, HostilePayloadsAreResolvedAndRepublished) {
+  TempDir dir("exact_hostile");
+  const scenario::Spec spec = tiny_exact_spec();
+  store::ResultStore cache(dir.str() + "/cache");
+  const std::string cold_text =
+      run_report_text(spec, &cache, 1, dir.str() + "/cold.json");
+
+  const store::Key key = store::make_key(
+      "exact_pair",
+      R"({"cw": [4, 8], "dc": [0, 1], "max_iterations": 3000, )"
+      R"("tolerance": 1e-10})",
+      0);
+  const std::optional<obs::JsonValue> stored = cache.lookup(key);
+  ASSERT_TRUE(stored.has_value());
+  const std::string healthy = stored->dump();
+  for (const std::string poison :
+       {R"({"collision_probability": -0.5})",
+        R"({"collision_probability": 2.0})",
+        R"({"collision_probability": 1e300})",
+        R"({"collision_probability": "0.08"})", R"({"other": 0.08})"}) {
+    cache.publish(key, poison);
+    const std::int64_t publishes = cache.counters().publishes;
+    const std::string warm_text =
+        run_report_text(spec, &cache, 1, dir.str() + "/warm.json");
+    EXPECT_EQ(warm_text, cold_text) << poison;
+    EXPECT_EQ(cache.counters().publishes, publishes + 1) << poison;
+    EXPECT_EQ(cache.lookup(key)->dump(), healthy) << poison;
+  }
+}
+
+// The solver's state-space guard still fails the run, now from a worker
+// task, and a failed solve publishes nothing.
+TEST(StoreExactPair, StateSpaceGuardFailsTheRunAndPublishesNothing) {
+  TempDir dir("exact_guard");
+  scenario::Spec spec = tiny_exact_spec();
+  // 1024 * 4 + 1024 * 4 = 8192 states per station, over the 4096 cap.
+  spec.macs[0].mac = mac::BackoffConfig{"huge", {1024, 1024}, {3, 3}};
+  spec.validate();
+  store::ResultStore cache(dir.str() + "/cache");
+  scenario::RunOptions options;
+  options.store = &cache;
+  EXPECT_THROW(scenario::run_scenario(spec, options), plc::Error);
+  EXPECT_EQ(cache.counters().misses, 1);
+  EXPECT_EQ(cache.counters().publishes, 0);
+}
+
+// The exact task runs on the engine, so an attached hub counts it with
+// the sim tasks, store traffic included.
+TEST(StoreExactPair, TelemetryCountsTheExactTask) {
+  TempDir dir("exact_telemetry");
+  scenario::Spec spec = tiny_exact_spec();
+  spec.legs.sim = true;
+  spec.duration = des::SimTime::from_seconds(0.2);
+  spec.repetitions = 2;
+  spec.validate();
+  store::ResultStore cache(dir.str() + "/cache");
+  for (const bool warm : {false, true}) {
+    obs::TelemetryHub hub;
+    scenario::RunOptions options;
+    options.jobs = 2;
+    options.store = &cache;
+    options.telemetry = &hub;
+    scenario::run_scenario(spec, options);
+    const obs::TelemetryHub::Progress progress = hub.progress();
+    EXPECT_EQ(progress.tasks_total, 3) << warm;  // 2 sim reps + 1 exact.
+    EXPECT_EQ(progress.tasks_completed, 3) << warm;
+    EXPECT_EQ(progress.store_hits, warm ? 3 : 0);
+    EXPECT_EQ(progress.store_misses, warm ? 0 : 3);
   }
 }
 
