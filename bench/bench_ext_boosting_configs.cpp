@@ -4,123 +4,88 @@
 // This is the configuration-tuning theme of the paper's title: the
 // default is tuned for smooth behaviour across unknown N, so for a
 // *known* N there is throughput on the table.
+//
+// The sweep frame (station counts, timing, duration, seed) is the
+// registry's "e8-boosting" spec; the candidate pool and ranking stay
+// here. Per N, the rows to validate become the variants of one sim-only
+// scenario, run on a shared runner against the $PLC_CACHE_DIR store.
 #include <cstddef>
 #include <iostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/optimizer.hpp"
 #include "bench_main.hpp"
-#include "obs/report.hpp"
 #include "scenario/registry.hpp"
-#include "sim/sim_1901.hpp"
+#include "scenario/run.hpp"
+#include "sim/parallel_runner.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
-namespace {
-
-/// One simulated validation (60 sim-s), gathered up front so the heavy
-/// sim_1901 calls can be sharded across the worker pool. Seeds are part
-/// of the job, so the values match the serial loop for any jobs count.
-struct SimJob {
-  plc::mac::BackoffConfig config;
-  int n = 0;
-  std::uint64_t seed = 0;
-  double throughput = 0.0;    ///< Filled by the pool.
-  double wall_seconds = 0.0;  ///< Per-job wall time (serial-equivalent).
-};
-
-void simulate_all(std::vector<SimJob>& sim_jobs, int jobs,
-                  const plc::scenario::Spec& spec) {
-  const double duration_us = spec.duration.us();
-  const double tc_us = spec.timing.tc(spec.frame_length).us();
-  const double ts_us = spec.timing.ts(spec.frame_length).us();
-  const double frame_us = spec.frame_length.us();
-  plc::util::ThreadPool pool(jobs);
-  pool.parallel_for(
-      static_cast<std::int64_t>(sim_jobs.size()), [&](std::int64_t i) {
-        SimJob& job = sim_jobs[static_cast<std::size_t>(i)];
-        plc::obs::Stopwatch job_wall;
-        job.throughput =
-            plc::sim::sim_1901(job.n, duration_us, tc_us, ts_us, frame_us,
-                               job.config.cw, job.config.dc, job.seed)
-                .normalized_throughput;
-        job.wall_seconds = job_wall.elapsed_seconds();
-      });
-}
-
-}  // namespace
-
 int main() {
   using namespace plc;
   bench::Harness harness("ext_boosting_configs");
-  // Sweep frame (station counts, sim duration, timing, root seed) from
-  // the declarative spec; the candidate pool and ranking stay here.
-  const scenario::Spec spec = scenario::Registry::get("e8-boosting");
-  harness.report().scenario = spec.to_json();
-  const phy::TimingConfig timing = spec.timing;
-  const des::SimTime frame = spec.frame_length;
+  const scenario::Spec frame = scenario::Registry::get("e8-boosting");
+  harness.report().scenario = frame.to_json();
   const auto pool = analysis::default_candidate_pool();
-  const std::vector<int>& station_counts = spec.stations;
+
+  const int jobs = util::jobs_from_env();
+  sim::ParallelRunner runner(jobs);
+  const auto cache = bench::open_store_from_env();  // $PLC_CACHE_DIR
+  scenario::RunOptions options;
+  options.runner = &runner;
+  options.store = cache.get();
 
   std::cout << "=== E8: boosting — tuned configurations vs the Table 1 "
                "default ===\n\n";
 
-  // Rank first (cheap, analytical), then shard the 5 x 3 simulated
-  // validations across $PLC_JOBS workers.
-  std::vector<std::vector<analysis::CandidateScore>> ranked_by_n;
-  std::vector<analysis::CandidateScore> uniform_by_n;
-  std::vector<SimJob> sim_jobs;  // 5 per N, in table order.
-  for (const int n : station_counts) {
-    ranked_by_n.push_back(
-        analysis::rank_configurations(n, timing, frame, pool));
-    uniform_by_n.push_back(analysis::best_uniform_window(n, timing, frame));
-    const auto& ranked = ranked_by_n.back();
+  double wall_seconds = 0.0;
+  double serial_equivalent_seconds = 0.0;
+  for (const int n : frame.stations) {
+    const auto ranked = analysis::rank_configurations(
+        n, frame.timing, frame.frame_length, pool);
+    const analysis::CandidateScore uniform =
+        analysis::best_uniform_window(n, frame.timing, frame.frame_length);
+    // One sim variant per table row: the default first, then the top
+    // three candidates, then the tuned uniform window.
+    scenario::Spec spec = frame;
+    spec.name = frame.name + "-n" + std::to_string(n);
+    spec.stations = {n};
+    spec.legs.model = false;
+    spec.macs.clear();
+    std::vector<std::pair<std::string, const analysis::CandidateScore*>> rows;
+    const auto add = [&](const std::string& label, const std::string& cell,
+                         const analysis::CandidateScore& score) {
+      spec.macs.push_back({label, score.config});
+      rows.emplace_back(cell, &score);
+    };
     for (const auto& score : ranked) {
       if (score.config.name == "CA0/CA1") {
-        sim_jobs.push_back({score.config, n, spec.seed, 0.0});
+        add("default", "default " + score.config.name, score);
       }
     }
     for (std::size_t i = 0; i < 3 && i < ranked.size(); ++i) {
-      sim_jobs.push_back({ranked[i].config, n, spec.seed + 1, 0.0});
+      add("rank" + std::to_string(i + 1), ranked[i].config.name, ranked[i]);
     }
-    sim_jobs.push_back({uniform_by_n.back().config, n, spec.seed + 2, 0.0});
-  }
-  const int jobs = util::jobs_from_env();
-  obs::Stopwatch parallel_wall;
-  simulate_all(sim_jobs, jobs, spec);
-  const double parallel_seconds = parallel_wall.elapsed_seconds();
-
-  std::size_t next_job = 0;
-  for (std::size_t row = 0; row < station_counts.size(); ++row) {
-    const int n = station_counts[row];
-    const auto& ranked = ranked_by_n[row];
-    const analysis::CandidateScore& uniform = uniform_by_n[row];
+    add("tuned", "tuned " + uniform.config.name, uniform);
+    const scenario::RunOutcome outcome = scenario::run_scenario(spec, options);
+    wall_seconds += outcome.wall_seconds;
+    serial_equivalent_seconds += outcome.serial_equivalent_seconds;
+    harness.add_simulated_seconds(outcome.report.simulated_seconds);
 
     std::cout << "--- N = " << n << " saturated stations ---\n";
     util::TablePrinter table({"configuration", "model thr", "model coll",
                               "sim thr"});
-    // Default first, then the top three candidates, then the tuned
-    // uniform window.
-    for (const auto& score : ranked) {
-      if (score.config.name == "CA0/CA1") {
-        table.add_row({"default " + score.config.name,
-                       util::format_fixed(score.throughput, 4),
-                       util::format_fixed(score.collision_probability, 4),
-                       util::format_fixed(sim_jobs[next_job++].throughput,
-                                          4)});
-      }
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto& [cell, score] = rows[i];
+      const double simulated = outcome.report.scalars.at(
+          spec.macs[i].label + ".n" + std::to_string(n) + ".sim_throughput");
+      table.add_row({cell, util::format_fixed(score->throughput, 4),
+                     util::format_fixed(score->collision_probability, 4),
+                     util::format_fixed(simulated, 4)});
     }
-    for (std::size_t i = 0; i < 3 && i < ranked.size(); ++i) {
-      table.add_row({ranked[i].config.name,
-                     util::format_fixed(ranked[i].throughput, 4),
-                     util::format_fixed(ranked[i].collision_probability, 4),
-                     util::format_fixed(sim_jobs[next_job++].throughput, 4)});
-    }
-    table.add_row({"tuned " + uniform.config.name,
-                   util::format_fixed(uniform.throughput, 4),
-                   util::format_fixed(uniform.collision_probability, 4),
-                   util::format_fixed(sim_jobs[next_job++].throughput, 4)});
     table.print(std::cout);
     std::cout << "\n";
 
@@ -130,12 +95,10 @@ int main() {
           ranked.front().throughput;
     }
     harness.scalar(prefix + "tuned_uniform_throughput") = uniform.throughput;
-    // 5 simulated validations of spec.duration each per N.
-    harness.add_simulated_seconds(5 * spec.duration.seconds());
   }
-  double serial_equivalent = 0.0;
-  for (const SimJob& job : sim_jobs) serial_equivalent += job.wall_seconds;
-  bench::record_parallel(harness, jobs, parallel_seconds, serial_equivalent);
+  bench::record_parallel(harness, jobs, wall_seconds,
+                         serial_equivalent_seconds);
+  if (cache) bench::record_cache(harness, *cache);
 
   std::cout << "Shape checks: the tuned uniform window grows with N and "
                "beats the default at every N here; the model's ranking "

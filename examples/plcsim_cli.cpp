@@ -1,135 +1,30 @@
-// plcsim — command-line driver for the framework.
+// plcsim — command-line driver for the framework:
 //
-//   plcsim sim     --n 4 [--time-s 50] [--reps 1] [--cw 8,16,32,64]
-//                  [--dc 0,1,3,15] [--ts-us 2542.64] [--tc-us 2920.64]
-//                  [--frame-us 2050] [--seed 6401] [--jobs N] [--kernel K]
-//   plcsim model   --n 4 [--cw ...] [--dc ...]
-//   plcsim testbed --n 3 [--time-s 30] [--mme-ms 0] [--capture out.plcc]
-//                  [--tests R] [--jobs N]
-//   plcsim sweep   --n-max 10 [--time-s 20] [--csv] [--jobs N] [--kernel K]
-//   plcsim scenario <name|file.json> [--jobs N] [--report out.json]
-//                  [--dump-spec [out.json]] [--validate] [--cache DIR]
-//                  [--kernel K]
-//   plcsim scenario --list
-//   plcsim cache   <stats|verify|gc> --dir DIR [--max-mb N | --max-bytes N]
-//                  [--json]
-//   plcsim mac     <list|describe <name>> [--json]
-//   plcsim serve   [--port P] [--bind ADDR] [--jobs N] [--max-queue Q]
-//                  [--cache DIR] [--queue-file FILE] [--json]
-//   plcsim http    --port P --path /v1/jobs [--method M] [--body FILE|-]
-//                  [--host ADDR] [--out FILE] [--include] [--expect CODE]
+//   plcsim <command> [operands] [--flag [value] ...]
 //
-// --jobs N shards repetitions (sim), tests (testbed --tests), or sweep
-// points (sweep) across N worker threads; 0 means one per hardware
-// thread. It only sets the worker count: every command runs its tasks on
-// the same engine (sim and scenario default to $PLC_JOBS), and results
-// are bit-identical for every N — seeds derive from task indices, never
-// thread schedule.
-//
-// --kernel K picks the contention kernel for simulation legs: "slot"
-// (the slot-stepped oracle), "event" (the event-driven kernel, which
-// jumps idle backoff gaps in one step), or "auto" (default: event-driven
-// unless the run attaches per-slot hooks — --trace, --progress or the
-// observatory — which replay slot-stepped). Both kernels draw the same
-// per-station streams and produce byte-identical reports; on `scenario`
-// the flag overrides the spec's optional "kernel" field.
-//
-// `scenario` runs a declarative experiment spec (scenario::Spec): a
-// built-in from scenario::Registry (--list enumerates them) or a
-// "plc-scenario/1" JSON file. --dump-spec emits the canonical JSON
-// (stdout, or to a file when given a value), --validate parses and
-// checks without running, and --report writes the deterministic run
-// report (byte-identical for any --jobs value) with the serialized spec
-// embedded under its "scenario" key. --cache DIR opens a plc::store
-// result cache there: completed (point, repetition) results are
-// published into it and later runs of the same spec take validated hits
-// instead of re-simulating — a fully warm run reproduces the cold run's
-// report byte-for-byte and prints its hit rate.
-//
-// `serve` runs the store-backed sweep service (serve::Server): a daemon
-// that accepts plc-scenario/1 specs over an HTTP JSON API (POST
-// /v1/jobs; see src/serve/server.hpp for the full route table) plus the
-// whole telemetry plane (/metrics, /progress, ...) on one port. Jobs
-// run one at a time over a shared warm worker pool; identical in-flight
-// specs coalesce; --cache DIR makes re-submitted specs complete from
-// store hits with byte-identical reports. --max-queue bounds admission
-// (429 + Retry-After beyond it). SIGTERM/SIGINT drains gracefully:
-// running tasks finish, the owed queue is persisted to --queue-file
-// (reloaded on the next start), new submits get 503. The startup banner
-// goes to stdout — one "plc-serve/1" JSON object with --json.
-//
-// `http` is a tiny loopback HTTP client for driving the daemon from
-// tests without curl: one request, Connection: close. --body FILE (or
-// "-" for stdin) implies POST; --out writes the response body bytes to
-// a file (byte-exact, for cmp), --include prints the response head,
-// --expect N makes the exit code 0 iff the status is N (default: 0 on
-// 2xx).
-//
-// `cache` maintains such a store: `stats` prints entry counts and bytes,
-// `verify` re-validates every entry (quarantining corrupt ones; exit 1
-// when any fail), `gc` evicts oldest-first down to --max-mb/--max-bytes.
-// --json switches the output to a machine-readable object.
-//
-// `mac` enumerates the registered MAC defs (mac::builtin_registry()):
-// `list` prints one row per def — aliases, presets, whether the def has
-// an analytical model — and `describe <name>` the full metadata,
-// exposed FSM counters, and the default configuration in spec form
-// (the fields a plc-scenario/1 mac object takes). --json emits
-// "plc-mac-list/1" / "plc-mac/1" objects instead.
-//   plcsim boost   --n 10
-//   plcsim delay   --n 5 --load 0.5
-//   plcsim capture --file out.plcc [--head 10]
-//
-// Observability (sim and testbed): --trace=<file> writes a Chrome
-// trace_event JSON (open in about://tracing or ui.perfetto.dev;
-// --trace-counters adds per-station BC/DC/BPC counter series),
-// --metrics=<file> writes the metric-registry snapshot, and
-// --report=<file> writes a "plc-run-report/1" JSON (see EXPERIMENTS.md).
-// --progress prints a heartbeat line to stderr every second (simulated s,
-// events/s, % complete, tasks done, ETA). --profile=<file> enables the
-// phase profiler and writes its text tree; --profile-trace=<file>
-// additionally captures every phase enter/exit as a Chrome trace_event
-// flame chart. Options accept both "--key value" and "--key=value".
-//
-// MAC-state observatory (sim): --observatory attaches per-station
-// backoff analytics to the run — the report gains a "stations" section
-// ("plc-stations/1": per-stage attempt tallies, sliding-window Jain
-// fairness, inter-transmission stats, collision bursts) and a
-// window_jain_mean scalar. --obs-window W sets the fairness window
-// (successes, default 50). --stations-out FILE writes the recorded
-// backoff trajectory (BC/DC/BPC/stage per station, stride-downsampled)
-// as JSONL; it implies --observatory. Scenario runs opt in through the
-// spec's "observatory" object instead (e.g. e20-mac-observatory).
-//
-// Live telemetry (sim and scenario): --listen PORT serves /metrics
-// (OpenMetrics), /progress, /profile, /timeseries and /stations over
-// HTTP on 127.0.0.1 for the duration of the run (PORT 0 picks a free
-// port; the chosen URL is logged). Attaching the plane never changes
-// run output: reports stay byte-identical with and without --listen.
-// --timeseries=<file> writes the sampled series as JSONL afterwards;
-// sim runs also embed them under the report's "timeseries" key.
-// --flight-recorder[=DIR] arms the crash recorder: on SIGSEGV/SIGABRT/
-// SIGFPE/SIGBUS or std::terminate it dumps the last trace events, a
-// metrics snapshot and the open profiler stack to DIR/plc-crash-<pid>
-// .json (DIR defaults to "."). `plcsim crash-test --dir DIR --signal
-// segv|abort|terminate` exists for exercising that path (used by
-// ctest). scenario --json replaces the human tables and summary with
-// one "plc-scenario-summary/1" JSON object on stdout.
-//
-// Every command prints human-readable tables; `sweep --csv` emits CSV for
-// plotting. File-output narration goes through obs::Log (stderr; silence
-// with PLC_LOG=off). Exit code 2 on usage errors.
+// kCommands (end of file) lists the commands; each command's flag table
+// sits next to its handler. `plcsim <command> --help` prints the table,
+// and a flag the table does not list exits 2 (DESIGN.md §8). Narration
+// goes to stderr through obs::Log (PLC_LOG=off silences it).
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "analysis/delay.hpp"
@@ -159,7 +54,6 @@
 #include "sim/unsaturated.hpp"
 #include "store/result_store.hpp"
 #include "util/fs.hpp"
-#include "util/http.hpp"
 #include "util/socket.hpp"
 #include "tools/capture.hpp"
 #include "tools/testbed.hpp"
@@ -172,69 +66,182 @@ namespace {
 
 using namespace plc;
 
-/// Minimal --key value / --flag parser.
+/// One flag a command reads. `default_value` is what the command uses
+/// when the flag is absent: "" for switches and optional outputs.
+struct Flag {
+  const char* name;
+  const char* default_value;
+  const char* help;
+};
+
+/// A command's flag table: its own rows, then those of the shared groups
+/// it also reads.
+std::vector<Flag> table(std::vector<Flag> rows,
+                        std::initializer_list<std::vector<Flag>> shared = {}) {
+  for (const std::vector<Flag>& group : shared) {
+    rows.insert(rows.end(), group.begin(), group.end());
+  }
+  return rows;
+}
+
+class Args;
+
+/// One row of kCommands. An empty summary hides it from usage().
+struct Command {
+  const char* name;
+  const char* operands;  ///< Synopsis, e.g. "<stats|verify|gc>".
+  std::size_t max_operands;
+  const char* summary;
+  int (*handler)(const Args&);
+  std::vector<Flag> flags;
+};
+
+const Flag* find_flag(const Command& command, const std::string& name) {
+  for (const Flag& flag : command.flags) {
+    if (name == flag.name) return &flag;
+  }
+  return nullptr;
+}
+
+/// One command's parsed argv: leading operands, then flags, each checked
+/// against the command's table. A getter returns the given value or the
+/// table default, and rejects a malformed value naming the flag.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
+  Args(const Command& command, int argc, char** argv) : command_(command) {
+    int i = 2;
+    for (; i < argc && !is_flag(argv[i]); ++i) operands_.emplace_back(argv[i]);
+    if (operands_.size() > command.max_operands) {
+      throw plc::Error("unexpected argument: " +
+                       operands_[command.max_operands]);
+    }
+    for (; i < argc; ++i) {
       std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        throw plc::Error("unexpected argument: " + key);
-      }
+      if (!is_flag(key)) throw plc::Error("unexpected argument: " + key);
       key = key.substr(2);
-      // "--key=value" form.
+      std::string value;
       if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
+        value = key.substr(eq + 1);
+        key.resize(eq);
+      } else if (i + 1 < argc && !is_flag(argv[i + 1])) {
+        value = argv[++i];
       }
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
+      if (key == "help") {
+        help_ = true;
+      } else if (find_flag(command, key) != nullptr) {
+        values_[key] = value;
       } else {
-        values_[key] = "";  // Boolean flag.
+        std::string valid;
+        for (const Flag& flag : command.flags) {
+          valid += std::string(" --") + flag.name;
+        }
+        throw plc::Error(std::string(command.name) + ": unknown flag --" +
+                         key + " (valid:" + valid + " --help)");
       }
     }
   }
 
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
-
-  int get_int(const std::string& key, int fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoi(it->second);
+  bool help() const { return help_; }
+  std::string operand(std::size_t i) const {
+    return i < operands_.size() ? operands_[i] : std::string();
   }
-
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+  bool has(const std::string& key) const {
+    declared(key);
+    return values_.count(key) > 0;
   }
-
-  std::string get_string(const std::string& key,
-                         const std::string& fallback) const {
+  std::string get_string(const std::string& key) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    return it == values_.end() ? declared(key).default_value : it->second;
   }
-
-  std::vector<int> get_int_list(const std::string& key,
-                                std::vector<int> fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
+  int get_int(const std::string& key) const {
+    return parse<int>(key, get_string(key), "an integer", 10);
+  }
+  double get_double(const std::string& key) const {
+    return parse<double>(key, get_string(key), "a finite number");
+  }
+  /// Decimal or 0x hex, the form a plc-scenario/1 seed takes.
+  std::uint64_t get_seed(const std::string& key) const {
+    const std::string text = get_string(key);
+    const bool hex = text.rfind("0x", 0) == 0 || text.rfind("0X", 0) == 0;
+    return parse<std::uint64_t>(key, text, "an unsigned 64-bit integer",
+                                hex ? 16 : 10, hex ? 2 : 0);
+  }
+  std::vector<int> get_int_list(const std::string& key) const {
+    const std::string text = get_string(key);
     std::vector<int> out;
-    std::stringstream stream(it->second);
-    std::string piece;
-    while (std::getline(stream, piece, ',')) {
-      out.push_back(std::stoi(piece));
+    for (std::size_t begin = 0;;) {
+      const std::size_t comma = text.find(',', begin);
+      out.push_back(parse<int>(key, text.substr(begin, comma - begin),
+                               "a comma-separated int list", 10));
+      if (comma == std::string::npos) return out;
+      begin = comma + 1;
     }
-    return out;
   }
 
  private:
+  static bool is_flag(const std::string& token) {
+    return token.rfind("--", 0) == 0;
+  }
+
+  /// The flag's row; reading an undeclared flag is a bug in this file.
+  const Flag& declared(const std::string& key) const {
+    const Flag* flag = find_flag(command_, key);
+    if (flag == nullptr) {
+      throw plc::Error(std::string("internal: --") + key +
+                       " is not in the flag table of " + command_.name);
+    }
+    return *flag;
+  }
+
+  /// std::from_chars over text[skip..]: no sign, space or trailing byte.
+  template <typename T>
+  T parse(const std::string& key, const std::string& text,
+          const char* expected, int base = 10, std::size_t skip = 0) const {
+    T value{};
+    const char* first = text.data() + std::min(skip, text.size());
+    const char* end = text.data() + text.size();
+    std::from_chars_result result{};
+    if constexpr (std::is_floating_point_v<T>) {
+      result = std::from_chars(first, end, value);
+    } else {
+      result = std::from_chars(first, end, value, base);
+    }
+    if (first == end || result.ec != std::errc() || result.ptr != end ||
+        !std::isfinite(static_cast<double>(value))) {
+      throw plc::Error(std::string(command_.name) + " --" + key +
+                       ": expected " + expected + ", got \"" + text + "\"");
+    }
+    return value;
+  }
+
+  const Command& command_;
+  std::vector<std::string> operands_;
   std::map<std::string, std::string> values_;
+  bool help_ = false;
+};
+
+// The flag groups several commands read, declared once.
+const std::vector<Flag> kBackoffFlags = {
+    {"cw", "8,16,32,64", "contention window per backoff stage"},
+    {"dc", "0,1,3,15", "deferral counter per backoff stage"},
+};
+
+const std::vector<Flag> kTelemetryFlags = {
+    {"listen", "", "serve /metrics etc. on 127.0.0.1:PORT, 0 for a free one"},
+    {"timeseries", "", "write the sampled telemetry series to FILE as JSONL"},
+    {"flight-recorder", "", "arm the crash recorder; dumps go to DIR or ."},
+};
+
+const std::vector<Flag> kProfileFlags = {
+    {"profile", "", "write the phase profiler's text tree to FILE"},
+    {"profile-trace", "", "write the phases to FILE as a Chrome flame chart"},
 };
 
 mac::BackoffConfig config_from(const Args& args) {
   mac::BackoffConfig config;
   config.name = "cli";
-  config.cw = args.get_int_list("cw", {8, 16, 32, 64});
-  config.dc = args.get_int_list("dc", {0, 1, 3, 15});
+  config.cw = args.get_int_list("cw");
+  config.dc = args.get_int_list("dc");
   config.validate();
   return config;
 }
@@ -247,6 +254,51 @@ void write_file(const std::string& path, Fn&& fn) {
   fn(out);
 }
 
+/// The --trace and --metrics outputs of sim and testbed, written after
+/// the run so that a bad path still prints the results first.
+void write_outputs(const Args& args, const obs::TraceSink& trace,
+                   const obs::Registry& registry) {
+  if (const std::string path = args.get_string("trace"); !path.empty()) {
+    write_file(path, [&](std::ostream& out) { trace.write_chrome_trace(out); });
+    PLC_LOG_INFO("cli", "wrote trace")
+        .str("path", path)
+        .num("events", static_cast<double>(trace.size()))
+        .num("dropped", static_cast<double>(trace.dropped()));
+  }
+  if (const std::string path = args.get_string("metrics"); !path.empty()) {
+    write_file(path, [&](std::ostream& out) {
+      registry.snapshot().write_json(out);
+    });
+    PLC_LOG_INFO("cli", "wrote metrics snapshot").str("path", path);
+  }
+}
+
+/// --report: saves `report` when the flag names a file.
+void save_report(const Args& args, const obs::RunReport& report) {
+  if (const std::string path = args.get_string("report"); !path.empty()) {
+    report.save(path);
+    PLC_LOG_INFO("cli", "wrote run report").str("path", path);
+  }
+}
+
+/// A testbed run's report: wall and simulated seconds, the metric
+/// snapshot (events from des.events_dispatched) and the station count.
+obs::RunReport testbed_report(const char* name, double wall_seconds,
+                              double simulated_seconds,
+                              const obs::Registry& registry, int stations) {
+  obs::RunReport report;
+  report.name = name;
+  report.wall_seconds = wall_seconds;
+  report.simulated_seconds = simulated_seconds;
+  report.metrics = registry.snapshot();
+  if (const obs::MetricSample* dispatched =
+          report.metrics.find("des.events_dispatched")) {
+    report.events = static_cast<std::int64_t>(dispatched->value);
+  }
+  report.scalars["stations"] = static_cast<double>(stations);
+  return report;
+}
+
 /// --profile / --profile-trace handling, shared by sim and testbed: turn
 /// the profiler on before the run, write the requested artifacts after.
 struct ProfileOutputs {
@@ -257,8 +309,8 @@ struct ProfileOutputs {
 
   static ProfileOutputs from(const Args& args) {
     ProfileOutputs outputs;
-    outputs.tree_path = args.get_string("profile", "");
-    outputs.trace_path = args.get_string("profile-trace", "");
+    outputs.tree_path = args.get_string("profile");
+    outputs.trace_path = args.get_string("profile-trace");
     if (outputs.enabled()) {
       obs::Profiler::instance().reset();
       if (!outputs.trace_path.empty()) {
@@ -303,14 +355,14 @@ struct Telemetry {
 
   static Telemetry from(const Args& args) {
     Telemetry telemetry;
-    telemetry.timeseries_path = args.get_string("timeseries", "");
+    telemetry.timeseries_path = args.get_string("timeseries");
     if (args.has("listen") || !telemetry.timeseries_path.empty()) {
       telemetry.hub = std::make_unique<obs::TelemetryHub>();
     }
     if (args.has("listen")) {
       obs::ExpositionServer::Options options;
-      const std::string port = args.get_string("listen", "");
-      options.port = port.empty() ? 0 : std::stoi(port);
+      options.port =
+          args.get_string("listen").empty() ? 0 : args.get_int("listen");
       telemetry.server =
           std::make_unique<obs::ExpositionServer>(*telemetry.hub, options);
       telemetry.server->start();
@@ -321,7 +373,7 @@ struct Telemetry {
     }
     if (args.has("flight-recorder")) {
       obs::FlightRecorder::Options options;
-      const std::string dir = args.get_string("flight-recorder", "");
+      const std::string dir = args.get_string("flight-recorder");
       if (!dir.empty()) options.directory = dir;
       obs::FlightRecorder::instance().arm(options);
       if (telemetry.hub != nullptr) {
@@ -347,27 +399,23 @@ struct Telemetry {
 
 int cmd_sim(const Args& args) {
   sim::RunSpec spec;
-  spec.stations = args.get_int("n", 2);
+  spec.stations = args.get_int("n");
   spec.mac = config_from(args);
-  spec.frame_length =
-      des::SimTime::from_us(args.get_double("frame-us", 2050.0));
+  spec.frame_length = des::SimTime::from_us(args.get_double("frame-us"));
   spec.timing = phy::TimingConfig::from_ts_tc(
       des::SimTime::from_ns(35'840),
-      des::SimTime::from_us(args.get_double("ts-us", 2542.64)),
-      des::SimTime::from_us(args.get_double("tc-us", 2920.64)),
-      spec.frame_length);
-  spec.duration =
-      des::SimTime::from_seconds(args.get_double("time-s", 50.0));
-  spec.repetitions = args.get_int("reps", 1);
-  spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 0x1901));
-  spec.kernel = sim::kernel_from_name(args.get_string("kernel", "auto"));
+      des::SimTime::from_us(args.get_double("ts-us")),
+      des::SimTime::from_us(args.get_double("tc-us")), spec.frame_length);
+  spec.duration = des::SimTime::from_seconds(args.get_double("time-s"));
+  spec.repetitions = args.get_int("reps");
+  spec.seed = args.get_seed("seed");
+  spec.kernel = sim::kernel_from_name(args.get_string("kernel"));
 
   obs::Registry registry;
   obs::TraceSink trace;
   sim::RunObservability observability;
   observability.registry = &registry;
-  const std::string trace_path = args.get_string("trace", "");
-  if (!trace_path.empty()) {
+  if (!args.get_string("trace").empty()) {
     observability.trace = &trace;
     observability.trace_counter_samples = args.has("trace-counters");
   }
@@ -382,12 +430,12 @@ int cmd_sim(const Args& args) {
   // MAC-state observatory: --stations-out and --obs-window imply it.
   obs::ObservatoryOptions observatory_options;
   obs::ObservatorySummary stations_summary;
-  const std::string stations_path = args.get_string("stations-out", "");
+  const std::string stations_path = args.get_string("stations-out");
   const bool observatory_on = args.has("observatory") ||
                               args.has("obs-window") ||
                               !stations_path.empty();
   if (observatory_on) {
-    observatory_options.fairness_window = args.get_int("obs-window", 50);
+    observatory_options.fairness_window = args.get_int("obs-window");
     observability.observatory = &observatory_options;
     observability.stations_sink = &stations_summary;
   }
@@ -403,7 +451,7 @@ int cmd_sim(const Args& args) {
   }
   const ProfileOutputs profile = ProfileOutputs::from(args);
 
-  sim::ParallelRunner runner(args.has("jobs") ? args.get_int("jobs", 0)
+  sim::ParallelRunner runner(args.has("jobs") ? args.get_int("jobs")
                                               : util::jobs_from_env());
   obs::RunReport report =
       runner.run_point_report(spec, "plcsim-sim", observability);
@@ -441,32 +489,14 @@ int cmd_sim(const Args& args) {
              static_cast<double>(stations_summary.trajectory.size()));
   }
 
-  if (!trace_path.empty()) {
-    write_file(trace_path,
-               [&](std::ostream& out) { trace.write_chrome_trace(out); });
-    PLC_LOG_INFO("cli", "wrote trace")
-        .str("path", trace_path)
-        .num("events", static_cast<double>(trace.size()))
-        .num("dropped", static_cast<double>(trace.dropped()));
-  }
-  const std::string metrics_path = args.get_string("metrics", "");
-  if (!metrics_path.empty()) {
-    write_file(metrics_path, [&](std::ostream& out) {
-      registry.snapshot().write_json(out);
-    });
-    PLC_LOG_INFO("cli", "wrote metrics snapshot").str("path", metrics_path);
-  }
-  const std::string report_path = args.get_string("report", "");
-  if (!report_path.empty()) {
-    report.save(report_path);
-    PLC_LOG_INFO("cli", "wrote run report").str("path", report_path);
-  }
+  write_outputs(args, trace, registry);
+  save_report(args, report);
   telemetry.finish();
   return 0;
 }
 
 int cmd_model(const Args& args) {
-  const int n = args.get_int("n", 2);
+  const int n = args.get_int("n");
   const mac::BackoffConfig config = config_from(args);
   const analysis::Model1901Result model = analysis::solve_1901(n, config);
   const phy::TimingConfig timing = phy::TimingConfig::paper_default();
@@ -499,8 +529,7 @@ int cmd_testbed_suite(const Args& args, tools::TestbedConfig base,
         "single runs only");
   }
   obs::Registry registry;
-  const std::uint64_t root_seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 0x1901));
+  const std::uint64_t root_seed = args.get_seed("seed");
   std::vector<tools::TestbedConfig> configs;
   configs.reserve(static_cast<std::size_t>(tests));
   for (int test = 0; test < tests; ++test) {
@@ -513,7 +542,7 @@ int cmd_testbed_suite(const Args& args, tools::TestbedConfig base,
   const ProfileOutputs profile = ProfileOutputs::from(args);
   const obs::Stopwatch wall;
   const tools::TestbedSuiteResult suite =
-      tools::run_testbed_suite(configs, args.get_int("jobs", 0));
+      tools::run_testbed_suite(configs, args.get_int("jobs"));
   const double wall_seconds = wall.elapsed_seconds();
   profile.write();
 
@@ -533,63 +562,41 @@ int cmd_testbed_suite(const Args& args, tools::TestbedConfig base,
   std::printf("collision probability over %d tests: mean=%.4f std=%.4f\n",
               tests, collision.mean(), collision.stddev());
   std::printf("jobs=%d  speedup=%.2fx (serial-equivalent %.2f s)\n",
-              util::ThreadPool::resolve_jobs(args.get_int("jobs", 0)),
+              util::ThreadPool::resolve_jobs(args.get_int("jobs")),
               wall_seconds > 0.0
                   ? suite.serial_equivalent_seconds / wall_seconds
                   : 1.0,
               suite.serial_equivalent_seconds);
 
-  const std::string metrics_path = args.get_string("metrics", "");
-  if (!metrics_path.empty()) {
-    write_file(metrics_path, [&](std::ostream& out) {
-      registry.snapshot().write_json(out);
-    });
-    PLC_LOG_INFO("cli", "wrote metrics snapshot").str("path", metrics_path);
-  }
-  const std::string report_path = args.get_string("report", "");
-  if (!report_path.empty()) {
-    obs::RunReport report;
-    report.name = "plcsim-testbed-suite";
-    report.wall_seconds = wall_seconds;
-    report.simulated_seconds =
-        static_cast<double>(tests) *
-        (base.warmup + base.duration).seconds();
-    report.metrics = registry.snapshot();
-    if (const obs::MetricSample* dispatched =
-            report.metrics.find("des.events_dispatched")) {
-      report.events = static_cast<std::int64_t>(dispatched->value);
-    }
-    report.scalars["stations"] = static_cast<double>(base.stations);
-    report.scalars["tests"] = static_cast<double>(tests);
-    report.scalars["collision_probability_mean"] = collision.mean();
-    report.scalars["collision_probability_stddev"] = collision.stddev();
-    report.save(report_path);
-    PLC_LOG_INFO("cli", "wrote run report").str("path", report_path);
-  }
+  write_outputs(args, obs::TraceSink(), registry);  // --trace was refused.
+  obs::RunReport report = testbed_report(
+      "plcsim-testbed-suite", wall_seconds,
+      static_cast<double>(tests) * (base.warmup + base.duration).seconds(),
+      registry, base.stations);
+  report.scalars["tests"] = static_cast<double>(tests);
+  report.scalars["collision_probability_mean"] = collision.mean();
+  report.scalars["collision_probability_stddev"] = collision.stddev();
+  save_report(args, report);
   return 0;
 }
 
 int cmd_testbed(const Args& args) {
   tools::TestbedConfig config;
-  config.stations = args.get_int("n", 3);
-  config.duration =
-      des::SimTime::from_seconds(args.get_double("time-s", 30.0));
-  const double mme_ms = args.get_double("mme-ms", 0.0);
+  config.stations = args.get_int("n");
+  config.duration = des::SimTime::from_seconds(args.get_double("time-s"));
+  const double mme_ms = args.get_double("mme-ms");
   if (mme_ms > 0.0) {
     config.mme_interval = des::SimTime::from_us(mme_ms * 1000.0);
   }
-  const int tests = args.get_int("tests", 1);
+  const int tests = args.get_int("tests");
   if (tests > 1) return cmd_testbed_suite(args, config, tests);
-  const std::string capture_path = args.get_string("capture", "");
+  const std::string capture_path = args.get_string("capture");
   config.sniff_at_destination = args.has("sniff") || !capture_path.empty();
 
   obs::Registry registry;
   obs::TraceSink trace;
   config.registry = &registry;
-  const std::string trace_path = args.get_string("trace", "");
-  if (!trace_path.empty()) config.trace = &trace;
-  const std::string report_path = args.get_string("report", "");
-  const std::string metrics_path = args.get_string("metrics", "");
+  if (!args.get_string("trace").empty()) config.trace = &trace;
   std::unique_ptr<obs::ProgressMeter> progress;
   if (args.has("progress")) {
     progress =
@@ -626,80 +633,45 @@ int cmd_testbed(const Args& args) {
         .num("captures", static_cast<double>(result.captures.size()));
   }
 
-  if (!trace_path.empty()) {
-    write_file(trace_path,
-               [&](std::ostream& out) { trace.write_chrome_trace(out); });
-    PLC_LOG_INFO("cli", "wrote trace")
-        .str("path", trace_path)
-        .num("events", static_cast<double>(trace.size()))
-        .num("dropped", static_cast<double>(trace.dropped()));
-  }
-  if (!metrics_path.empty()) {
-    write_file(metrics_path, [&](std::ostream& out) {
-      registry.snapshot().write_json(out);
-    });
-    PLC_LOG_INFO("cli", "wrote metrics snapshot").str("path", metrics_path);
-  }
-  if (!report_path.empty()) {
-    obs::RunReport report;
-    report.name = "plcsim-testbed";
-    report.wall_seconds = wall_seconds;
-    report.simulated_seconds = (config.warmup + config.duration).seconds();
-    report.metrics = registry.snapshot();
-    if (const obs::MetricSample* dispatched =
-            report.metrics.find("des.events_dispatched")) {
-      report.events = static_cast<std::int64_t>(dispatched->value);
-    }
-    report.scalars["stations"] = static_cast<double>(config.stations);
-    report.scalars["collision_probability"] = result.collision_probability;
-    report.scalars["normalized_throughput"] =
-        result.domain.normalized_throughput();
-    report.save(report_path);
-    PLC_LOG_INFO("cli", "wrote run report").str("path", report_path);
-  }
+  write_outputs(args, trace, registry);
+  obs::RunReport report = testbed_report(
+      "plcsim-testbed", wall_seconds,
+      (config.warmup + config.duration).seconds(), registry, config.stations);
+  report.scalars["collision_probability"] = result.collision_probability;
+  report.scalars["normalized_throughput"] =
+      result.domain.normalized_throughput();
+  save_report(args, report);
   return 0;
 }
 
+/// `plcsim sweep`: one 1901 variant ("cli", from --cw/--dc) over
+/// N = 1..n-max as a sim+model scenario, one repetition per point, so
+/// the table is identical for any --jobs value and either --kernel.
 int cmd_sweep(const Args& args) {
-  const int n_max = args.get_int("n-max", 7);
-  const double time_s = args.get_double("time-s", 20.0);
-  const mac::BackoffConfig config = config_from(args);
-  const phy::TimingConfig timing = phy::TimingConfig::paper_default();
-  const sim::Kernel kernel =
-      sim::kernel_from_name(args.get_string("kernel", "auto"));
+  scenario::Spec spec;
+  spec.name = "plcsim-sweep";
+  spec.macs = {scenario::MacVariant{"cli", config_from(args)}};
+  spec.stations.clear();
+  for (int n = 1; n <= args.get_int("n-max"); ++n) spec.stations.push_back(n);
+  spec.duration = des::SimTime::from_seconds(args.get_double("time-s"));
+  spec.repetitions = 1;
+  spec.kernel = sim::kernel_from_name(args.get_string("kernel"));
+  scenario::RunOptions options;
+  options.jobs =
+      args.has("jobs") ? args.get_int("jobs") : util::jobs_from_env();
+  const obs::RunReport report = scenario::run_scenario(spec, options).report;
+
   util::TablePrinter table({"n", "sim_collision", "sim_throughput",
                             "model_collision", "model_throughput"});
-  // One RunSpec per station count (single repetition each), sharded as
-  // (point x repetition) tasks across the runner's pool: the table is
-  // built in n order from the merged summaries, so the output is
-  // identical for any --jobs value — and for either --kernel.
-  std::vector<sim::RunSpec> specs;
-  specs.reserve(static_cast<std::size_t>(n_max));
-  for (int n = 1; n <= n_max; ++n) {
-    sim::RunSpec spec;
-    spec.mac = config;
-    spec.stations = n;
-    spec.timing = timing;
-    spec.frame_length = des::SimTime::from_us(2050.0);
-    spec.duration = des::SimTime::from_seconds(time_s);
-    spec.repetitions = 1;
-    spec.kernel = kernel;
-    specs.push_back(spec);
-  }
-  sim::ParallelRunner runner(args.get_int("jobs", 1));
-  const std::vector<sim::RunSummary> simulated_by_n =
-      runner.run_points(specs, sim::RunObservability{});
-  for (int n = 1; n <= n_max; ++n) {
-    const auto& simulated = simulated_by_n[static_cast<std::size_t>(n - 1)];
-    const auto model = analysis::solve_1901(n, config);
-    table.add_row(
-        {std::to_string(n),
-         util::format_fixed(simulated.collision_probability.mean(), 4),
-         util::format_fixed(simulated.normalized_throughput.mean(), 4),
-         util::format_fixed(model.gamma, 4),
-         util::format_fixed(model.normalized_throughput(
-                                timing, des::SimTime::from_us(2050.0)),
-                            4)});
+  for (const int n : spec.stations) {
+    const std::string prefix = "cli.n" + std::to_string(n) + ".";
+    std::vector<std::string> row = {std::to_string(n)};
+    for (const char* metric :
+         {"sim_collision_probability", "sim_throughput",
+          "model_collision_probability", "model_throughput"}) {
+      row.push_back(util::format_fixed(report.scalars.at(prefix + metric), 4));
+    }
+    table.add_row(std::move(row));
   }
   if (args.has("csv")) {
     table.print_csv(std::cout);
@@ -710,7 +682,7 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_boost(const Args& args) {
-  const int n = args.get_int("n", 10);
+  const int n = args.get_int("n");
   const phy::TimingConfig timing = phy::TimingConfig::paper_default();
   const des::SimTime frame = des::SimTime::from_us(2050.0);
   const auto ranked = analysis::rank_configurations(
@@ -731,8 +703,8 @@ int cmd_boost(const Args& args) {
 }
 
 int cmd_delay(const Args& args) {
-  const int n = args.get_int("n", 5);
-  const double load = args.get_double("load", 0.5);
+  const int n = args.get_int("n");
+  const double load = args.get_double("load");
   const mac::BackoffConfig config = config_from(args);
   const phy::TimingConfig timing = phy::TimingConfig::paper_default();
   const des::SimTime frame = des::SimTime::from_us(2050.0);
@@ -745,8 +717,7 @@ int cmd_delay(const Args& args) {
   spec.stations = n;
   spec.config = config;
   spec.arrival_rate_fps = lambda;
-  spec.duration = des::SimTime::from_seconds(
-      args.get_double("time-s", 60.0));
+  spec.duration = des::SimTime::from_seconds(args.get_double("time-s"));
   const auto simulated = sim::run_poisson_mac(spec);
   std::printf("N=%d  capacity=%.1f fps/station  lambda=%.1f fps "
               "(load %.2f)\n",
@@ -760,7 +731,8 @@ int cmd_delay(const Args& args) {
 
 /// `plcsim scenario`: run (or inspect) a declarative experiment spec —
 /// a scenario::Registry built-in or a "plc-scenario/1" JSON file.
-int cmd_scenario(const std::string& target, const Args& args) {
+int cmd_scenario(const Args& args) {
+  const std::string target = args.operand(0);
   if (args.has("list")) {
     for (const std::string& name : scenario::Registry::names()) {
       std::printf("%s\n", name.c_str());
@@ -772,30 +744,20 @@ int cmd_scenario(const std::string& target, const Args& args) {
         "scenario: give a registry name or a .json spec file "
         "(plcsim scenario --list enumerates the built-ins)");
   }
-  if (!scenario::Registry::contains(target) &&
-      target.find('.') == std::string::npos &&
-      target.find('/') == std::string::npos) {
-    // Bare word that is neither a built-in nor plausibly a file path:
-    // point at the registry instead of a confusing file-open error.
-    std::string known;
-    for (const std::string& name : scenario::Registry::names()) {
-      known += (known.empty() ? "" : ", ") + name;
-    }
-    throw plc::Error("scenario: unknown scenario \"" + target +
-                     "\" (known: " + known + ")");
-  }
-  scenario::Spec spec = scenario::Registry::contains(target)
-                            ? scenario::Registry::get(target)
-                            : scenario::Spec::from_file(target);
+  // A bare word that is not a built-in gets the registry's "unknown
+  // scenario" error listing the known names, not a file-open error.
+  const bool is_file = !scenario::Registry::contains(target) &&
+                       target.find_first_of("./") != std::string::npos;
+  scenario::Spec spec = is_file ? scenario::Spec::from_file(target)
+                                : scenario::Registry::get(target);
   if (args.has("kernel")) {
-    // Overrides the spec's "kernel" field for this run. Both kernels
-    // produce byte-identical reports (and the field is never serialized),
-    // so this cannot change --dump-spec or report bytes.
-    spec.kernel = sim::kernel_from_name(args.get_string("kernel", "auto"));
+    // The field is never serialized and both kernels write the same
+    // report, so this cannot change --dump-spec or report bytes.
+    spec.kernel = sim::kernel_from_name(args.get_string("kernel"));
   }
 
   if (args.has("dump-spec")) {
-    const std::string path = args.get_string("dump-spec", "");
+    const std::string path = args.get_string("dump-spec");
     if (path.empty()) {
       std::printf("%s\n", spec.to_json().c_str());
     } else {
@@ -816,11 +778,11 @@ int cmd_scenario(const std::string& target, const Args& args) {
 
   scenario::RunOptions options;
   options.jobs =
-      args.has("jobs") ? args.get_int("jobs", 0) : util::jobs_from_env();
+      args.has("jobs") ? args.get_int("jobs") : util::jobs_from_env();
   const bool json_summary = args.has("json");
   options.out = json_summary ? nullptr : &std::cout;
   std::unique_ptr<store::ResultStore> cache;
-  const std::string cache_dir = args.get_string("cache", "");
+  const std::string cache_dir = args.get_string("cache");
   if (!cache_dir.empty()) {
     cache = std::make_unique<store::ResultStore>(cache_dir);
     options.store = cache.get();
@@ -836,11 +798,12 @@ int cmd_scenario(const std::string& target, const Args& args) {
       outcome.wall_seconds > 0.0
           ? outcome.serial_equivalent_seconds / outcome.wall_seconds
           : 1.0;
+  const store::Counters counters =
+      cache != nullptr ? cache->counters() : store::Counters{};
+  const std::int64_t lookups = counters.hits + counters.misses;
   if (json_summary) {
-    // Machine twin of the human epilogue below; same quantities, one
-    // "plc-scenario-summary/1" object. (The run report stays the
-    // deterministic artifact; this summary is where the wall-clock and
-    // cache-traffic numbers live.)
+    // The machine twin of the human epilogue below. The report stays the
+    // deterministic artifact; wall-clock and cache traffic live here.
     obs::JsonWriter json(std::cout);
     json.begin_object();
     json.field("schema", "plc-scenario-summary/1");
@@ -851,8 +814,6 @@ int cmd_scenario(const std::string& target, const Args& args) {
                outcome.serial_equivalent_seconds);
     json.field("speedup", speedup);
     if (cache != nullptr) {
-      const store::Counters counters = cache->counters();
-      const std::int64_t lookups = counters.hits + counters.misses;
       json.key("cache").begin_object();
       json.field("hits", counters.hits);
       json.field("misses", counters.misses);
@@ -872,8 +833,6 @@ int cmd_scenario(const std::string& target, const Args& args) {
                 jobs, speedup, outcome.serial_equivalent_seconds,
                 outcome.wall_seconds);
     if (cache != nullptr) {
-      const store::Counters counters = cache->counters();
-      const std::int64_t lookups = counters.hits + counters.misses;
       std::printf("cache: %lld hits, %lld misses (%.1f%% hit rate), "
                   "%lld published\n",
                   static_cast<long long>(counters.hits),
@@ -890,11 +849,7 @@ int cmd_scenario(const std::string& target, const Args& args) {
       }
     }
   }
-  const std::string report_path = args.get_string("report", "");
-  if (!report_path.empty()) {
-    outcome.report.save(report_path);
-    PLC_LOG_INFO("cli", "wrote run report").str("path", report_path);
-  }
+  save_report(args, outcome.report);
   telemetry.finish();
   return 0;
 }
@@ -911,12 +866,12 @@ extern "C" void handle_serve_signal(int) { g_serve_stop = 1; }
 /// to --queue-file, refuse new work) and exits 0.
 int cmd_serve(const Args& args) {
   serve::Server::Options options;
-  options.port = args.get_int("port", 0);
-  options.bind_address = args.get_string("bind", "127.0.0.1");
-  options.jobs = args.get_int("jobs", 0);
-  options.max_queue = args.get_int("max-queue", 16);
-  options.cache_dir = args.get_string("cache", "");
-  options.queue_file = args.get_string("queue-file", "");
+  options.port = args.get_int("port");
+  options.bind_address = args.get_string("bind");
+  options.jobs = args.get_int("jobs");
+  options.max_queue = args.get_int("max-queue");
+  options.cache_dir = args.get_string("cache");
+  options.queue_file = args.get_string("queue-file");
 
   serve::Server server(options);
   server.start();
@@ -961,15 +916,15 @@ int cmd_serve(const Args& args) {
 /// `plcsim http`: one loopback HTTP request against the daemon (the
 /// curl the CLI tests can rely on). Exit 0 on 2xx, or exactly --expect.
 int cmd_http(const Args& args) {
-  const int port = args.get_int("port", 0);
+  const int port = args.get_int("port");
   if (port <= 0) throw plc::Error("http: --port is required");
-  const std::string host = args.get_string("host", "127.0.0.1");
-  const std::string path = args.get_string("path", "/");
+  const std::string host = args.get_string("host");
+  const std::string path = args.get_string("path");
 
   std::string body;
   const bool have_body = args.has("body");
   if (have_body) {
-    const std::string body_file = args.get_string("body", "");
+    const std::string body_file = args.get_string("body");
     if (body_file.empty() || body_file == "-") {
       std::ostringstream in;
       in << std::cin.rdbuf();
@@ -978,8 +933,8 @@ int cmd_http(const Args& args) {
       body = util::read_file(body_file);
     }
   }
-  const std::string method =
-      args.get_string("method", have_body ? "POST" : "GET");
+  std::string method = args.get_string("method");
+  if (method.empty()) method = have_body ? "POST" : "GET";
 
   std::string request = method + " " + path + " HTTP/1.1\r\nHost: " + host +
                         "\r\n";
@@ -1005,7 +960,7 @@ int cmd_http(const Args& args) {
   }
 
   if (args.has("include")) std::printf("%s\n\n", head.c_str());
-  const std::string out_path = args.get_string("out", "");
+  const std::string out_path = args.get_string("out");
   if (!out_path.empty()) {
     // Byte-exact: this is the `cmp`-against-the-CLI-report path.
     util::write_file_atomic(out_path, payload);
@@ -1014,7 +969,7 @@ int cmd_http(const Args& args) {
   }
   std::fflush(stdout);
   if (args.has("expect")) {
-    return status == args.get_int("expect", 0) ? 0 : 1;
+    return status == args.get_int("expect") ? 0 : 1;
   }
   return status >= 200 && status < 300 ? 0 : 1;
 }
@@ -1024,7 +979,7 @@ int cmd_http(const Args& args) {
 /// path end to end. Hidden from usage() on purpose.
 int cmd_crash_test(const Args& args) {
   obs::FlightRecorder::Options options;
-  options.directory = args.get_string("dir", ".");
+  options.directory = args.get_string("dir");
   obs::FlightRecorder::instance().arm(options);
 
   // Give the dump something real to record: a few trace events, a
@@ -1055,7 +1010,7 @@ int cmd_crash_test(const Args& args) {
   obs::Profiler::set_enabled(true);
   PROF_SCOPE("crash_test");
 
-  const std::string mode = args.get_string("signal", "segv");
+  const std::string mode = args.get_string("signal");
   if (mode == "segv") {
     ::raise(SIGSEGV);
   } else if (mode == "abort") {
@@ -1078,26 +1033,38 @@ int cmd_crash_test(const Args& args) {
   return 1;  // Unreachable: every branch above kills the process.
 }
 
+/// One "plc-cache-*/1" object on stdout: schema, store dir and `fields`.
+void print_cache_json(
+    const char* schema, const std::string& dir,
+    std::initializer_list<std::pair<const char*, std::int64_t>> fields) {
+  obs::JsonWriter json(std::cout);
+  json.begin_object();
+  json.field("schema", schema);
+  json.field("dir", dir);
+  for (const auto& [key, value] : fields) json.field(key, value);
+  json.end_object();
+  std::printf("\n");
+}
+
 /// `plcsim cache <stats|verify|gc>`: maintenance of a plc::store result
 /// cache directory (the one `scenario --cache` reads and writes).
-int cmd_cache(const std::string& action, const Args& args) {
-  const std::string dir = args.get_string("dir", "");
+int cmd_cache(const Args& args) {
+  const std::string action = args.operand(0);
+  if (action.empty()) {
+    throw plc::Error("cache: give an action (stats, verify or gc)");
+  }
+  const std::string dir = args.get_string("dir");
   if (dir.empty()) throw plc::Error("cache: --dir is required");
   store::ResultStore store(dir);
 
   if (action == "stats") {
     const store::DiskUsage usage = store.scan();
     if (args.has("json")) {
-      obs::JsonWriter json(std::cout);
-      json.begin_object();
-      json.field("schema", "plc-cache-stats/1");
-      json.field("dir", dir);
-      json.field("entries", usage.entries);
-      json.field("bytes", usage.bytes);
-      json.field("quarantined_entries", usage.quarantined_entries);
-      json.field("quarantined_bytes", usage.quarantined_bytes);
-      json.end_object();
-      std::printf("\n");
+      print_cache_json("plc-cache-stats/1", dir,
+                       {{"entries", usage.entries},
+                        {"bytes", usage.bytes},
+                        {"quarantined_entries", usage.quarantined_entries},
+                        {"quarantined_bytes", usage.quarantined_bytes}});
     } else {
       std::printf("%s: %lld entries, %lld bytes "
                   "(%lld quarantined, %lld bytes)\n",
@@ -1112,15 +1079,10 @@ int cmd_cache(const std::string& action, const Args& args) {
   if (action == "verify") {
     const store::VerifyResult result = store.verify();
     if (args.has("json")) {
-      obs::JsonWriter json(std::cout);
-      json.begin_object();
-      json.field("schema", "plc-cache-verify/1");
-      json.field("dir", dir);
-      json.field("checked", result.checked);
-      json.field("ok", result.ok);
-      json.field("quarantined", result.quarantined);
-      json.end_object();
-      std::printf("\n");
+      print_cache_json("plc-cache-verify/1", dir,
+                       {{"checked", result.checked},
+                        {"ok", result.ok},
+                        {"quarantined", result.quarantined}});
     } else {
       std::printf("%s: checked %lld entries, %lld ok, %lld quarantined\n",
                   dir.c_str(), static_cast<long long>(result.checked),
@@ -1137,21 +1099,16 @@ int cmd_cache(const std::string& action, const Args& args) {
     }
     const std::int64_t max_bytes =
         args.has("max-bytes")
-            ? static_cast<std::int64_t>(args.get_double("max-bytes", 0.0))
-            : static_cast<std::int64_t>(args.get_double("max-mb", 0.0) *
+            ? static_cast<std::int64_t>(args.get_double("max-bytes"))
+            : static_cast<std::int64_t>(args.get_double("max-mb") *
                                         1024.0 * 1024.0);
     if (max_bytes < 0) throw plc::Error("cache gc: size cap must be >= 0");
     const store::GcResult result = store.gc(max_bytes);
     if (args.has("json")) {
-      obs::JsonWriter json(std::cout);
-      json.begin_object();
-      json.field("schema", "plc-cache-gc/1");
-      json.field("dir", dir);
-      json.field("bytes_before", result.bytes_before);
-      json.field("bytes_after", result.bytes_after);
-      json.field("removed", result.removed);
-      json.end_object();
-      std::printf("\n");
+      print_cache_json("plc-cache-gc/1", dir,
+                       {{"bytes_before", result.bytes_before},
+                        {"bytes_after", result.bytes_after},
+                        {"removed", result.removed}});
     } else {
       std::printf("%s: %lld -> %lld bytes, removed %lld files\n", dir.c_str(),
                   static_cast<long long>(result.bytes_before),
@@ -1202,8 +1159,12 @@ void write_mac_def_json(obs::JsonWriter& json, const mac::MacDef& def) {
 
 /// `plcsim mac <list|describe NAME>`: the registered MAC defs, driven
 /// entirely by mac::builtin_registry() metadata.
-int cmd_mac(const std::string& action, const std::string& name,
-            const Args& args) {
+int cmd_mac(const Args& args) {
+  const std::string action = args.operand(0);
+  const std::string name = args.operand(1);
+  if (action.empty()) {
+    throw plc::Error("mac: give an action (list or describe)");
+  }
   const mac::Registry& registry = mac::builtin_registry();
   if (action == "list") {
     if (args.has("json")) {
@@ -1284,7 +1245,7 @@ int cmd_mac(const std::string& action, const std::string& name,
 }
 
 int cmd_capture(const Args& args) {
-  const std::string path = args.get_string("file", "");
+  const std::string path = args.get_string("file");
   if (path.empty()) throw plc::Error("capture: --file is required");
   const auto captures = tools::read_capture_file(path);
   const auto bursts = tools::Faifa::segment_bursts(captures);
@@ -1308,7 +1269,7 @@ int cmd_capture(const Args& args) {
                        4)});
   }
   table.print(std::cout);
-  const int head = args.get_int("head", 0);
+  const int head = args.get_int("head");
   for (int i = 0; i < head && i < static_cast<int>(captures.size()); ++i) {
     std::printf("%s\n",
                 tools::Faifa::format_capture(
@@ -1317,65 +1278,139 @@ int cmd_capture(const Args& args) {
   return 0;
 }
 
+/// Every command and, per command, every flag its handler reads.
+const Command kCommands[] = {
+    {"sim", "", 0, "simulate N saturated stations", cmd_sim,
+     table({{"n", "2", "saturated stations"},
+            {"time-s", "50", "simulated seconds per repetition"},
+            {"reps", "1", "independent repetitions, seeded per index"},
+            {"seed", "0x1901", "root seed, decimal or 0x hex"},
+            {"ts-us", "2542.64", "success duration Ts in us"},
+            {"tc-us", "2920.64", "collision duration Tc in us"},
+            {"frame-us", "2050", "frame duration in us"},
+            {"jobs", "", "worker threads (default $PLC_JOBS)"},
+            {"kernel", "auto", "contention kernel: auto, slot or event"},
+            {"trace", "", "write a Chrome trace_event JSON to FILE"},
+            {"trace-counters", "", "add BC/DC/BPC series to the trace"},
+            {"metrics", "", "write the metric-registry snapshot to FILE"},
+            {"report", "", "write a plc-run-report/1 JSON to FILE"},
+            {"progress", "", "print a heartbeat line to stderr every second"},
+            {"observatory", "", "attach the MAC-state observatory"},
+            {"obs-window", "50", "its fairness window; implies --observatory"},
+            {"stations-out", "", "write its trajectory to FILE; implies it"}},
+           {kBackoffFlags, kTelemetryFlags, kProfileFlags})},
+    {"model", "", 0, "the decoupled 1901 model, per stage", cmd_model,
+     table({{"n", "2", "saturated stations"}}, {kBackoffFlags})},
+    {"testbed", "", 0, "run the emulated HomePlug AV testbed", cmd_testbed,
+     table({{"n", "3", "saturated stations"},
+            {"time-s", "30", "measured seconds per test, after the warm-up"},
+            {"mme-ms", "0", "CA2 management-message period in ms, 0 for none"},
+            {"tests", "1", "independent tests; above 1 runs a seeded suite"},
+            {"seed", "0x1901", "root seed of a suite, decimal or 0x hex"},
+            {"jobs", "0", "worker threads of a suite, 0 for all cores"},
+            {"capture", "", "write the sniffed delimiters to a .plcc FILE"},
+            {"sniff", "", "sniff at the destination and report MME overhead"},
+            {"trace", "", "write a Chrome trace_event JSON to FILE"},
+            {"metrics", "", "write the metric-registry snapshot to FILE"},
+            {"report", "", "write a plc-run-report/1 JSON to FILE"},
+            {"progress", "", "print a heartbeat line to stderr every second"}},
+           {kProfileFlags})},
+    {"sweep", "", 0, "sim and model columns over N = 1..n-max", cmd_sweep,
+     table({{"n-max", "7", "largest station count"},
+            {"time-s", "20", "simulated seconds per point"},
+            {"jobs", "", "worker threads (default $PLC_JOBS)"},
+            {"kernel", "auto", "contention kernel: auto, slot or event"},
+            {"csv", "", "print CSV instead of a table"}},
+           {kBackoffFlags})},
+    {"scenario", "[<name|file.json>]", 1, "run or inspect a spec",
+     cmd_scenario,
+     table({{"list", "", "print the registry's built-in scenario names"},
+            {"dump-spec", "", "print the canonical spec, or write it to FILE"},
+            {"validate", "", "parse and check the spec without running it"},
+            {"jobs", "", "worker threads (default $PLC_JOBS)"},
+            {"kernel", "", "override the spec's kernel: auto, slot or event"},
+            {"cache", "", "result store DIR: take hits, publish misses"},
+            {"report", "", "write the deterministic run report to FILE"},
+            {"json", "", "print one plc-scenario-summary/1 object, no tables"}},
+           {kTelemetryFlags, kProfileFlags})},
+    {"cache", "<stats|verify|gc>", 1, "maintain a result store", cmd_cache,
+     table({{"dir", "", "the result store directory (required)"},
+            {"max-mb", "", "gc: evict oldest-first down to this many MiB"},
+            {"max-bytes", "", "gc: evict oldest-first down to this many bytes"},
+            {"json", "", "print one machine-readable object"}})},
+    {"mac", "<list|describe> [<name>]", 2, "the registered MAC defs", cmd_mac,
+     table({{"json", "", "print plc-mac-list/1 or plc-mac/1 JSON"}})},
+    {"serve", "", 0, "the store-backed sweep service over HTTP", cmd_serve,
+     table({{"port", "0", "TCP port; 0 picks one and prints it in the banner"},
+            {"bind", "127.0.0.1", "address to listen on"},
+            {"jobs", "0", "worker threads of the shared pool, 0 for all cores"},
+            {"max-queue", "16", "queued jobs admitted before a 429"},
+            {"cache", "", "result store DIR shared by every job"},
+            {"queue-file", "", "persist the owed queue to FILE; reload it"},
+            {"json", "", "print the startup banner as plc-serve/1 JSON"}})},
+    {"http", "", 0, "one loopback HTTP request (the tests' curl)", cmd_http,
+     table({{"port", "0", "server port (required)"},
+            {"host", "127.0.0.1", "server address"},
+            {"path", "/", "request path"},
+            {"method", "", "request method; GET, or POST with --body"},
+            {"body", "", "send FILE (no value or -: stdin) as the JSON body"},
+            {"out", "", "write the response body bytes to FILE"},
+            {"include", "", "print the response head first"},
+            {"expect", "", "exit 0 iff the status is CODE, not any 2xx"}})},
+    {"boost", "", 0, "model-ranked CW/DC configurations", cmd_boost,
+     table({{"n", "10", "saturated stations to tune for"}})},
+    {"delay", "", 0, "access delay under Poisson load", cmd_delay,
+     table({{"n", "5", "stations"},
+            {"load", "0.5", "offered load as a fraction of capacity"},
+            {"time-s", "60", "simulated seconds"}},
+           {kBackoffFlags})},
+    {"capture", "", 0, "summarize a .plcc capture file", cmd_capture,
+     table({{"file", "", "the .plcc capture file (required)"},
+            {"head", "0", "also print the first N delimiters"}})},
+    {"crash-test", "", 0, "", cmd_crash_test,
+     table({{"dir", ".", "directory the crash dump is written to"},
+            {"signal", "segv", "how to die: segv, abort or terminate"}})},
+};
+
 int usage() {
   std::fprintf(stderr,
-               "usage: plcsim <sim|model|testbed|sweep|scenario|cache|mac|"
-               "serve|http|boost|delay|capture> [--key value ...]\n"
-               "see the file header of examples/plcsim_cli.cpp for the "
-               "full option list\n");
+               "usage: plcsim <command> [operands] [--flag [value] ...]\n");
+  for (const Command& command : kCommands) {
+    if (command.summary[0] == '\0') continue;
+    std::fprintf(stderr, "  %-9s %-26s %s\n", command.name, command.operands,
+                 command.summary);
+  }
+  std::fprintf(stderr, "plcsim <command> --help lists its flags\n");
   return 2;
+}
+
+/// `plcsim <command> --help`: the command's flag table.
+int print_help(const Command& command) {
+  std::printf("usage: plcsim %s%s%s [--flag [value] ...]\n", command.name,
+              command.operands[0] == '\0' ? "" : " ", command.operands);
+  for (const Flag& flag : command.flags) {
+    std::printf("  --%-16s %s", flag.name, flag.help);
+    if (flag.default_value[0] != '\0') {
+      std::printf(" (default %s)", flag.default_value);
+    }
+    std::printf("\n");
+  }
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
-  try {
-    if (command == "scenario") {
-      // The spec name/path is positional: `plcsim scenario figure2 ...`.
-      std::string target;
-      int first = 2;
-      if (argc >= 3 && std::string(argv[2]).rfind("--", 0) != 0) {
-        target = argv[2];
-        first = 3;
-      }
-      return cmd_scenario(target, Args(argc, argv, first));
+  for (const Command& command : kCommands) {
+    if (command.name != std::string(argv[1])) continue;
+    try {
+      const Args args(command, argc, argv);
+      return args.help() ? print_help(command) : command.handler(args);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "plcsim: %s\n", e.what());
+      return 2;
     }
-    if (command == "cache") {
-      // The action is positional: `plcsim cache stats --dir DIR`.
-      if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0) {
-        throw plc::Error("cache: give an action (stats, verify or gc)");
-      }
-      return cmd_cache(argv[2], Args(argc, argv, 3));
-    }
-    if (command == "mac") {
-      // Action and name are positional: `plcsim mac describe 1901`.
-      if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0) {
-        throw plc::Error("mac: give an action (list or describe)");
-      }
-      std::string name;
-      int first = 3;
-      if (argc >= 4 && std::string(argv[3]).rfind("--", 0) != 0) {
-        name = argv[3];
-        first = 4;
-      }
-      return cmd_mac(argv[2], name, Args(argc, argv, first));
-    }
-    const Args args(argc, argv, 2);
-    if (command == "sim") return cmd_sim(args);
-    if (command == "model") return cmd_model(args);
-    if (command == "testbed") return cmd_testbed(args);
-    if (command == "sweep") return cmd_sweep(args);
-    if (command == "boost") return cmd_boost(args);
-    if (command == "delay") return cmd_delay(args);
-    if (command == "capture") return cmd_capture(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "http") return cmd_http(args);
-    if (command == "crash-test") return cmd_crash_test(args);
-    return usage();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "plcsim: %s\n", e.what());
-    return 2;
   }
+  return usage();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mac/config.hpp"
 #include "util/error.hpp"
 
 namespace plc::scenario {
@@ -94,6 +95,33 @@ Spec e8_boosting() {
   return spec;
 }
 
+/// E9: the deferral-counter ablation — the Table 1 windows with the
+/// standard d = [0 1 3 15], with deferral disabled (stages climb only on
+/// collisions, as in 802.11), and with the aggressive d = [0 0 1 3].
+Spec e9_deferral_ablation() {
+  mac::BackoffConfig no_deferral = mac::BackoffConfig::ca0_ca1();
+  no_deferral.name = "no deferral";
+  no_deferral.dc.assign(no_deferral.dc.size(), mac::kDeferralDisabled);
+  mac::BackoffConfig aggressive = mac::BackoffConfig::ca0_ca1();
+  aggressive.name = "aggressive";
+  aggressive.dc = {0, 0, 1, 3};
+  Spec spec;
+  spec.name = "e9-deferral-ablation";
+  spec.title = "E9: deferral-counter ablation (Table 1 windows)";
+  spec.macs = {
+      MacVariant{"default", mac::BackoffConfig::ca0_ca1()},
+      MacVariant{"no-deferral", no_deferral},
+      MacVariant{"aggressive", aggressive},
+  };
+  spec.stations = {2, 3, 5, 10, 20, 30};
+  spec.duration = des::SimTime::from_seconds(60.0);
+  spec.repetitions = 1;
+  spec.seed = 0xE9;
+  spec.legs.sim = true;
+  spec.legs.model = true;
+  return spec;
+}
+
 /// E20: the MAC-state observatory on the CA1 defaults — short-term Jain
 /// fairness over a 50-success window shrinking as N grows, and the
 /// empirical per-stage attempt frequency drifting away from the
@@ -174,6 +202,7 @@ constexpr Entry kEntries[] = {
     {"e21-boosted-cw", e21_boosted_cw},
     {"e6-throughput-vs-n", e6_throughput_vs_n},
     {"e8-boosting", e8_boosting},
+    {"e9-deferral-ablation", e9_deferral_ablation},
     {"figure2", figure2},
     {"table2", table2},
 };

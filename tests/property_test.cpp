@@ -231,6 +231,11 @@ struct ChainCase {
   std::vector<int> dc;
 };
 
+// Stable ctest names, as for OracleCase above.
+void PrintTo(const ChainCase& test_case, std::ostream* out) {
+  *out << test_case.name;
+}
+
 class ExactChainSweep : public ::testing::TestWithParam<ChainCase> {};
 
 TEST_P(ExactChainSweep, StationaryChainMatchesLongSimulation) {

@@ -199,7 +199,7 @@ TEST(Registry, BuiltInsArePresentAndValid) {
   const std::vector<std::string> names = Registry::names();
   for (const char* expected :
        {"figure2", "table2", "e6-throughput-vs-n", "e8-boosting",
-        "dcf-comparison"}) {
+        "e9-deferral-ablation", "dcf-comparison"}) {
     EXPECT_TRUE(Registry::contains(expected)) << expected;
   }
   for (const std::string& name : names) {
