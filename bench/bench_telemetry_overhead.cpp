@@ -58,10 +58,9 @@ std::vector<sim::RunSpec> make_sweep() {
     spec.duration = des::SimTime::from_seconds(20.0);
     spec.repetitions = 6;
     spec.seed = 0x1901;
-    // Pin the slot kernel: the observatory side forces the slot path
-    // (per-slot hooks), so letting the other sides auto-select the event
-    // kernel would turn this into a kernel race instead of a telemetry
-    // overhead measurement. BM_KernelRacePaired owns that comparison.
+    // Pin the slot kernel: the budgets below hold the oracle's hooks
+    // against the bare oracle. The event kernel's observed cost is
+    // stated in DESIGN §11; BM_KernelRacePaired owns the kernel race.
     spec.kernel = sim::Kernel::kSlot;
     specs.push_back(spec);
   }

@@ -1289,7 +1289,7 @@ const Command kCommands[] = {
             {"tc-us", "2920.64", "collision duration Tc in us"},
             {"frame-us", "2050", "frame duration in us"},
             {"jobs", "", "worker threads (default $PLC_JOBS)"},
-            {"kernel", "auto", "contention kernel: auto, slot or event"},
+            {"kernel", "event", "contention kernel: event or slot"},
             {"trace", "", "write a Chrome trace_event JSON to FILE"},
             {"trace-counters", "", "add BC/DC/BPC series to the trace"},
             {"metrics", "", "write the metric-registry snapshot to FILE"},
@@ -1319,7 +1319,7 @@ const Command kCommands[] = {
      table({{"n-max", "7", "largest station count"},
             {"time-s", "20", "simulated seconds per point"},
             {"jobs", "", "worker threads (default $PLC_JOBS)"},
-            {"kernel", "auto", "contention kernel: auto, slot or event"},
+            {"kernel", "event", "contention kernel: event or slot"},
             {"csv", "", "print CSV instead of a table"}},
            {kBackoffFlags})},
     {"scenario", "[<name|file.json>]", 1, "run or inspect a spec",
@@ -1328,7 +1328,7 @@ const Command kCommands[] = {
             {"dump-spec", "", "print the canonical spec, or write it to FILE"},
             {"validate", "", "parse and check the spec without running it"},
             {"jobs", "", "worker threads (default $PLC_JOBS)"},
-            {"kernel", "", "override the spec's kernel: auto, slot or event"},
+            {"kernel", "", "override the spec's kernel: event or slot"},
             {"cache", "", "result store DIR: take hits, publish misses"},
             {"report", "", "write the deterministic run report to FILE"},
             {"json", "", "print one plc-scenario-summary/1 object, no tables"}},

@@ -119,6 +119,10 @@ class Event1901 final : public EventMac {
     }
   }
 
+  int stage_count() const override {
+    return static_cast<int>(cw_by_stage_.size());
+  }
+
  private:
   void redraw(EventLanes& lanes, std::size_t station) const {
     const int stages = static_cast<int>(cw_by_stage_.size());

@@ -123,6 +123,10 @@ class EventDcf final : public EventMac {
     return lanes.bpc[station];
   }
 
+  int stage_count() const override {
+    return static_cast<int>(cw_by_stage_.size());
+  }
+
  private:
   void redraw(EventLanes& lanes, std::size_t station) const {
     const int stages = static_cast<int>(cw_by_stage_.size());

@@ -134,6 +134,8 @@ class EventTdma final : public EventMac {
     return kDeferralDisabled;
   }
 
+  int stage_count() const override { return 1; }
+
  private:
   int round_;
 };

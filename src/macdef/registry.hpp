@@ -117,6 +117,10 @@ class EventMac {
   /// The station sensed a busy medium event without transmitting.
   virtual void on_busy(EventLanes& lanes, std::size_t station) const = 0;
 
+  /// Distinct stages a station can occupy (the BackoffEntity's
+  /// stage_count()): the rows of an observatory's stage tallies.
+  virtual int stage_count() const = 0;
+
   /// Accessor semantics, mirroring the def's BackoffEntity quirks. The
   /// defaults read the lanes directly; DCF overrides deferral_counter
   /// (disabled) and stage (raw retry count).

@@ -35,10 +35,10 @@ void ProgressMeter::on_event_dispatched(des::SimTime when,
                                         std::size_t /*pending*/) {
   if (--check_countdown_ > 0) return;
   check_countdown_ = kCheckEvery;
-  sample_coarse(when, dispatched);
+  sample(when, dispatched);
 }
 
-void ProgressMeter::sample_coarse(des::SimTime now, std::int64_t events) {
+void ProgressMeter::sample(des::SimTime now, std::int64_t events) {
   const double elapsed = stopwatch_.elapsed_seconds();
   if (elapsed - last_report_seconds_ < options_.interval_wall_seconds) {
     return;
@@ -51,7 +51,13 @@ void ProgressMeter::set_task_goal(std::int64_t total_tasks) {
   task_goal_ += total_tasks;
 }
 
-void ProgressMeter::task_complete() { ++tasks_completed_; }
+void ProgressMeter::task_complete(des::SimTime simulated,
+                                  std::int64_t events) {
+  ++tasks_completed_;
+  tasks_simulated_ += simulated;
+  tasks_events_ += events;
+  sample(tasks_simulated_, tasks_events_);
+}
 
 void ProgressMeter::finish(des::SimTime now, std::int64_t events) {
   report(now, events, /*final_line=*/true);

@@ -2,11 +2,11 @@
 //
 // A ProgressMeter knows the simulated-time goal of a run and is fed the
 // current simulated time plus a processed-event count — either through
-// the des::SchedulerObserver hook (event-driven runs: attach with
-// Scheduler::add_observer) or through sample_coarse() from a caller that
-// throttles itself (the parallel runner's workers). Every
-// `interval_wall_seconds` of wall time it prints one status line to its
-// sink (stderr by default):
+// the des::SchedulerObserver hook (one testbed run: attach with
+// Scheduler::add_observer) or one task_complete() per retired task (the
+// parallel runner's sim leg). At most once per `interval_wall_seconds`
+// of wall time it prints one status line to its sink (stderr by
+// default):
 //
 //   progress: 12.0/60.0 sim-s (20.0%)  1.23M ev/s  ETA 3.2s
 //
@@ -30,7 +30,7 @@ namespace plc::obs {
 std::string format_duration_brief(double seconds);
 
 /// Not thread-safe: concurrent producers (parallel-runner workers) must
-/// serialize their sample_coarse()/finish() calls behind one mutex.
+/// serialize their task_complete()/finish() calls behind one mutex.
 class ProgressMeter final : public des::SchedulerObserver {
  public:
   struct Options {
@@ -48,20 +48,16 @@ class ProgressMeter final : public des::SchedulerObserver {
   void on_event_dispatched(des::SimTime when, std::int64_t dispatched,
                            std::size_t pending) override;
 
-  /// Feed for callers that already throttle their calls (the parallel
-  /// runner samples once per worker check interval): skips the per-event
-  /// countdown and applies only the wall-interval check. `events` is
-  /// cumulative.
-  void sample_coarse(des::SimTime now, std::int64_t events);
-
   /// Announces a sweep task goal (cumulative across legs). Once set,
   /// the ETA comes from completed-task throughput — tasks are what the
   /// parallel runner actually retires, so the estimate respects caching
   /// (store hits complete in microseconds) and uneven task sizes in a
   /// way the raw simulated-time fraction cannot.
   void set_task_goal(std::int64_t total_tasks);
-  /// One task retired; feeds the task-throughput ETA.
-  void task_complete();
+  /// One task retired after simulating `simulated` in `events` medium
+  /// events: adds both to the running totals and prints a status line if
+  /// the interval has elapsed.
+  void task_complete(des::SimTime simulated, std::int64_t events);
 
   /// Prints the final status line (idempotent per call site; call once).
   void finish(des::SimTime now, std::int64_t events);
@@ -72,6 +68,8 @@ class ProgressMeter final : public des::SchedulerObserver {
   static constexpr std::int64_t kCheckEvery = 8192;
 
  private:
+  /// Prints a status line unless one went out less than an interval ago.
+  void sample(des::SimTime now, std::int64_t events);
   void report(des::SimTime now, std::int64_t events, bool final_line);
 
   des::SimTime goal_;
@@ -82,6 +80,8 @@ class ProgressMeter final : public des::SchedulerObserver {
   std::int64_t lines_printed_ = 0;
   std::int64_t task_goal_ = 0;  ///< 0 = no task goal; sim-time ETA.
   std::int64_t tasks_completed_ = 0;
+  des::SimTime tasks_simulated_ = des::SimTime::zero();
+  std::int64_t tasks_events_ = 0;
 };
 
 }  // namespace plc::obs

@@ -307,17 +307,24 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
       const int n = spec.stations[point];
       const std::string prefix = scalar_prefix(label, n);
       std::vector<std::string> row = {std::to_string(n)};
+      const sim::RunSummary* summary =
+          spec.legs.sim ? &summaries[variant * points + point] : nullptr;
+      // One solve per point serves both the model columns and the
+      // observatory's per-stage drift scalars.
+      std::optional<mac::MacModelResult> model;
+      if (spec.legs.model || (summary != nullptr && summary->stations)) {
+        model = solve_model(mac, n, spec.timing, spec.frame_length);
+      }
 
-      if (spec.legs.sim) {
-        const sim::RunSummary& summary = summaries[variant * points + point];
-        const double collision = summary.collision_probability.mean();
-        const double throughput = summary.normalized_throughput.mean();
+      if (summary != nullptr) {
+        const double collision = summary->collision_probability.mean();
+        const double throughput = summary->normalized_throughput.mean();
         report.scalars[prefix + "sim_collision_probability"] = collision;
         report.scalars[prefix + "sim_throughput"] = throughput;
         row.push_back(util::format_fixed(collision, 4));
         row.push_back(util::format_fixed(throughput, 4));
-        if (summary.stations) {
-          const obs::ObservatorySummary& stations = *summary.stations;
+        if (summary->stations) {
+          const obs::ObservatorySummary& stations = *summary->stations;
           station_points.emplace_back(label + ".n" + std::to_string(n),
                                       &stations);
           const double jain = stations.window_jain.mean();
@@ -330,18 +337,14 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
           // divergence at small N is the paper's coupling story. MACs
           // whose solver has no per-stage analysis (DCF) — or no solver
           // at all — record empirical frequencies only.
-          std::vector<double> stage_model;
-          if (const std::optional<mac::MacModelResult> model =
-                  solve_model(mac, n, spec.timing, spec.frame_length)) {
-            stage_model = model->stage_attempt_probability;
-          }
           for (std::size_t s = 0; s < stations.per_stage.size(); ++s) {
             const std::string stage =
                 prefix + "obs.stage" + std::to_string(s) + ".";
             report.scalars[stage + "attempt_freq"] =
                 stations.per_stage[s].attempt_freq();
-            if (s < stage_model.size()) {
-              report.scalars[stage + "attempt_model"] = stage_model[s];
+            if (model && s < model->stage_attempt_probability.size()) {
+              report.scalars[stage + "attempt_model"] =
+                  model->stage_attempt_probability[s];
             }
           }
         } else if (spec.observatory) {
@@ -350,8 +353,7 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
       }
 
       if (spec.legs.model) {
-        if (const std::optional<mac::MacModelResult> model =
-                solve_model(mac, n, spec.timing, spec.frame_length)) {
+        if (model) {
           report.scalars[prefix + "model_collision_probability"] =
               model->collision_probability;
           report.scalars[prefix + "model_throughput"] = model->throughput;

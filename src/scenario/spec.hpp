@@ -62,13 +62,13 @@ struct Spec {
   int repetitions = 10;
   std::uint64_t seed = 0x1901;
 
-  /// Contention-kernel selection for the sim leg ("kernel" key: "auto",
-  /// "slot" or "event"; see sim::Kernel). Both kernels produce
-  /// byte-identical reports, so to_json() deliberately never emits the
-  /// field: the report's embedded spec — and the store cache key — stay
-  /// the same bytes whichever kernel ran (the fixture round-trip and
-  /// kernel-equivalence CI contracts).
-  sim::Kernel kernel = sim::Kernel::kAuto;
+  /// Contention-kernel selection for the sim leg ("kernel" key: "event"
+  /// or "slot", with "auto" read as "event"; see sim::Kernel). Both
+  /// kernels produce byte-identical reports, so to_json() deliberately
+  /// never emits the field: the report's embedded spec — and the store
+  /// cache key — stay the same bytes whichever kernel ran (the fixture
+  /// round-trip and kernel-equivalence CI contracts).
+  sim::Kernel kernel = sim::Kernel::kEvent;
 
   Legs legs;
 

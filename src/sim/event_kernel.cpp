@@ -40,24 +40,19 @@ EventKernel::EventKernel(const mac::MacSpec& mac, int stations,
 }
 
 void EventKernel::bind_metrics(obs::Registry& registry) {
-  Metrics metrics;
-  static constexpr const char* kTypes[3] = {"idle", "success", "collision"};
-  for (int t = 0; t < 3; ++t) {
-    metrics.events[t] =
-        &registry.counter("slot_sim.events", {{"type", kTypes[t]}});
-    metrics.airtime_ns[t] =
-        &registry.counter("slot_sim.airtime_ns", {{"type", kTypes[t]}});
-  }
-  for (int i = 0; i < station_count(); ++i) {
-    metrics.station_success.push_back(&registry.counter(
-        "slot_sim.tx",
-        {{"station", std::to_string(i)}, {"outcome", "success"}}));
-    metrics.station_collision.push_back(&registry.counter(
-        "slot_sim.tx",
-        {{"station", std::to_string(i)}, {"outcome", "collision"}}));
-  }
-  metrics_ = std::move(metrics);
+  observers_.bind_metrics(registry, station_count());
 }
+
+void EventKernel::set_trace(obs::TraceSink* sink, bool counter_samples) {
+  observers_.set_trace(sink, counter_samples);
+}
+
+void EventKernel::attach_observatory(obs::Observatory* observatory) {
+  observers_.attach_observatory(
+      observatory, std::vector<int>(lanes_.size(), max_stage_count()));
+}
+
+void EventKernel::flush_observatory() { observers_.flush_observatory(); }
 
 std::int64_t EventKernel::min_backoff() const {
   int min_bc = lanes_.bc[0];
@@ -66,15 +61,12 @@ std::int64_t EventKernel::min_backoff() const {
 }
 
 void EventKernel::advance_idle(std::int64_t slots) {
+  if (observers_.engaged()) observe_gap(slots);
   results_.idle_slots += slots;
   const int delta = static_cast<int>(slots);  // slots <= min BC, fits int.
   for (int& bc : lanes_.bc) bc -= delta;
   now_ += slot_ * slots;
-  if (metrics_) {
-    const auto idle = static_cast<std::size_t>(SlotEventType::kIdle);
-    metrics_->events[idle]->add(slots);
-    metrics_->airtime_ns[idle]->add(slots * slot_.ns());
-  }
+  observers_.count(SlotEventType::kIdle, slot_, {}, slots);
 }
 
 void EventKernel::attempt() {
@@ -85,9 +77,12 @@ void EventKernel::attempt() {
     }
   }
 
+  const bool success = scratch_transmitters_.size() == 1;
+  if (observers_.tallying()) tally_attempt(success);
+
   SlotEventType type;
   des::SimTime duration;
-  if (scratch_transmitters_.size() == 1) {
+  if (success) {
     type = SlotEventType::kSuccess;
     duration = ts_;
     ++results_.successes;
@@ -117,21 +112,53 @@ void EventKernel::attempt() {
     }
   }
 
-  if (metrics_) {
-    const auto t = static_cast<std::size_t>(type);
-    metrics_->events[t]->add();
-    metrics_->airtime_ns[t]->add(duration.ns());
-    if (type == SlotEventType::kSuccess) {
-      metrics_->station_success[static_cast<std::size_t>(
-                                    scratch_transmitters_.front())]
-          ->add();
-    } else {
-      for (const int station : scratch_transmitters_) {
-        metrics_->station_collision[static_cast<std::size_t>(station)]->add();
-      }
+  observers_.count(type, duration, scratch_transmitters_);
+  if (observers_.engaged()) observe_attempt(type, duration);
+  now_ += duration;
+}
+
+obs::StationState EventKernel::state_of(int station, int idle_slots) const {
+  const auto i = static_cast<std::size_t>(station);
+  return obs::StationState{lanes_.bc[i] - idle_slots,
+                           mac_->deferral_counter(lanes_, i), lanes_.bpc[i],
+                           mac_->stage(lanes_, i)};
+}
+
+void EventKernel::observe_gap(std::int64_t slots) {
+  if (observers_.tallying()) {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      mac::BackoffTally& tally = observers_.tally(i);
+      tally.idle[std::min(static_cast<std::size_t>(lanes_.stage[i]),
+                          tally.stages() - 1)] += slots;
     }
   }
-  now_ += duration;
+  scratch_transmitters_.clear();
+  for (int k = 1; k <= slots; ++k) {
+    observers_.on_event(SlotEventType::kIdle, now_ + slot_ * (k - 1), slot_,
+                        scratch_transmitters_, station_count(),
+                        [this, k](int i) { return state_of(i, k); });
+  }
+}
+
+void EventKernel::tally_attempt(bool success) {
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    mac::BackoffTally& tally = observers_.tally(i);
+    const std::size_t row =
+        std::min(static_cast<std::size_t>(lanes_.stage[i]), tally.stages() - 1);
+    if (lanes_.bc[i] == 0) {
+      ++(success ? tally.tx_success : tally.tx_collision)[row];
+    } else if (mac_->deferral_counter(lanes_, i) == 0) {
+      ++tally.jumps[row];
+    } else {
+      ++tally.defers[row];
+    }
+  }
+}
+
+void EventKernel::observe_attempt(SlotEventType type, des::SimTime duration) {
+  observers_.on_event(type, now_, duration, scratch_transmitters_,
+                      station_count(),
+                      [this](int i) { return state_of(i, 0); });
 }
 
 SlotSimResults EventKernel::run(des::SimTime duration) {

@@ -26,21 +26,23 @@
 // kernel-equivalence CI job holds it across the whole scenario
 // registry.
 //
-// The kernel deliberately has no per-slot hooks (trace, observer,
-// observatory): batching idle slots makes "one callback per slot"
-// meaningless. Runs that need those attach them to SlotSimulator
-// instead — the runners' `auto` kernel selection does exactly that.
+// Observers attach through SlotSimulator's surface and get its bytes:
+// busy events reach sim::MediumObservers after their transitions, and
+// an observed idle gap is walked slot by slot (only BC moves inside a
+// gap, so slot k's state is the gap's start with `bc - (k + 1)`).
+// Stage tallies are read off the lanes before each transition. All of
+// it sits behind one branch into out-of-line code.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "des/time.hpp"
 #include "macdef/registry.hpp"
 #include "obs/metrics.hpp"
 #include "phy/timing.hpp"
+#include "sim/medium_observers.hpp"
 #include "sim/slot_simulator.hpp"
 
 namespace plc::sim {
@@ -59,12 +61,13 @@ class EventKernel {
               const phy::TimingConfig& timing, des::SimTime frame_length,
               std::uint64_t seed);
 
-  /// Registers the same instrument families as
-  /// SlotSimulator::bind_metrics (slot_sim.events / slot_sim.airtime_ns /
-  /// slot_sim.tx), in the same registration order, so snapshots from
-  /// either kernel are interchangeable byte for byte. Idle counters are
-  /// batch-added per gap; totals match the slot path exactly.
+  /// SlotSimulator's observer surface, with the same output bytes (idle
+  /// counters are batch-added per gap).
   void bind_metrics(obs::Registry& registry);
+  void set_trace(obs::TraceSink* sink, bool counter_samples = false);
+  void attach_observatory(obs::Observatory* observatory);
+  void flush_observatory();
+  int max_stage_count() const { return mac_->stage_count(); }
 
   /// When enabled, results keep the ordered list of winning station ids.
   void enable_winner_trace(bool enable) { record_winners_ = enable; }
@@ -89,20 +92,22 @@ class EventKernel {
   const std::vector<int>& winners() const { return winners_; }
 
  private:
-  /// Pre-resolved registry instruments (indexing by SlotEventType).
-  struct Metrics {
-    obs::Counter* events[3] = {nullptr, nullptr, nullptr};
-    obs::Counter* airtime_ns[3] = {nullptr, nullptr, nullptr};
-    std::vector<obs::Counter*> station_success;
-    std::vector<obs::Counter*> station_collision;
-  };
-
   /// `slots` idle slots at once (requires slots <= min BC).
   void advance_idle(std::int64_t slots);
   /// Resolves the attempt event at the current time (some BC == 0).
   void attempt();
   std::int64_t min_backoff() const;
   void check_station(int station) const;
+
+  // Observed runs only; out of line, so the bare loop stays as it was.
+  /// Feeds the `slots`-slot idle gap starting now, slot by slot.
+  [[gnu::noinline]] void observe_gap(std::int64_t slots);
+  /// Tallies the attempt about to resolve at each station's stage.
+  [[gnu::noinline]] void tally_attempt(bool success);
+  [[gnu::noinline]] void observe_attempt(SlotEventType type,
+                                         des::SimTime duration);
+  /// Station `station`'s state `idle_slots` slots into the current gap.
+  obs::StationState state_of(int station, int idle_slots) const;
 
   std::unique_ptr<mac::EventMac> mac_;
   mac::EventLanes lanes_;
@@ -111,7 +116,7 @@ class EventKernel {
   des::SimTime ts_ = des::SimTime::zero();
   des::SimTime tc_ = des::SimTime::zero();
 
-  std::optional<Metrics> metrics_;
+  MediumObservers observers_;
   bool record_winners_ = false;
   std::vector<int> winners_;
   SlotSimResults results_;

@@ -147,34 +147,14 @@ class SimLeg final : public TaskLeg {
   std::vector<Slot> slots_;
   std::vector<RunSummary> summaries_;
 
-  // Shared heartbeat state. Workers batch kCheckEvery events locally,
-  // then fold their deltas in under the mutex; the meter itself is not
-  // thread-safe, so sample_coarse() only ever runs while holding it.
-  std::mutex progress_mutex_;
-  des::SimTime progress_sim_ = des::SimTime::zero();
-  std::int64_t progress_events_ = 0;
-};
-
-void SimLeg::run(std::size_t task, obs::Registry* metrics) {
-  PROF_SCOPE("sim.repetition");
-  const auto [p, rep] = tasks_[task];
-  const RunSpec& spec = specs_[p];
-  Slot& slot = slots_[task];
-
-  // Kernel dispatch: the event kernel takes every repetition without
-  // per-slot hooks; trace, progress-observer and observatory repetitions
-  // replay slot-stepped (both kernels produce identical results, so any
-  // mix merges into one byte-identical summary).
-  const bool per_slot_hooks = obs_.observatory != nullptr ||
-                              obs_.progress != nullptr ||
-                              (obs_.trace != nullptr && rep == 0);
-  SlotSimResults results;
-  if (use_event_kernel(spec.kernel, per_slot_hooks)) {
-    EventKernel kernel = make_event_kernel(spec, rep);
-    if (metrics != nullptr) kernel.bind_metrics(*metrics);
-    results = kernel.run(spec.duration);
-  } else {
-    SlotSimulator simulator = make_simulator(spec, rep);
+  /// The one observer sequence for both kernel types: attaches this
+  /// task's metrics, trace and observatory to `kernel`, runs it, and
+  /// reduces the observatory into the task's slot.
+  template <class Kernel>
+  SlotSimResults observe_and_run(Kernel kernel, std::size_t task,
+                                 obs::Registry* metrics) {
+    const auto [p, rep] = tasks_[task];
+    Slot& slot = slots_[task];
 
     // Per-task observatory: the merge folds the per-repetition summaries
     // in repetition order.
@@ -186,46 +166,42 @@ void SimLeg::run(std::size_t task, obs::Registry* metrics) {
       // The merge keeps repetition 0's trajectory only (the trace
       // convention); skip capturing the others' entirely.
       if (rep > 0) options.trajectory_capacity = 0;
-      observatory.emplace(simulator.station_count(),
-                          simulator.max_stage_count(), options);
-      simulator.attach_observatory(&*observatory);
+      observatory.emplace(kernel.station_count(), kernel.max_stage_count(),
+                          options);
+      kernel.attach_observatory(&*observatory);
       // Crash dumps carry this repetition's FSM tail while it runs.
       if (recorded) recorder.attach_observatory(&*observatory);
     }
-
-    if (metrics != nullptr) simulator.bind_metrics(*metrics);
+    if (metrics != nullptr) kernel.bind_metrics(*metrics);
     if (obs_.trace != nullptr && rep == 0) {
       slot.trace = std::make_unique<obs::TraceSink>(obs_.trace->capacity());
-      simulator.set_trace(slot.trace.get(), obs_.trace_counter_samples);
-    }
-    if (obs_.progress != nullptr) {
-      simulator.set_observer(
-          [this, countdown = obs::ProgressMeter::kCheckEvery,
-           pending = std::int64_t{0}, flushed_sim = des::SimTime::zero()](
-              const SlotEvent& event) mutable {
-            ++pending;
-            if (--countdown > 0) return;
-            countdown = obs::ProgressMeter::kCheckEvery;
-            const des::SimTime advanced = event.start - flushed_sim;
-            flushed_sim = event.start;
-            std::lock_guard<std::mutex> lock(progress_mutex_);
-            progress_sim_ += advanced;
-            progress_events_ += pending;
-            obs_.progress->sample_coarse(progress_sim_, progress_events_);
-            if (obs_.telemetry != nullptr) {
-              obs_.telemetry->add_sim(advanced.seconds(), pending);
-            }
-            pending = 0;
-          });
+      kernel.set_trace(slot.trace.get(), obs_.trace_counter_samples);
     }
 
-    results = simulator.run(spec.duration);
+    const SlotSimResults results = kernel.run(specs_[p].duration);
     if (observatory) {
-      simulator.flush_observatory();
+      kernel.flush_observatory();
       slot.stations = observatory->summarize();
       if (recorded) recorder.attach_observatory(nullptr);
     }
+    return results;
   }
+
+  // The meter is not thread-safe; workers retire tasks concurrently.
+  std::mutex progress_mutex_;
+};
+
+void SimLeg::run(std::size_t task, obs::Registry* metrics) {
+  PROF_SCOPE("sim.repetition");
+  const auto [p, rep] = tasks_[task];
+  const RunSpec& spec = specs_[p];
+  Slot& slot = slots_[task];
+
+  // Exactly the kernel the spec names, observed or not.
+  const SlotSimResults results =
+      spec.kernel == Kernel::kSlot
+          ? observe_and_run(make_simulator(spec, rep), task, metrics)
+          : observe_and_run(make_event_kernel(spec, rep), task, metrics);
   slot.medium_events =
       results.idle_slots + results.successes + results.collision_events;
   slot.elapsed = results.elapsed;
@@ -295,22 +271,17 @@ bool SimLeg::decode(std::size_t task, const obs::JsonValue& payload,
 
 void SimLeg::finished(std::size_t task) {
   const Slot& slot = slots_[task];
-  if (obs_.telemetry != nullptr && slot.stations) {
-    // Live view only (arrival order): never feeds reports.
-    obs_.telemetry->publish_stations(
-        "point-" + std::to_string(tasks_[task].first), *slot.stations);
+  // Live views only (arrival order): never feed reports.
+  if (obs_.telemetry != nullptr) {
+    if (slot.stations) {
+      obs_.telemetry->publish_stations(
+          "point-" + std::to_string(tasks_[task].first), *slot.stations);
+    }
+    obs_.telemetry->add_sim(slot.elapsed.seconds(), slot.medium_events);
   }
-  // The engine released the hub lock before this runs, so taking the
-  // progress lock here never deadlocks against the event-observer path
-  // (progress -> hub).
   if (obs_.progress != nullptr) {
     std::lock_guard<std::mutex> lock(progress_mutex_);
-    obs_.progress->task_complete();
-  } else if (obs_.telemetry != nullptr) {
-    // Telemetry-only runs skip the per-event observer (its indirect call
-    // on the hottest loop is the one cost that would bust the < 5%
-    // budget), so the hub learns simulated time at task granularity.
-    obs_.telemetry->add_sim(slot.elapsed.seconds(), slot.medium_events);
+    obs_.progress->task_complete(slot.elapsed, slot.medium_events);
   }
 }
 

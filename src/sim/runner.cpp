@@ -11,28 +11,11 @@
 
 namespace plc::sim {
 
-const char* kernel_name(Kernel kernel) {
-  switch (kernel) {
-    case Kernel::kAuto:
-      return "auto";
-    case Kernel::kSlot:
-      return "slot";
-    case Kernel::kEvent:
-      return "event";
-  }
-  return "auto";
-}
-
 Kernel kernel_from_name(std::string_view name) {
-  if (name == "auto") return Kernel::kAuto;
+  if (name == "event" || name == "auto") return Kernel::kEvent;
   if (name == "slot") return Kernel::kSlot;
-  if (name == "event") return Kernel::kEvent;
   throw Error("unknown kernel \"" + std::string(name) +
-              "\" (want auto, slot or event)");
-}
-
-bool use_event_kernel(Kernel kernel, bool per_slot_hooks) {
-  return kernel != Kernel::kSlot && !per_slot_hooks;
+              "\" (want event or slot)");
 }
 
 std::string canonical_point_json(const RunSpec& spec) {

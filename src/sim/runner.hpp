@@ -45,25 +45,18 @@ namespace plc::sim {
 using MacSpec = mac::MacSpec;
 
 /// Which contention kernel executes a sweep point's repetitions. Both
-/// kernels produce bit-identical results on the same spec (the
-/// kernel-equivalence CI job holds this across the scenario registry),
-/// so the choice is purely a speed/observability trade.
+/// produce bit-identical results and observer output on the same spec
+/// (the kernel-equivalence CI job holds this across the scenario
+/// registry), and attaching an observer never changes which one runs.
 enum class Kernel : std::uint8_t {
-  /// Event-driven unless the repetition needs per-slot hooks (trace,
-  /// observatory, progress observer) — the default.
-  kAuto = 0,
-  /// Force the slot-stepped oracle (SlotSimulator).
+  /// Event-driven (EventKernel): the production kernel, the default.
+  kEvent = 0,
+  /// The slot-stepped oracle (SlotSimulator), for equivalence checks.
   kSlot = 1,
-  /// Event-driven (EventKernel). Repetitions that need per-slot hooks
-  /// still fall back to slot-stepped replay: batching idle slots makes
-  /// per-slot callbacks meaningless, and the replay is exact anyway.
-  kEvent = 2,
 };
 
-/// "auto" / "slot" / "event".
-const char* kernel_name(Kernel kernel);
-
-/// Parses a kernel name; throws plc::Error on anything else.
+/// Parses "event" or "slot" ("auto", the old default, reads as "event");
+/// throws plc::Error on anything else.
 Kernel kernel_from_name(std::string_view name);
 
 /// One sweep point's configuration.
@@ -89,7 +82,7 @@ struct RunSpec {
   /// Kernel selection (see Kernel). Deliberately NOT part of
   /// canonical_point_json: both kernels compute the same physics, so
   /// slot and event runs share one store cache entry.
-  Kernel kernel = Kernel::kAuto;
+  Kernel kernel = Kernel::kEvent;
 };
 
 /// Aggregated metrics over the repetitions of one sweep point.
@@ -117,9 +110,9 @@ struct RunObservability {
   obs::TraceSink* trace = nullptr;
   /// Also sample per-station BC/DC/BPC counter series into the trace.
   bool trace_counter_samples = false;
-  /// Heartbeat for long sweeps: fed the cumulative simulated time and
-  /// medium-event count across all repetitions (construct the meter with
-  /// goal = duration * repetitions). finish() fires when the point ends.
+  /// Heartbeat for long sweeps: fed each retired repetition's simulated
+  /// time and medium-event count (construct the meter with goal =
+  /// duration * repetitions). finish() fires when the points end.
   obs::ProgressMeter* progress = nullptr;
   /// Result cache (see plc::store): consulted before each task runs — a
   /// validated hit skips the run and restores the task's results
@@ -173,11 +166,6 @@ SlotSimulator make_simulator(const RunSpec& spec, int repetition);
 /// derivation ("rep-<i>"), same per-station stream fan-out, so the two
 /// kernels replay identical randomness for any (spec, repetition).
 EventKernel make_event_kernel(const RunSpec& spec, int repetition);
-
-/// The runner's kernel dispatch: event-driven exactly when the spec does
-/// not force the slot kernel and the repetition has no per-slot hooks
-/// attached.
-bool use_event_kernel(Kernel kernel, bool per_slot_hooks);
 
 /// Canonical JSON of a RunSpec's result-determining content — the
 /// "point" coordinate of a plc::store cache key. Covers the MAC

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "dcf/dcf.hpp"
-#include "obs/observatory.hpp"
 #include "obs/profiler.hpp"
 #include "util/error.hpp"
 
@@ -51,28 +50,11 @@ void SlotSimulator::set_observer(
 }
 
 void SlotSimulator::bind_metrics(obs::Registry& registry) {
-  Metrics metrics;
-  static constexpr const char* kTypes[3] = {"idle", "success", "collision"};
-  for (int t = 0; t < 3; ++t) {
-    metrics.events[t] =
-        &registry.counter("slot_sim.events", {{"type", kTypes[t]}});
-    metrics.airtime_ns[t] =
-        &registry.counter("slot_sim.airtime_ns", {{"type", kTypes[t]}});
-  }
-  for (int i = 0; i < station_count(); ++i) {
-    metrics.station_success.push_back(&registry.counter(
-        "slot_sim.tx",
-        {{"station", std::to_string(i)}, {"outcome", "success"}}));
-    metrics.station_collision.push_back(&registry.counter(
-        "slot_sim.tx",
-        {{"station", std::to_string(i)}, {"outcome", "collision"}}));
-  }
-  metrics_ = std::move(metrics);
+  observers_.bind_metrics(registry, station_count());
 }
 
 void SlotSimulator::set_trace(obs::TraceSink* sink, bool counter_samples) {
-  trace_ = sink;
-  trace_counter_samples_ = counter_samples;
+  observers_.set_trace(sink, counter_samples);
 }
 
 int SlotSimulator::max_stage_count() const {
@@ -84,75 +66,18 @@ int SlotSimulator::max_stage_count() const {
 }
 
 void SlotSimulator::attach_observatory(obs::Observatory* observatory) {
-  observatory_ = observatory;
-  if (observatory == nullptr) {
-    for (auto& entity : entities_) entity->bind_tally(nullptr);
-    tallies_.clear();
-    return;
-  }
-  util::check_arg(observatory->station_count() == station_count(),
-                  "observatory", "station count mismatch");
-  util::check_arg(observatory->stage_count() >= max_stage_count(),
-                  "observatory", "too few stages allocated");
-  tallies_.resize(entities_.size());
+  std::vector<int> stages;
+  stages.reserve(entities_.size());
+  for (const auto& entity : entities_) stages.push_back(entity->stage_count());
+  observers_.attach_observatory(observatory, stages);
+  // The entities tally themselves: the event kernel's reference.
   for (std::size_t i = 0; i < entities_.size(); ++i) {
-    tallies_[i].resize(static_cast<std::size_t>(entities_[i]->stage_count()));
-    entities_[i]->bind_tally(&tallies_[i]);
+    entities_[i]->bind_tally(observatory != nullptr ? &observers_.tally(i)
+                                                    : nullptr);
   }
 }
 
-void SlotSimulator::flush_observatory() {
-  if (observatory_ == nullptr) return;
-  for (std::size_t i = 0; i < tallies_.size(); ++i) {
-    auto& tally = tallies_[i];
-    observatory_->ingest_tally(static_cast<int>(i), tally.idle.data(),
-                               tally.defers.data(), tally.jumps.data(),
-                               tally.tx_success.data(),
-                               tally.tx_collision.data(), tally.stages());
-    tally.resize(tally.stages());  // Zeroed: a second flush adds nothing.
-  }
-}
-
-void SlotSimulator::record_trace(SlotEventType type, des::SimTime duration) {
-  obs::TraceEvent span;
-  span.start = now_;
-  span.duration = duration;
-  switch (type) {
-    case SlotEventType::kIdle:
-      span.name = "idle";
-      span.track = obs::kMediumTrack;
-      trace_->record(span);
-      break;
-    case SlotEventType::kSuccess:
-      span.name = "success";
-      span.track = obs::station_track(scratch_transmitters_.front());
-      trace_->record(span);
-      break;
-    case SlotEventType::kCollision:
-      span.name = "collision";
-      for (const int station : scratch_transmitters_) {
-        span.track = obs::station_track(station);
-        trace_->record(span);
-      }
-      break;
-  }
-  if (trace_counter_samples_) {
-    // BC/DC/BPC trajectories: one counter sample per station per event —
-    // the §3/§4 trace-level statistics (backoff drift, stage occupancy).
-    for (int i = 0; i < station_count(); ++i) {
-      const mac::BackoffEntity& entity = *entities_[static_cast<std::size_t>(i)];
-      obs::TraceEvent sample;
-      sample.phase = obs::TracePhase::kCounter;
-      sample.track = obs::station_track(i);
-      sample.name = "backoff";
-      sample.start = now_;
-      sample.add_arg("bc", entity.backoff_counter());
-      sample.add_arg("dc", entity.deferral_counter());
-      sample.add_arg("bpc", entity.backoff_procedure_counter());
-      trace_->record(sample);
-    }
-  }
-}
+void SlotSimulator::flush_observatory() { observers_.flush_observatory(); }
 
 const mac::BackoffEntity& SlotSimulator::entity(int station) const {
   util::check_arg(station >= 0 &&
@@ -208,23 +133,7 @@ SlotEventType SlotSimulator::step() {
     }
   }
 
-  if (metrics_) {
-    const auto t = static_cast<std::size_t>(type);
-    metrics_->events[t]->add();
-    metrics_->airtime_ns[t]->add(duration.ns());
-    if (type == SlotEventType::kSuccess) {
-      metrics_->station_success[static_cast<std::size_t>(
-                                    scratch_transmitters_.front())]
-          ->add();
-    } else if (type == SlotEventType::kCollision) {
-      for (const int station : scratch_transmitters_) {
-        metrics_->station_collision[static_cast<std::size_t>(station)]->add();
-      }
-    }
-  }
-  if (trace_ != nullptr) {
-    record_trace(type, duration);
-  }
+  observers_.count(type, duration, scratch_transmitters_);
   if (observer_) {
     SlotEvent event;
     event.type = type;
@@ -233,29 +142,17 @@ SlotEventType SlotSimulator::step() {
     event.transmitters = scratch_transmitters_;
     observer_(event);
   }
-  if (observatory_ != nullptr) {
-    switch (type) {
-      case SlotEventType::kIdle:
-        observatory_->on_idle();
-        break;
-      case SlotEventType::kSuccess:
-        observatory_->on_success(scratch_transmitters_.front(), now_.ns());
-        break;
-      case SlotEventType::kCollision:
-        observatory_->on_collision(
-            static_cast<int>(scratch_transmitters_.size()));
-        break;
-    }
-    if (observatory_->sample_due()) {
-      // Post-event FSM snapshot of every station, stride-downsampled.
-      observatory_->begin_sample(now_.ns());
-      for (const auto& entity : entities_) {
-        observatory_->record_state(
-            entity->backoff_counter(), entity->deferral_counter(),
-            entity->backoff_procedure_counter(), entity->stage());
-      }
-    }
-    observatory_->advance_event();
+  if (observers_.engaged()) {
+    observers_.on_event(
+        type, now_, duration, scratch_transmitters_, station_count(),
+        [this](int i) {
+          const mac::BackoffEntity& entity =
+              *entities_[static_cast<std::size_t>(i)];
+          return obs::StationState{entity.backoff_counter(),
+                                   entity.deferral_counter(),
+                                   entity.backoff_procedure_counter(),
+                                   entity.stage()};
+        });
   }
   now_ += duration;
   return type;

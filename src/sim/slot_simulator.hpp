@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "des/time.hpp"
@@ -29,23 +28,13 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "phy/timing.hpp"
+#include "sim/medium_observers.hpp"
 
 namespace plc::dcf {
 struct DcfConfig;
 }
 
-namespace plc::obs {
-class Observatory;
-}
-
 namespace plc::sim {
-
-/// What one station did during one medium event (for trace observers).
-enum class SlotEventType : std::uint8_t {
-  kIdle = 0,
-  kSuccess = 1,
-  kCollision = 2,
-};
 
 /// A medium event, exposed to trace observers (Figure 1 reproductions,
 /// fairness traces).
@@ -147,27 +136,13 @@ class SlotSimulator {
   /// Advances one medium event; returns its type.
   SlotEventType step();
 
-  /// Pre-resolved registry instruments (indexing by SlotEventType).
-  struct Metrics {
-    obs::Counter* events[3] = {nullptr, nullptr, nullptr};
-    obs::Counter* airtime_ns[3] = {nullptr, nullptr, nullptr};
-    std::vector<obs::Counter*> station_success;
-    std::vector<obs::Counter*> station_collision;
-  };
-
-  void record_trace(SlotEventType type, des::SimTime duration);
-
   std::vector<std::unique_ptr<mac::BackoffEntity>> entities_;
   /// Medium-event durations resolved from the TimingConfig + frame.
   des::SimTime slot_ = des::SimTime::zero();
   des::SimTime ts_ = des::SimTime::zero();
   des::SimTime tc_ = des::SimTime::zero();
   std::function<void(const SlotEvent&)> observer_;
-  std::optional<Metrics> metrics_;
-  obs::TraceSink* trace_ = nullptr;
-  bool trace_counter_samples_ = false;
-  obs::Observatory* observatory_ = nullptr;
-  std::vector<mac::BackoffTally> tallies_;
+  MediumObservers observers_;
   bool record_winners_ = false;
   std::vector<int> winners_;
   SlotSimResults results_;

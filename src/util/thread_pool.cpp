@@ -73,14 +73,6 @@ void ThreadPool::wait() {
   }
 }
 
-void ThreadPool::parallel_for(std::int64_t count,
-                              const std::function<void(std::int64_t)>& body) {
-  for (std::int64_t i = 0; i < count; ++i) {
-    submit([&body, i] { body(i); });
-  }
-  wait();
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

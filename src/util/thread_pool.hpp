@@ -62,12 +62,6 @@ class ThreadPool {
   /// means one job per hardware thread (at least 1).
   static int resolve_jobs(int jobs);
 
-  /// Submits `count` tasks `body(0) .. body(count - 1)` and waits.
-  /// `body` runs concurrently with distinct indices; see wait() for
-  /// exception semantics.
-  void parallel_for(std::int64_t count,
-                    const std::function<void(std::int64_t)>& body);
-
  private:
   void worker_loop();
 

@@ -1,20 +1,27 @@
 // The event kernel's defining contract: bit-identical results against
 // the slot-stepped oracle on the same spec and seed — counters, metric
-// snapshots, winner sequences and report bytes alike. The fast tier
-// pins the edge cases (no contention, forced simultaneous expiry,
-// DC-triggered redraws inside a gap, run boundaries straddling a jump)
-// plus a 500-seed randomized equality sweep; the long grid over every
-// MAC family runs in the slow tier.
+// snapshots, winner sequences, observer output and report bytes alike.
+// The fast tier pins the edge cases (no contention, forced simultaneous
+// expiry, DC-triggered redraws inside a gap, run boundaries straddling a
+// jump), a 500-seed randomized equality sweep and the observers' bytes
+// over every MAC family; the long grid runs in the slow tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "dcf/dcf.hpp"
 #include "mac/config.hpp"
+#include "macdef/registry.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observatory.hpp"
+#include "obs/profiler.hpp"
+#include "obs/progress.hpp"
+#include "obs/trace.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
@@ -236,30 +243,71 @@ TEST(EventKernelRunner, RunPointSummariesEqualForBothKernels) {
   EXPECT_EQ(slot.jain_index.mean(), event.jain_index.mean());
 }
 
-// The `auto` kernel must replay slot-stepped when per-slot hooks are
-// attached — the trace (repetition 0) is the cheapest hook to probe.
-TEST(EventKernelRunner, AutoFallsBackToSlotPathUnderPerSlotHooks) {
+// Attaching observers never changes which kernel runs: an observed
+// kEvent point runs on the event kernel (the profiler sees no slot-path
+// scope) and still merges into the slot-stepped oracle's summary.
+TEST(EventKernelRunner, ObserversRunOnTheEventKernel) {
   sim::RunSpec spec;
   spec.stations = 3;
   spec.duration = SimTime::from_seconds(2.0);
   spec.repetitions = 2;
+  const obs::ObservatoryOptions observatory;
 
-  sim::ParallelRunner runner(2);
-  obs::TraceSink with_hooks_trace(1 << 16);
-  sim::RunObservability with_hooks;
-  with_hooks.trace = &with_hooks_trace;
-  spec.kernel = sim::Kernel::kEvent;
-  const sim::RunSummary hooked = runner.run_point(spec, with_hooks);
+  const auto observed_run = [&](sim::Kernel kernel, obs::TraceSink& trace,
+                                std::ostream& progress_out) {
+    spec.kernel = kernel;
+    obs::ProgressMeter::Options progress_options;
+    progress_options.out = &progress_out;
+    obs::ProgressMeter progress(spec.duration * spec.repetitions,
+                                progress_options);
+    sim::RunObservability obs;
+    obs.trace = &trace;
+    obs.observatory = &observatory;
+    obs.progress = &progress;
+    return sim::ParallelRunner(2).run_point(spec, obs);
+  };
 
-  spec.kernel = sim::Kernel::kSlot;
-  const sim::RunSummary slot = runner.run_point(spec);
+  obs::Profiler& profiler = obs::Profiler::instance();
+  profiler.reset();
+  obs::Profiler::set_enabled(true);
+  obs::TraceSink event_trace;
+  std::ostringstream event_progress;
+  const sim::RunSummary event =
+      observed_run(sim::Kernel::kEvent, event_trace, event_progress);
+  obs::Profiler::set_enabled(false);
+  const obs::ProfileSnapshot profile = profiler.snapshot();
+  profiler.reset();
+  const auto ran = [&profile](const char* scope) {
+    return std::any_of(
+        profile.nodes().begin(), profile.nodes().end(),
+        [scope](const obs::ProfileNodeStats& node) {
+          return node.name == scope;
+        });
+  };
+  EXPECT_TRUE(ran("event_kernel.run"));
+  EXPECT_FALSE(ran("slot_sim.run"));
 
-  // Identical summaries AND a non-empty trace: the hook ran against the
-  // slot-stepped replay, not against the batching kernel.
-  EXPECT_EQ(slot.medium_events, hooked.medium_events);
+  obs::TraceSink slot_trace;
+  std::ostringstream slot_progress;
+  const sim::RunSummary slot =
+      observed_run(sim::Kernel::kSlot, slot_trace, slot_progress);
+  EXPECT_EQ(slot.medium_events, event.medium_events);
+  EXPECT_EQ(slot.simulated.ns(), event.simulated.ns());
   EXPECT_EQ(slot.collision_probability.mean(),
-            hooked.collision_probability.mean());
-  EXPECT_GT(with_hooks_trace.size(), 0u);
+            event.collision_probability.mean());
+  EXPECT_EQ(slot.normalized_throughput.stddev(),
+            event.normalized_throughput.stddev());
+  ASSERT_TRUE(slot.stations.has_value());
+  ASSERT_TRUE(event.stations.has_value());
+  EXPECT_EQ(obs::stations_section_json({{"p", &*slot.stations}}),
+            obs::stations_section_json({{"p", &*event.stations}}));
+  std::ostringstream slot_json;
+  slot_trace.write_chrome_trace(slot_json);
+  std::ostringstream event_json;
+  event_trace.write_chrome_trace(event_json);
+  EXPECT_GT(event_trace.size(), 0u);
+  EXPECT_EQ(slot_json.str(), event_json.str());
+  EXPECT_NE(event_progress.str().find("100.0%"), std::string::npos);
 }
 
 TEST(EventKernelRunner, ParallelRunnerMatchesSerialForEventKernel) {
@@ -300,6 +348,125 @@ TEST(EventKernelRunner, ScenarioReportBytesIdenticalAcrossKernels) {
   std::ostringstream event_json;
   event.report.write_json(event_json);
   EXPECT_EQ(slot_json.str(), event_json.str());
+}
+
+// --- Observers on both kernels ------------------------------------------
+
+/// Everything observers take away from one repetition: the observatory
+/// reduction (stations section plus trajectory JSONL), the Chrome trace
+/// with its ring counts, and the metric snapshot.
+struct ObservedOutput {
+  std::string stations;
+  std::string trace;
+  std::int64_t recorded = 0;
+  std::int64_t dropped = 0;
+  std::string metrics;
+};
+
+template <class Kernel>
+ObservedOutput observe(Kernel kernel, const obs::ObservatoryOptions& options,
+                       std::size_t trace_capacity, bool counter_samples) {
+  obs::Observatory observatory(kernel.station_count(),
+                               kernel.max_stage_count(), options);
+  kernel.attach_observatory(&observatory);
+  obs::TraceSink trace(trace_capacity);
+  kernel.set_trace(&trace, counter_samples);
+  obs::Registry registry;
+  kernel.bind_metrics(registry);
+  // Uneven boundaries: each call can stop inside an idle gap, and the
+  // next one must resume the walk where the oracle resumes its slots.
+  kernel.run(SimTime::from_us(41'257.0));
+  kernel.run_events(1'001);
+  kernel.run(SimTime::from_us(100'003.0));
+  kernel.flush_observatory();
+  const obs::ObservatorySummary summary = observatory.summarize();
+
+  ObservedOutput out;
+  std::ostringstream stations;
+  stations << obs::stations_section_json({{"p", &summary}});
+  summary.write_trajectory_jsonl(stations);
+  out.stations = stations.str();
+  std::ostringstream chrome;
+  trace.write_chrome_trace(chrome);
+  out.trace = chrome.str();
+  out.recorded = trace.recorded();
+  out.dropped = trace.dropped();
+  out.metrics = snapshot_json(registry);
+  return out;
+}
+
+// Every MAC family, with and without the deferral counter, across
+// station counts and trajectory capacities (0 = none, 1 and 3 force
+// stride doubling early): the observers must write the same bytes on
+// both kernels. Repetition 0 samples the counters into a ring small
+// enough to overwrite; repetition 1 keeps every span.
+TEST(KernelObservers, SameBytesOnBothKernelsAcrossMacsStationsAndCapacities) {
+  mac::BackoffConfig no_deferral = mac::BackoffConfig::ca0_ca1();
+  no_deferral.dc.assign(no_deferral.dc.size(), mac::kDeferralDisabled);
+  const mac::MacDef& tdma = mac::builtin_registry().get("tdma");
+  const mac::MacDef& boosted = mac::builtin_registry().get("boosted-cw");
+  const std::vector<sim::MacSpec> macs = {
+      mac::BackoffConfig::ca0_ca1(),
+      mac::BackoffConfig::ca2_ca3(),
+      mac::BackoffConfig::dcf_like(8, 4),
+      dcf::DcfConfig::ieee80211ag(),
+      sim::MacSpec(tdma, tdma.default_config()),
+      sim::MacSpec(boosted, boosted.default_config()),
+      no_deferral};
+  for (std::size_t m = 0; m < macs.size(); ++m) {
+    for (const int n : {1, 2, 3, 7, 16}) {
+      for (const std::size_t capacity : {0, 1, 3, 16, 256}) {
+        for (int rep = 0; rep < 2; ++rep) {
+          sim::RunSpec spec;
+          spec.mac = macs[m];
+          spec.stations = n;
+          spec.seed = 0x0b5e + m;
+          obs::ObservatoryOptions options;
+          options.fairness_window = 7;
+          options.trajectory_capacity = capacity;
+          const std::size_t ring = rep == 0 ? 97 : std::size_t{1} << 16;
+          const ObservedOutput slot =
+              observe(sim::make_simulator(spec, rep), options, ring, rep == 0);
+          const ObservedOutput event = observe(sim::make_event_kernel(spec, rep),
+                                               options, ring, rep == 0);
+          const std::string what = "mac " + std::to_string(m) + " n " +
+                                   std::to_string(n) + " capacity " +
+                                   std::to_string(capacity) + " rep " +
+                                   std::to_string(rep);
+          EXPECT_EQ(slot.stations, event.stations) << what;
+          EXPECT_EQ(slot.trace, event.trace) << what;
+          EXPECT_EQ(slot.recorded, event.recorded) << what;
+          EXPECT_EQ(slot.dropped, event.dropped) << what;
+          // The small ring must really overwrite, or the dropped-count
+          // comparison proves nothing.
+          if (rep == 0) {
+            EXPECT_GT(event.dropped, 0) << what;
+          }
+          EXPECT_EQ(slot.metrics, event.metrics) << what;
+          if (testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+// Observers see the run; they must not steer it.
+TEST(KernelObservers, AttachedObserversLeaveResultsUnchanged) {
+  sim::RunSpec spec;
+  spec.stations = 5;
+  spec.duration = SimTime::from_seconds(3.0);
+  sim::EventKernel bare = sim::make_event_kernel(spec, 0);
+  bare.enable_winner_trace(true);
+  sim::EventKernel observed = sim::make_event_kernel(spec, 0);
+  observed.enable_winner_trace(true);
+  obs::Observatory observatory(observed.station_count(),
+                               observed.max_stage_count(), {});
+  observed.attach_observatory(&observatory);
+  obs::TraceSink trace;
+  observed.set_trace(&trace, /*counter_samples=*/true);
+  expect_results_equal(bare.run(spec.duration), observed.run(spec.duration),
+                       "observed vs bare");
+  EXPECT_EQ(bare.winners(), observed.winners());
 }
 
 // --- Long grid (slow tier) ----------------------------------------------

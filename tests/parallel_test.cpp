@@ -40,15 +40,6 @@ TEST(ThreadPool, RunsEverySubmittedTaskBeforeWaitReturns) {
   EXPECT_EQ(done.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  util::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(57);
-  pool.parallel_for(57, [&hits](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
-}
-
 TEST(ThreadPool, WaitRethrowsFirstTaskExceptionAndPoolStaysUsable) {
   util::ThreadPool pool(2);
   pool.submit([] { throw plc::Error("task failed"); });

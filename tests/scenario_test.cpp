@@ -111,7 +111,10 @@ TEST(SpecJson, KernelKeyParsesButIsNeverEmitted) {
 
   EXPECT_EQ(Spec::from_json("{\"kernel\": \"slot\"," + json.substr(1)).kernel,
             sim::Kernel::kSlot);
-  EXPECT_EQ(Spec::from_json(json).kernel, sim::Kernel::kAuto);
+  EXPECT_EQ(Spec::from_json(json).kernel, sim::Kernel::kEvent);
+  // "auto", the old default, still parses: as the event kernel.
+  EXPECT_EQ(Spec::from_json("{\"kernel\": \"auto\"," + json.substr(1)).kernel,
+            sim::Kernel::kEvent);
   EXPECT_THROW(Spec::from_json("{\"kernel\": \"warp\"," + json.substr(1)),
                plc::Error);
 }

@@ -1,9 +1,11 @@
 // An independent serial reference for the engine's determinism tests:
-// the repetition loop written out directly on make_simulator /
-// make_event_kernel, with one registry, one trace sink and one
-// observatory per repetition bound straight into the simulator — no
-// pool, no per-task registries, no trace splice, no store. Whatever
-// sim::ParallelRunner produces for any jobs count must equal this.
+// the repetition loop written out directly on make_simulator, with one
+// registry, one trace sink and one observatory per repetition bound
+// straight into the slot-stepped oracle — no pool, no per-task
+// registries, no trace splice, no store, and always the oracle. Whatever
+// sim::ParallelRunner produces for any jobs count and either kernel must
+// equal this, so the runner's event-kernel observers are checked against
+// slot-stepped ones.
 #pragma once
 
 #include <cstdint>
@@ -24,31 +26,22 @@ inline sim::RunSummary serial_reference(
     const obs::ObservatoryOptions* observatory = nullptr) {
   sim::RunSummary summary;
   for (int rep = 0; rep < spec.repetitions; ++rep) {
-    const bool per_slot_hooks =
-        observatory != nullptr || (trace != nullptr && rep == 0);
-    sim::SlotSimResults results;
-    if (sim::use_event_kernel(spec.kernel, per_slot_hooks)) {
-      sim::EventKernel kernel = sim::make_event_kernel(spec, rep);
-      if (registry != nullptr) kernel.bind_metrics(*registry);
-      results = kernel.run(spec.duration);
-    } else {
-      sim::SlotSimulator simulator = sim::make_simulator(spec, rep);
-      std::optional<obs::Observatory> stations;
-      if (observatory != nullptr) {
-        obs::ObservatoryOptions options = *observatory;
-        if (rep > 0) options.trajectory_capacity = 0;
-        stations.emplace(simulator.station_count(),
-                         simulator.max_stage_count(), options);
-        simulator.attach_observatory(&*stations);
-      }
-      if (registry != nullptr) simulator.bind_metrics(*registry);
-      if (trace != nullptr && rep == 0) simulator.set_trace(trace, false);
-      results = simulator.run(spec.duration);
-      if (stations) {
-        simulator.flush_observatory();
-        if (!summary.stations) summary.stations.emplace();
-        summary.stations->merge(stations->summarize());
-      }
+    sim::SlotSimulator simulator = sim::make_simulator(spec, rep);
+    std::optional<obs::Observatory> stations;
+    if (observatory != nullptr) {
+      obs::ObservatoryOptions options = *observatory;
+      if (rep > 0) options.trajectory_capacity = 0;
+      stations.emplace(simulator.station_count(), simulator.max_stage_count(),
+                       options);
+      simulator.attach_observatory(&*stations);
+    }
+    if (registry != nullptr) simulator.bind_metrics(*registry);
+    if (trace != nullptr && rep == 0) simulator.set_trace(trace, false);
+    const sim::SlotSimResults results = simulator.run(spec.duration);
+    if (stations) {
+      simulator.flush_observatory();
+      if (!summary.stations) summary.stations.emplace();
+      summary.stations->merge(stations->summarize());
     }
     summary.medium_events +=
         results.idle_slots + results.successes + results.collision_events;

@@ -1,4 +1,5 @@
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -162,6 +163,12 @@ struct ConfigCase {
   std::vector<int> dc;
 };
 
+// gtest appends the printed parameter to each case's ctest name; without
+// this it prints the struct's raw bytes, pointer bytes included.
+void PrintTo(const ConfigCase& test_case, std::ostream* out) {
+  *out << test_case.name;
+}
+
 class ConfigSweep : public ::testing::TestWithParam<ConfigCase> {};
 
 TEST_P(ConfigSweep, ProbabilitiesAreWellFormedAndSeedStable) {
@@ -176,7 +183,9 @@ TEST_P(ConfigSweep, ProbabilitiesAreWellFormedAndSeedStable) {
     const double cp = results.collision_probability();
     EXPECT_GE(cp, 0.0) << test_case.name;
     EXPECT_LE(cp, 1.0) << test_case.name;
-    if (n == 1) EXPECT_DOUBLE_EQ(cp, 0.0) << test_case.name;
+    if (n == 1) {
+      EXPECT_DOUBLE_EQ(cp, 0.0) << test_case.name;
+    }
     EXPECT_GT(results.successes, 0) << test_case.name;
   }
 }

@@ -346,10 +346,10 @@ TEST(Progress, TaskGoalDrivesHeartbeatLine) {
   popts.out = &out;
   obs::ProgressMeter meter(des::SimTime::from_seconds(10.0), popts);
   meter.set_task_goal(4);
-  meter.task_complete();
-  meter.sample_coarse(des::SimTime::from_seconds(1.0), 1000);
+  meter.task_complete(des::SimTime::from_seconds(2.5), 1000);
   const std::string text = out.str();
   EXPECT_NE(text.find("tasks 1/4"), std::string::npos) << text;
+  EXPECT_NE(text.find("2.5/10.0 sim-s (25.0%)"), std::string::npos) << text;
 }
 
 // ------------------------------------------------------- flight recorder

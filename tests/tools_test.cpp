@@ -511,7 +511,9 @@ TEST(BenchDiff, CustomGatePatternsAndThreshold) {
                                        report_with(50.0, 3.0), options);
   EXPECT_EQ(diff.regressions, 1);
   for (const ScalarDelta& delta : diff.deltas) {
-    if (delta.key == "scalars.stations") EXPECT_TRUE(delta.regression);
+    if (delta.key == "scalars.stations") {
+      EXPECT_TRUE(delta.regression);
+    }
     if (delta.key == "scalars.x.items_per_second") {
       EXPECT_FALSE(delta.gated);
     }

@@ -47,7 +47,9 @@ TEST(Saturated, KeepsBacklogAboveTarget) {
   for (int step = 0; step < 100; ++step) {
     scheduler.run_until(des::SimTime::from_us(100.0 * (step + 1)));
     for (int i = 0; i < 5 && !queue.empty(); ++i) queue.pop_front();
-    if (step > 2) EXPECT_GE(queue.size(), 11u) << "step " << step;
+    if (step > 2) {
+      EXPECT_GE(queue.size(), 11u) << "step " << step;
+    }
   }
   EXPECT_GT(source.frames_generated(), 400);
 }
