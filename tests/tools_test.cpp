@@ -9,6 +9,7 @@
 #include "tools/faifa.hpp"
 #include "tools/testbed.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "workload/sources.hpp"
 
 namespace plc::tools {
@@ -292,7 +293,9 @@ TEST(Testbed, RejectsBadConfig) {
 // Reports carry the testbed's counters and des.events_dispatched, so the
 // data plane (sources, segmenter, receive path) may get cheaper but must
 // not change a single event or RNG draw. These values were recorded from
-// the per-byte deque segmenter and the push-then-read saturated source.
+// the per-byte deque segmenter and the push-then-read saturated source;
+// the queue high-water gauge and the capture digest were recorded from
+// the map-backed scheduler and the per-slot MediumEventRecord.
 
 struct TestbedPin {
   std::vector<std::uint64_t> acknowledged;
@@ -303,7 +306,27 @@ struct TestbedPin {
   std::int64_t collision_events = 0;
   std::int64_t events_dispatched = 0;
   std::size_t captures = 0;
+  std::int64_t pending_high_water = 0;
+  /// hash128 (hex) over every capture's timestamp and encoded SoF.
+  std::string capture_digest;
 };
+
+std::string capture_digest(
+    const std::vector<mme::SnifferIndication>& captures) {
+  std::string bytes;
+  for (const mme::SnifferIndication& capture : captures) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      bytes.push_back(static_cast<char>(capture.timestamp_10ns >> shift));
+    }
+    for (const std::uint8_t byte : capture.sof.encode()) {
+      bytes.push_back(static_cast<char>(byte));
+    }
+  }
+  return util::hash128(bytes).to_hex();
+}
+
+/// The digest of no captures.
+const std::string kNoCaptures = util::hash128("").to_hex();
 
 TestbedPin observe_testbed(TestbedConfig config) {
   obs::Registry registry;
@@ -313,6 +336,9 @@ TestbedPin observe_testbed(TestbedConfig config) {
   const obs::Snapshot snapshot = registry.snapshot();
   const obs::MetricSample* dispatched = snapshot.find("des.events_dispatched");
   EXPECT_NE(dispatched, nullptr);
+  const obs::MetricSample* high_water =
+      snapshot.find("des.pending_high_water");
+  EXPECT_NE(high_water, nullptr);
   TestbedPin pin;
   pin.acknowledged = result.acknowledged;
   pin.collided = result.collided;
@@ -324,6 +350,10 @@ TestbedPin observe_testbed(TestbedConfig config) {
       dispatched == nullptr ? -1
                             : static_cast<std::int64_t>(dispatched->value);
   pin.captures = result.captures.size();
+  pin.pending_high_water =
+      high_water == nullptr ? -1
+                            : static_cast<std::int64_t>(high_water->value);
+  pin.capture_digest = capture_digest(result.captures);
   return pin;
 }
 
@@ -336,13 +366,15 @@ void expect_pin(const TestbedPin& actual, const TestbedPin& expected) {
   EXPECT_EQ(actual.collision_events, expected.collision_events);
   EXPECT_EQ(actual.events_dispatched, expected.events_dispatched);
   EXPECT_EQ(actual.captures, expected.captures);
+  EXPECT_EQ(actual.pending_high_water, expected.pending_high_water);
+  EXPECT_EQ(actual.capture_digest, expected.capture_digest);
 }
 
 TEST(TestbedGolden, OneStation) {
   TestbedConfig config;
   config.stations = 1;
   expect_pin(observe_testbed(config),
-             {{3746}, {0}, 28886, 6576, 1873, 0, 25977, 0});
+             {{3746}, {0}, 28886, 6576, 1873, 0, 25977, 0, 1, kNoCaptures});
 }
 
 TEST(TestbedGolden, ThreeStations) {
@@ -350,7 +382,8 @@ TEST(TestbedGolden, ThreeStations) {
   config.stations = 3;
   expect_pin(observe_testbed(config), {{1296, 1250, 1442},
                                        {140, 178, 166},
-                                       26869, 5431, 1752, 120, 52327, 0});
+                                       26869, 5431, 1752, 120, 52327, 0, 3,
+                                       kNoCaptures});
 }
 
 TEST(TestbedGolden, SevenStations) {
@@ -359,7 +392,7 @@ TEST(TestbedGolden, SevenStations) {
   expect_pin(observe_testbed(config),
              {{468, 646, 720, 570, 552, 684, 642},
               {120, 184, 150, 138, 128, 146, 166},
-              24749, 4004, 1626, 247, 106226, 0});
+              24749, 4004, 1626, 247, 106226, 0, 7, kNoCaptures});
 }
 
 TEST(TestbedGolden, PbErrorsWithToneMapAdaptation) {
@@ -372,7 +405,8 @@ TEST(TestbedGolden, PbErrorsWithToneMapAdaptation) {
   config.device.adaptation.enabled = true;
   expect_pin(observe_testbed(config), {{1196, 1158, 1382},
                                        {132, 170, 162},
-                                       1940, 5090, 1636, 115, 51672, 0});
+                                       1940, 5090, 1636, 115, 51672, 0, 3,
+                                       kNoCaptures});
 }
 
 TEST(TestbedGolden, MmeChatterWithSniffer) {
@@ -381,7 +415,8 @@ TEST(TestbedGolden, MmeChatterWithSniffer) {
   config.mme_interval = des::SimTime::from_us(50'000.0);
   config.sniff_at_destination = true;
   expect_pin(observe_testbed(config), {{1784, 1862}, {184, 184},
-                                       25616, 6537, 1839, 105, 40082, 3872});
+                                       25616, 6537, 1839, 105, 40082, 3872, 4,
+                                       "efdc84cdb61556ee444a240b1b69199e"});
 }
 
 // --- benchdiff: JSON parsing -------------------------------------------------
