@@ -19,24 +19,39 @@ EventHandle Scheduler::schedule_at(SimTime when, Callback callback) {
                 "Scheduler::schedule_at: cannot schedule in the past");
   util::require(static_cast<bool>(callback),
                 "Scheduler::schedule_at: callback must not be empty");
-  const std::uint64_t id = next_id_++;
-  queue_.push(Entry{when, next_sequence_++, id});
-  callbacks_.emplace(id, std::move(callback));
-  return EventHandle(id);
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const std::uint64_t sequence = next_sequence_++;
+  slots_[slot].callback = std::move(callback);
+  slots_[slot].sequence = sequence;
+  queue_.push(Entry{when, sequence, slot});
+  return EventHandle(slot, sequence);
 }
 
 bool Scheduler::cancel(EventHandle handle) {
-  if (handle.is_null()) return false;
-  const auto it = callbacks_.find(handle.id_);
-  if (it == callbacks_.end()) return false;
-  callbacks_.erase(it);
+  if (handle.is_null() || handle.slot_ >= slots_.size() ||
+      slots_[handle.slot_].sequence != handle.sequence_) {
+    return false;
+  }
+  release(handle.slot_);
   ++cancelled_pending_;
   return true;
 }
 
+void Scheduler::release(std::uint32_t slot) {
+  slots_[slot].callback = nullptr;
+  slots_[slot].sequence = 0;
+  free_slots_.push_back(slot);
+}
+
 void Scheduler::purge_cancelled() {
-  while (!queue_.empty() &&
-         callbacks_.find(queue_.top().id) == callbacks_.end()) {
+  while (!queue_.empty() && !live(queue_.top())) {
     queue_.pop();
     --cancelled_pending_;
   }
@@ -62,9 +77,10 @@ bool Scheduler::step() {
   if (queue_.empty()) return false;
   const Entry entry = queue_.top();
   queue_.pop();
-  const auto it = callbacks_.find(entry.id);
-  Callback callback = std::move(it->second);
-  callbacks_.erase(it);
+  // Moved out before it runs: the callback may schedule events, which
+  // can grow slots_ or reuse this slot.
+  Callback callback = std::move(slots_[entry.slot].callback);
+  release(entry.slot);
   now_ = entry.when;
   ++dispatched_;
   if (!observers_.empty()) {

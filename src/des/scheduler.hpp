@@ -3,12 +3,19 @@
 // Events are callbacks ordered by (time, insertion sequence); ties in time
 // fire in insertion order, which makes runs fully deterministic. Events may
 // be cancelled through the handle returned at scheduling time.
+//
+// Callbacks live in a slot vector recycled through a free list, so a
+// warmed-up scheduler dispatches without allocating: the heap holds
+// (time, sequence, slot) entries, and a lambda that captures at most two
+// words is stored inside its std::function. A slot's generation is the
+// insertion sequence of the event occupying it, unique over the
+// scheduler's life, so a handle or heap entry whose event has fired or
+// been cancelled never matches the slot's next occupant.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "des/time.hpp"
@@ -20,12 +27,14 @@ namespace plc::des {
 class EventHandle {
  public:
   constexpr EventHandle() = default;
-  constexpr bool is_null() const { return id_ == 0; }
+  constexpr bool is_null() const { return sequence_ == 0; }
 
  private:
   friend class Scheduler;
-  constexpr explicit EventHandle(std::uint64_t id) : id_(id) {}
-  std::uint64_t id_ = 0;
+  constexpr EventHandle(std::uint32_t slot, std::uint64_t sequence)
+      : slot_(slot), sequence_(sequence) {}
+  std::uint32_t slot_ = 0;
+  std::uint64_t sequence_ = 0;  ///< The event's slot generation.
 };
 
 /// Passive tap on the scheduler's dispatch loop (metrics, tracing,
@@ -64,7 +73,8 @@ class Scheduler {
 
   /// Runs events until the queue is empty or simulated time would exceed
   /// `horizon`. Events scheduled exactly at the horizon still fire.
-  /// Afterwards now() is min(horizon, time of last fired event).
+  /// Afterwards now() is the horizon (unchanged when it already lay past
+  /// the horizon).
   void run_until(SimTime horizon);
 
   /// Runs a single event if one is pending; returns false when idle.
@@ -73,8 +83,8 @@ class Scheduler {
   /// Number of events dispatched so far.
   std::int64_t events_dispatched() const { return dispatched_; }
 
-  /// Number of events currently pending (cancelled events are counted
-  /// until they are lazily discarded).
+  /// Number of live events pending; cancelled events are not counted,
+  /// although their heap entries are discarded lazily.
   std::size_t pending() const { return queue_.size() - cancelled_pending_; }
 
   /// Registers a dispatch-loop observer (non-owning; no-op when already
@@ -88,7 +98,7 @@ class Scheduler {
   struct Entry {
     SimTime when;
     std::uint64_t sequence;
-    std::uint64_t id;
+    std::uint32_t slot;
     // Ordered as a max-heap by default; invert for earliest-first.
     bool operator<(const Entry& other) const {
       if (when != other.when) return when > other.when;
@@ -96,15 +106,28 @@ class Scheduler {
     }
   };
 
+  /// One callback slot; `sequence` is its occupant's insertion sequence
+  /// (the generation), 0 while the slot is free.
+  struct Slot {
+    Callback callback;
+    std::uint64_t sequence = 0;
+  };
+
   std::priority_queue<Entry> queue_;
-  std::unordered_map<std::uint64_t, Callback> callbacks_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_ = SimTime::zero();
   std::uint64_t next_sequence_ = 1;
-  std::uint64_t next_id_ = 1;
   std::int64_t dispatched_ = 0;
   std::size_t cancelled_pending_ = 0;
   std::vector<SchedulerObserver*> observers_;
 
+  /// True when `entry`'s event still occupies its slot (not cancelled).
+  bool live(const Entry& entry) const {
+    return slots_[entry.slot].sequence == entry.sequence;
+  }
+  /// Empties a slot and returns it to the free list.
+  void release(std::uint32_t slot);
   /// Discards cancelled entries sitting at the top of the queue so that
   /// queue_.top() always refers to a live event.
   void purge_cancelled();

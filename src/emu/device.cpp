@@ -317,17 +317,22 @@ std::optional<medium::TxDescriptor> HpavDevice::stage_and_describe(
                   "HpavDevice::poll_transmit: backoff expired with no data");
     StagedBurst burst;
     burst.link = LinkKey{link->dst_tei, link->priority};
+    burst.mpdus = std::move(spare_mpdus_);
     burst.mpdus.reserve(static_cast<std::size_t>(config_.burst_mpdus));
     const int pb_limit = max_pbs_for(*link);
     for (int mpdu_index = 0; mpdu_index < config_.burst_mpdus;
          ++mpdu_index) {
       frames::Mpdu& mpdu = burst.mpdus.emplace_back();
       std::vector<frames::PhysicalBlock>& pbs = mpdu.blocks;
+      if (!spare_blocks_.empty()) {
+        pbs = std::move(spare_blocks_.back());
+        spare_blocks_.pop_back();
+      }
       pbs.reserve(static_cast<std::size_t>(pb_limit));
       while (static_cast<int>(pbs.size()) < pb_limit &&
              !link->retx.empty()) {
-        pbs.push_back(link->retx.front());
-        link->retx.pop_front();
+        pbs.push_back(link->retx.back());
+        link->retx.pop_back();
       }
       if (static_cast<int>(pbs.size()) < pb_limit) {
         const bool flush =
@@ -339,6 +344,7 @@ std::optional<medium::TxDescriptor> HpavDevice::stage_and_describe(
                                 flush, pbs);
       }
       if (pbs.empty()) {
+        spare_blocks_.push_back(std::move(pbs));
         burst.mpdus.pop_back();
         break;
       }
@@ -412,9 +418,10 @@ void HpavDevice::on_transmission_complete(bool success) {
       destination->hear_collided_mpdu(mpdu_it->sof);
       for (auto pb_it = mpdu_it->blocks.rbegin();
            pb_it != mpdu_it->blocks.rend(); ++pb_it) {
-        link.retx.push_front(std::move(*pb_it));
+        link.retx.push_back(*pb_it);
       }
     }
+    recycle(burst.mpdus);
     return;
   }
 
@@ -431,15 +438,17 @@ void HpavDevice::on_transmission_complete(bool success) {
     util::require(sack.pb_ok.size() == mpdu.blocks.size(),
                   "HpavDevice: SACK bitmap size mismatch");
     counters_.on_tx_acked(link.dst_mac, link.priority, 1);
-    // Blocks the receiver flagged bad go back for retransmission.
+    // Blocks the receiver flagged bad go to the tail of the
+    // retransmission queue.
     for (std::size_t i = 0; i < sack.pb_ok.size(); ++i) {
       if (!sack.pb_ok[i]) {
-        frames::PhysicalBlock pb = mpdu.blocks[i];
+        frames::PhysicalBlock& pb =
+            *link.retx.insert(link.retx.begin(), mpdu.blocks[i]);
         pb.received_ok = true;
-        link.retx.push_back(std::move(pb));
       }
     }
   }
+  recycle(burst.mpdus);
   // The frame exchange is over; if the queue drained, stop contending.
   if (select_head_link() == nullptr) {
     contending_.reset();
@@ -503,13 +512,24 @@ frames::SackDelimiter HpavDevice::receive_mpdu(const frames::Mpdu& mpdu) {
 
 void HpavDevice::reassemble(RxStream& stream,
                             const frames::PhysicalBlock& pb) {
-  for (const frames::EthernetFrame& frame : stream.reassembler.push_pb(pb)) {
+  const std::size_t completed = stream.reassembler.push_pb(pb, rx_frames_);
+  for (std::size_t i = 0; i < completed; ++i) {
+    const frames::EthernetFrame& frame = rx_frames_[i];
     if (consume_plc_mme(frame)) continue;
     ++host_frames_delivered_;
     if (metrics_) metrics_->host_frames->add();
     deliver_to_host(frame);
   }
   ++stream.expected_ssn;
+}
+
+void HpavDevice::recycle(std::vector<frames::Mpdu>& mpdus) {
+  for (frames::Mpdu& mpdu : mpdus) {
+    mpdu.blocks.clear();
+    spare_blocks_.push_back(std::move(mpdu.blocks));
+  }
+  mpdus.clear();
+  spare_mpdus_ = std::move(mpdus);
 }
 
 void HpavDevice::update_rx_adaptation(RxStream& stream,

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -194,7 +193,8 @@ class HpavDevice final : public medium::Participant,
     frames::Priority priority = frames::Priority::kCa1;
     bool is_mme = false;             ///< Flush immediately (management).
     frames::Segmenter segmenter;
-    std::deque<frames::PhysicalBlock> retx;  ///< PBs awaiting retransmit.
+    /// PBs awaiting retransmission, queue head at the back.
+    std::vector<frames::PhysicalBlock> retx;
     des::SimTime oldest_arrival = des::SimTime::zero();
     std::int64_t frames_enqueued = 0;
     /// Transmit modulation profile (adaptation mode).
@@ -245,6 +245,8 @@ class HpavDevice final : public medium::Participant,
   /// Feeds the next in-order PB (SSN `expected_ssn`) to the stream's
   /// reassembler and hands the frames it completes to the firmware/host.
   void reassemble(RxStream& stream, const frames::PhysicalBlock& pb);
+  /// Empties a finished burst's MPDUs into the spare vectors.
+  void recycle(std::vector<frames::Mpdu>& mpdus);
   /// Receiver-side adaptation step after one MPDU's outcomes.
   void update_rx_adaptation(RxStream& stream, const frames::Mpdu& mpdu,
                             int bad_blocks);
@@ -277,6 +279,13 @@ class HpavDevice final : public medium::Participant,
     std::vector<frames::Mpdu> mpdus;
   };
   std::optional<StagedBurst> staged_;
+  /// Emptied vectors of finished bursts, which the next burst reuses so
+  /// that staging a burst allocates nothing once they have grown.
+  std::vector<frames::Mpdu> spare_mpdus_;
+  std::vector<std::vector<frames::PhysicalBlock>> spare_blocks_;
+  /// Frames completed by the last Reassembler::push_pb (its count
+  /// prefix); the elements keep their payload capacity.
+  std::vector<frames::EthernetFrame> rx_frames_;
 
   /// Pre-resolved registry instruments (optional; see bind_metrics).
   struct Metrics {

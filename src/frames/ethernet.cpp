@@ -32,15 +32,20 @@ void EthernetFrame::serialize_into(std::vector<std::uint8_t>& out) const {
 
 EthernetFrame EthernetFrame::deserialize(
     std::span<const std::uint8_t> bytes) {
+  EthernetFrame frame;
+  deserialize_into(bytes, frame);
+  return frame;
+}
+
+void EthernetFrame::deserialize_into(std::span<const std::uint8_t> bytes,
+                                     EthernetFrame& frame) {
   util::require(bytes.size() >= 14,
                 "EthernetFrame::deserialize: shorter than header");
-  EthernetFrame frame;
   frame.destination = MacAddress::read_from(bytes.subspan(0, 6));
   frame.source = MacAddress::read_from(bytes.subspan(6, 6));
   frame.ether_type =
       static_cast<std::uint16_t>(bytes[12] << 8 | bytes[13]);
   frame.payload.assign(bytes.begin() + 14, bytes.end());
-  return frame;
 }
 
 }  // namespace plc::frames

@@ -44,6 +44,10 @@ struct EthernetFrame {
   /// Parses a serialized frame. Throws plc::Error if shorter than the
   /// 14-byte header.
   static EthernetFrame deserialize(std::span<const std::uint8_t> bytes);
+
+  /// Parses like deserialize into `frame`, reusing its payload capacity.
+  static void deserialize_into(std::span<const std::uint8_t> bytes,
+                               EthernetFrame& frame);
 };
 
 }  // namespace plc::frames

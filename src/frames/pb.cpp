@@ -74,14 +74,15 @@ void Reassembler::compact() {
   consumed_ = 0;
 }
 
-std::vector<EthernetFrame> Reassembler::push_pb(const PhysicalBlock& pb) {
+std::size_t Reassembler::push_pb(const PhysicalBlock& pb,
+                                 std::vector<EthernetFrame>& frames) {
   const std::size_t begin = stream_.size();
   stream_.insert(stream_.end(), pb.body.begin(), pb.body.begin() + pb.used);
   if (!pb.received_ok) {
     corrupt_ranges_.emplace_back(begin, begin + pb.used);
   }
 
-  std::vector<EthernetFrame> frames;
+  std::size_t completed = 0;
   // Extract complete length-prefixed frames from the head of the stream.
   while (stream_.size() - consumed_ >= 2) {
     const std::size_t length =
@@ -93,14 +94,16 @@ std::vector<EthernetFrame> Reassembler::push_pb(const PhysicalBlock& pb) {
     if (range_corrupt(frame_begin, frame_end)) {
       ++frames_dropped_;
     } else {
-      frames.push_back(EthernetFrame::deserialize(
-          std::span(stream_).subspan(frame_begin + 2, length)));
+      if (completed == frames.size()) frames.emplace_back();
+      EthernetFrame::deserialize_into(
+          std::span(stream_).subspan(frame_begin + 2, length),
+          frames[completed++]);
       ++frames_delivered_;
     }
     consumed_ = frame_end;
   }
   compact();
-  return frames;
+  return completed;
 }
 
 }  // namespace plc::frames

@@ -79,8 +79,12 @@ class Segmenter {
 /// such frames are dropped and counted.
 class Reassembler {
  public:
-  /// Feeds one PB; returns any frames completed by it.
-  std::vector<EthernetFrame> push_pb(const PhysicalBlock& pb);
+  /// Feeds one PB; writes the frames it completes to frames[0, n) and
+  /// returns n. `frames` grows as needed and is never shrunk: elements
+  /// past n keep their contents, so a vector reused from call to call
+  /// keeps each element's payload capacity.
+  std::size_t push_pb(const PhysicalBlock& pb,
+                      std::vector<EthernetFrame>& frames);
 
   std::int64_t frames_delivered() const { return frames_delivered_; }
   std::int64_t frames_dropped() const { return frames_dropped_; }

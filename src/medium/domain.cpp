@@ -143,7 +143,7 @@ void ContentionDomain::schedule_slot(des::SimTime delay) {
   scheduler_.schedule(delay, [this] { slot_boundary(); });
 }
 
-void ContentionDomain::emit_record(MediumEventRecord record) {
+void ContentionDomain::emit_record(const MediumEventRecord& record) {
   ++event_seq_;
   observe_event(record.type, record.start, record.duration,
                 record.transmitters, static_cast<int>(record.sofs.size()));
@@ -154,6 +154,9 @@ void ContentionDomain::emit_record(MediumEventRecord record) {
 
 void ContentionDomain::slot_boundary() {
   PROF_SCOPE("medium.slot_boundary");
+  util::require(!exchange_in_flight_,
+                "ContentionDomain: slot boundary while an exchange is in "
+                "flight");
   // Determine the backlogged set and the winning priority (the logical
   // outcome of the priority-resolution busy tones).
   frames::Priority winning = frames::Priority::kCa0;
@@ -187,7 +190,7 @@ void ContentionDomain::slot_boundary() {
         record.type = MediumEventType::kBeacon;
         record.start = scheduler_.now();
         record.duration = duration;
-        emit_record(std::move(record));
+        emit_record(record);
         schedule_slot(duration);
         return;
       }
@@ -201,9 +204,9 @@ void ContentionDomain::slot_boundary() {
   }
 
   // Poll the contenders; lower-priority backlogged stations defer.
-  std::vector<int> transmitter_ids;
-  std::vector<int> contender_ids;
-  std::vector<TxDescriptor> descriptors;
+  transmitter_ids_.clear();
+  contender_ids_.clear();
+  descriptors_.clear();
   for (int id = 0; id < static_cast<int>(participants_.size()); ++id) {
     Participant* p = participants_[static_cast<std::size_t>(id)];
     if (!p->has_pending_frame()) continue;
@@ -211,16 +214,16 @@ void ContentionDomain::slot_boundary() {
       p->on_priority_deferral();
       continue;
     }
-    contender_ids.push_back(id);
+    contender_ids_.push_back(id);
     if (auto descriptor = p->poll_transmit()) {
       util::require(descriptor->mpdu_count >= 1,
                     "ContentionDomain: burst must have >= 1 MPDU");
-      transmitter_ids.push_back(id);
-      descriptors.push_back(std::move(*descriptor));
+      transmitter_ids_.push_back(id);
+      descriptors_.push_back(std::move(*descriptor));
     }
   }
 
-  if (transmitter_ids.empty()) {
+  if (transmitter_ids_.empty()) {
     if (scheduler_.now() + timing_.slot > csma_region_end) {
       // The slot would cross the region boundary: everyone freezes until
       // the next CSMA opportunity.
@@ -236,19 +239,19 @@ void ContentionDomain::slot_boundary() {
       observe_event(MediumEventType::kIdleSlot, scheduler_.now(),
                     timing_.slot, kNoTransmitters, 0);
     }
-    for (const int id : contender_ids) {
+    for (const int id : contender_ids_) {
       participants_[static_cast<std::size_t>(id)]->on_idle_slot();
     }
     schedule_slot(timing_.slot);
     return;
   }
 
-  const bool success = transmitter_ids.size() == 1;
+  const bool success = transmitter_ids_.size() == 1;
 
   // Busy-period duration: the winner's burst for a success, the longest
   // involved burst for a collision.
   des::SimTime payload = des::SimTime::zero();
-  for (const TxDescriptor& d : descriptors) {
+  for (const TxDescriptor& d : descriptors_) {
     payload = std::max(payload, d.payload_duration(timing_.burst_gap));
   }
   des::SimTime busy =
@@ -263,13 +266,13 @@ void ContentionDomain::slot_boundary() {
   }
   if (success) {
     ++stats_.successes;
-    stats_.success_mpdus += descriptors.front().mpdu_count;
+    stats_.success_mpdus += descriptors_.front().mpdu_count;
     stats_.success_time += busy;
     stats_.success_payload_time += payload;
   } else {
     ++stats_.collision_events;
-    stats_.collided_tx += static_cast<std::int64_t>(transmitter_ids.size());
-    for (const TxDescriptor& d : descriptors) {
+    stats_.collided_tx += static_cast<std::int64_t>(transmitter_ids_.size());
+    for (const TxDescriptor& d : descriptors_) {
       stats_.collided_mpdus += d.mpdu_count;
     }
     stats_.collision_time += busy;
@@ -279,9 +282,9 @@ void ContentionDomain::slot_boundary() {
   // outcome; the rest consume a busy decrement).
   {
     std::size_t tx_index = 0;
-    for (const int id : contender_ids) {
-      const bool transmitted =
-          tx_index < transmitter_ids.size() && transmitter_ids[tx_index] == id;
+    for (const int id : contender_ids_) {
+      const bool transmitted = tx_index < transmitter_ids_.size() &&
+                               transmitter_ids_[tx_index] == id;
       if (transmitted) ++tx_index;
       participants_[static_cast<std::size_t>(id)]->on_busy(transmitted,
                                                            success);
@@ -289,28 +292,28 @@ void ContentionDomain::slot_boundary() {
   }
 
   // Observers see every delimiter on the wire.
-  MediumEventRecord record;
-  record.type = success ? MediumEventType::kSuccess : MediumEventType::kCollision;
+  MediumEventRecord& record = busy_record_;
+  record.type =
+      success ? MediumEventType::kSuccess : MediumEventType::kCollision;
   record.start = scheduler_.now();
   record.duration = busy;
-  record.transmitters = transmitter_ids;
+  record.transmitters = transmitter_ids_;
   record.priority = winning;
-  for (const TxDescriptor& d : descriptors) {
+  record.sofs.clear();
+  for (const TxDescriptor& d : descriptors_) {
     record.sofs.insert(record.sofs.end(), d.sofs.begin(), d.sofs.end());
   }
-  emit_record(std::move(record));
+  emit_record(record);
 
   // Completion callbacks fire when the exchange (including SACK) ends.
-  scheduler_.schedule(busy, [this, ids = std::move(transmitter_ids),
-                             success]() mutable {
-    finish_exchange(std::move(ids), success);
-  });
+  exchange_in_flight_ = true;
+  scheduler_.schedule(busy, [this, success] { finish_exchange(success); });
 }
 
-void ContentionDomain::finish_exchange(std::vector<int> transmitter_ids,
-                                       bool success) {
+void ContentionDomain::finish_exchange(bool success) {
   PROF_SCOPE("medium.finish_exchange");
-  for (const int id : transmitter_ids) {
+  exchange_in_flight_ = false;
+  for (const int id : transmitter_ids_) {
     participants_[static_cast<std::size_t>(id)]->on_transmission_complete(
         success);
   }
@@ -344,7 +347,7 @@ void ContentionDomain::tdma_region(const BeaconSchedule::Region& region) {
         record.transmitters = {region.owner};
         record.priority = descriptor->priority;
         record.sofs = descriptor->sofs;
-        emit_record(std::move(record));
+        emit_record(record);
 
         scheduler_.schedule(busy, [this, owner_id = region.owner] {
           finish_tdma_exchange(owner_id);

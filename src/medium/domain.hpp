@@ -154,13 +154,14 @@ class ContentionDomain {
 
  private:
   void slot_boundary();
-  void finish_exchange(std::vector<int> transmitter_ids, bool success);
+  /// Completes the exchange in flight (transmitters in transmitter_ids_).
+  void finish_exchange(bool success);
   /// Handles the TDMA region owned by `region.owner`; returns having
   /// scheduled the next step.
   void tdma_region(const BeaconSchedule::Region& region);
   void finish_tdma_exchange(int owner_id);
   void schedule_slot(des::SimTime delay);
-  void emit_record(MediumEventRecord record);
+  void emit_record(const MediumEventRecord& record);
   /// Observability taps shared by the idle path and emit_record.
   void observe_event(MediumEventType type, des::SimTime start,
                      des::SimTime duration,
@@ -187,6 +188,17 @@ class ContentionDomain {
   bool started_ = false;
   bool sleeping_ = false;   ///< No backlogged station; waiting for work.
   std::int64_t event_seq_ = 0;
+
+  // Per-slot scratch, cleared at each slot boundary and reused, so a
+  // slot allocates nothing once the vectors have grown. No slot is
+  // scheduled while an exchange is in flight (finish_exchange starts the
+  // next one), so transmitter_ids_ doubles as the in-flight exchange's
+  // transmitters until its completion event fires.
+  std::vector<int> transmitter_ids_;
+  std::vector<int> contender_ids_;
+  std::vector<TxDescriptor> descriptors_;
+  MediumEventRecord busy_record_;
+  bool exchange_in_flight_ = false;
 };
 
 }  // namespace plc::medium

@@ -215,9 +215,18 @@ std::int64_t Profiler::dropped_events() const {
 
 namespace {
 
-/// Depth-first merge of one thread tree into the path-keyed aggregate.
+/// Marks a top-level scope's parent in merge_node.
+constexpr std::size_t kTopLevel = static_cast<std::size_t>(-1);
+
+/// Merges one thread tree into the path-keyed aggregate. `children` lists
+/// every merged node's children and `top_level` the root scopes, each in
+/// first-seen order; `parent` is the merged parent's slot (kTopLevel for
+/// a root scope).
 void merge_node(const ProfileNode& node, const std::string& parent_path,
-                int depth, std::vector<ProfileNodeStats>& nodes,
+                std::size_t parent, int depth,
+                std::vector<ProfileNodeStats>& nodes,
+                std::vector<std::vector<std::size_t>>& children,
+                std::vector<std::size_t>& top_level,
                 std::map<std::string, std::size_t>& index) {
   const std::string path =
       parent_path.empty() ? std::string(node.name)
@@ -234,6 +243,8 @@ void merge_node(const ProfileNode& node, const std::string& parent_path,
     stats.min_ns = node.min_ns;
     stats.max_ns = node.max_ns;
     nodes.push_back(std::move(stats));
+    children.emplace_back();
+    (parent == kTopLevel ? top_level : children[parent]).push_back(slot);
   } else {
     slot = it->second;
     if (node.calls > 0) {
@@ -250,9 +261,20 @@ void merge_node(const ProfileNode& node, const std::string& parent_path,
   std::int64_t child_total = 0;
   for (const ProfileNode* child : node.children) {
     child_total += child->total_ns;
-    merge_node(*child, path, depth + 1, nodes, index);
+    merge_node(*child, path, slot, depth + 1, nodes, children, top_level,
+               index);
   }
   nodes[slot].self_ns += node.total_ns - child_total;
+}
+
+/// Appends the merged subtree at `slot` to `out`, parents first.
+void emit_subtree(std::size_t slot, std::vector<ProfileNodeStats>& nodes,
+                  const std::vector<std::vector<std::size_t>>& children,
+                  std::vector<ProfileNodeStats>& out) {
+  out.push_back(std::move(nodes[slot]));
+  for (const std::size_t child : children[slot]) {
+    emit_subtree(child, nodes, children, out);
+  }
 }
 
 }  // namespace
@@ -271,12 +293,22 @@ std::vector<std::string> Profiler::current_stack() {
 
 ProfileSnapshot Profiler::snapshot() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  ProfileSnapshot snapshot;
+  std::vector<ProfileNodeStats> merged;
+  std::vector<std::vector<std::size_t>> children;
+  std::vector<std::size_t> top_level;
   std::map<std::string, std::size_t> index;
   for (const auto& thread : impl_->threads) {
     for (const ProfileNode* top : thread->root.children) {
-      merge_node(*top, "", 0, snapshot.nodes_, index);
+      merge_node(*top, "", kTopLevel, 0, merged, children, top_level, index);
     }
+  }
+  // Merge order is not tree order: a path that first appears in a later
+  // thread was appended last. Emit the merged tree depth-first, so every
+  // node follows its own parent.
+  ProfileSnapshot snapshot;
+  snapshot.nodes_.reserve(merged.size());
+  for (const std::size_t slot : top_level) {
+    emit_subtree(slot, merged, children, snapshot.nodes_);
   }
   return snapshot;
 }

@@ -232,34 +232,36 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
     }
   }
 
-  // Testbed leg: the emulated devices run their HomePlug AV firmware
-  // configuration, so the leg executes once (labelled by variant 0),
-  // testbed_tests independent tests per station count.
-  tools::TestbedSuiteResult suite;
+  // Testbed and exact-pair legs: one batch with the exact-pair tasks
+  // first, so one worker solves the chain while the others run testbed
+  // tests. The emulated devices run their HomePlug AV firmware
+  // configuration, so the testbed leg executes once (labelled by variant
+  // 0), testbed_tests independent tests per station count.
+  std::vector<tools::TestbedConfig> testbed_configs;
+  std::vector<tools::TestbedResult> testbed_runs;
+  std::vector<std::string> testbed_store_legs;
+  std::optional<tools::TestbedLeg> testbed;
+  sim::RunObservability testbed_attach = attach;
+  std::vector<sim::TaskLeg*> batch;
+  if (exact.size() > 0) batch.push_back(&exact);
   if (spec.legs.testbed) {
-    std::vector<tools::TestbedConfig> configs;
-    configs.reserve(points * static_cast<std::size_t>(spec.testbed_tests));
+    testbed_configs.reserve(points *
+                            static_cast<std::size_t>(spec.testbed_tests));
     for (const int n : spec.stations) {
       for (int test = 0; test < spec.testbed_tests; ++test) {
-        configs.push_back(spec.to_testbed_config(n, test, 0));
+        testbed_configs.push_back(spec.to_testbed_config(n, test, 0));
       }
     }
-    const std::vector<std::string> store_legs(
-        points, "testbed/" + spec.macs[0].label);
-    sim::RunObservability testbed_attach = attach;
-    testbed_attach.store_legs = &store_legs;
-    suite = tools::run_testbed_suite(*runner, configs, spec.testbed_tests,
-                                     testbed_attach);
-    outcome.serial_equivalent_seconds += suite.serial_equivalent_seconds;
-    for (const tools::TestbedConfig& config : configs) {
+    testbed_store_legs.assign(points, "testbed/" + spec.macs[0].label);
+    testbed_attach.store_legs = &testbed_store_legs;
+    batch.push_back(&testbed.emplace(testbed_configs, spec.testbed_tests,
+                                     testbed_attach, &testbed_runs));
+    for (const tools::TestbedConfig& config : testbed_configs) {
       report.simulated_seconds += (config.warmup + config.duration).seconds();
     }
   }
-
-  // Exact-pair leg: its own batch after the testbed leg, so the solve's
-  // ~23 MB joint vectors never stack on top of testbed tasks.
-  if (exact.size() > 0) {
-    runner->run_tasks(exact, attach);
+  if (!batch.empty()) {
+    runner->run_tasks(batch, testbed_attach);
     outcome.serial_equivalent_seconds += runner->serial_equivalent_seconds();
   }
 
@@ -383,10 +385,10 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
           const std::size_t run =
               point * static_cast<std::size_t>(spec.testbed_tests) +
               static_cast<std::size_t>(test);
-          collision.add(suite.runs[run].collision_probability);
-          collided.add(static_cast<double>(suite.runs[run].total_collided));
+          collision.add(testbed_runs[run].collision_probability);
+          collided.add(static_cast<double>(testbed_runs[run].total_collided));
           acknowledged.add(
-              static_cast<double>(suite.runs[run].total_acknowledged));
+              static_cast<double>(testbed_runs[run].total_acknowledged));
         }
         report.scalars[prefix + "testbed_collision_mean"] = collision.mean();
         report.scalars[prefix + "testbed_collision_stddev"] =

@@ -317,10 +317,18 @@ ParallelRunner::ParallelRunner(int jobs)
             worker_names_[static_cast<std::size_t>(worker)].c_str());
       }) {}
 
-void ParallelRunner::run_tasks(TaskLeg& leg, const RunObservability& obs) {
+void ParallelRunner::run_tasks(const std::vector<TaskLeg*>& legs,
+                               const RunObservability& obs) {
   PROF_SCOPE("sim.parallel.run_tasks");
   obs::Stopwatch wall;
-  const std::size_t total = leg.size();
+  // The batch: every leg's (leg, task) pairs, leg-major in task order.
+  std::vector<std::pair<TaskLeg*, std::size_t>> batch;
+  for (TaskLeg* leg : legs) {
+    for (std::size_t task = 0; task < leg->size(); ++task) {
+      batch.emplace_back(leg, task);
+    }
+  }
+  const std::size_t total = batch.size();
   std::vector<TaskStamp> stamps(total);
 
   ProbeGuard probe_guard(obs.telemetry);
@@ -340,10 +348,12 @@ void ParallelRunner::run_tasks(TaskLeg& leg, const RunObservability& obs) {
         "pool.workers", [this] { return static_cast<double>(pool_.size()); });
   }
 
-  for (std::size_t task = 0; task < total; ++task) {
-    TaskStamp* stamp = &stamps[task];
+  for (std::size_t index = 0; index < total; ++index) {
+    TaskStamp* stamp = &stamps[index];
     stamp->submit_seconds = wall.elapsed_seconds();
-    pool_.submit([&leg, &obs, &wall, task, stamp] {
+    TaskLeg* leg = batch[index].first;
+    const std::size_t task = batch[index].second;
+    pool_.submit([leg, &obs, &wall, task, stamp] {
       PROF_SCOPE("sim.parallel.task");
       // Cooperative cancel: tasks that have not started yet bail out
       // before touching the store or the hub; the barrier rethrows.
@@ -361,10 +371,10 @@ void ParallelRunner::run_tasks(TaskLeg& leg, const RunObservability& obs) {
       std::optional<store::Key> key;
       bool store_hit = false;
       if (obs.store != nullptr) {
-        key = leg.key(task);
-        if (!leg.must_run_live(task)) {
+        key = leg->key(task);
+        if (!leg->must_run_live(task)) {
           if (const auto payload = obs.store->lookup(*key)) {
-            store_hit = leg.decode(task, *payload, &stamp->metrics);
+            store_hit = leg->decode(task, *payload, &stamp->metrics);
           }
         }
       }
@@ -374,10 +384,10 @@ void ParallelRunner::run_tasks(TaskLeg& leg, const RunObservability& obs) {
         obs::Registry registry;
         const bool want_metrics = obs.registry != nullptr ||
                                   obs.telemetry != nullptr || key.has_value();
-        leg.run(task, want_metrics ? &registry : nullptr);
+        leg->run(task, want_metrics ? &registry : nullptr);
         if (want_metrics) stamp->metrics = registry.snapshot();
         if (key.has_value()) {
-          obs.store->publish(*key, leg.encode(task, stamp->metrics));
+          obs.store->publish(*key, leg->encode(task, stamp->metrics));
         }
       }
 
@@ -393,25 +403,27 @@ void ParallelRunner::run_tasks(TaskLeg& leg, const RunObservability& obs) {
         obs.telemetry->task_finished(end);
         obs.telemetry->absorb(stamp->metrics);
       }
-      leg.finished(task);
+      leg->finished(task);
     });
   }
   pool_.wait();
 
   double serial_equivalent = 0.0;
-  for (std::size_t task = 0; task < total; ++task) {
-    if (obs.registry != nullptr) obs.registry->absorb(stamps[task].metrics);
-    leg.merge(task);
-    serial_equivalent += stamps[task].wall_seconds;
+  for (std::size_t index = 0; index < total; ++index) {
+    const auto [leg, task] = batch[index];
+    if (obs.registry != nullptr) obs.registry->absorb(stamps[index].metrics);
+    leg->merge(task);
+    serial_equivalent += stamps[index].wall_seconds;
   }
 
   // Opt-in scheduler spans: one "task" span per task in task order
   // (deterministic ordering; the timestamps are wall-clock and therefore
   // run-specific, which is why this never runs by default).
   if (obs.trace != nullptr && obs.task_spans) {
-    for (std::size_t task = 0; task < total; ++task) {
-      const TaskStamp& stamp = stamps[task];
-      const auto [point, rep] = leg.coordinates(task);
+    for (std::size_t index = 0; index < total; ++index) {
+      const TaskStamp& stamp = stamps[index];
+      const auto [point, rep] = batch[index].first->coordinates(
+          batch[index].second);
       obs::TraceEvent event;
       event.phase = obs::TracePhase::kSpan;
       event.track = obs::worker_track(stamp.worker < 0 ? 0 : stamp.worker);
@@ -432,10 +444,9 @@ void ParallelRunner::run_tasks(TaskLeg& leg, const RunObservability& obs) {
 
 #if defined(__GLIBC__)
   // Each worker allocates from its own malloc arena, which keeps freed
-  // pages resident. Hand them back, so the caller's next leg does not
-  // stack its peak on top of them: the exact-pair solve (~23 MB, on
-  // whichever worker takes it) would otherwise sit on the testbed leg's
-  // leftovers (~9 MB).
+  // pages resident. Hand them back, so the caller's next batch does not
+  // stack its peak on top of this one's leftovers (a scenario's sim
+  // batch under its testbed and exact-pair batch).
   malloc_trim(0);
 #endif
   wall_seconds_ = wall.elapsed_seconds();
@@ -460,7 +471,7 @@ std::vector<RunSummary> ParallelRunner::run_points(
   if (obs.progress != nullptr) {
     obs.progress->set_task_goal(static_cast<std::int64_t>(leg.size()));
   }
-  run_tasks(leg, obs);
+  run_tasks({&leg}, obs);
   std::vector<RunSummary> summaries = leg.take_summaries();
   if (obs.progress != nullptr) {
     des::SimTime total_sim = des::SimTime::zero();

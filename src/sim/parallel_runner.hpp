@@ -28,6 +28,9 @@
 // run_tasks is the leg-agnostic loop behind every leg: run_points (sim
 // repetitions), tools::run_testbed_suite (testbed tests) and
 // scenario::run_scenario's exact N = 2 chain each hand it a TaskLeg.
+// One call may take several legs as one batch: their tasks share one
+// pool pass and one barrier, and each leg is then merged on its own, in
+// task order, one leg after another.
 //
 // For dense N×CW×DC grids, seed the points with
 // des::derive_task_seed(root, point, rep) (see seed_grid) so adding or
@@ -120,12 +123,14 @@ class ParallelRunner {
   obs::RunReport run_point_report(const RunSpec& spec, std::string name,
                                   const RunObservability& obs = {});
 
-  /// The engine loop: runs every task of `leg` across the pool and
-  /// returns after the barrier and the ordered merge. Of `obs` it reads
-  /// registry, store, telemetry, cancel, and trace with task_spans; the
-  /// leg reads the rest. Rethrows the first task exception, including
-  /// plc::Error("sweep cancelled").
-  void run_tasks(TaskLeg& leg, const RunObservability& obs);
+  /// The engine loop: runs every task of `legs` as one batch across the
+  /// pool, submitted leg by leg in task order, and returns after the
+  /// barrier and, leg by leg, the ordered absorb and merge. Of `obs` it
+  /// reads registry, store, telemetry, cancel, and trace with task_spans;
+  /// each leg reads the rest. Rethrows the first task exception,
+  /// including plc::Error("sweep cancelled"); no leg is merged then.
+  void run_tasks(const std::vector<TaskLeg*>& legs,
+                 const RunObservability& obs);
 
   /// Copies `specs`, overwriting each spec's seed with
   /// des::derive_task_seed(root_seed, point_index, 0) — the documented
@@ -136,8 +141,8 @@ class ParallelRunner {
   /// Wall-clock seconds of the last run_tasks call (run_point[s] make
   /// one).
   double wall_seconds() const { return wall_seconds_; }
-  /// Sum of the per-task wall times of the last run_tasks call — what a
-  /// serial loop would have spent on the same work.
+  /// Sum of the per-task wall times of the last run_tasks call, over all
+  /// its legs — what a serial loop would have spent on the same work.
   double serial_equivalent_seconds() const {
     return serial_equivalent_seconds_;
   }

@@ -50,7 +50,7 @@ PoissonMacResult run_poisson_mac(const PoissonMacSpec& spec) {
     mac::QueueStation* station = stations[static_cast<std::size_t>(i)].get();
     sources.push_back(std::make_unique<workload::PoissonSource>(
         scheduler, frame_template,
-        [station, &domain](frames::EthernetFrame) {
+        [station, &domain](const frames::EthernetFrame&) {
           station->enqueue_frame();
           domain.notify_pending();
           return station->queue_depth();

@@ -46,7 +46,9 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
         4 * config.device.burst_mpdus * config.device.max_pbs_per_mpdu);
     sources.push_back(std::make_unique<workload::SaturatedSource>(
         network.scheduler(), frame_template,
-        [station](frames::EthernetFrame frame) { station->host_send(frame); },
+        [station](const frames::EthernetFrame& frame) {
+          station->host_send(frame);
+        },
         [station] { return station->tx_backlog_pbs(); }, backlog_pbs));
     sources.back()->start();
   }
@@ -236,75 +238,63 @@ bool testbed_result_from_payload(const obs::JsonValue& payload,
   }
 }
 
-/// The testbed leg: one task per test, point-major.
-class TestbedLeg final : public sim::TaskLeg {
- public:
-  TestbedLeg(const std::vector<TestbedConfig>& configs, int tests_per_point,
-             const sim::RunObservability& obs,
-             std::vector<TestbedResult>* runs)
-      : configs_(configs),
-        tests_(static_cast<std::size_t>(tests_per_point)),
-        obs_(obs),
-        runs_(runs) {
-    util::check_arg(tests_per_point >= 1 && configs.size() % tests_ == 0,
-                    "tests_per_point",
-                    "must be >= 1 and divide the config count");
-    for (const TestbedConfig& config : configs) {
-      util::check_arg(config.trace == nullptr, "configs",
-                      "suite runs cannot share a trace sink");
-      util::check_arg(config.progress == nullptr, "configs",
-                      "suite runs cannot share a progress meter");
-    }
-    util::check_arg(obs.store == nullptr ||
-                        (obs.store_legs != nullptr &&
-                         obs.store_legs->size() == configs.size() / tests_),
-                    "store_legs",
-                    "must carry one leg label per point when store is set");
-    runs_->resize(configs.size());
-  }
-
-  std::size_t size() const override { return configs_.size(); }
-
-  std::pair<std::size_t, int> coordinates(std::size_t task) const override {
-    return {task / tests_, static_cast<int>(task % tests_)};
-  }
-
-  store::Key key(std::size_t task) const override {
-    return store::make_key((*obs_.store_legs)[task / tests_],
-                           testbed_point_json(configs_[task]),
-                           static_cast<std::int64_t>(task % tests_));
-  }
-
-  void run(std::size_t task, obs::Registry* metrics) override {
-    TestbedConfig config = configs_[task];
-    config.registry = metrics;
-    (*runs_)[task] = run_saturated_testbed(config);
-  }
-
-  std::string encode(std::size_t task,
-                     const obs::Snapshot& metrics) const override {
-    return testbed_payload_json((*runs_)[task], metrics);
-  }
-
-  bool decode(std::size_t task, const obs::JsonValue& payload,
-              obs::Snapshot* metrics) override {
-    return testbed_result_from_payload(payload, &(*runs_)[task], metrics);
-  }
-
-  void finished(std::size_t task) override {
-    if (obs_.telemetry == nullptr) return;
-    const TestbedConfig& config = configs_[task];
-    obs_.telemetry->add_sim((config.warmup + config.duration).seconds(), 0);
-  }
-
- private:
-  const std::vector<TestbedConfig>& configs_;
-  std::size_t tests_;
-  const sim::RunObservability& obs_;
-  std::vector<TestbedResult>* runs_;
-};
-
 }  // namespace
+
+TestbedLeg::TestbedLeg(const std::vector<TestbedConfig>& configs,
+                       int tests_per_point, const sim::RunObservability& obs,
+                       std::vector<TestbedResult>* runs)
+    : configs_(configs),
+      tests_(static_cast<std::size_t>(tests_per_point)),
+      obs_(obs),
+      runs_(runs) {
+  util::check_arg(tests_per_point >= 1 && configs.size() % tests_ == 0,
+                  "tests_per_point",
+                  "must be >= 1 and divide the config count");
+  for (const TestbedConfig& config : configs) {
+    util::check_arg(config.trace == nullptr, "configs",
+                    "suite runs cannot share a trace sink");
+    util::check_arg(config.progress == nullptr, "configs",
+                    "suite runs cannot share a progress meter");
+  }
+  util::check_arg(obs.store == nullptr ||
+                      (obs.store_legs != nullptr &&
+                       obs.store_legs->size() == configs.size() / tests_),
+                  "store_legs",
+                  "must carry one leg label per point when store is set");
+  runs_->resize(configs.size());
+}
+
+std::pair<std::size_t, int> TestbedLeg::coordinates(std::size_t task) const {
+  return {task / tests_, static_cast<int>(task % tests_)};
+}
+
+store::Key TestbedLeg::key(std::size_t task) const {
+  return store::make_key((*obs_.store_legs)[task / tests_],
+                         testbed_point_json(configs_[task]),
+                         static_cast<std::int64_t>(task % tests_));
+}
+
+void TestbedLeg::run(std::size_t task, obs::Registry* metrics) {
+  TestbedConfig config = configs_[task];
+  config.registry = metrics;
+  (*runs_)[task] = run_saturated_testbed(config);
+}
+
+std::string TestbedLeg::encode(std::size_t task,
+                               const obs::Snapshot& metrics) const {
+  return testbed_payload_json((*runs_)[task], metrics);
+}
+
+bool TestbedLeg::decode(std::size_t task, const obs::JsonValue& payload,
+                        obs::Snapshot* metrics) {
+  return testbed_result_from_payload(payload, &(*runs_)[task], metrics);
+}
+
+void TestbedLeg::finished(std::size_t task) {
+  if (obs_.telemetry == nullptr) return;
+  const TestbedConfig& config = configs_[task];
+  obs_.telemetry->add_sim((config.warmup + config.duration).seconds(), 0);
+}
 
 TestbedSuiteResult run_testbed_suite(sim::ParallelRunner& runner,
                                      const std::vector<TestbedConfig>& configs,
@@ -313,7 +303,7 @@ TestbedSuiteResult run_testbed_suite(sim::ParallelRunner& runner,
   PROF_SCOPE("testbed.suite");
   TestbedSuiteResult suite;
   TestbedLeg leg(configs, tests_per_point, obs, &suite.runs);
-  runner.run_tasks(leg, obs);
+  runner.run_tasks({&leg}, obs);
   suite.serial_equivalent_seconds = runner.serial_equivalent_seconds();
   return suite;
 }

@@ -16,12 +16,8 @@
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
+#include "sim/parallel_runner.hpp"
 #include "tools/faifa.hpp"
-
-namespace plc::sim {
-class ParallelRunner;
-struct RunObservability;
-}  // namespace plc::sim
 
 namespace plc::tools {
 
@@ -91,20 +87,45 @@ struct TestbedSuiteResult {
 /// store::kResultEpoch.
 std::string testbed_point_json(const TestbedConfig& config);
 
-/// Runs a batch of independent testbed tests as one leg of the task
-/// engine (sim::ParallelRunner::run_tasks). `configs` are point-major
-/// with `tests_per_point` consecutive tests per point; a test's index
-/// within its point is the rep coordinate of its store key and task
-/// span, and `obs.store_legs` carries one leg label per point (e.g.
-/// "testbed/CA1"). Of `obs` the leg reads registry, store, store_legs,
-/// telemetry, cancel, and trace with task_spans. The engine runs each
-/// test on a private registry and absorbs the snapshots into
-/// `obs.registry` in config order, so the configs' own `registry` is
-/// ignored. Configs must not attach trace sinks or progress meters:
-/// those are not shareable across workers, so the suite rejects them
-/// (run such configs through run_saturated_testbed). Bit-identical to
-/// running the configs serially in order, for any jobs count, cold or
-/// warm.
+/// A batch of independent testbed tests as one leg of the task engine
+/// (sim::ParallelRunner::run_tasks): one task per config, each filling
+/// its slot of `runs`. `configs` are point-major with `tests_per_point`
+/// consecutive tests per point; a test's index within its point is the
+/// rep coordinate of its store key and task span, and `obs.store_legs`
+/// carries one leg label per point (e.g. "testbed/CA1"). The leg reads
+/// store_legs and telemetry of `obs`, which with `configs` must outlive
+/// the run. The engine runs each test on a private registry and absorbs
+/// the snapshots into its registry in config order, so the configs' own
+/// `registry` is ignored. Configs must not attach trace sinks or
+/// progress meters: those are not shareable across workers, so the leg
+/// rejects them (run such configs through run_saturated_testbed).
+/// Bit-identical to running the configs serially in order, for any jobs
+/// count, cold or warm.
+class TestbedLeg final : public sim::TaskLeg {
+ public:
+  TestbedLeg(const std::vector<TestbedConfig>& configs, int tests_per_point,
+             const sim::RunObservability& obs,
+             std::vector<TestbedResult>* runs);
+
+  std::size_t size() const override { return configs_.size(); }
+  std::pair<std::size_t, int> coordinates(std::size_t task) const override;
+  store::Key key(std::size_t task) const override;
+  void run(std::size_t task, obs::Registry* metrics) override;
+  std::string encode(std::size_t task,
+                     const obs::Snapshot& metrics) const override;
+  bool decode(std::size_t task, const obs::JsonValue& payload,
+              obs::Snapshot* metrics) override;
+  void finished(std::size_t task) override;
+
+ private:
+  const std::vector<TestbedConfig>& configs_;
+  std::size_t tests_;
+  const sim::RunObservability& obs_;
+  std::vector<TestbedResult>* runs_;
+};
+
+/// Runs a TestbedLeg as its own batch on `runner`. Of `obs` the engine
+/// reads registry, store, telemetry, cancel, and trace with task_spans.
 TestbedSuiteResult run_testbed_suite(sim::ParallelRunner& runner,
                                      const std::vector<TestbedConfig>& configs,
                                      int tests_per_point,

@@ -2,10 +2,8 @@
 
 namespace plc::util {
 
-void require(bool condition, std::string_view message) {
-  if (!condition) {
-    throw Error(std::string(message));
-  }
+void throw_error(std::string_view message) {
+  throw Error(std::string(message));
 }
 
 void check_arg(bool condition, std::string_view arg_name,

@@ -24,11 +24,17 @@ class Error : public std::runtime_error {
 
 namespace util {
 
+/// Throws `plc::Error` with `message`; the out-of-line half of require.
+[[noreturn]] void throw_error(std::string_view message);
+
 /// Throws `plc::Error` with `message` if `condition` is false.
 ///
 /// Use for preconditions on public API entry points (invalid N, empty CW
-/// vector, mismatched vector sizes, ...).
-void require(bool condition, std::string_view message);
+/// vector, mismatched vector sizes, ...). Inline, so a passing check on a
+/// hot path costs a branch, not a call.
+inline void require(bool condition, std::string_view message) {
+  if (!condition) [[unlikely]] throw_error(message);
+}
 
 /// Like `require`, but prefixes the message with the offending argument
 /// name, producing "invalid argument 'cw': ...".

@@ -14,11 +14,16 @@ frames::EthernetFrame FrameTemplate::make(std::uint32_t sequence) const {
   frame.source = source;
   frame.ether_type = ether_type;
   frame.payload.assign(payload_bytes, 0);
+  restamp(frame, sequence);
+  return frame;
+}
+
+void FrameTemplate::restamp(frames::EthernetFrame& frame,
+                            std::uint32_t sequence) {
   // Stamp a sequence number so end-to-end tests can check ordering.
   for (std::size_t i = 0; i < 4 && i < frame.payload.size(); ++i) {
     frame.payload[i] = static_cast<std::uint8_t>(sequence >> (8 * (3 - i)));
   }
-  return frame;
 }
 
 SaturatedSource::SaturatedSource(des::Scheduler& scheduler,
@@ -37,6 +42,7 @@ SaturatedSource::SaturatedSource(des::Scheduler& scheduler,
   util::check_arg(target_backlog >= 1, "target_backlog", "must be >= 1");
   util::check_arg(poll_interval > des::SimTime::zero(), "poll_interval",
                   "must be positive");
+  frame_ = template_.make(0);
 }
 
 void SaturatedSource::start() {
@@ -45,7 +51,8 @@ void SaturatedSource::start() {
 
 void SaturatedSource::refill() {
   while (backlog_() < target_backlog_) {
-    sink_(template_.make(sequence_++));
+    FrameTemplate::restamp(frame_, sequence_++);
+    sink_(frame_);
     ++frames_generated_;
   }
   scheduler_.schedule(poll_interval_, [this] { refill(); });
@@ -61,6 +68,7 @@ PoissonSource::PoissonSource(des::Scheduler& scheduler,
       rng_(std::move(rng)) {
   util::check_arg(static_cast<bool>(sink_), "sink", "must not be empty");
   util::check_arg(rate_fps > 0.0, "rate_fps", "must be positive");
+  frame_ = template_.make(0);
 }
 
 void PoissonSource::start() {
@@ -72,7 +80,8 @@ void PoissonSource::start() {
 
 void PoissonSource::arrival() {
   if (!running_) return;
-  sink_(template_.make(sequence_++));
+  FrameTemplate::restamp(frame_, sequence_++);
+  sink_(frame_);
   ++frames_generated_;
   const double gap_s = rng_.exponential(1.0 / rate_fps_);
   scheduler_.schedule(des::SimTime::from_seconds(gap_s),
@@ -96,6 +105,7 @@ OnOffSource::OnOffSource(des::Scheduler& scheduler,
                   "must be positive");
   util::check_arg(mean_off > des::SimTime::zero(), "mean_off",
                   "must be positive");
+  frame_ = template_.make(0);
 }
 
 void OnOffSource::start() {
@@ -114,7 +124,8 @@ void OnOffSource::toggle() {
 
 void OnOffSource::arrival() {
   if (!on_) return;
-  sink_(template_.make(sequence_++));
+  FrameTemplate::restamp(frame_, sequence_++);
+  sink_(frame_);
   ++frames_generated_;
   scheduler_.schedule(des::SimTime::from_seconds(1.0 / on_rate_fps_),
                       [this] { arrival(); });

@@ -16,8 +16,10 @@
 
 namespace plc::workload {
 
-/// Receives generated frames.
-using FrameSink = std::function<void(frames::EthernetFrame)>;
+/// Receives generated frames. The frame is the source's own buffer,
+/// restamped for the next frame once the sink returns: copy what must
+/// outlive the call.
+using FrameSink = std::function<void(const frames::EthernetFrame&)>;
 
 /// Reads a sink's current backlog, in whatever unit the sink queues
 /// (frames, physical blocks, ...).
@@ -31,6 +33,10 @@ struct FrameTemplate {
   std::size_t payload_bytes = 1470;  ///< Typical saturating UDP datagram.
 
   frames::EthernetFrame make(std::uint32_t sequence) const;
+  /// Rewrites the sequence stamp of `frame`, a make() result of this
+  /// template, so that it equals make(sequence). A source builds one
+  /// frame and restamps it for every frame it generates.
+  static void restamp(frames::EthernetFrame& frame, std::uint32_t sequence);
 };
 
 /// Keeps the sink backlog at `target_backlog`: every `poll_interval` it
@@ -61,6 +67,7 @@ class SaturatedSource {
   des::SimTime poll_interval_;
   std::int64_t frames_generated_ = 0;
   std::uint32_t sequence_ = 0;
+  frames::EthernetFrame frame_;  ///< template_.make(), restamped per frame.
 };
 
 /// Poisson arrivals at a given mean rate (frames per second).
@@ -85,6 +92,7 @@ class PoissonSource {
   bool running_ = false;
   std::int64_t frames_generated_ = 0;
   std::uint32_t sequence_ = 0;
+  frames::EthernetFrame frame_;  ///< template_.make(), restamped per frame.
 };
 
 /// Exponential ON/OFF source: during ON periods, constant-rate arrivals.
@@ -114,6 +122,7 @@ class OnOffSource {
   bool on_ = false;
   std::int64_t frames_generated_ = 0;
   std::uint32_t sequence_ = 0;
+  frames::EthernetFrame frame_;  ///< template_.make(), restamped per frame.
 };
 
 }  // namespace plc::workload

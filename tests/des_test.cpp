@@ -153,6 +153,84 @@ TEST(Scheduler, PendingCountsLiveEvents) {
   EXPECT_EQ(scheduler.pending(), 1u);
 }
 
+TEST(Scheduler, CancelAfterFiringIsNoopEvenWhenTheSlotIsReused) {
+  Scheduler scheduler;
+  const EventHandle fired = scheduler.schedule(SimTime::from_ns(1), [] {});
+  scheduler.run_until(SimTime::from_ns(1));
+  EXPECT_FALSE(scheduler.cancel(fired));
+  // The next event takes the freed slot; the stale handle must not reach
+  // it.
+  bool reused_fired = false;
+  const EventHandle reused =
+      scheduler.schedule(SimTime::from_ns(1), [&] { reused_fired = true; });
+  EXPECT_FALSE(scheduler.cancel(fired));
+  EXPECT_EQ(scheduler.pending(), 1u);
+  scheduler.run_until(SimTime::from_ns(10));
+  EXPECT_TRUE(reused_fired);
+  EXPECT_FALSE(scheduler.cancel(reused));
+}
+
+TEST(Scheduler, CancelledSlotReuseKeepsTheNewEvent) {
+  Scheduler scheduler;
+  const EventHandle cancelled =
+      scheduler.schedule(SimTime::from_ns(5), [] { FAIL(); });
+  EXPECT_TRUE(scheduler.cancel(cancelled));
+  // Reuses the cancelled event's slot while its heap entry is still
+  // queued at t = 5.
+  bool fired = false;
+  scheduler.schedule(SimTime::from_ns(7), [&] { fired = true; });
+  EXPECT_FALSE(scheduler.cancel(cancelled));
+  EXPECT_EQ(scheduler.pending(), 1u);
+  scheduler.run_until(SimTime::from_ns(10));
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(scheduler.events_dispatched(), 1);
+  EXPECT_EQ(scheduler.pending(), 0u);
+}
+
+TEST(Scheduler, EventCancelsALaterOneFromItsCallback) {
+  Scheduler scheduler;
+  bool later_fired = false;
+  bool cancelled = false;
+  EventHandle later;
+  EventHandle self;
+  self = scheduler.schedule(SimTime::from_ns(1), [&] {
+    cancelled = scheduler.cancel(later);
+    // The running event has already left the queue.
+    EXPECT_FALSE(scheduler.cancel(self));
+  });
+  later = scheduler.schedule(SimTime::from_ns(2), [&] { later_fired = true; });
+  scheduler.run_until(SimTime::from_ns(10));
+  EXPECT_TRUE(cancelled);
+  EXPECT_FALSE(later_fired);
+  EXPECT_EQ(scheduler.events_dispatched(), 1);
+  EXPECT_EQ(scheduler.pending(), 0u);
+}
+
+TEST(Scheduler, PendingStaysExactAcrossSlotReuse) {
+  Scheduler scheduler;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 8; ++i) {
+    handles.push_back(scheduler.schedule(SimTime::from_ns(10 + i), [] {}));
+  }
+  for (int i = 0; i < 8; i += 2) {
+    EXPECT_TRUE(scheduler.cancel(handles[static_cast<std::size_t>(i)]));
+  }
+  EXPECT_EQ(scheduler.pending(), 4u);
+  // Four new events take the four freed slots; the cancelled entries are
+  // still in the heap.
+  int fired = 0;
+  for (int i = 0; i < 4; ++i) {
+    scheduler.schedule(SimTime::from_ns(5), [&] { ++fired; });
+  }
+  EXPECT_EQ(scheduler.pending(), 8u);
+  scheduler.run_until(SimTime::from_ns(12));
+  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(scheduler.pending(), 3u);  // t = 13, 15, 17 remain.
+  scheduler.run_until(SimTime::from_ns(100));
+  EXPECT_EQ(scheduler.pending(), 0u);
+  EXPECT_EQ(scheduler.events_dispatched(), 8);
+}
+
 // --- RandomStream -----------------------------------------------------------------
 
 TEST(Random, DeterministicForSameSeed) {

@@ -104,10 +104,11 @@ TEST(Segmentation, FramesSurviveTheConvergenceLayer) {
   std::vector<PhysicalBlock> pbs;
   segmenter.pop_pbs(1000, /*flush=*/true, pbs);
   std::vector<EthernetFrame> received;
+  std::vector<EthernetFrame> completed;
   for (const PhysicalBlock& pb : pbs) {
-    for (const EthernetFrame& frame : reassembler.push_pb(pb)) {
-      received.push_back(frame);
-    }
+    const std::size_t count = reassembler.push_pb(pb, completed);
+    received.insert(received.end(), completed.begin(),
+                    completed.begin() + static_cast<std::ptrdiff_t>(count));
   }
   ASSERT_EQ(received.size(), sent.size());
   for (std::size_t i = 0; i < sent.size(); ++i) {
@@ -168,10 +169,11 @@ TEST(Segmentation, CorruptPbDropsOnlyOverlappingFrames) {
   pbs[1].received_ok = false;  // Corrupt the second physical block.
   Reassembler reassembler;
   std::vector<EthernetFrame> received;
+  std::vector<EthernetFrame> completed;
   for (const PhysicalBlock& pb : pbs) {
-    for (const EthernetFrame& frame : reassembler.push_pb(pb)) {
-      received.push_back(frame);
-    }
+    const std::size_t count = reassembler.push_pb(pb, completed);
+    received.insert(received.end(), completed.begin(),
+                    completed.begin() + static_cast<std::ptrdiff_t>(count));
   }
   EXPECT_GT(reassembler.frames_dropped(), 0);
   EXPECT_EQ(reassembler.frames_delivered() + reassembler.frames_dropped(),
@@ -218,10 +220,11 @@ TEST(Segmentation, CorruptRangeSurvivesCompaction) {
 
   Reassembler reassembler;
   std::vector<EthernetFrame> received;
+  std::vector<EthernetFrame> completed;
   for (const PhysicalBlock& pb : pbs) {
-    for (const EthernetFrame& frame : reassembler.push_pb(pb)) {
-      received.push_back(frame);
-    }
+    const std::size_t count = reassembler.push_pb(pb, completed);
+    received.insert(received.end(), completed.begin(),
+                    completed.begin() + static_cast<std::ptrdiff_t>(count));
   }
   // Dropped: the frame that runs into PB 16 and the one starting on its
   // last byte.
@@ -265,6 +268,7 @@ TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
   std::int64_t expect_dropped = 0;
   std::size_t most_buffered = 0;
   int times_emptied = 0;
+  std::vector<EthernetFrame> completed;
 
   const auto feed = [&](PhysicalBlock pb) {
     ASSERT_EQ(pb.ssn, next_ssn++);
@@ -274,8 +278,8 @@ TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
     }
     fed_bytes += pb.used;
     ++pbs_fed;
-    const std::vector<EthernetFrame> delivered =
-        reassembler.push_pb(pb);
+    // Reused across calls: elements past the count keep stale frames.
+    const std::size_t delivered = reassembler.push_pb(pb, completed);
     std::size_t next = 0;
     while (!unresolved.empty() && unresolved.front().end <= fed_bytes) {
       const Sent& sent = unresolved.front();
@@ -287,9 +291,9 @@ TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
         ++expect_dropped;
       } else {
         ++expect_delivered;
-        ASSERT_LT(next, delivered.size()) << "clean frame not delivered";
-        EXPECT_EQ(delivered[next].payload, sent.frame.payload);
-        EXPECT_EQ(delivered[next].source, sent.frame.source);
+        ASSERT_LT(next, delivered) << "clean frame not delivered";
+        EXPECT_EQ(completed[next].payload, sent.frame.payload);
+        EXPECT_EQ(completed[next].source, sent.frame.source);
         ++next;
       }
       std::erase_if(bad_ranges, [&sent](const auto& range) {
@@ -297,7 +301,7 @@ TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
       });
       unresolved.pop_front();
     }
-    EXPECT_EQ(next, delivered.size()) << "delivered a frame it should not";
+    EXPECT_EQ(next, delivered) << "delivered a frame it should not";
   };
 
   std::vector<PhysicalBlock> pbs;

@@ -11,6 +11,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -479,6 +480,46 @@ TEST(Profiler, TextTreeListsPhases) {
   const std::string text = out.str();
   EXPECT_NE(text.find("tree.root"), std::string::npos);
   EXPECT_NE(text.find("tree.leaf"), std::string::npos);
+}
+
+TEST(Profiler, MergedThreadsListEveryPhaseUnderItsParent) {
+  // Both threads open "merge.task", with different children. The second
+  // thread's child is first seen after the first thread's later root
+  // "merge.model", and must still be listed (and indented) under
+  // "merge.task".
+  obs::Profiler& profiler = obs::Profiler::instance();
+  profiler.reset();
+  obs::Profiler::set_enabled(true);
+  {
+    PROF_SCOPE("merge.task");
+    PROF_SCOPE("merge.sim");
+  }
+  { PROF_SCOPE("merge.model"); }
+  std::thread([] {
+    PROF_SCOPE("merge.task");
+    PROF_SCOPE("merge.exact_pair");
+  }).join();
+  obs::Profiler::set_enabled(false);
+
+  const obs::ProfileSnapshot snapshot = profiler.snapshot();
+  std::vector<std::string> paths;
+  for (const obs::ProfileNodeStats& node : snapshot.nodes()) {
+    paths.push_back(node.path);
+  }
+  EXPECT_EQ(paths, (std::vector<std::string>{
+                       "merge.task", "merge.task/merge.sim",
+                       "merge.task/merge.exact_pair", "merge.model"}));
+  const obs::ProfileNodeStats* task = snapshot.find("merge.task");
+  ASSERT_NE(task, nullptr);
+  EXPECT_EQ(task->calls, 2);
+  std::ostringstream out;
+  snapshot.write_text_tree(out);
+  const std::string text = out.str();
+  const std::size_t exact = text.find("\n  merge.exact_pair");
+  const std::size_t model = text.find("\nmerge.model");
+  ASSERT_NE(exact, std::string::npos);
+  ASSERT_NE(model, std::string::npos);
+  EXPECT_LT(exact, model);
 }
 
 TEST(Profiler, ResetClearsNodesAndCapturedEvents) {

@@ -246,6 +246,199 @@ TEST(ParallelRunner, SpeedupAccountingIsPopulated) {
   EXPECT_GT(runner.speedup(), 0.0);
 }
 
+// --- run_tasks over several legs ----------------------------------------
+
+/// A leg whose task results are a pure function of (tag, task). It counts
+/// runs into the task registry and records the order of its merge.
+class RecordingLeg final : public sim::TaskLeg {
+ public:
+  RecordingLeg(int tag, std::size_t size) : tag_(tag), results_(size, 0) {}
+
+  std::size_t size() const override { return results_.size(); }
+  std::pair<std::size_t, int> coordinates(std::size_t task) const override {
+    return {task, 0};
+  }
+  store::Key key(std::size_t task) const override {
+    return store::make_key("recording", std::to_string(tag_),
+                           static_cast<std::int64_t>(task));
+  }
+  void run(std::size_t task, obs::Registry* metrics) override {
+    if (task == throw_at) throw plc::Error("leg task failed");
+    if (cancel_at_start != nullptr) cancel_at_start->store(true);
+    if (sleep_ms > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+    }
+    results_[task] = tag_ * 1000 + static_cast<int>(task);
+    runs.fetch_add(1);
+    if (metrics != nullptr) {
+      metrics->counter("recording.runs", {{"leg", std::to_string(tag_)}})
+          .add();
+      metrics->gauge("recording.last").set(results_[task]);
+    }
+  }
+  std::string encode(std::size_t task,
+                     const obs::Snapshot& /*metrics*/) const override {
+    return std::to_string(results_[task]);
+  }
+  bool decode(std::size_t /*task*/, const obs::JsonValue& /*payload*/,
+              obs::Snapshot* /*metrics*/) override {
+    return false;
+  }
+  void merge(std::size_t task) override {
+    merged.push_back(task);
+    merged_results.push_back(results_[task]);
+  }
+
+  std::size_t throw_at = static_cast<std::size_t>(-1);
+  std::atomic<bool>* cancel_at_start = nullptr;
+  int sleep_ms = 0;
+  std::atomic<int> runs{0};
+  std::vector<std::size_t> merged;
+  std::vector<int> merged_results;
+
+ private:
+  int tag_;
+  std::vector<int> results_;
+};
+
+std::vector<std::size_t> iota(std::size_t n) {
+  std::vector<std::size_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = i;
+  return out;
+}
+
+TEST(RunTasksBatch, MergesEachLegInTaskOrder) {
+  sim::ParallelRunner runner(4);
+  RecordingLeg a(1, 5);
+  RecordingLeg b(2, 7);
+  obs::Registry registry;
+  sim::RunObservability obs;
+  obs.registry = &registry;
+  runner.run_tasks({&a, &b}, obs);
+  EXPECT_EQ(a.merged, iota(5));
+  EXPECT_EQ(b.merged, iota(7));
+  // Leg by leg: the last absorbed gauge value is leg b's last task.
+  const obs::Snapshot snapshot = registry.snapshot();
+  const obs::MetricSample* last = snapshot.find("recording.last");
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->value, 2006.0);
+  const obs::MetricSample* runs_a =
+      snapshot.find("recording.runs", {{"leg", "1"}});
+  const obs::MetricSample* runs_b =
+      snapshot.find("recording.runs", {{"leg", "2"}});
+  ASSERT_NE(runs_a, nullptr);
+  ASSERT_NE(runs_b, nullptr);
+  EXPECT_EQ(runs_a->value, 5.0);
+  EXPECT_EQ(runs_b->value, 7.0);
+}
+
+TEST(RunTasksBatch, EqualsTwoOneLegBatchesAtAnyJobs) {
+  std::vector<tools::TestbedConfig> configs;
+  for (int test = 0; test < 2; ++test) {
+    tools::TestbedConfig config;
+    config.stations = 2;
+    config.duration = des::SimTime::from_seconds(1.0);
+    config.seed = des::derive_task_seed(0x1901, 0,
+                                        static_cast<std::uint64_t>(test));
+    configs.push_back(config);
+  }
+  struct Outcome {
+    std::vector<tools::TestbedResult> runs;
+    std::vector<int> recorded;
+    obs::Snapshot metrics;
+  };
+  const auto run = [&configs](int jobs, bool one_batch) {
+    sim::ParallelRunner runner(jobs);
+    obs::Registry registry;
+    sim::RunObservability obs;
+    obs.registry = &registry;
+    Outcome outcome;
+    RecordingLeg recording(3, 4);
+    tools::TestbedLeg testbed(configs, 1, obs, &outcome.runs);
+    if (one_batch) {
+      runner.run_tasks({&recording, &testbed}, obs);
+    } else {
+      runner.run_tasks({&recording}, obs);
+      runner.run_tasks({&testbed}, obs);
+    }
+    outcome.recorded = recording.merged_results;
+    outcome.metrics = registry.snapshot();
+    return outcome;
+  };
+  const Outcome reference = run(1, false);
+  ASSERT_EQ(reference.runs.size(), configs.size());
+  for (const int jobs : {1, 4}) {
+    const Outcome batched = run(jobs, true);
+    EXPECT_EQ(batched.recorded, reference.recorded) << "jobs " << jobs;
+    ASSERT_EQ(batched.runs.size(), reference.runs.size());
+    for (std::size_t i = 0; i < reference.runs.size(); ++i) {
+      EXPECT_EQ(batched.runs[i].acknowledged, reference.runs[i].acknowledged);
+      EXPECT_EQ(batched.runs[i].collided, reference.runs[i].collided);
+      EXPECT_EQ(batched.runs[i].collision_probability,
+                reference.runs[i].collision_probability);
+    }
+    std::ostringstream batched_json;
+    std::ostringstream reference_json;
+    batched.metrics.write_json(batched_json);
+    reference.metrics.write_json(reference_json);
+    EXPECT_EQ(batched_json.str(), reference_json.str()) << "jobs " << jobs;
+  }
+}
+
+TEST(RunTasksBatch, SumsSerialEquivalentSecondsOverBothLegs) {
+  sim::ParallelRunner runner(2);
+  RecordingLeg a(1, 3);
+  RecordingLeg b(2, 3);
+  a.sleep_ms = 10;
+  b.sleep_ms = 10;
+  runner.run_tasks({&a, &b}, sim::RunObservability{});
+  // Six tasks of >= 10 ms each; either leg alone sums to >= 30 ms.
+  EXPECT_GE(runner.serial_equivalent_seconds(), 0.06);
+  EXPECT_GT(runner.wall_seconds(), 0.0);
+}
+
+TEST(RunTasksBatch, RethrowsATaskExceptionFromEitherLeg) {
+  for (const int failing : {0, 1}) {
+    sim::ParallelRunner runner(2);
+    RecordingLeg a(1, 4);
+    RecordingLeg b(2, 4);
+    (failing == 0 ? a : b).throw_at = 2;
+    EXPECT_THROW(runner.run_tasks({&a, &b}, sim::RunObservability{}),
+                 plc::Error)
+        << "failing leg " << failing;
+    // No leg is merged after a failed barrier.
+    EXPECT_TRUE(a.merged.empty());
+    EXPECT_TRUE(b.merged.empty());
+    // The runner stays usable.
+    RecordingLeg c(3, 2);
+    runner.run_tasks({&c}, sim::RunObservability{});
+    EXPECT_EQ(c.merged, iota(2));
+  }
+}
+
+TEST(RunTasksBatch, CancelStopsBothLegs) {
+  // One worker runs the batch in order: the first task raises the flag,
+  // and every later task, in either leg, bails out before running.
+  sim::ParallelRunner runner(1);
+  std::atomic<bool> cancel{false};
+  RecordingLeg a(1, 3);
+  RecordingLeg b(2, 3);
+  a.cancel_at_start = &cancel;
+  sim::RunObservability obs;
+  obs.cancel = &cancel;
+  try {
+    runner.run_tasks({&a, &b}, obs);
+    ADD_FAILURE() << "a cancelled batch must throw";
+  } catch (const plc::Error& error) {
+    EXPECT_NE(std::string(error.what()).find("sweep cancelled"),
+              std::string::npos);
+  }
+  EXPECT_EQ(a.runs.load(), 1);
+  EXPECT_EQ(b.runs.load(), 0);
+  EXPECT_TRUE(a.merged.empty());
+  EXPECT_TRUE(b.merged.empty());
+}
+
 // --- Testbed suite ------------------------------------------------------
 
 TEST(TestbedSuite, BitIdenticalAcrossJobsAndToSerialRuns) {

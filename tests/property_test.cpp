@@ -190,9 +190,11 @@ TEST_P(SegmentationFuzz, RandomFramesSurviveRandomCorruption) {
   }
   frames::Reassembler reassembler;
   std::vector<frames::EthernetFrame> received;
+  std::vector<frames::EthernetFrame> completed;
   for (const auto& pb : pbs) {
-    for (auto& frame : reassembler.push_pb(pb)) {
-      received.push_back(std::move(frame));
+    const std::size_t count = reassembler.push_pb(pb, completed);
+    for (std::size_t i = 0; i < count; ++i) {
+      received.push_back(completed[i]);
     }
   }
   // Conservation: every frame is either delivered intact or dropped.

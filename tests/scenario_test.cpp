@@ -1,6 +1,9 @@
 // scenario::Spec / Registry / run_scenario: JSON round-trips, strict
 // parsing, the RunSpec/TestbedConfig bridges, and the driver's
 // jobs-independence (byte-identical reports).
+#include <unistd.h>
+
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -8,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "des/random.hpp"
+#include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
+#include "store/result_store.hpp"
 #include "util/error.hpp"
 
 namespace plc::scenario {
@@ -357,6 +362,112 @@ TEST(RunScenario, HubSimSecondsCoverEveryLegAndRun) {
   EXPECT_NEAR(hub.progress().sim_seconds, both_legs, 1e-9);
   run_scenario(spec, options);
   EXPECT_NEAR(hub.progress().sim_seconds, 2.0 * both_legs, 1e-9);
+}
+
+// --- The testbed and exact-pair legs share one engine batch -----------------
+//
+// These cases run as their own `threaded` ctest entry, so the TSan job
+// watches the exact-pair task run beside testbed tasks.
+
+/// Sim, testbed (N = 1, 2; 2 tests x 1 s) and a small exact pair.
+Spec shared_batch_spec() {
+  Spec spec;
+  spec.name = "shared-batch";
+  spec.macs = {
+      MacVariant{"small", mac::BackoffConfig{"small", {4, 8}, {0, 1}}}};
+  spec.stations = {1, 2};
+  spec.duration = des::SimTime::from_seconds(0.5);
+  spec.repetitions = 1;
+  spec.seed = 0x5BA7;
+  spec.legs.sim = true;
+  spec.legs.model = false;
+  spec.legs.exact_pair = true;
+  spec.legs.testbed = true;
+  spec.testbed_tests = 2;
+  spec.testbed_duration = des::SimTime::from_seconds(1.0);
+  return spec;
+}
+
+/// 2 sim points x 1 repetition, 2 x 2 testbed tests, 1 exact pair.
+constexpr std::int64_t kSharedBatchTasks = 7;
+
+std::string report_bytes(const RunOutcome& outcome) {
+  std::ostringstream out;
+  outcome.report.write_json(out);
+  return out.str();
+}
+
+TEST(SharedBatch, ReportIsTheSameAtAnyJobs) {
+  const Spec spec = shared_batch_spec();
+  std::vector<std::string> reports;
+  for (const int jobs : {1, 4}) {
+    RunOptions options;
+    options.jobs = jobs;
+    const RunOutcome outcome = run_scenario(spec, options);
+    for (const char* key :
+         {"small.n2.exact_collision_probability",
+          "small.n1.testbed_collision_mean", "small.n2.testbed_acknowledged",
+          "small.n2.sim_collision_probability"}) {
+      EXPECT_EQ(outcome.report.scalars.count(key), 1u) << key;
+    }
+    reports.push_back(report_bytes(outcome));
+  }
+  EXPECT_EQ(reports[0], reports[1]);
+}
+
+TEST(SharedBatch, TestbedAndExactPairRunAsOneEngineBatch) {
+  obs::Profiler& profiler = obs::Profiler::instance();
+  profiler.reset();
+  obs::Profiler::set_enabled(true);
+  RunOptions options;
+  options.jobs = 2;
+  run_scenario(shared_batch_spec(), options);
+  obs::Profiler::set_enabled(false);
+  const obs::ProfileSnapshot snapshot = profiler.snapshot();
+  profiler.reset();
+  std::int64_t batches = 0;
+  std::int64_t tasks = 0;
+  for (const obs::ProfileNodeStats& node : snapshot.nodes()) {
+    if (node.name == "sim.parallel.run_tasks") batches += node.calls;
+    if (node.name == "sim.parallel.task") tasks += node.calls;
+  }
+  // The sim batch, then testbed + exact pair.
+  EXPECT_EQ(batches, 2);
+  EXPECT_EQ(tasks, kSharedBatchTasks);
+}
+
+TEST(SharedBatch, ColdMissesThenWarmHitsWithTheSameBytes) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("plc_shared_batch_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  store::ResultStore store(dir.string());
+  const Spec spec = shared_batch_spec();
+
+  obs::TelemetryHub cold_hub;
+  RunOptions options;
+  options.jobs = 4;
+  options.store = &store;
+  options.telemetry = &cold_hub;
+  const RunOutcome cold = run_scenario(spec, options);
+  const store::Counters after_cold = store.counters();
+  EXPECT_EQ(after_cold.hits, 0);
+  EXPECT_EQ(after_cold.misses, kSharedBatchTasks);
+  EXPECT_EQ(after_cold.publishes, kSharedBatchTasks);
+  EXPECT_EQ(cold_hub.progress().tasks_total, kSharedBatchTasks);
+
+  obs::TelemetryHub warm_hub;
+  options.telemetry = &warm_hub;
+  const RunOutcome warm = run_scenario(spec, options);
+  const store::Counters after_warm = store.counters();
+  EXPECT_EQ(after_warm.hits - after_cold.hits, kSharedBatchTasks);
+  EXPECT_EQ(after_warm.misses, after_cold.misses);
+  EXPECT_EQ(after_warm.publishes, after_cold.publishes);
+  EXPECT_EQ(warm_hub.progress().tasks_total, kSharedBatchTasks);
+  EXPECT_EQ(report_bytes(warm), report_bytes(cold));
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 }  // namespace
