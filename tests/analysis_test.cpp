@@ -1,5 +1,9 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "sim/slot_simulator.hpp"
 #include "sim/unsaturated.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace plc::analysis {
 namespace {
@@ -188,6 +193,151 @@ TEST(Model1901Threads, ConcurrentSolvesMatchSerial) {
       EXPECT_EQ(results[i].gamma, serial[i].gamma);
     }
   }
+}
+
+// --- Bit pins: the model's output, exactly -------------------------------------------
+//
+// Every model-bearing report prints solve_1901's numbers, so the solver
+// may get cheaper but must not change a single bit. These values were
+// recorded from the per-b util::binomial_cdf sums.
+
+std::uint64_t bits_of(double value) {
+  return std::bit_cast<std::uint64_t>(value);
+}
+
+std::string hex_float(double value) {
+  std::ostringstream out;
+  out << std::hexfloat << value;
+  return out.str();
+}
+
+void expect_bits(double actual, double expected, const char* what) {
+  EXPECT_EQ(bits_of(actual), bits_of(expected))
+      << what << ": " << hex_float(actual) << " != " << hex_float(expected);
+}
+
+/// Compares each stage's (x, S, visits) bit for bit.
+void expect_stage_bits(const Model1901Result& result,
+                       const double (&stages)[4][3]) {
+  ASSERT_EQ(result.stages.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE(testing::Message() << "stage " << i);
+    expect_bits(result.stages[i].attempt_probability, stages[i][0], "x");
+    expect_bits(result.stages[i].expected_countdown, stages[i][1], "S");
+    expect_bits(result.stages[i].expected_visits, stages[i][2], "visits");
+  }
+}
+
+void append_bits(std::string& bytes, double value) {
+  const std::uint64_t bits = bits_of(value);
+  for (int shift = 0; shift < 64; shift += 8) {
+    bytes.push_back(static_cast<char>(bits >> shift));
+  }
+}
+
+void append_solution(std::string& bytes, const Model1901Result& result) {
+  for (const double value :
+       {result.tau, result.gamma, result.busy_probability, result.p_idle,
+        result.p_success, result.p_collision}) {
+    append_bits(bytes, value);
+  }
+  for (const StageMetrics& stage : result.stages) {
+    append_bits(bytes, stage.attempt_probability);
+    append_bits(bytes, stage.expected_countdown);
+    append_bits(bytes, stage.expected_visits);
+  }
+}
+
+/// hash128 (hex) over the bits of every solve of `config` on the pinned
+/// grid: solve_1901 at each integer N, then solve_1901_continuous at each
+/// fractional n.
+std::string solution_digest(const mac::BackoffConfig& config) {
+  std::string bytes;
+  for (const int n : {1, 2, 3, 5, 7, 10, 20, 30, 50}) {
+    append_solution(bytes, solve_1901(n, config));
+  }
+  for (const double n : {1.5, 2.25, 7.75}) {
+    append_solution(bytes, solve_1901_continuous(n, config));
+  }
+  return util::hash128(bytes).to_hex();
+}
+
+/// boosted-cw's parse-time search: N = 5 under the paper's timing and
+/// frame (macdef/def_boosted_cw.cpp).
+CandidateScore boosted_cw_search() {
+  return best_uniform_window(5, kTiming, des::SimTime::from_ns(2'050'000));
+}
+
+TEST(Model1901Pin, Ca1AtTwoStations) {
+  const Model1901Result result = solve_1901(2, kCa1);
+  expect_bits(result.tau, 0x1.df2e98b28569cp-4, "tau");
+  expect_bits(result.gamma, 0x1.df2e98b2856ap-4, "gamma");
+  expect_bits(result.busy_probability, 0x1.df2e98b2856ap-4,
+              "busy_probability");
+  expect_bits(result.p_idle, 0x1.8f3638a32d3a8p-1, "p_idle");
+  expect_bits(result.p_success, 0x1.a71fa23410c1dp-3, "p_success");
+  expect_bits(result.p_collision, 0x1.c077b3f3a543p-7, "p_collision");
+  const double stages[4][3] = {
+      {0x1.58de8f5819144p-1, 0x1.65276aa053638p+1, 0x1p+0},
+      {0x1.892014bc252c1p-1, 0x1.a5bd8e1362efp+2, 0x1.9ef3c7ccd5628p-2},
+      {0x1.ae847a7f35c08p-1, 0x1.cf1fc9cc60408p+3, 0x1.0b3b55489cbdap-3},
+      {0x1.ffe9afcbcd3eap-1, 0x1.f7fd42845e5aap+4, 0x1.37c983d96aaeep-5},
+  };
+  expect_stage_bits(result, stages);
+}
+
+TEST(Model1901Pin, Ca1AtSevenStations) {
+  const Model1901Result result = solve_1901(7, kCa1);
+  expect_bits(result.tau, 0x1.a6027725442f2p-5, "tau");
+  expect_bits(result.gamma, 0x1.167062c7a79cep-2, "gamma");
+  expect_bits(result.busy_probability, 0x1.167062c7a79cep-2,
+              "busy_probability");
+  expect_bits(result.p_idle, 0x1.6193a6ef0a976p-1, "p_idle");
+  expect_bits(result.p_success, 0x1.0cda2b77d66f3p-2, "p_success");
+  expect_bits(result.p_collision, 0x1.7ff43550a3108p-5, "p_collision");
+  const double stages[4][3] = {
+      {0x1.b19068db7ef93p-2, 0x1.0f6d3f9431742p+1, 0x1p+0},
+      {0x1.cb082e8b38f66p-2, 0x1.3777464024366p+2, 0x1.6229f09d35694p-1},
+      {0x1.d4bd8e7f49e99p-2, 0x1.4fc6a275d723ep+3, 0x1.dd246b6b249b6p-2},
+      {0x1.beef5dfbb491ap-1, 0x1.e81cafdc4d2b1p+4, 0x1.f487cac412dbep-2},
+  };
+  expect_stage_bits(result, stages);
+}
+
+TEST(Model1901Pin, GridDigests) {
+  mac::BackoffConfig no_deferral = kCa1;
+  no_deferral.dc.assign(no_deferral.dc.size(), mac::kDeferralDisabled);
+  mac::BackoffConfig aggressive = kCa1;
+  aggressive.dc = {0, 0, 1, 3};
+  const struct {
+    const char* name;
+    mac::BackoffConfig config;
+    const char* digest;
+  } cases[] = {
+      {"CA0/CA1", kCa1, "ebbd7ec207712419694df22e9e4fa055"},
+      {"CA2/CA3", mac::BackoffConfig::ca2_ca3(),
+       "2340f4b56da5d7094067ad9cd527e629"},
+      {"e9 no-deferral", no_deferral, "3e25fd080d7928823981aed44e3e7f89"},
+      {"e9 aggressive", aggressive, "394bf3b1d0a2a7e33dbb023992c8fc51"},
+      // The same windows and disabled deferral as e9's no-deferral
+      // variant, built by the DCF-style factory: the same digest.
+      {"dcf_like(8, 4)", mac::BackoffConfig::dcf_like(8, 4),
+       "3e25fd080d7928823981aed44e3e7f89"},
+      {"boosted-cw(5)", boosted_cw_search().config,
+       "c54a9a85cd93150e0206226953320892"},
+  };
+  for (const auto& pinned : cases) {
+    EXPECT_EQ(solution_digest(pinned.config), pinned.digest) << pinned.name;
+  }
+}
+
+TEST(Model1901Pin, BoostedCwSearchForFiveStations) {
+  const CandidateScore best = boosted_cw_search();
+  EXPECT_EQ(best.config.cw, std::vector<int>{60});
+  EXPECT_EQ(best.config.dc, std::vector<int>{mac::kDeferralDisabled});
+  expect_bits(best.throughput, 0x1.62b8f977d7fdbp-1, "throughput");
+  expect_bits(best.collision_probability, 0x1.ff5597d4512c8p-4,
+              "collision_probability");
 }
 
 // --- DCF model ---------------------------------------------------------------------------
