@@ -19,6 +19,7 @@
 
 #include "analysis/exact_chain.hpp"
 #include "analysis/model_1901.hpp"
+#include "analysis/optimizer.hpp"
 #include "bench_main.hpp"
 #include "des/scheduler.hpp"
 #include "mac/config.hpp"
@@ -27,6 +28,7 @@
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "phy/timing.hpp"
 #include "sim/event_kernel.hpp"
 #include "sim/runner.hpp"
 #include "sim/slot_simulator.hpp"
@@ -261,6 +263,18 @@ void BM_Model1901Solve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Model1901Solve)->Arg(2)->Arg(10)->Arg(50);
+
+void BM_BestUniformWindow(benchmark::State& state) {
+  // boosted-cw's parse-time search: N = 5 under the paper's timing and
+  // frame, one solve per scanned window.
+  const phy::TimingConfig timing = phy::TimingConfig::paper_default();
+  const des::SimTime frame = des::SimTime::from_ns(2'050'000);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        analysis::best_uniform_window(5, timing, frame).throughput);
+  }
+}
+BENCHMARK(BM_BestUniformWindow);
 
 void BM_ExactPairSolveTiny(benchmark::State& state) {
   mac::BackoffConfig tiny;

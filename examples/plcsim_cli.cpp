@@ -744,12 +744,19 @@ int cmd_scenario(const Args& args) {
         "scenario: give a registry name or a .json spec file "
         "(plcsim scenario --list enumerates the built-ins)");
   }
+  // The profile session opens before the spec is read, so parse-time
+  // work (boosted-cw's window search) is attributed, and every return
+  // below writes it.
+  const ProfileOutputs profile = ProfileOutputs::from(args);
   // A bare word that is not a built-in gets the registry's "unknown
   // scenario" error listing the known names, not a file-open error.
   const bool is_file = !scenario::Registry::contains(target) &&
                        target.find_first_of("./") != std::string::npos;
-  scenario::Spec spec = is_file ? scenario::Spec::from_file(target)
-                                : scenario::Registry::get(target);
+  scenario::Spec spec = [&] {
+    PROF_SCOPE("scenario.parse");
+    return is_file ? scenario::Spec::from_file(target)
+                   : scenario::Registry::get(target);
+  }();
   if (args.has("kernel")) {
     // The field is never serialized and both kernels write the same
     // report, so this cannot change --dump-spec or report bytes.
@@ -765,14 +772,19 @@ int cmd_scenario(const Args& args) {
                  [&](std::ostream& out) { out << spec.to_json() << "\n"; });
       PLC_LOG_INFO("cli", "wrote scenario spec").str("path", path);
     }
+    profile.write();
     return 0;
   }
   if (args.has("validate")) {
     // from_file/Registry::get already validated; re-check the round-trip
     // so a committed fixture that drifts from the parser fails here.
-    scenario::Spec::from_json(spec.to_json());
+    {
+      PROF_SCOPE("scenario.parse");
+      scenario::Spec::from_json(spec.to_json());
+    }
     std::printf("%s: ok (%zu MAC variant(s), %zu station count(s))\n",
                 spec.name.c_str(), spec.macs.size(), spec.stations.size());
+    profile.write();
     return 0;
   }
 
@@ -789,7 +801,6 @@ int cmd_scenario(const Args& args) {
   }
   Telemetry telemetry = Telemetry::from(args);
   options.telemetry = telemetry.hub.get();
-  const ProfileOutputs profile = ProfileOutputs::from(args);
   const scenario::RunOutcome outcome = scenario::run_scenario(spec, options);
   profile.write();
 

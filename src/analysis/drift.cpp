@@ -25,12 +25,10 @@ StageRates stage_rates(const mac::BackoffConfig& config, double p) {
   rates.reset.resize(static_cast<std::size_t>(m));
   const double gamma = p;
   for (int i = 0; i < m; ++i) {
-    const double x = stage_attempt_probability(
-        config.cw[static_cast<std::size_t>(i)],
-        config.dc[static_cast<std::size_t>(i)], p);
-    const double s = stage_expected_countdown(
-        config.cw[static_cast<std::size_t>(i)],
-        config.dc[static_cast<std::size_t>(i)], p);
+    const StageRow row = stage_row(config.cw[static_cast<std::size_t>(i)],
+                                   config.dc[static_cast<std::size_t>(i)], p);
+    const double x = row.attempt_probability;
+    const double s = row.expected_countdown;
     const double v = std::max(s + x, 1e-12);
     rates.alpha[static_cast<std::size_t>(i)] = x / v;
     rates.up[static_cast<std::size_t>(i)] =

@@ -1,6 +1,7 @@
 #include "analysis/model_1901.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "obs/profiler.hpp"
@@ -9,31 +10,88 @@
 
 namespace plc::analysis {
 
-double stage_attempt_probability(int cw, int dc, double p) {
+namespace {
+
+/// log(n!) for n below this bound is read from a table. The bound covers
+/// every window the registry uses and every window best_uniform_window's
+/// scan reaches (max_window = 4096).
+constexpr int kLogFactorialTableSize = 4096;
+
+/// util::log_factorial(n) for n < kLogFactorialTableSize, built once per
+/// process (a function-local static, so the first use is thread-safe).
+const std::array<double, kLogFactorialTableSize>& log_factorial_table() {
+  static const std::array<double, kLogFactorialTableSize> table = [] {
+    std::array<double, kLogFactorialTableSize> values{};
+    for (int i = 0; i < kLogFactorialTableSize; ++i) {
+      values[static_cast<std::size_t>(i)] = util::log_factorial(i);
+    }
+    return values;
+  }();
+  return table;
+}
+
+}  // namespace
+
+StageRow stage_row(int cw, int dc, double p) {
   util::check_arg(cw >= 1, "cw", "must be >= 1");
   util::check_arg(dc >= 0, "dc", "must be >= 0");
-  // x = (1/CW) * sum_{b=0}^{CW-1} P(Bin(b, p) <= dc): the station attempts
-  // iff fewer than dc+1 of its b countdown events are busy.
-  double sum = 0.0;
+  util::check_arg(p >= 0.0 && p <= 1.0, "p", "must be in [0, 1]");
+  // The row c_b = P(Bin(b, p) <= dc), b < CW. The station attempts iff
+  // fewer than dc+1 of its b countdown events are busy, so
+  //   x = (1/CW) * sum_{b=0}^{CW-1} c_b.
+  // Countdown events consumed for initial draw b: min(b, T) where T is
+  // the index of the (dc+1)-th busy event. E[min(b, T)] telescopes to
+  // sum_{k=0}^{b-1} P(T > k) = sum_{k=0}^{b-1} c_k. Averaging over
+  // b ~ U{0..CW-1} and swapping sums:
+  //   S = (1/CW) * sum_{b=0}^{CW-2} (CW-1-b) * c_b.
+  // Each c_b is util::binomial_cdf(b, dc, p) with the same operations in
+  // the same order, so the sums keep their bits; only log p, log1p(-p)
+  // and the log-factorials are taken once instead of once per pmf.
+  const bool interior = p > 0.0 && p < 1.0;
+  const double log_p = interior ? std::log(p) : 0.0;
+  const double log_q = interior ? std::log1p(-p) : 0.0;
+  // log(n!), bit for bit util::log_factorial(n): from the table below
+  // its bound, computed directly above it, so memory stays bounded
+  // whatever CW a spec asks for.
+  const auto& table = log_factorial_table();
+  const auto log_factorial = [&table](int n) {
+    return n < kLogFactorialTableSize ? table[static_cast<std::size_t>(n)]
+                                      : util::log_factorial(n);
+  };
+  // P(Bin(b, p) == j) for 0 <= j <= b, as util::binomial_pmf has it.
+  const auto pmf = [&](int b, double log_b_factorial, int j) {
+    if (p == 0.0) return j == 0 ? 1.0 : 0.0;
+    if (p == 1.0) return j == b ? 1.0 : 0.0;
+    const double log_coefficient =
+        (log_b_factorial - log_factorial(j)) - log_factorial(b - j);
+    return std::exp(log_coefficient + static_cast<double>(j) * log_p +
+                    static_cast<double>(b - j) * log_q);
+  };
+  double attempt_sum = 0.0;
+  double countdown_sum = 0.0;
   for (int b = 0; b < cw; ++b) {
-    sum += util::binomial_cdf(b, dc, p);
+    double cdf = 1.0;
+    if (dc < b) {
+      const double log_b_factorial = log_factorial(b);
+      double sum = 0.0;
+      for (int j = 0; j <= dc; ++j) sum += pmf(b, log_b_factorial, j);
+      cdf = sum > 1.0 ? 1.0 : sum;
+    }
+    attempt_sum += cdf;
+    if (b + 1 < cw) {
+      countdown_sum += static_cast<double>(cw - 1 - b) * cdf;
+    }
   }
-  return sum / static_cast<double>(cw);
+  return {attempt_sum / static_cast<double>(cw),
+          countdown_sum / static_cast<double>(cw)};
+}
+
+double stage_attempt_probability(int cw, int dc, double p) {
+  return stage_row(cw, dc, p).attempt_probability;
 }
 
 double stage_expected_countdown(int cw, int dc, double p) {
-  util::check_arg(cw >= 1, "cw", "must be >= 1");
-  util::check_arg(dc >= 0, "dc", "must be >= 0");
-  // Countdown events consumed for initial draw b: min(b, T) where T is
-  // the index of the (dc+1)-th busy event. E[min(b, T)] telescopes to
-  // sum_{k=0}^{b-1} P(T > k) = sum_{k=0}^{b-1} P(Bin(k, p) <= dc).
-  // Averaging over b ~ U{0..CW-1} and swapping sums:
-  //   S = (1/CW) * sum_{k=0}^{CW-2} (CW-1-k) * P(Bin(k, p) <= dc).
-  double sum = 0.0;
-  for (int k = 0; k + 1 < cw; ++k) {
-    sum += static_cast<double>(cw - 1 - k) * util::binomial_cdf(k, dc, p);
-  }
-  return sum / static_cast<double>(cw);
+  return stage_row(cw, dc, p).expected_countdown;
 }
 
 namespace {
@@ -46,12 +104,10 @@ double tau_given_busy(const mac::BackoffConfig& config, double p,
   std::vector<double> x(static_cast<std::size_t>(m));
   std::vector<double> s(static_cast<std::size_t>(m));
   for (int i = 0; i < m; ++i) {
-    x[static_cast<std::size_t>(i)] = stage_attempt_probability(
-        config.cw[static_cast<std::size_t>(i)],
-        config.dc[static_cast<std::size_t>(i)], p);
-    s[static_cast<std::size_t>(i)] = stage_expected_countdown(
-        config.cw[static_cast<std::size_t>(i)],
-        config.dc[static_cast<std::size_t>(i)], p);
+    const StageRow row = stage_row(config.cw[static_cast<std::size_t>(i)],
+                                   config.dc[static_cast<std::size_t>(i)], p);
+    x[static_cast<std::size_t>(i)] = row.attempt_probability;
+    s[static_cast<std::size_t>(i)] = row.expected_countdown;
   }
   const double gamma = p;
 

@@ -13,8 +13,11 @@
 //   - the station transmits iff fewer than d_i + 1 of its b countdown
 //     events are busy:  P(tx | b) = P(Bin(b, p) <= d_i);
 //   - otherwise it jumps to stage i+1 at the (d_i+1)-th busy event.
-// Exact per-stage quantities follow by summing binomial CDFs:
+// Exact per-stage quantities follow from one pass over the CDF row
+// P(Bin(b, p) <= d_i), b < CW_i:
 //   x_i = attempt probability, S_i = expected countdown events per visit.
+// The pass keeps util::binomial_cdf's operations and their order, so its
+// sums are bit-identical to summing binomial_cdf per b (DESIGN §4).
 // A renewal cycle (success to success) visits stages 0,1,... with the
 // last stage self-looping; tau = E[attempts]/E[events] over the cycle, and
 // the fixed point in tau is found by bisection (the map is monotone).
@@ -72,8 +75,18 @@ Model1901Result solve_1901(int n, const mac::BackoffConfig& config);
 Model1901Result solve_1901_continuous(double n_effective,
                                       const mac::BackoffConfig& config);
 
+/// One stage's x_i(p) and S_i(p), both summed from one pass over the CDF
+/// row P(Bin(b, p) <= d_i), b < CW_i. Used by the fixed point and the
+/// drift model; throws plc::Error unless cw >= 1, dc >= 0 and p is in
+/// [0, 1].
+struct StageRow {
+  double attempt_probability = 0.0;  ///< x_i.
+  double expected_countdown = 0.0;   ///< S_i.
+};
+StageRow stage_row(int cw, int dc, double p);
+
 /// The per-stage attempt probability x_i(p): average over b of
-/// P(Bin(b, p) <= d_i). Exposed for tests and the drift model.
+/// P(Bin(b, p) <= d_i). stage_row's x, for tests.
 double stage_attempt_probability(int cw, int dc, double p);
 
 /// The renewal-cycle transmission probability tau of a station whose
@@ -82,8 +95,8 @@ double stage_attempt_probability(int cw, int dc, double p);
 double transmission_probability_given_busy(const mac::BackoffConfig& config,
                                            double p);
 
-/// The per-stage expected countdown events S_i(p). Exposed for tests and
-/// the drift model.
+/// The per-stage expected countdown events S_i(p). stage_row's S, for
+/// tests.
 double stage_expected_countdown(int cw, int dc, double p);
 
 }  // namespace plc::analysis

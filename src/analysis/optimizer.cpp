@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "obs/profiler.hpp"
 #include "util/error.hpp"
 
 namespace plc::analysis {
@@ -75,6 +76,7 @@ std::vector<mac::BackoffConfig> default_candidate_pool() {
 CandidateScore best_uniform_window(int n, const phy::TimingConfig& timing,
                                    des::SimTime frame_length,
                                    int max_window) {
+  PROF_SCOPE("analysis.best_uniform_window");
   util::check_arg(max_window >= 2, "max_window", "must be >= 2");
   CandidateScore best;
   best.throughput = -1.0;

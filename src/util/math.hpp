@@ -1,9 +1,12 @@
 // Numerically robust combinatorial helpers used by the analytical models.
 //
-// The 1901 decoupling model (analysis/model_1901) evaluates binomial tail
+// The 1901 decoupling model (analysis/model_1901) needs binomial tail
 // probabilities P(Bin(n, p) <= k) for n up to the largest contention window
 // (the framework allows CW values far beyond the standard's 64), so all
-// probability mass functions are computed in the log domain.
+// probability mass functions are computed in the log domain. The model
+// sums each CDF row in one pass of its own and calls only log_factorial
+// here; binomial_pmf, binomial_cdf and log_binomial_coefficient are the
+// reference its tests compare that pass against, bit for bit.
 #pragma once
 
 #include <cstdint>

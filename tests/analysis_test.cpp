@@ -1,6 +1,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <latch>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,6 +24,7 @@
 #include "sim/unsaturated.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
+#include "util/math.hpp"
 
 namespace plc::analysis {
 namespace {
@@ -91,6 +94,56 @@ TEST(StageMath, RejectsBadArguments) {
   EXPECT_THROW(stage_attempt_probability(0, 0, 0.5), plc::Error);
   EXPECT_THROW(stage_attempt_probability(8, -1, 0.5), plc::Error);
   EXPECT_THROW(stage_expected_countdown(8, 0, -0.1), plc::Error);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const int cw : {1, 8}) {
+    for (const double p : {nan, -0.1, -1e-300, 1.5}) {
+      EXPECT_THROW(stage_attempt_probability(cw, 0, p), plc::Error)
+          << "cw=" << cw << " p=" << p;
+      EXPECT_THROW(stage_expected_countdown(cw, 0, p), plc::Error)
+          << "cw=" << cw << " p=" << p;
+    }
+  }
+}
+
+/// The stage sums as the solver computed them before the one-pass row:
+/// util::binomial_cdf for every b, x and S in separate loops.
+StageRow reference_stage_row(int cw, int dc, double p) {
+  double x = 0.0;
+  for (int b = 0; b < cw; ++b) x += util::binomial_cdf(b, dc, p);
+  double s = 0.0;
+  for (int k = 0; k + 1 < cw; ++k) {
+    s += static_cast<double>(cw - 1 - k) * util::binomial_cdf(k, dc, p);
+  }
+  return {x / static_cast<double>(cw), s / static_cast<double>(cw)};
+}
+
+TEST(StageMath, RowMatchesPerBinomialCdfSumsBitForBit) {
+  // Windows 4096 and up cross the log-factorial table's bound; the p grid
+  // takes in both exact pmf branches, the smallest subnormal and the
+  // largest double below 1. At p = 2^-8 a window of ~4096 expects ~16
+  // busy events, so rows past the bound sum pmfs far from 0 and 1, and a
+  // wrong bit in log n! there would show.
+  for (const int cw : {1, 2, 8, 64, 4095, 4096, 4097, 5000}) {
+    for (const int dc : {0, 1, 15, cw - 1, cw, mac::kDeferralDisabled}) {
+      for (const double p : {0.0, 5e-324, 1e-300, 0x1p-8, 0.3, 0.5,
+                             1.0 - 0x1p-53, 1.0}) {
+        const StageRow row = stage_row(cw, dc, p);
+        const StageRow reference = reference_stage_row(cw, dc, p);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(row.attempt_probability),
+                  std::bit_cast<std::uint64_t>(reference.attempt_probability))
+            << "x: cw=" << cw << " dc=" << dc << " p=" << p;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(row.expected_countdown),
+                  std::bit_cast<std::uint64_t>(reference.expected_countdown))
+            << "S: cw=" << cw << " dc=" << dc << " p=" << p;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      stage_attempt_probability(cw, dc, p)),
+                  std::bit_cast<std::uint64_t>(row.attempt_probability));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      stage_expected_countdown(cw, dc, p)),
+                  std::bit_cast<std::uint64_t>(row.expected_countdown));
+      }
+    }
+  }
 }
 
 // --- Decoupling model -----------------------------------------------------------------
@@ -170,6 +223,42 @@ TEST(Model1901, SuccessRatePositive) {
   const Model1901Result result = solve_1901(3, kCa1);
   EXPECT_GT(result.success_rate_per_second(kTiming, kFrame), 100.0);
   EXPECT_LT(result.success_rate_per_second(kTiming, kFrame), 1e6);
+}
+
+TEST(Model1901Threads, ConcurrentFirstUseMatchesSerial) {
+  // Declared first so that it makes the process's first solves (in the
+  // `threaded` entry's Model1901Threads.* run, too): eight threads
+  // released together race to build the solver's log-factorial table,
+  // which ThreadSanitizer watches, and each must get the serial bits.
+  constexpr int kThreads = 8;
+  std::vector<Model1901Result> concurrent(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&concurrent, &start, t] {
+      start.arrive_and_wait();
+      concurrent[static_cast<std::size_t>(t)] = solve_1901(2 + t, kCa1);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    const Model1901Result serial = solve_1901(2 + t, kCa1);
+    const Model1901Result& result = concurrent[static_cast<std::size_t>(t)];
+    EXPECT_EQ(result.tau, serial.tau) << "n=" << 2 + t;
+    EXPECT_EQ(result.gamma, serial.gamma) << "n=" << 2 + t;
+    EXPECT_EQ(result.p_idle, serial.p_idle) << "n=" << 2 + t;
+    EXPECT_EQ(result.p_success, serial.p_success) << "n=" << 2 + t;
+    EXPECT_EQ(result.p_collision, serial.p_collision) << "n=" << 2 + t;
+    ASSERT_EQ(result.stages.size(), serial.stages.size());
+    for (std::size_t i = 0; i < serial.stages.size(); ++i) {
+      EXPECT_EQ(result.stages[i].attempt_probability,
+                serial.stages[i].attempt_probability);
+      EXPECT_EQ(result.stages[i].expected_countdown,
+                serial.stages[i].expected_countdown);
+      EXPECT_EQ(result.stages[i].expected_visits,
+                serial.stages[i].expected_visits);
+    }
+  }
 }
 
 TEST(Model1901Threads, ConcurrentSolvesMatchSerial) {
