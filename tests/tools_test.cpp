@@ -409,6 +409,23 @@ TEST(TestbedGolden, PbErrorsWithToneMapAdaptation) {
                                        kNoCaptures});
 }
 
+TEST(TestbedGolden, CollidedMmeRunsOutgrowARobustProfile) {
+  // Three-PB management frames from every station collide at CA2, and
+  // D's tone-map updates can move a station's CA2 link to a profile
+  // that fits fewer PBs per MPDU before its retry: the retry re-splits
+  // the collided MPDUs' blocks across the smaller MPDUs.
+  TestbedConfig config;
+  config.stations = 3;
+  config.device.pb_error_rate = 0.1;
+  config.device.adaptation.enabled = true;
+  config.mme_interval = des::SimTime::from_us(25'000.0);
+  config.mme_payload_bytes = 1400;
+  expect_pin(observe_testbed(config), {{440, 450, 488},
+                                       {98, 122, 116},
+                                       2572, 5816, 1750, 196, 54196, 0, 6,
+                                       kNoCaptures});
+}
+
 TEST(TestbedGolden, MmeChatterWithSniffer) {
   TestbedConfig config;
   config.stations = 2;
