@@ -317,6 +317,20 @@ void BM_EmulatedTestbedSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_EmulatedTestbedSecond);
 
+void BM_EmulatedTestbedSecondSevenStations(benchmark::State& state) {
+  // The same at N = 7, where about one exchange in eight collides and
+  // sends its burst back through the retransmission queue.
+  for (auto _ : state) {
+    tools::TestbedConfig config;
+    config.stations = 7;
+    config.warmup = des::SimTime::from_seconds(0.1);
+    config.duration = des::SimTime::from_seconds(1.0);
+    benchmark::DoNotOptimize(
+        tools::run_saturated_testbed(config).total_acknowledged);
+  }
+}
+BENCHMARK(BM_EmulatedTestbedSecondSevenStations);
+
 /// Prints the usual console table AND collects every per-iteration run
 /// into a RunReport, so the binary leaves a machine-readable perf record
 /// behind (BENCH_kernel_microbench.json).
