@@ -50,12 +50,15 @@ RunResult run_case(double mean_good_s, bool adaptation_enabled,
   frame_template.destination = receiver.mac();
   frame_template.source = sender.mac();
   workload::SaturatedSource source(
-      network.scheduler(), frame_template,
-      [&sender](frames::EthernetFrame frame) { sender.host_send(frame); },
+      frame_template,
+      [&sender](const frames::EthernetFrame& frame) {
+        sender.host_send(frame);
+      },
       [&sender] { return sender.tx_backlog_pbs(); }, 256);
+  sender.set_drain_callback([&source] { source.top_up(); });
 
   network.start();
-  source.start();
+  source.top_up();
   network.run_for(des::SimTime::from_seconds(seconds));
 
   RunResult result;

@@ -88,6 +88,10 @@ void HpavDevice::add_host_listener(HostReceiveFn callback) {
   host_listeners_.push_back(std::move(callback));
 }
 
+void HpavDevice::set_drain_callback(DrainFn callback) {
+  drain_ = std::move(callback);
+}
+
 void HpavDevice::deliver_to_host(const frames::EthernetFrame& frame) {
   for (const HostReceiveFn& listener : host_listeners_) {
     listener(frame);
@@ -158,7 +162,7 @@ void HpavDevice::enqueue_for_wire(const frames::EthernetFrame& frame,
     link.is_mme = is_mme;
   }
   const bool was_ready = link_ready(link);
-  if (!link.segmenter.has_pending_bytes() && link.retx.empty()) {
+  if (!link.segmenter.has_pending_bytes() && link.retx_pbs == 0) {
     link.oldest_arrival = network_.scheduler().now();
   }
   link.segmenter.push_frame(frame);
@@ -241,7 +245,7 @@ void HpavDevice::emit_periodic_mme(std::size_t index) {
 // --- Transmit path -----------------------------------------------------------
 
 bool HpavDevice::link_ready(const Link& link) const {
-  if (!link.retx.empty()) return true;
+  if (link.retx_pbs > 0) return true;
   if (link.segmenter.complete_pb_count() > 0) return true;
   if (!link.segmenter.has_pending_bytes()) return false;
   if (link.is_mme) return true;  // Management frames ship immediately.
@@ -289,25 +293,60 @@ frames::Priority HpavDevice::pending_priority() {
   return priority;
 }
 
-std::optional<medium::TxDescriptor> HpavDevice::poll_transmit() {
+bool HpavDevice::poll_transmit(medium::TxDescriptor& burst) {
   util::require(contending_.has_value(),
                 "HpavDevice::poll_transmit: not contending");
   mac::Backoff1901& entity = entity_for(*contending_);
-  if (!entity.ready_to_transmit()) return std::nullopt;
-  return stage_and_describe(*contending_);
+  if (!entity.ready_to_transmit()) return false;
+  return stage_and_describe(*contending_, burst);
 }
 
-std::optional<medium::TxDescriptor> HpavDevice::poll_contention_free() {
+bool HpavDevice::poll_contention_free(medium::TxDescriptor& burst) {
   // TDMA allocation: serve whatever is at the head, no backoff involved.
   const Link* head = select_head_link();
-  if (head == nullptr && !staged_.has_value()) return std::nullopt;
-  return stage_and_describe(head != nullptr
-                                ? head->priority
-                                : frames::Priority::kCa1);
+  if (head == nullptr && !staged_.has_value()) return false;
+  return stage_and_describe(
+      head != nullptr ? head->priority : frames::Priority::kCa1, burst);
 }
 
-std::optional<medium::TxDescriptor> HpavDevice::stage_and_describe(
-    frames::Priority priority) {
+std::vector<frames::PhysicalBlock> HpavDevice::spare_block_vector() {
+  if (spare_blocks_.empty()) return {};
+  std::vector<frames::PhysicalBlock> pbs = std::move(spare_blocks_.back());
+  spare_blocks_.pop_back();
+  return pbs;
+}
+
+void HpavDevice::take_retx(Link& link, int pb_limit,
+                           std::vector<frames::PhysicalBlock>& pbs) {
+  const auto limit = static_cast<std::size_t>(pb_limit);
+  if (!link.retx.empty() && link.retx.back().size() <= limit) {
+    // The head run fits: it becomes the MPDU's PB vector, uncopied.
+    pbs = std::move(link.retx.back());
+    link.retx.pop_back();
+    link.retx_pbs -= pbs.size();
+  } else {
+    pbs = spare_block_vector();
+  }
+  pbs.reserve(limit);
+  // Past the first run (or when it outgrew a profile change's smaller
+  // limit), PBs are copied one by one, so the MPDU holds exactly the
+  // PBs a flat queue would yield.
+  while (pbs.size() < limit && !link.retx.empty()) {
+    std::vector<frames::PhysicalBlock>& run = link.retx.back();
+    const std::size_t take = std::min(limit - pbs.size(), run.size());
+    const auto end = run.begin() + static_cast<std::ptrdiff_t>(take);
+    pbs.insert(pbs.end(), run.begin(), end);
+    run.erase(run.begin(), end);
+    link.retx_pbs -= take;
+    if (run.empty()) {
+      spare_blocks_.push_back(std::move(run));
+      link.retx.pop_back();
+    }
+  }
+}
+
+bool HpavDevice::stage_and_describe(frames::Priority priority,
+                                    medium::TxDescriptor& descriptor) {
   // Assemble (or re-use) the staged burst: a burst whose earlier attempt
   // collided went back to the retransmission queue and is rebuilt here
   // with identical content at the queue head.
@@ -324,16 +363,7 @@ std::optional<medium::TxDescriptor> HpavDevice::stage_and_describe(
          ++mpdu_index) {
       frames::Mpdu& mpdu = burst.mpdus.emplace_back();
       std::vector<frames::PhysicalBlock>& pbs = mpdu.blocks;
-      if (!spare_blocks_.empty()) {
-        pbs = std::move(spare_blocks_.back());
-        spare_blocks_.pop_back();
-      }
-      pbs.reserve(static_cast<std::size_t>(pb_limit));
-      while (static_cast<int>(pbs.size()) < pb_limit &&
-             !link->retx.empty()) {
-        pbs.push_back(link->retx.back());
-        link->retx.pop_back();
-      }
+      take_retx(*link, pb_limit, pbs);
       if (static_cast<int>(pbs.size()) < pb_limit) {
         const bool flush =
             link->is_mme ||
@@ -365,21 +395,22 @@ std::optional<medium::TxDescriptor> HpavDevice::stage_and_describe(
           static_cast<std::uint8_t>(total - 1 - i);
     }
     staged_ = std::move(burst);
+    if (drain_) drain_();
   }
 
-  medium::TxDescriptor descriptor;
   descriptor.priority = priority;
   descriptor.mpdu_count = static_cast<int>(staged_->mpdus.size());
   // The domain charges one payload duration per MPDU; with heterogeneous
   // MPDU sizes we charge the longest (conservative, only differs when a
   // tail MPDU is short).
   des::SimTime longest = des::SimTime::zero();
+  descriptor.sofs.clear();
   for (const frames::Mpdu& mpdu : staged_->mpdus) {
     longest = std::max(longest, mpdu.sof.frame_duration());
     descriptor.sofs.push_back(mpdu.sof);
   }
   descriptor.mpdu_duration = longest;
-  return descriptor;
+  return true;
 }
 
 void HpavDevice::on_idle_slot() {
@@ -408,18 +439,16 @@ void HpavDevice::on_transmission_complete(bool success) {
 
   if (!success) {
     // Collision: the destination decodes only the delimiters and answers
-    // all-blocks-bad; every PB returns to the head of the retransmission
-    // queue, in order.
+    // all-blocks-bad; every MPDU's PB vector returns to the head of the
+    // retransmission queue as one run, in order, without a copy.
     counters_.on_tx_collided(link.dst_mac, link.priority,
                              burst.mpdus.size());
     if (metrics_) metrics_->bursts_collided->add();
     for (auto mpdu_it = burst.mpdus.rbegin(); mpdu_it != burst.mpdus.rend();
          ++mpdu_it) {
       destination->hear_collided_mpdu(mpdu_it->sof);
-      for (auto pb_it = mpdu_it->blocks.rbegin();
-           pb_it != mpdu_it->blocks.rend(); ++pb_it) {
-        link.retx.push_back(*pb_it);
-      }
+      link.retx_pbs += mpdu_it->blocks.size();
+      link.retx.push_back(std::move(mpdu_it->blocks));
     }
     recycle(burst.mpdus);
     return;
@@ -434,19 +463,22 @@ void HpavDevice::on_transmission_complete(bool success) {
     for (frames::PhysicalBlock& pb : mpdu.blocks) {
       pb.received_ok = !rng_.bernoulli(pb_error_rate);
     }
-    const frames::SackDelimiter sack = destination->receive_mpdu(mpdu);
+    const frames::SackDelimiter& sack = destination->receive_mpdu(mpdu);
     util::require(sack.pb_ok.size() == mpdu.blocks.size(),
                   "HpavDevice: SACK bitmap size mismatch");
     counters_.on_tx_acked(link.dst_mac, link.priority, 1);
+    if (sack.result == frames::SackResult::kAllGood) continue;
     // Blocks the receiver flagged bad go to the tail of the
-    // retransmission queue.
+    // retransmission queue, as one run.
+    std::vector<frames::PhysicalBlock> bad = spare_block_vector();
     for (std::size_t i = 0; i < sack.pb_ok.size(); ++i) {
       if (!sack.pb_ok[i]) {
-        frames::PhysicalBlock& pb =
-            *link.retx.insert(link.retx.begin(), mpdu.blocks[i]);
-        pb.received_ok = true;
+        bad.push_back(mpdu.blocks[i]);
+        bad.back().received_ok = true;
       }
     }
+    link.retx_pbs += bad.size();
+    link.retx.insert(link.retx.begin(), std::move(bad));
   }
   recycle(burst.mpdus);
   // The frame exchange is over; if the queue drained, stop contending.
@@ -457,7 +489,8 @@ void HpavDevice::on_transmission_complete(bool success) {
 
 // --- Receive path ------------------------------------------------------------
 
-frames::SackDelimiter HpavDevice::receive_mpdu(const frames::Mpdu& mpdu) {
+const frames::SackDelimiter& HpavDevice::receive_mpdu(
+    const frames::Mpdu& mpdu) {
   util::require(mpdu.sof.dst_tei == tei_,
                 "HpavDevice::receive_mpdu: MPDU not addressed to me");
   const int src_tei = mpdu.sof.src_tei;
@@ -467,11 +500,10 @@ frames::SackDelimiter HpavDevice::receive_mpdu(const frames::Mpdu& mpdu) {
     stream.started = true;
   }
 
-  std::vector<bool> pb_ok;
-  pb_ok.reserve(mpdu.blocks.size());
+  sack_.pb_ok.clear();
   int bad_blocks = 0;
   for (const frames::PhysicalBlock& pb : mpdu.blocks) {
-    pb_ok.push_back(pb.received_ok);
+    sack_.pb_ok.push_back(pb.received_ok);
     if (!pb.received_ok) {
       ++bad_blocks;
       continue;
@@ -506,8 +538,10 @@ frames::SackDelimiter HpavDevice::receive_mpdu(const frames::Mpdu& mpdu) {
   const frames::MacAddress src_mac =
       source != nullptr ? source->mac() : frames::MacAddress{};
   counters_.on_rx_acked(src_mac, priority, 1);
-  return frames::SackDelimiter::from_outcomes(
-      static_cast<std::uint8_t>(tei_), mpdu.sof.src_tei, pb_ok);
+  sack_.src_tei = static_cast<std::uint8_t>(tei_);
+  sack_.dst_tei = mpdu.sof.src_tei;
+  sack_.update_result();
+  return sack_;
 }
 
 void HpavDevice::reassemble(RxStream& stream,
@@ -525,6 +559,9 @@ void HpavDevice::reassemble(RxStream& stream,
 
 void HpavDevice::recycle(std::vector<frames::Mpdu>& mpdus) {
   for (frames::Mpdu& mpdu : mpdus) {
+    // A collided MPDU's vector went to the retransmission queue and
+    // left an empty one without capacity behind: not worth keeping.
+    if (mpdu.blocks.capacity() == 0) continue;
     mpdu.blocks.clear();
     spare_blocks_.push_back(std::move(mpdu.blocks));
   }
@@ -630,7 +667,7 @@ std::size_t HpavDevice::tx_backlog_pbs() const {
   std::size_t total = 0;
   for (const auto& [key, link] : links_) {
     total += static_cast<std::size_t>(link.segmenter.complete_pb_count());
-    total += link.retx.size();
+    total += link.retx_pbs;
   }
   return total;
 }

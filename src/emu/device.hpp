@@ -110,6 +110,9 @@ const phy::ToneMap& tonemap_profile(int index);
 /// Callback receiving frames on the device's host interface.
 using HostReceiveFn = std::function<void(const frames::EthernetFrame&)>;
 
+/// Callback fired when the device has taken PBs off its transmit queues.
+using DrainFn = std::function<void()>;
+
 /// The emulated station.
 class HpavDevice final : public medium::Participant,
                          public medium::MediumObserver {
@@ -131,6 +134,13 @@ class HpavDevice final : public medium::Participant,
   /// without displacing the application's callback).
   void add_host_listener(HostReceiveFn callback);
 
+  /// Installs the drain callback, replacing any previous one (an empty
+  /// function detaches it). It fires each time the device stages a burst,
+  /// right after taking the burst's PBs off its queues, so a host that
+  /// keeps the device saturated refills it there
+  /// (workload::SaturatedSource::top_up). It may call host_send.
+  void set_drain_callback(DrainFn callback);
+
   // --- Device-to-device management traffic (§3.3 / E10) ------------------
   /// Starts emitting a management frame of `payload_bytes` to `peer`
   /// every `interval` (the standard leaves rates vendor-defined; this
@@ -142,13 +152,13 @@ class HpavDevice final : public medium::Participant,
   // --- medium::Participant ------------------------------------------------
   bool has_pending_frame() override;
   frames::Priority pending_priority() override;
-  std::optional<medium::TxDescriptor> poll_transmit() override;
+  bool poll_transmit(medium::TxDescriptor& burst) override;
   void on_idle_slot() override;
   void on_busy(bool transmitted, bool success) override;
   void on_transmission_complete(bool success) override;
   /// Devices serve their head link in TDMA allocations they own,
   /// bypassing the backoff entity entirely.
-  std::optional<medium::TxDescriptor> poll_contention_free() override;
+  bool poll_contention_free(medium::TxDescriptor& burst) override;
 
   // --- medium::MediumObserver (sniffer tap) -------------------------------
   void on_medium_event(const medium::MediumEventRecord& record) override;
@@ -178,8 +188,9 @@ class HpavDevice final : public medium::Participant,
 
   /// Called by a transmitting peer: the device receives one MPDU and
   /// answers with a selective acknowledgment (success path; the SACK's
-  /// airtime lives in the domain's success overhead).
-  frames::SackDelimiter receive_mpdu(const frames::Mpdu& mpdu);
+  /// airtime lives in the domain's success overhead). The SACK is the
+  /// device's own, valid until its next receive_mpdu.
+  const frames::SackDelimiter& receive_mpdu(const frames::Mpdu& mpdu);
 
   /// Called by a transmitting peer whose MPDU to this device collided:
   /// the delimiter was decodable, the payload was not (all-bad SACK).
@@ -193,8 +204,13 @@ class HpavDevice final : public medium::Participant,
     frames::Priority priority = frames::Priority::kCa1;
     bool is_mme = false;             ///< Flush immediately (management).
     frames::Segmenter segmenter;
-    /// PBs awaiting retransmission, queue head at the back.
-    std::vector<frames::PhysicalBlock> retx;
+    /// PBs awaiting retransmission, as runs: the head run is at the
+    /// back, and each run holds its PBs in queue order. A collided MPDU's
+    /// PB vector becomes one run as it is, and a SACK's bad PBs of one
+    /// MPDU form one run at the tail.
+    std::vector<std::vector<frames::PhysicalBlock>> retx;
+    /// PBs in `retx`, over all runs (no run is empty).
+    std::size_t retx_pbs = 0;
     des::SimTime oldest_arrival = des::SimTime::zero();
     std::int64_t frames_enqueued = 0;
     /// Transmit modulation profile (adaptation mode).
@@ -238,9 +254,16 @@ class HpavDevice final : public medium::Participant,
   int max_pbs_for(const Link& link) const;
   mac::Backoff1901& entity_for(frames::Priority priority);
   /// Assembles (or re-uses) the staged burst from the head link and
-  /// describes it for the medium.
-  std::optional<medium::TxDescriptor> stage_and_describe(
-      frames::Priority priority);
+  /// describes it for the medium in `descriptor`; returns true.
+  bool stage_and_describe(frames::Priority priority,
+                          medium::TxDescriptor& descriptor);
+  /// Moves (or, past the PB limit, copies) retransmission PBs from the
+  /// head of `link.retx` into `pbs`, an MPDU's empty PB vector, until it
+  /// holds `pb_limit` PBs or the queue is empty.
+  void take_retx(Link& link, int pb_limit,
+                 std::vector<frames::PhysicalBlock>& pbs);
+  /// An emptied PB vector with capacity, from the spares when any.
+  std::vector<frames::PhysicalBlock> spare_block_vector();
   void emit_periodic_mme(std::size_t index);
   /// Feeds the next in-order PB (SSN `expected_ssn`) to the stream's
   /// reassembler and hands the frames it completes to the firmware/host.
@@ -260,6 +283,7 @@ class HpavDevice final : public medium::Participant,
   DeviceConfig config_;
   des::RandomStream rng_;
   std::vector<HostReceiveFn> host_listeners_;
+  DrainFn drain_;
 
   std::map<LinkKey, Link> links_;
   /// Receive-side reassembly, keyed by (source TEI, link id): each link
@@ -286,6 +310,8 @@ class HpavDevice final : public medium::Participant,
   /// Frames completed by the last Reassembler::push_pb (its count
   /// prefix); the elements keep their payload capacity.
   std::vector<frames::EthernetFrame> rx_frames_;
+  /// The SACK of the last receive_mpdu; its bitmap keeps its capacity.
+  frames::SackDelimiter sack_;
 
   /// Pre-resolved registry instruments (optional; see bind_metrics).
   struct Metrics {

@@ -11,6 +11,17 @@ int SackDelimiter::good_count() const {
   return static_cast<int>(std::count(pb_ok.begin(), pb_ok.end(), true));
 }
 
+void SackDelimiter::update_result() {
+  const int good = good_count();
+  if (good == static_cast<int>(pb_ok.size())) {
+    result = SackResult::kAllGood;
+  } else if (good == 0) {
+    result = SackResult::kAllBad;
+  } else {
+    result = SackResult::kPartial;
+  }
+}
+
 SackDelimiter SackDelimiter::from_outcomes(std::uint8_t src_tei,
                                            std::uint8_t dst_tei,
                                            const std::vector<bool>& pb_ok) {
@@ -18,14 +29,7 @@ SackDelimiter SackDelimiter::from_outcomes(std::uint8_t src_tei,
   sack.src_tei = src_tei;
   sack.dst_tei = dst_tei;
   sack.pb_ok = pb_ok;
-  const int good = sack.good_count();
-  if (good == static_cast<int>(pb_ok.size())) {
-    sack.result = SackResult::kAllGood;
-  } else if (good == 0) {
-    sack.result = SackResult::kAllBad;
-  } else {
-    sack.result = SackResult::kPartial;
-  }
+  sack.update_result();
   return sack;
 }
 

@@ -37,6 +37,10 @@ struct SackDelimiter {
   /// Number of PBs flagged for retransmission.
   int bad_count() const { return static_cast<int>(pb_ok.size()) - good_count(); }
 
+  /// Sets `result` from the bitmap (a receiver that fills `pb_ok` in
+  /// place calls this once the bitmap is complete).
+  void update_result();
+
   /// Builds the verdict/bitmap from receive outcomes.
   static SackDelimiter from_outcomes(std::uint8_t src_tei,
                                      std::uint8_t dst_tei,

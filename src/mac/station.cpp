@@ -7,14 +7,13 @@
 namespace plc::mac {
 
 namespace {
-medium::TxDescriptor make_descriptor(frames::Priority priority,
-                                     des::SimTime mpdu_duration,
-                                     int mpdu_count) {
-  medium::TxDescriptor descriptor;
-  descriptor.priority = priority;
-  descriptor.mpdu_duration = mpdu_duration;
-  descriptor.mpdu_count = mpdu_count;
-  return descriptor;
+bool describe(medium::TxDescriptor& burst, frames::Priority priority,
+              des::SimTime mpdu_duration, int mpdu_count) {
+  burst.priority = priority;
+  burst.mpdu_duration = mpdu_duration;
+  burst.mpdu_count = mpdu_count;
+  burst.sofs.clear();
+  return true;
 }
 }  // namespace
 
@@ -35,14 +34,13 @@ SaturatedStation::SaturatedStation(std::unique_ptr<BackoffEntity> backoff,
                   "must be >= 0 (0 = infinite)");
 }
 
-std::optional<medium::TxDescriptor> SaturatedStation::poll_transmit() {
-  if (!backoff_->ready_to_transmit()) return std::nullopt;
-  return make_descriptor(priority_, mpdu_duration_, mpdu_count_);
+bool SaturatedStation::poll_transmit(medium::TxDescriptor& burst) {
+  if (!backoff_->ready_to_transmit()) return false;
+  return describe(burst, priority_, mpdu_duration_, mpdu_count_);
 }
 
-std::optional<medium::TxDescriptor>
-SaturatedStation::poll_contention_free() {
-  return make_descriptor(priority_, mpdu_duration_, mpdu_count_);
+bool SaturatedStation::poll_contention_free(medium::TxDescriptor& burst) {
+  return describe(burst, priority_, mpdu_duration_, mpdu_count_);
 }
 
 void SaturatedStation::on_idle_slot() {
@@ -105,14 +103,14 @@ void QueueStation::enqueue_frame() {
   }
 }
 
-std::optional<medium::TxDescriptor> QueueStation::poll_transmit() {
-  if (queue_.empty() || !backoff_->ready_to_transmit()) return std::nullopt;
-  return make_descriptor(priority_, mpdu_duration_, 1);
+bool QueueStation::poll_transmit(medium::TxDescriptor& burst) {
+  if (queue_.empty() || !backoff_->ready_to_transmit()) return false;
+  return describe(burst, priority_, mpdu_duration_, 1);
 }
 
-std::optional<medium::TxDescriptor> QueueStation::poll_contention_free() {
-  if (queue_.empty()) return std::nullopt;
-  return make_descriptor(priority_, mpdu_duration_, 1);
+bool QueueStation::poll_contention_free(medium::TxDescriptor& burst) {
+  if (queue_.empty()) return false;
+  return describe(burst, priority_, mpdu_duration_, 1);
 }
 
 void QueueStation::on_idle_slot() {

@@ -52,11 +52,11 @@ class SaturatedStation : public medium::Participant {
   // medium::Participant
   bool has_pending_frame() override { return true; }
   frames::Priority pending_priority() override { return priority_; }
-  std::optional<medium::TxDescriptor> poll_transmit() override;
+  bool poll_transmit(medium::TxDescriptor& burst) override;
   void on_idle_slot() override;
   void on_busy(bool transmitted, bool success) override;
   /// Saturated stations happily fill any TDMA allocation they own.
-  std::optional<medium::TxDescriptor> poll_contention_free() override;
+  bool poll_contention_free(medium::TxDescriptor& burst) override;
 
   const StationStats& stats() const { return stats_; }
   const BackoffEntity& backoff() const { return *backoff_; }
@@ -95,12 +95,12 @@ class QueueStation : public medium::Participant {
   // medium::Participant
   bool has_pending_frame() override { return !queue_.empty(); }
   frames::Priority pending_priority() override { return priority_; }
-  std::optional<medium::TxDescriptor> poll_transmit() override;
+  bool poll_transmit(medium::TxDescriptor& burst) override;
   void on_idle_slot() override;
   void on_busy(bool transmitted, bool success) override;
   void on_transmission_complete(bool success) override;
   /// Queued frames may also ride a TDMA allocation the station owns.
-  std::optional<medium::TxDescriptor> poll_contention_free() override;
+  bool poll_contention_free(medium::TxDescriptor& burst) override;
 
   const StationStats& stats() const { return stats_; }
   std::size_t queue_depth() const { return queue_.size(); }

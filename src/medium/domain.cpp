@@ -48,6 +48,7 @@ int ContentionDomain::add_participant(Participant& participant) {
   util::require(!started_,
                 "ContentionDomain: cannot add participants after start()");
   participants_.push_back(&participant);
+  descriptors_.emplace_back();
   return static_cast<int>(participants_.size()) - 1;
 }
 
@@ -206,7 +207,6 @@ void ContentionDomain::slot_boundary() {
   // Poll the contenders; lower-priority backlogged stations defer.
   transmitter_ids_.clear();
   contender_ids_.clear();
-  descriptors_.clear();
   for (int id = 0; id < static_cast<int>(participants_.size()); ++id) {
     Participant* p = participants_[static_cast<std::size_t>(id)];
     if (!p->has_pending_frame()) continue;
@@ -215,11 +215,11 @@ void ContentionDomain::slot_boundary() {
       continue;
     }
     contender_ids_.push_back(id);
-    if (auto descriptor = p->poll_transmit()) {
-      util::require(descriptor->mpdu_count >= 1,
+    TxDescriptor& descriptor = descriptors_[static_cast<std::size_t>(id)];
+    if (p->poll_transmit(descriptor)) {
+      util::require(descriptor.mpdu_count >= 1,
                     "ContentionDomain: burst must have >= 1 MPDU");
       transmitter_ids_.push_back(id);
-      descriptors_.push_back(std::move(*descriptor));
     }
   }
 
@@ -251,8 +251,9 @@ void ContentionDomain::slot_boundary() {
   // Busy-period duration: the winner's burst for a success, the longest
   // involved burst for a collision.
   des::SimTime payload = des::SimTime::zero();
-  for (const TxDescriptor& d : descriptors_) {
-    payload = std::max(payload, d.payload_duration(timing_.burst_gap));
+  for (const int id : transmitter_ids_) {
+    payload = std::max(payload, descriptors_[static_cast<std::size_t>(id)]
+                                    .payload_duration(timing_.burst_gap));
   }
   des::SimTime busy =
       payload +
@@ -266,14 +267,17 @@ void ContentionDomain::slot_boundary() {
   }
   if (success) {
     ++stats_.successes;
-    stats_.success_mpdus += descriptors_.front().mpdu_count;
+    stats_.success_mpdus +=
+        descriptors_[static_cast<std::size_t>(transmitter_ids_.front())]
+            .mpdu_count;
     stats_.success_time += busy;
     stats_.success_payload_time += payload;
   } else {
     ++stats_.collision_events;
     stats_.collided_tx += static_cast<std::int64_t>(transmitter_ids_.size());
-    for (const TxDescriptor& d : descriptors_) {
-      stats_.collided_mpdus += d.mpdu_count;
+    for (const int id : transmitter_ids_) {
+      stats_.collided_mpdus +=
+          descriptors_[static_cast<std::size_t>(id)].mpdu_count;
     }
     stats_.collision_time += busy;
   }
@@ -300,7 +304,8 @@ void ContentionDomain::slot_boundary() {
   record.transmitters = transmitter_ids_;
   record.priority = winning;
   record.sofs.clear();
-  for (const TxDescriptor& d : descriptors_) {
+  for (const int id : transmitter_ids_) {
+    const TxDescriptor& d = descriptors_[static_cast<std::size_t>(id)];
     record.sofs.insert(record.sofs.end(), d.sofs.begin(), d.sofs.end());
   }
   emit_record(record);
@@ -328,15 +333,17 @@ void ContentionDomain::tdma_region(const BeaconSchedule::Region& region) {
           ? participants_[static_cast<std::size_t>(region.owner)]
           : nullptr;
   if (owner != nullptr && owner->has_pending_frame()) {
-    if (auto descriptor = owner->poll_contention_free()) {
-      util::require(descriptor->mpdu_count >= 1,
+    TxDescriptor& descriptor =
+        descriptors_[static_cast<std::size_t>(region.owner)];
+    if (owner->poll_contention_free(descriptor)) {
+      util::require(descriptor.mpdu_count >= 1,
                     "ContentionDomain: TDMA burst must have >= 1 MPDU");
       const des::SimTime busy =
-          descriptor->payload_duration(timing_.burst_gap) +
+          descriptor.payload_duration(timing_.burst_gap) +
           timing_.success_overhead;
       if (now + busy <= region.end) {
         ++stats_.tdma_successes;
-        stats_.tdma_mpdus += descriptor->mpdu_count;
+        stats_.tdma_mpdus += descriptor.mpdu_count;
         stats_.tdma_time += busy;
 
         MediumEventRecord record;
@@ -345,8 +352,8 @@ void ContentionDomain::tdma_region(const BeaconSchedule::Region& region) {
         record.start = now;
         record.duration = busy;
         record.transmitters = {region.owner};
-        record.priority = descriptor->priority;
-        record.sofs = descriptor->sofs;
+        record.priority = descriptor.priority;
+        record.sofs = descriptor.sofs;
         emit_record(record);
 
         scheduler_.schedule(busy, [this, owner_id = region.owner] {

@@ -196,6 +196,8 @@ class ContentionDomain {
   // transmitters until its completion event fires.
   std::vector<int> transmitter_ids_;
   std::vector<int> contender_ids_;
+  /// One burst descriptor per participant (indexed by id), filled by its
+  /// polls; a transmitter's entry holds its burst for the slot.
   std::vector<TxDescriptor> descriptors_;
   MediumEventRecord busy_record_;
   bool exchange_in_flight_ = false;

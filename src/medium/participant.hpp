@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "des/time.hpp"
@@ -12,7 +11,8 @@ namespace plc::medium {
 
 /// What a station puts on the wire when its backoff counter expires: a
 /// burst of one or more MPDUs (§3.1 — bursts contend for the medium, not
-/// individual MPDUs).
+/// individual MPDUs). The domain owns one per participant and hands it
+/// to every poll, so `sofs` keeps its capacity from burst to burst.
 struct TxDescriptor {
   /// On-wire duration of each MPDU's payload.
   des::SimTime mpdu_duration = des::SimTime::zero();
@@ -51,9 +51,10 @@ class Participant {
   virtual frames::Priority pending_priority() = 0;
 
   /// Polled at each backoff slot boundary (only for stations contending
-  /// at the winning priority). Returns the burst to transmit when the
-  /// backoff counter has expired, nullopt to keep waiting.
-  virtual std::optional<TxDescriptor> poll_transmit() = 0;
+  /// at the winning priority). When the backoff counter has expired,
+  /// fills every field of `burst` with the burst to transmit and returns
+  /// true; returns false to keep waiting (`burst` is then unspecified).
+  virtual bool poll_transmit(TxDescriptor& burst) = 0;
 
   /// An idle backoff slot elapsed.
   virtual void on_idle_slot() = 0;
@@ -74,11 +75,13 @@ class Participant {
   virtual void on_transmission_complete(bool success) { (void)success; }
 
   /// Polled when the station owns the current contention-free (TDMA)
-  /// allocation of the beacon period: return the next burst to send
-  /// without any backoff, or nullopt to leave the allocation idle.
-  /// Stations that never use TDMA keep the default.
-  virtual std::optional<TxDescriptor> poll_contention_free() {
-    return std::nullopt;
+  /// allocation of the beacon period: fill `burst` with the next burst
+  /// to send without any backoff and return true, or return false to
+  /// leave the allocation idle. Stations that never use TDMA keep the
+  /// default.
+  virtual bool poll_contention_free(TxDescriptor& burst) {
+    (void)burst;
+    return false;
   }
 };
 

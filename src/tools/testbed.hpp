@@ -84,7 +84,9 @@ struct TestbedSuiteResult {
 /// The device configuration is deliberately absent: scenario testbed
 /// legs always run the default emu::DeviceConfig, so changing those
 /// defaults is a simulation-semantics change covered by
-/// store::kResultEpoch.
+/// store::kResultEpoch. A "version" field changes when a testbed entry's
+/// stored content changes for the same inputs (its metric snapshot
+/// included), which orphans earlier testbed entries only.
 std::string testbed_point_json(const TestbedConfig& config);
 
 /// A batch of independent testbed tests as one leg of the task engine

@@ -26,36 +26,25 @@ void FrameTemplate::restamp(frames::EthernetFrame& frame,
   }
 }
 
-SaturatedSource::SaturatedSource(des::Scheduler& scheduler,
-                                 FrameTemplate frame_template, FrameSink sink,
-                                 BacklogProbe backlog,
-                                 std::size_t target_backlog,
-                                 des::SimTime poll_interval)
-    : scheduler_(scheduler),
-      template_(frame_template),
+SaturatedSource::SaturatedSource(FrameTemplate frame_template,
+                                 FrameSink sink, BacklogProbe backlog,
+                                 std::size_t target_backlog)
+    : template_(frame_template),
       sink_(std::move(sink)),
       backlog_(std::move(backlog)),
-      target_backlog_(target_backlog),
-      poll_interval_(poll_interval) {
+      target_backlog_(target_backlog) {
   util::check_arg(static_cast<bool>(sink_), "sink", "must not be empty");
   util::check_arg(static_cast<bool>(backlog_), "backlog", "must not be empty");
   util::check_arg(target_backlog >= 1, "target_backlog", "must be >= 1");
-  util::check_arg(poll_interval > des::SimTime::zero(), "poll_interval",
-                  "must be positive");
   frame_ = template_.make(0);
 }
 
-void SaturatedSource::start() {
-  scheduler_.schedule(des::SimTime::zero(), [this] { refill(); });
-}
-
-void SaturatedSource::refill() {
+void SaturatedSource::top_up() {
   while (backlog_() < target_backlog_) {
     FrameTemplate::restamp(frame_, sequence_++);
     sink_(frame_);
     ++frames_generated_;
   }
-  scheduler_.schedule(poll_interval_, [this] { refill(); });
 }
 
 PoissonSource::PoissonSource(des::Scheduler& scheduler,

@@ -39,32 +39,29 @@ struct FrameTemplate {
   static void restamp(frames::EthernetFrame& frame, std::uint32_t sequence);
 };
 
-/// Keeps the sink backlog at `target_backlog`: every `poll_interval` it
-/// reads the backlog and pushes frames only while it is below target, so
-/// the backlog never exceeds target plus one frame however slowly the
-/// sink drains. This models an application-layer iperf-style flood whose
-/// socket buffer never empties.
+/// Keeps the sink backlog at `target_backlog`: top_up() reads the
+/// backlog and pushes frames only while it is below target, so the
+/// backlog never exceeds target plus one frame however slowly the sink
+/// drains. The owner calls top_up() once to fill the sink and then
+/// whenever the sink takes frames off its backlog (for an emulated
+/// device, from its drain callback), so the backlog is back at target
+/// before anything can read it. This models an application-layer
+/// iperf-style flood whose socket buffer never empties.
 class SaturatedSource {
  public:
-  SaturatedSource(des::Scheduler& scheduler, FrameTemplate frame_template,
-                  FrameSink sink, BacklogProbe backlog,
-                  std::size_t target_backlog = 32,
-                  des::SimTime poll_interval = des::SimTime::from_us(500));
+  SaturatedSource(FrameTemplate frame_template, FrameSink sink,
+                  BacklogProbe backlog, std::size_t target_backlog = 32);
 
-  /// Starts generation (first refill immediately).
-  void start();
+  /// Pushes frames while the backlog is below target.
+  void top_up();
 
   std::int64_t frames_generated() const { return frames_generated_; }
 
  private:
-  void refill();
-
-  des::Scheduler& scheduler_;
   FrameTemplate template_;
   FrameSink sink_;
   BacklogProbe backlog_;
   std::size_t target_backlog_;
-  des::SimTime poll_interval_;
   std::int64_t frames_generated_ = 0;
   std::uint32_t sequence_ = 0;
   frames::EthernetFrame frame_;  ///< template_.make(), restamped per frame.

@@ -141,14 +141,17 @@ struct AdaptationFixture {
     frame_template.destination = receiver->mac();
     frame_template.source = sender->mac();
     source = std::make_unique<workload::SaturatedSource>(
-        network.scheduler(), frame_template,
-        [this](frames::EthernetFrame frame) { sender->host_send(frame); },
+        frame_template,
+        [this](const frames::EthernetFrame& frame) {
+          sender->host_send(frame);
+        },
         [this] { return sender->tx_backlog_pbs(); }, 256);
+    sender->set_drain_callback([this] { source->top_up(); });
   }
 
   void run(double seconds) {
     network.start();
-    source->start();
+    source->top_up();
     network.run_for(des::SimTime::from_seconds(seconds));
   }
 };

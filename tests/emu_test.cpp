@@ -120,17 +120,17 @@ TEST(Device, CountersMatchDomainGroundTruth) {
   ta.destination = d.mac();
   ta.source = a.mac();
   workload::SaturatedSource sa(
-      network.scheduler(), ta,
-      [&a](frames::EthernetFrame f) { a.host_send(f); },
+      ta, [&a](const frames::EthernetFrame& f) { a.host_send(f); },
       [&a] { return a.tx_backlog_pbs(); }, 128);
   workload::FrameTemplate tb = ta;
   tb.source = b.mac();
   workload::SaturatedSource sb(
-      network.scheduler(), tb,
-      [&b](frames::EthernetFrame f) { b.host_send(f); },
+      tb, [&b](const frames::EthernetFrame& f) { b.host_send(f); },
       [&b] { return b.tx_backlog_pbs(); }, 128);
-  sa.start();
-  sb.start();
+  a.set_drain_callback([&sa] { sa.top_up(); });
+  b.set_drain_callback([&sb] { sb.top_up(); });
+  sa.top_up();
+  sb.top_up();
   network.run_for(des::SimTime::from_seconds(5.0));
 
   const medium::DomainStats& stats = network.domain().stats();
@@ -174,11 +174,11 @@ TEST(Device, BurstsHaveUniformShapeUnderSaturation) {
   t.destination = receiver.mac();
   t.source = sender.mac();
   workload::SaturatedSource source(
-      network.scheduler(), t,
-      [&sender](frames::EthernetFrame f) { sender.host_send(f); },
+      t, [&sender](const frames::EthernetFrame& f) { sender.host_send(f); },
       [&sender] { return sender.tx_backlog_pbs(); }, 128);
+  sender.set_drain_callback([&source] { source.top_up(); });
   network.start();
-  source.start();
+  source.top_up();
   network.run_for(des::SimTime::from_seconds(2.0));
   ASSERT_GT(tap.burst_sizes.size(), 100u);
   for (const int size : tap.burst_sizes) {
@@ -187,9 +187,9 @@ TEST(Device, BurstsHaveUniformShapeUnderSaturation) {
 }
 
 TEST(Device, SaturatedBacklogStaysBoundedWhenContending) {
-  // At N = 4 each station gets about a quarter of the medium, far less
-  // than one frame per source poll; the source must still hold every
-  // backlog at its target instead of letting the queues grow.
+  // At N = 4 each station gets about a quarter of the medium; the source
+  // tops its station up after every burst the station stages and must
+  // hold every backlog at its target instead of letting the queues grow.
   Network network(6);
   std::vector<HpavDevice*> stations;
   for (int i = 0; i < 4; ++i) stations.push_back(&network.add_device());
@@ -201,12 +201,14 @@ TEST(Device, SaturatedBacklogStaysBoundedWhenContending) {
   for (HpavDevice* station : stations) {
     t.source = station->mac();
     sources.push_back(std::make_unique<workload::SaturatedSource>(
-        network.scheduler(), t,
-        [station](frames::EthernetFrame f) { station->host_send(f); },
+        t,
+        [station](const frames::EthernetFrame& f) { station->host_send(f); },
         [station] { return station->tx_backlog_pbs(); }, kTarget));
+    station->set_drain_callback(
+        [source = sources.back().get()] { source->top_up(); });
   }
   network.start();
-  for (auto& source : sources) source->start();
+  for (auto& source : sources) source->top_up();
   network.run_for(des::SimTime::from_seconds(10.0));
 
   // One frame (length prefix included) completes at most this many PBs.

@@ -611,6 +611,78 @@ TEST(StoreScenario, InvalidCountsInPayloadsAreRerunAndRepublished) {
   }
 }
 
+// A testbed entry carries its test's metric snapshot, and the snapshot
+// of a run whose sources polled every 500 us holds other
+// des.events_dispatched and des.pending_high_water values than a run
+// whose sources refill on drain. The testbed point JSON therefore gained
+// a version field, which moves testbed keys only: an entry published
+// under the earlier point JSON (written out literally below) must miss
+// and re-run, while the sim entries in the same store still hit.
+TEST(StoreScenario, TestbedEntriesOfAnEarlierVersionAreNeverServed) {
+  TempDir dir("stale_testbed");
+  scenario::Spec spec = tiny_sim_spec();
+  spec.stations = {2};
+  spec.repetitions = 1;
+  spec.legs.testbed = true;
+  spec.testbed_tests = 1;
+  spec.testbed_duration = des::SimTime::from_seconds(0.5);
+  spec.validate();
+  store::ResultStore reference(dir.str() + "/reference");
+  const std::string cold_text =
+      run_report_text(spec, &reference, 1, dir.str() + "/cold.json");
+
+  // The healthy entry, with a marker in place of its event count.
+  const std::optional<obs::JsonValue> healthy = reference.lookup(
+      store::make_key("testbed/CA1",
+                      tools::testbed_point_json(spec.to_testbed_config(2, 0)),
+                      0));
+  ASSERT_TRUE(healthy.has_value());
+  obs::JsonValue stale = *healthy;
+  bool marked = false;
+  for (auto& [name, member] : stale.members) {
+    if (name != "metrics") continue;
+    for (obs::JsonValue& sample : member.items) {
+      const obs::JsonValue* metric = sample.find("name");
+      if (metric == nullptr || metric->text != "des.events_dispatched") {
+        continue;
+      }
+      for (auto& [field, value] : sample.members) {
+        if (field == "value") {
+          value.number = 4242.0;
+          marked = true;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(marked);
+
+  // A store with the spec's sim entry and the marked entry under the
+  // point JSON this test had before the version field.
+  const std::string earlier_point =
+      "{\"stations\": 2,\"warmup_ns\": 2000000000,"
+      "\"duration_ns\": 500000000,\"seed\": \"0x46acdea729036836\","
+      "\"timing\": {\"slot_ns\": 35840,\"success_overhead_ns\": 492640,"
+      "\"collision_overhead_ns\": 870640,\"burst_gap_ns\": 0},"
+      "\"sniff\": false,\"mme_interval_ns\": 0,\"mme_payload_bytes\": 100}";
+  {
+    scenario::Spec sim_only = spec;
+    sim_only.legs.testbed = false;
+    sim_only.validate();
+    store::ResultStore cache(dir.str() + "/cache");
+    run_report_text(sim_only, &cache, 1, dir.str() + "/sim.json");
+    cache.publish(store::make_key("testbed/CA1", earlier_point, 0),
+                  stale.dump());
+  }
+
+  store::ResultStore warm(dir.str() + "/cache");
+  const std::string warm_text =
+      run_report_text(spec, &warm, 1, dir.str() + "/warm.json");
+  EXPECT_EQ(warm.counters().hits, 1);    // The sim task.
+  EXPECT_EQ(warm.counters().misses, 1);  // The testbed task re-runs.
+  EXPECT_EQ(warm.counters().publishes, 1);
+  EXPECT_EQ(warm_text, cold_text);
+}
+
 // The testbed leg runs on the engine, so an attached hub sees its tasks
 // and their store traffic like the sim leg's.
 TEST(StoreScenario, TelemetryCountsTestbedTasksAndStoreTraffic) {

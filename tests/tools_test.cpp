@@ -279,6 +279,33 @@ TEST(Testbed, DataKeepsFlowingToDestination) {
   EXPECT_GT(result.frames_delivered_to_destination, 1000);
 }
 
+TEST(Testbed, EveryDispatchIsAMediumEvent) {
+  // Each dispatched event runs one slot boundary, which is one idle slot
+  // or the start of one exchange: a saturated testbed without MMEs or a
+  // sniffer schedules nothing else (no source polls, no timers). The one
+  // event the count may hold beyond the medium's is the t = 0 slot, which
+  // runs before the zero-length warm-up's statistics reset.
+  for (const int stations : {1, 3, 7}) {
+    obs::Registry registry;
+    TestbedConfig config;
+    config.stations = stations;
+    config.warmup = des::SimTime::zero();
+    config.duration = des::SimTime::from_seconds(1.0);
+    config.registry = &registry;
+    const TestbedResult result = run_saturated_testbed(config);
+    const obs::Snapshot snapshot = registry.snapshot();
+    const obs::MetricSample* dispatched =
+        snapshot.find("des.events_dispatched");
+    ASSERT_NE(dispatched, nullptr);
+    const std::int64_t medium_events = result.domain.idle_slots +
+                                       result.domain.successes +
+                                       result.domain.collision_events;
+    const auto events = static_cast<std::int64_t>(dispatched->value);
+    EXPECT_GE(events, medium_events) << stations << " stations";
+    EXPECT_LE(events, medium_events + 1) << stations << " stations";
+  }
+}
+
 TEST(Testbed, RejectsBadConfig) {
   TestbedConfig config;
   config.stations = 0;
@@ -292,10 +319,13 @@ TEST(Testbed, RejectsBadConfig) {
 //
 // Reports carry the testbed's counters and des.events_dispatched, so the
 // data plane (sources, segmenter, receive path) may get cheaper but must
-// not change a single event or RNG draw. These values were recorded from
-// the per-byte deque segmenter and the push-then-read saturated source;
-// the queue high-water gauge and the capture digest were recorded from
-// the map-backed scheduler and the per-slot MediumEventRecord.
+// not change a single medium event or RNG draw. These values were
+// recorded from the per-byte deque segmenter and the push-then-read
+// saturated source; the capture digest from the map-backed scheduler and
+// the per-slot MediumEventRecord. The event count and the queue
+// high-water gauge were re-recorded when sources stopped polling every
+// 500 us and began refilling on drain: each dropped by exactly the polls,
+// N * (floor((warm-up + duration) / 500 us) + 1) events and N pending.
 
 struct TestbedPin {
   std::vector<std::uint64_t> acknowledged;
@@ -374,7 +404,7 @@ TEST(TestbedGolden, OneStation) {
   TestbedConfig config;
   config.stations = 1;
   expect_pin(observe_testbed(config),
-             {{3746}, {0}, 28886, 6576, 1873, 0, 25977, 0, 1, kNoCaptures});
+             {{3746}, {0}, 28886, 6576, 1873, 0, 11976, 0, 0, kNoCaptures});
 }
 
 TEST(TestbedGolden, ThreeStations) {
@@ -382,7 +412,7 @@ TEST(TestbedGolden, ThreeStations) {
   config.stations = 3;
   expect_pin(observe_testbed(config), {{1296, 1250, 1442},
                                        {140, 178, 166},
-                                       26869, 5431, 1752, 120, 52327, 0, 3,
+                                       26869, 5431, 1752, 120, 10324, 0, 0,
                                        kNoCaptures});
 }
 
@@ -392,7 +422,7 @@ TEST(TestbedGolden, SevenStations) {
   expect_pin(observe_testbed(config),
              {{468, 646, 720, 570, 552, 684, 642},
               {120, 184, 150, 138, 128, 146, 166},
-              24749, 4004, 1626, 247, 106226, 0, 7, kNoCaptures});
+              24749, 4004, 1626, 247, 8219, 0, 0, kNoCaptures});
 }
 
 TEST(TestbedGolden, PbErrorsWithToneMapAdaptation) {
@@ -405,7 +435,7 @@ TEST(TestbedGolden, PbErrorsWithToneMapAdaptation) {
   config.device.adaptation.enabled = true;
   expect_pin(observe_testbed(config), {{1196, 1158, 1382},
                                        {132, 170, 162},
-                                       1940, 5090, 1636, 115, 51672, 0, 3,
+                                       1940, 5090, 1636, 115, 9669, 0, 0,
                                        kNoCaptures});
 }
 
@@ -422,7 +452,7 @@ TEST(TestbedGolden, CollidedMmeRunsOutgrowARobustProfile) {
   config.mme_payload_bytes = 1400;
   expect_pin(observe_testbed(config), {{440, 450, 488},
                                        {98, 122, 116},
-                                       2572, 5816, 1750, 196, 54196, 0, 6,
+                                       2572, 5816, 1750, 196, 12193, 0, 3,
                                        kNoCaptures});
 }
 
@@ -432,7 +462,7 @@ TEST(TestbedGolden, MmeChatterWithSniffer) {
   config.mme_interval = des::SimTime::from_us(50'000.0);
   config.sniff_at_destination = true;
   expect_pin(observe_testbed(config), {{1784, 1862}, {184, 184},
-                                       25616, 6537, 1839, 105, 40082, 3872, 4,
+                                       25616, 6537, 1839, 105, 12080, 3872, 2,
                                        "efdc84cdb61556ee444a240b1b69199e"});
 }
 

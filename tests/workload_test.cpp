@@ -33,38 +33,32 @@ TEST(FrameTemplate, RejectsOversizedPayload) {
 }
 
 TEST(Saturated, KeepsBacklogAboveTarget) {
-  des::Scheduler scheduler;
   std::deque<frames::EthernetFrame> queue;
   SaturatedSource source(
-      scheduler, make_template(),
-      [&queue](frames::EthernetFrame frame) {
-        queue.push_back(std::move(frame));
+      make_template(),
+      [&queue](const frames::EthernetFrame& frame) {
+        queue.push_back(frame);
       },
-      [&queue] { return queue.size(); },
-      /*target_backlog=*/16, des::SimTime::from_us(100.0));
-  source.start();
-  // Consume 5 frames per 100 us; the source must keep up.
+      [&queue] { return queue.size(); }, /*target_backlog=*/16);
+  source.top_up();
+  // The sink takes 5 frames at a time and cues a top-up after each
+  // drain; the source must keep up.
   for (int step = 0; step < 100; ++step) {
-    scheduler.run_until(des::SimTime::from_us(100.0 * (step + 1)));
     for (int i = 0; i < 5 && !queue.empty(); ++i) queue.pop_front();
-    if (step > 2) {
-      EXPECT_GE(queue.size(), 11u) << "step " << step;
-    }
+    EXPECT_GE(queue.size(), 11u) << "step " << step;
+    source.top_up();
   }
   EXPECT_GT(source.frames_generated(), 400);
 }
 
 TEST(Saturated, NeverPushesAtOrAboveTarget) {
-  // A sink that never drains: the first poll fills it to target, and each
-  // of the ~2000 later polls must find it full and push nothing.
-  des::Scheduler scheduler;
+  // A sink that never drains: the first top-up fills it to target, and
+  // each of 2000 later top-ups must find it full and push nothing.
   std::size_t queued = 0;
   SaturatedSource source(
-      scheduler, make_template(),
-      [&queued](frames::EthernetFrame) { ++queued; },
+      make_template(), [&queued](const frames::EthernetFrame&) { ++queued; },
       [&queued] { return queued; }, /*target_backlog=*/16);
-  source.start();
-  scheduler.run_until(des::SimTime::from_seconds(1.0));
+  for (int i = 0; i <= 2000; ++i) source.top_up();
   EXPECT_EQ(queued, 16u);
   EXPECT_EQ(source.frames_generated(), 16);
 }
@@ -116,10 +110,9 @@ TEST(Sources, ValidateArguments) {
   des::Scheduler scheduler;
   const auto sink = [](frames::EthernetFrame) {};
   const auto backlog = [] { return std::size_t{0}; };
-  EXPECT_THROW(SaturatedSource(scheduler, make_template(), sink, backlog, 0),
+  EXPECT_THROW(SaturatedSource(make_template(), sink, backlog, 0),
                plc::Error);
-  EXPECT_THROW(SaturatedSource(scheduler, make_template(), sink, nullptr),
-               plc::Error);
+  EXPECT_THROW(SaturatedSource(make_template(), sink, nullptr), plc::Error);
   EXPECT_THROW(PoissonSource(scheduler, make_template(), sink, 0.0,
                              des::RandomStream(1)),
                plc::Error);
