@@ -162,7 +162,7 @@ void HpavDevice::enqueue_for_wire(const frames::EthernetFrame& frame,
     link.is_mme = is_mme;
   }
   const bool was_ready = link_ready(link);
-  if (!link.segmenter.has_pending_bytes() && link.retx_pbs == 0) {
+  if (!link.segmenter.has_pending_bytes() && link.retx.empty()) {
     link.oldest_arrival = network_.scheduler().now();
   }
   link.segmenter.push_frame(frame);
@@ -245,7 +245,7 @@ void HpavDevice::emit_periodic_mme(std::size_t index) {
 // --- Transmit path -----------------------------------------------------------
 
 bool HpavDevice::link_ready(const Link& link) const {
-  if (link.retx_pbs > 0) return true;
+  if (!link.retx.empty()) return true;
   if (link.segmenter.complete_pb_count() > 0) return true;
   if (!link.segmenter.has_pending_bytes()) return false;
   if (link.is_mme) return true;  // Management frames ship immediately.
@@ -316,35 +316,6 @@ std::vector<frames::PhysicalBlock> HpavDevice::spare_block_vector() {
   return pbs;
 }
 
-void HpavDevice::take_retx(Link& link, int pb_limit,
-                           std::vector<frames::PhysicalBlock>& pbs) {
-  const auto limit = static_cast<std::size_t>(pb_limit);
-  if (!link.retx.empty() && link.retx.back().size() <= limit) {
-    // The head run fits: it becomes the MPDU's PB vector, uncopied.
-    pbs = std::move(link.retx.back());
-    link.retx.pop_back();
-    link.retx_pbs -= pbs.size();
-  } else {
-    pbs = spare_block_vector();
-  }
-  pbs.reserve(limit);
-  // Past the first run (or when it outgrew a profile change's smaller
-  // limit), PBs are copied one by one, so the MPDU holds exactly the
-  // PBs a flat queue would yield.
-  while (pbs.size() < limit && !link.retx.empty()) {
-    std::vector<frames::PhysicalBlock>& run = link.retx.back();
-    const std::size_t take = std::min(limit - pbs.size(), run.size());
-    const auto end = run.begin() + static_cast<std::ptrdiff_t>(take);
-    pbs.insert(pbs.end(), run.begin(), end);
-    run.erase(run.begin(), end);
-    link.retx_pbs -= take;
-    if (run.empty()) {
-      spare_blocks_.push_back(std::move(run));
-      link.retx.pop_back();
-    }
-  }
-}
-
 bool HpavDevice::stage_and_describe(frames::Priority priority,
                                     medium::TxDescriptor& descriptor) {
   // Assemble (or re-use) the staged burst: a burst whose earlier attempt
@@ -363,7 +334,12 @@ bool HpavDevice::stage_and_describe(frames::Priority priority,
          ++mpdu_index) {
       frames::Mpdu& mpdu = burst.mpdus.emplace_back();
       std::vector<frames::PhysicalBlock>& pbs = mpdu.blocks;
-      take_retx(*link, pb_limit, pbs);
+      pbs = spare_block_vector();
+      // Retransmissions first, from the head of the queue.
+      while (static_cast<int>(pbs.size()) < pb_limit && !link->retx.empty()) {
+        pbs.push_back(link->retx.back());
+        link->retx.pop_back();
+      }
       if (static_cast<int>(pbs.size()) < pb_limit) {
         const bool flush =
             link->is_mme ||
@@ -439,16 +415,16 @@ void HpavDevice::on_transmission_complete(bool success) {
 
   if (!success) {
     // Collision: the destination decodes only the delimiters and answers
-    // all-blocks-bad; every MPDU's PB vector returns to the head of the
-    // retransmission queue as one run, in order, without a copy.
+    // all-blocks-bad; every PB returns to the head of the retransmission
+    // queue, in order.
     counters_.on_tx_collided(link.dst_mac, link.priority,
                              burst.mpdus.size());
     if (metrics_) metrics_->bursts_collided->add();
     for (auto mpdu_it = burst.mpdus.rbegin(); mpdu_it != burst.mpdus.rend();
          ++mpdu_it) {
       destination->hear_collided_mpdu(mpdu_it->sof);
-      link.retx_pbs += mpdu_it->blocks.size();
-      link.retx.push_back(std::move(mpdu_it->blocks));
+      link.retx.insert(link.retx.end(), mpdu_it->blocks.rbegin(),
+                       mpdu_it->blocks.rend());
     }
     recycle(burst.mpdus);
     return;
@@ -463,22 +439,20 @@ void HpavDevice::on_transmission_complete(bool success) {
     for (frames::PhysicalBlock& pb : mpdu.blocks) {
       pb.received_ok = !rng_.bernoulli(pb_error_rate);
     }
-    const frames::SackDelimiter& sack = destination->receive_mpdu(mpdu);
+    const frames::SackDelimiter& sack =
+        destination->receive_mpdu(mpdu, link.segmenter);
     util::require(sack.pb_ok.size() == mpdu.blocks.size(),
                   "HpavDevice: SACK bitmap size mismatch");
     counters_.on_tx_acked(link.dst_mac, link.priority, 1);
     if (sack.result == frames::SackResult::kAllGood) continue;
     // Blocks the receiver flagged bad go to the tail of the
-    // retransmission queue, as one run.
-    std::vector<frames::PhysicalBlock> bad = spare_block_vector();
+    // retransmission queue.
     for (std::size_t i = 0; i < sack.pb_ok.size(); ++i) {
-      if (!sack.pb_ok[i]) {
-        bad.push_back(mpdu.blocks[i]);
-        bad.back().received_ok = true;
-      }
+      if (sack.pb_ok[i]) continue;
+      frames::PhysicalBlock pb = mpdu.blocks[i];
+      pb.received_ok = true;
+      link.retx.insert(link.retx.begin(), pb);
     }
-    link.retx_pbs += bad.size();
-    link.retx.insert(link.retx.begin(), std::move(bad));
   }
   recycle(burst.mpdus);
   // The frame exchange is over; if the queue drained, stop contending.
@@ -490,15 +464,18 @@ void HpavDevice::on_transmission_complete(bool success) {
 // --- Receive path ------------------------------------------------------------
 
 const frames::SackDelimiter& HpavDevice::receive_mpdu(
-    const frames::Mpdu& mpdu) {
+    const frames::Mpdu& mpdu, frames::Segmenter& source_stream) {
   util::require(mpdu.sof.dst_tei == tei_,
                 "HpavDevice::receive_mpdu: MPDU not addressed to me");
   const int src_tei = mpdu.sof.src_tei;
   RxStream& stream = rx_streams_[{src_tei, mpdu.sof.link_id}];
-  if (!stream.started && !mpdu.blocks.empty()) {
+  if (!stream.reassembler.has_value() && !mpdu.blocks.empty()) {
+    stream.reassembler.emplace(source_stream);
     stream.expected_ssn = mpdu.blocks.front().ssn;
-    stream.started = true;
   }
+  util::require(!stream.reassembler.has_value() ||
+                    &stream.reassembler->source() == &source_stream,
+                "HpavDevice::receive_mpdu: MPDU from another stream");
 
   sack_.pb_ok.clear();
   int bad_blocks = 0;
@@ -544,14 +521,35 @@ const frames::SackDelimiter& HpavDevice::receive_mpdu(
   return sack_;
 }
 
+void HpavDevice::count_host_frame() {
+  ++host_frames_delivered_;
+  if (metrics_) metrics_->host_frames->add();
+}
+
 void HpavDevice::reassemble(RxStream& stream,
                             const frames::PhysicalBlock& pb) {
-  const std::size_t completed = stream.reassembler.push_pb(pb, rx_frames_);
-  for (std::size_t i = 0; i < completed; ++i) {
+  // A frame is built only when something reads it: the firmware reads
+  // every MME, a host listener every frame. With a listener, the whole
+  // batch is built before any frame is delivered: a listener may push
+  // into the sender's stream, which ends the spans' validity.
+  const bool build_all = !host_listeners_.empty();
+  std::size_t built = 0;
+  for (const std::span<const std::uint8_t> bytes :
+       stream.reassembler->push_pb(pb)) {
+    const bool is_mme =
+        bytes.size() >= 14 &&
+        (bytes[12] << 8 | bytes[13]) == frames::kEtherTypeHomePlugAv;
+    if (!build_all && !is_mme) {
+      count_host_frame();
+      continue;
+    }
+    if (built == rx_frames_.size()) rx_frames_.emplace_back();
+    frames::EthernetFrame::deserialize_into(bytes, rx_frames_[built++]);
+  }
+  for (std::size_t i = 0; i < built; ++i) {
     const frames::EthernetFrame& frame = rx_frames_[i];
     if (consume_plc_mme(frame)) continue;
-    ++host_frames_delivered_;
-    if (metrics_) metrics_->host_frames->add();
+    count_host_frame();
     deliver_to_host(frame);
   }
   ++stream.expected_ssn;
@@ -559,9 +557,6 @@ void HpavDevice::reassemble(RxStream& stream,
 
 void HpavDevice::recycle(std::vector<frames::Mpdu>& mpdus) {
   for (frames::Mpdu& mpdu : mpdus) {
-    // A collided MPDU's vector went to the retransmission queue and
-    // left an empty one without capacity behind: not worth keeping.
-    if (mpdu.blocks.capacity() == 0) continue;
     mpdu.blocks.clear();
     spare_blocks_.push_back(std::move(mpdu.blocks));
   }
@@ -667,7 +662,7 @@ std::size_t HpavDevice::tx_backlog_pbs() const {
   std::size_t total = 0;
   for (const auto& [key, link] : links_) {
     total += static_cast<std::size_t>(link.segmenter.complete_pb_count());
-    total += link.retx_pbs;
+    total += link.retx.size();
   }
   return total;
 }

@@ -16,6 +16,14 @@
 // PBs (retransmissions first). The paper measured that its devices use
 // bursts of 2 MPDUs (§3.1) — the default here.
 //
+// A PB is a descriptor into its link's convergence stream, which the
+// sending link's Segmenter holds once. The receiver's per-source
+// Reassembler is bound to that Segmenter and parses frames in place; it
+// releases stream bytes only behind the in-order PBs that arrived OK, so
+// a PB that is staged, collided or queued for retransmission stays
+// readable. A data frame that no host listener reads is counted and never
+// built; MMEs are always parsed, since the firmware reads them.
+//
 // Documented deviations from real silicon (vendor-secret areas, §4.1):
 // the aggregation timeout and bit-loading algorithm are unknowns, so the
 // frame duration is either pinned (reproduction mode) or derived from a
@@ -186,11 +194,14 @@ class HpavDevice final : public medium::Participant,
   std::size_t tx_backlog_pbs() const;
   std::int64_t host_frames_delivered() const { return host_frames_delivered_; }
 
-  /// Called by a transmitting peer: the device receives one MPDU and
+  /// Called by a transmitting peer: the device receives one MPDU, whose
+  /// PBs describe bytes of `stream` (the peer link's Segmenter), and
   /// answers with a selective acknowledgment (success path; the SACK's
   /// airtime lives in the domain's success overhead). The SACK is the
-  /// device's own, valid until its next receive_mpdu.
-  const frames::SackDelimiter& receive_mpdu(const frames::Mpdu& mpdu);
+  /// device's own, valid until its next receive_mpdu. The source's first
+  /// MPDU binds its receive stream to `stream` for the device's life.
+  const frames::SackDelimiter& receive_mpdu(const frames::Mpdu& mpdu,
+                                            frames::Segmenter& stream);
 
   /// Called by a transmitting peer whose MPDU to this device collided:
   /// the delimiter was decodable, the payload was not (all-bad SACK).
@@ -203,14 +214,11 @@ class HpavDevice final : public medium::Participant,
     frames::MacAddress dst_mac;
     frames::Priority priority = frames::Priority::kCa1;
     bool is_mme = false;             ///< Flush immediately (management).
+    /// The link's convergence stream; the destination's RxStream reads
+    /// it in place (links are never erased, and map nodes never move).
     frames::Segmenter segmenter;
-    /// PBs awaiting retransmission, as runs: the head run is at the
-    /// back, and each run holds its PBs in queue order. A collided MPDU's
-    /// PB vector becomes one run as it is, and a SACK's bad PBs of one
-    /// MPDU form one run at the tail.
-    std::vector<std::vector<frames::PhysicalBlock>> retx;
-    /// PBs in `retx`, over all runs (no run is empty).
-    std::size_t retx_pbs = 0;
+    /// PBs awaiting retransmission, as a queue whose head is the back.
+    std::vector<frames::PhysicalBlock> retx;
     des::SimTime oldest_arrival = des::SimTime::zero();
     std::int64_t frames_enqueued = 0;
     /// Transmit modulation profile (adaptation mode).
@@ -228,9 +236,9 @@ class HpavDevice final : public medium::Participant,
 
   /// Per-source reassembly state on the receive side.
   struct RxStream {
-    frames::Reassembler reassembler;
+    /// Bound to the sending link's stream by the source's first MPDU.
+    std::optional<frames::Reassembler> reassembler;
     std::uint16_t expected_ssn = 0;
-    bool started = false;
     /// Good PBs that arrived behind a hole (a bad PB awaiting its
     /// retransmission); in-order PBs bypass this map.
     std::map<std::uint16_t, frames::PhysicalBlock> out_of_order;
@@ -257,17 +265,14 @@ class HpavDevice final : public medium::Participant,
   /// describes it for the medium in `descriptor`; returns true.
   bool stage_and_describe(frames::Priority priority,
                           medium::TxDescriptor& descriptor);
-  /// Moves (or, past the PB limit, copies) retransmission PBs from the
-  /// head of `link.retx` into `pbs`, an MPDU's empty PB vector, until it
-  /// holds `pb_limit` PBs or the queue is empty.
-  void take_retx(Link& link, int pb_limit,
-                 std::vector<frames::PhysicalBlock>& pbs);
   /// An emptied PB vector with capacity, from the spares when any.
   std::vector<frames::PhysicalBlock> spare_block_vector();
   void emit_periodic_mme(std::size_t index);
   /// Feeds the next in-order PB (SSN `expected_ssn`) to the stream's
   /// reassembler and hands the frames it completes to the firmware/host.
   void reassemble(RxStream& stream, const frames::PhysicalBlock& pb);
+  /// Counts one frame delivered on the host interface.
+  void count_host_frame();
   /// Empties a finished burst's MPDUs into the spare vectors.
   void recycle(std::vector<frames::Mpdu>& mpdus);
   /// Receiver-side adaptation step after one MPDU's outcomes.
@@ -307,8 +312,8 @@ class HpavDevice final : public medium::Participant,
   /// that staging a burst allocates nothing once they have grown.
   std::vector<frames::Mpdu> spare_mpdus_;
   std::vector<std::vector<frames::PhysicalBlock>> spare_blocks_;
-  /// Frames completed by the last Reassembler::push_pb (its count
-  /// prefix); the elements keep their payload capacity.
+  /// Frames built from the last Reassembler::push_pb (a prefix); the
+  /// elements keep their payload capacity.
   std::vector<frames::EthernetFrame> rx_frames_;
   /// The SACK of the last receive_mpdu; its bitmap keeps its capacity.
   frames::SackDelimiter sack_;

@@ -88,10 +88,9 @@ HpavDevice* Network::device_by_tei(int tei) {
 }
 
 HpavDevice* Network::device_by_mac(const frames::MacAddress& mac) {
-  for (const auto& device : devices_) {
-    if (device->mac() == mac) return device.get();
-  }
-  return nullptr;
+  // Devices carry MacAddress::for_station(tei): the last byte is the TEI.
+  HpavDevice* device = device_by_tei(mac.bytes()[5]);
+  return device != nullptr && device->mac() == mac ? device : nullptr;
 }
 
 }  // namespace plc::emu

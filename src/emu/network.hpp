@@ -60,6 +60,7 @@ class Network {
   const medium::ContentionDomain& domain() const { return domain_; }
 
   HpavDevice* device_by_tei(int tei);
+  /// The device with this MAC, or nullptr (broadcast, foreign MACs).
   HpavDevice* device_by_mac(const frames::MacAddress& mac);
   int device_count() const { return static_cast<int>(devices_.size()); }
   HpavDevice& device(int index) { return *devices_.at(static_cast<std::size_t>(index)); }

@@ -1,7 +1,6 @@
 #include "frames/ethernet.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "util/error.hpp"
 
@@ -12,22 +11,23 @@ std::size_t EthernetFrame::wire_size() const {
 }
 
 std::vector<std::uint8_t> EthernetFrame::serialize() const {
-  std::vector<std::uint8_t> bytes;
-  serialize_into(bytes);
+  std::vector<std::uint8_t> bytes(wire_size());
+  serialize_to(bytes);
   return bytes;
 }
 
-void EthernetFrame::serialize_into(std::vector<std::uint8_t>& out) const {
+void EthernetFrame::serialize_to(std::span<std::uint8_t> out) const {
   util::require(payload.size() <= kMaxEthernetPayload,
                 "EthernetFrame: payload exceeds 1500 bytes");
-  std::array<std::uint8_t, 14> header{};
-  destination.write_to(std::span(header).subspan(0, 6));
-  source.write_to(std::span(header).subspan(6, 6));
-  header[12] = static_cast<std::uint8_t>(ether_type >> 8);
-  header[13] = static_cast<std::uint8_t>(ether_type & 0xFF);
-  out.insert(out.end(), header.begin(), header.end());
-  out.insert(out.end(), payload.begin(), payload.end());
-  out.resize(out.size() + (wire_size() - header.size() - payload.size()), 0);
+  util::require(out.size() == wire_size(),
+                "EthernetFrame::serialize_to: span is not wire_size() bytes");
+  std::copy_n(destination.bytes().begin(), 6, out.begin());
+  std::copy_n(source.bytes().begin(), 6, out.begin() + 6);
+  out[12] = static_cast<std::uint8_t>(ether_type >> 8);
+  out[13] = static_cast<std::uint8_t>(ether_type & 0xFF);
+  const auto padding = std::copy(payload.begin(), payload.end(),
+                                 out.begin() + 14);
+  std::fill(padding, out.end(), 0);
 }
 
 EthernetFrame EthernetFrame::deserialize(

@@ -38,8 +38,9 @@ struct EthernetFrame {
   /// kMinEthernetPayload.
   std::vector<std::uint8_t> serialize() const;
 
-  /// Appends the serialize() bytes to `out`.
-  void serialize_into(std::vector<std::uint8_t>& out) const;
+  /// Writes the serialize() bytes to `out`, which must hold exactly
+  /// wire_size() bytes.
+  void serialize_to(std::span<std::uint8_t> out) const;
 
   /// Parses a serialized frame. Throws plc::Error if shorter than the
   /// 14-byte header.

@@ -1,6 +1,7 @@
 #include "frames/pb.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/error.hpp"
 
@@ -8,31 +9,55 @@ namespace plc::frames {
 
 namespace {
 
-/// Drops the consumed prefix [0, consumed) of `stream` once it reaches
-/// kCompactBytes and outgrows the live bytes behind it (or when nothing
-/// is live, which costs no copy). Returns true when it dropped it.
-bool compact_prefix(std::vector<std::uint8_t>& stream, std::size_t consumed) {
-  const std::size_t live = stream.size() - consumed;
-  if (live == 0) {
-    stream.clear();
-    return true;
-  }
-  if (consumed < kCompactBytes || consumed < live) return false;
-  stream.erase(stream.begin(),
-               stream.begin() + static_cast<std::ptrdiff_t>(consumed));
-  return true;
+/// The smallest ring a segmenter allocates.
+constexpr std::size_t kMinRingBytes = 4096;
+
+/// Copies `bytes` into `ring` (a power-of-two size) at stream offset
+/// `offset`, wrapping at its end.
+void ring_write(std::vector<std::uint8_t>& ring, std::uint64_t offset,
+                std::span<const std::uint8_t> bytes) {
+  const std::size_t at = static_cast<std::size_t>(offset) & (ring.size() - 1);
+  const std::size_t first = std::min(bytes.size(), ring.size() - at);
+  std::copy_n(bytes.data(), first, ring.data() + at);
+  std::copy_n(bytes.data() + first, bytes.size() - first, ring.data());
 }
 
 }  // namespace
 
+void Segmenter::grow(std::size_t bytes) {
+  const std::uint64_t live = end_ - released_;
+  std::size_t capacity = std::max(ring_.size(), kMinRingBytes);
+  while (capacity < live + bytes) capacity *= 2;
+  // Relinearize: every retained byte moves to its offset's slot in the
+  // larger ring.
+  std::vector<std::uint8_t> grown(capacity);
+  const auto [first, second] = pieces(released_, live);
+  ring_write(grown, released_, first);
+  ring_write(grown, released_ + first.size(), second);
+  ring_ = std::move(grown);
+}
+
 void Segmenter::push_frame(const EthernetFrame& frame) {
   util::require(frame.payload.size() <= kMaxEthernetPayload,
                 "Segmenter: frame payload exceeds 1500 bytes");
-  if (compact_prefix(stream_, read_)) read_ = 0;
-  const std::size_t size = frame.wire_size();
-  stream_.push_back(static_cast<std::uint8_t>(size >> 8));
-  stream_.push_back(static_cast<std::uint8_t>(size & 0xFF));
-  frame.serialize_into(stream_);
+  const std::size_t wire = frame.wire_size();
+  const std::size_t size = 2 + wire;
+  if (end_ - released_ + size > ring_.size()) grow(size);
+  const std::size_t at = static_cast<std::size_t>(end_) & (ring_.size() - 1);
+  const auto write = [&frame, wire](std::span<std::uint8_t> out) {
+    out[0] = static_cast<std::uint8_t>(wire >> 8);
+    out[1] = static_cast<std::uint8_t>(wire & 0xFF);
+    frame.serialize_to(out.subspan(2, wire));
+  };
+  if (at + size <= ring_.size()) {
+    write(std::span(ring_).subspan(at, size));
+  } else {
+    // The frame straddles the ring's end: serialize it aside first.
+    std::array<std::uint8_t, 2 + 14 + kMaxEthernetPayload> staging;
+    write(std::span(staging).first(size));
+    ring_write(ring_, end_, std::span(staging).first(size));
+  }
+  end_ += size;
 }
 
 int Segmenter::pop_pbs(int max_pbs, bool flush,
@@ -43,67 +68,88 @@ int Segmenter::pop_pbs(int max_pbs, bool flush,
     const std::size_t available = buffered_bytes();
     if (available == 0) break;
     if (available < kPbBytes && !flush) break;
-    const std::size_t take = std::min(available, kPbBytes);
-    PhysicalBlock& pb = out.emplace_back();
-    pb.ssn = next_ssn_++;
-    pb.used = static_cast<std::uint16_t>(take);
-    std::copy_n(stream_.begin() + static_cast<std::ptrdiff_t>(read_), take,
-                pb.body.begin());
-    read_ += take;
+    const auto take =
+        static_cast<std::uint16_t>(std::min(available, kPbBytes));
+    out.push_back(PhysicalBlock{popped_, next_ssn_++, take, true});
+    popped_ += take;
   }
   return popped;
 }
 
-bool Reassembler::range_corrupt(std::size_t begin, std::size_t end) const {
+void Segmenter::release(std::uint64_t offset) {
+  util::require(offset >= released_ && offset <= popped_,
+                "Segmenter::release: outside the PBs handed out");
+  released_ = offset;
+}
+
+std::pair<std::span<const std::uint8_t>, std::span<const std::uint8_t>>
+Segmenter::pieces(std::uint64_t begin, std::size_t size) const {
+  if (size == 0) return {};
+  const std::size_t at = static_cast<std::size_t>(begin) & (ring_.size() - 1);
+  const std::size_t first = std::min(size, ring_.size() - at);
+  return {std::span(ring_).subspan(at, first),
+          std::span(ring_).first(size - first)};
+}
+
+std::uint8_t Segmenter::at(std::uint64_t offset) const {
+  util::require(offset >= released_ && offset < end_,
+                "Segmenter: read outside the retained stream");
+  return ring_[static_cast<std::size_t>(offset) & (ring_.size() - 1)];
+}
+
+std::span<const std::uint8_t> Segmenter::read(
+    std::uint64_t begin, std::size_t size,
+    std::vector<std::uint8_t>& scratch) const {
+  util::require(begin >= released_ && begin <= end_ && size <= end_ - begin,
+                "Segmenter: read outside the retained stream");
+  const auto [first, second] = pieces(begin, size);
+  if (second.empty()) return first;
+  scratch.assign(first.begin(), first.end());
+  scratch.insert(scratch.end(), second.begin(), second.end());
+  return scratch;
+}
+
+Reassembler::Reassembler(Segmenter& source)
+    : source_(&source),
+      fed_(source.released()),
+      consumed_(source.released()) {}
+
+bool Reassembler::range_corrupt(std::uint64_t begin, std::uint64_t end) const {
   for (const auto& [c_begin, c_end] : corrupt_ranges_) {
     if (begin < c_end && c_begin < end) return true;
   }
   return false;
 }
 
-void Reassembler::compact() {
-  // Ranges inside the consumed prefix can no longer overlap a frame.
-  std::erase_if(corrupt_ranges_, [this](const auto& range) {
-    return range.second <= consumed_;
-  });
-  if (!compact_prefix(stream_, consumed_)) return;
-  for (auto& [begin, end] : corrupt_ranges_) {
-    begin = begin > consumed_ ? begin - consumed_ : 0;
-    end -= consumed_;
-  }
-  consumed_ = 0;
-}
+std::span<const std::span<const std::uint8_t>> Reassembler::push_pb(
+    const PhysicalBlock& pb) {
+  util::require(pb.offset == fed_,
+                "Reassembler::push_pb: PB out of stream order");
+  fed_ += pb.used;
+  if (!pb.received_ok) corrupt_ranges_.emplace_back(pb.offset, fed_);
 
-std::size_t Reassembler::push_pb(const PhysicalBlock& pb,
-                                 std::vector<EthernetFrame>& frames) {
-  const std::size_t begin = stream_.size();
-  stream_.insert(stream_.end(), pb.body.begin(), pb.body.begin() + pb.used);
-  if (!pb.received_ok) {
-    corrupt_ranges_.emplace_back(begin, begin + pb.used);
-  }
-
-  std::size_t completed = 0;
+  completed_.clear();
   // Extract complete length-prefixed frames from the head of the stream.
-  while (stream_.size() - consumed_ >= 2) {
+  while (fed_ - consumed_ >= 2) {
     const std::size_t length =
-        static_cast<std::size_t>(stream_[consumed_]) << 8 |
-        stream_[consumed_ + 1];
-    if (stream_.size() - consumed_ - 2 < length) break;
-    const std::size_t frame_begin = consumed_;
-    const std::size_t frame_end = consumed_ + 2 + length;
-    if (range_corrupt(frame_begin, frame_end)) {
+        static_cast<std::size_t>(source_->at(consumed_)) << 8 |
+        source_->at(consumed_ + 1);
+    if (fed_ - consumed_ - 2 < length) break;
+    const std::uint64_t frame_end = consumed_ + 2 + length;
+    if (range_corrupt(consumed_, frame_end)) {
       ++frames_dropped_;
     } else {
-      if (completed == frames.size()) frames.emplace_back();
-      EthernetFrame::deserialize_into(
-          std::span(stream_).subspan(frame_begin + 2, length),
-          frames[completed++]);
+      completed_.push_back(source_->read(consumed_ + 2, length, straddle_));
       ++frames_delivered_;
     }
     consumed_ = frame_end;
   }
-  compact();
-  return completed;
+  // Ranges before the next frame can no longer overlap one.
+  std::erase_if(corrupt_ranges_, [this](const auto& range) {
+    return range.second <= consumed_;
+  });
+  source_->release(consumed_);
+  return completed_;
 }
 
 }  // namespace plc::frames

@@ -14,6 +14,8 @@
 // path, solve_1901 for the model leg, and the resolved schedule as the
 // 1901-family view (exact pair, drift analysis).
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -49,15 +51,36 @@ const BoostedCwConfig& as_boosted(const void* config) {
 /// under the paper's defaults), so equal target_stations always yields
 /// equal behavior. Changing this resolution is a simulation-semantics
 /// change covered by store::kResultEpoch.
+///
+/// The last resolution is memoized (one entry, so memory stays bounded):
+/// a spec is often parsed twice in a row (`scenario --validate`'s round
+/// trip, repeated submits to serve), and the scan costs milliseconds.
 BackoffConfig resolve_schedule(int target_stations, std::string name) {
-  const phy::TimingConfig timing = phy::TimingConfig::paper_default();
-  // The paper's frame duration (2050 us, Table 3) — the same default the
-  // sim layer uses.
-  const des::SimTime frame = des::SimTime::from_ns(2'050'000);
-  BackoffConfig config =
-      analysis::best_uniform_window(target_stations, timing, frame).config;
-  config.name = std::move(name);
-  return config;
+  struct Memo {
+    int target_stations;
+    BackoffConfig config;
+  };
+  static std::mutex mutex;
+  static std::optional<Memo> memo;
+  std::optional<BackoffConfig> config;
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (memo.has_value() && memo->target_stations == target_stations) {
+      config = memo->config;
+    }
+  }
+  if (!config.has_value()) {
+    const phy::TimingConfig timing = phy::TimingConfig::paper_default();
+    // The paper's frame duration (2050 us, Table 3) — the same default
+    // the sim layer uses.
+    const des::SimTime frame = des::SimTime::from_ns(2'050'000);
+    config =
+        analysis::best_uniform_window(target_stations, timing, frame).config;
+    const std::lock_guard<std::mutex> lock(mutex);
+    memo = Memo{target_stations, *config};
+  }
+  config->name = std::move(name);
+  return *std::move(config);
 }
 
 std::shared_ptr<const void> make_config(int target_stations,

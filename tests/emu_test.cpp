@@ -1,4 +1,6 @@
+#include <map>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,24 @@ frames::EthernetFrame data_frame(const HpavDevice& from,
   frame.source = from.mac();
   frame.ether_type = frames::kEtherTypeIpv4;
   frame.payload.assign(static_cast<std::size_t>(payload_bytes), fill);
+  return frame;
+}
+
+/// Frame `index` from `from` to `to`: 46..max_payload payload bytes,
+/// every one drawn from (sender, index), so a shifted, stale or torn
+/// frame shows.
+frames::EthernetFrame numbered_frame(const HpavDevice& from,
+                                     const HpavDevice& to,
+                                     std::uint32_t index,
+                                     std::uint32_t max_payload = 1500) {
+  std::mt19937 rng(static_cast<std::uint32_t>(from.tei()) * 1'000'003u +
+                   index);
+  frames::EthernetFrame frame;
+  frame.destination = to.mac();
+  frame.source = from.mac();
+  frame.ether_type = frames::kEtherTypeIpv4;
+  frame.payload.resize(46 + rng() % (max_payload - 45));
+  for (auto& byte : frame.payload) byte = static_cast<std::uint8_t>(rng());
   return frame;
 }
 
@@ -312,6 +332,93 @@ TEST(Device, PbErrorsAreRepairedBySelectiveRetransmission) {
   }
 }
 
+TEST(Device, PayloadBytesSurviveCollisionsAndPbErrors) {
+  // Two saturated senders and one receiver with a host listener, at 10%
+  // PB errors: the receiver parses every frame in place from its
+  // sender's stream while collided and bad PBs wait for retransmission.
+  Network network(13);
+  DeviceConfig lossy;
+  lossy.pb_error_rate = 0.1;
+  HpavDevice& a = network.add_device(lossy);
+  HpavDevice& b = network.add_device(lossy);
+  HpavDevice& d = network.add_device(lossy);
+  std::map<frames::MacAddress, std::vector<frames::EthernetFrame>> received;
+  d.set_host_receive([&](const frames::EthernetFrame& frame) {
+    if (frame.ether_type == frames::kEtherTypeIpv4) {
+      received[frame.source].push_back(frame);
+    }
+  });
+  std::map<int, std::uint32_t> sent;
+  for (HpavDevice* sender : {&a, &b}) {
+    sender->set_drain_callback([&, sender] {
+      while (sender->tx_backlog_pbs() < 128) {
+        sender->host_send(numbered_frame(*sender, d, sent[sender->tei()]++));
+      }
+    });
+  }
+  network.start();
+  for (HpavDevice* sender : {&a, &b}) {
+    while (sender->tx_backlog_pbs() < 128) {
+      sender->host_send(numbered_frame(*sender, d, sent[sender->tei()]++));
+    }
+  }
+  network.run_for(des::SimTime::from_seconds(2.0));
+
+  EXPECT_GT(network.domain().stats().collision_events, 10);
+  for (const HpavDevice* sender : {&a, &b}) {
+    // Complete, in order and byte for byte: a prefix of what was sent.
+    const std::vector<frames::EthernetFrame>& got = received[sender->mac()];
+    ASSERT_GT(got.size(), 1000u) << "station " << sender->tei();
+    ASSERT_LE(got.size(), sent[sender->tei()]);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const frames::EthernetFrame expected =
+          numbered_frame(*sender, d, static_cast<std::uint32_t>(i));
+      ASSERT_EQ(got[i].payload, expected.payload)
+          << "station " << sender->tei() << " frame " << i;
+      ASSERT_EQ(got[i].destination, d.mac());
+    }
+  }
+  EXPECT_EQ(d.host_frames_delivered(),
+            static_cast<std::int64_t>(received[a.mac()].size() +
+                                      received[b.mac()].size()));
+}
+
+TEST(Device, ListenerPushingIntoTheSenderStreamSeesIntactFrames) {
+  // The listener sends two frames on the sender for every frame it is
+  // handed, so the stream the receiver is reading grows, and its ring
+  // reallocates, while a batch of frames is being delivered: frames of
+  // at most 100 payload bytes put several in every PB. A frame built
+  // after the delivery of an earlier one in its batch would read a freed
+  // ring (AddressSanitizer reports it) or overwritten bytes.
+  constexpr std::uint32_t kFrames = 20'000;
+  Network network(14);
+  HpavDevice& sender = network.add_device();
+  HpavDevice& receiver = network.add_device();
+  std::uint32_t sent = 0;
+  const auto send_next = [&] {
+    sender.host_send(numbered_frame(sender, receiver, sent++, 100));
+  };
+  std::vector<frames::EthernetFrame> received;
+  receiver.set_host_receive([&](const frames::EthernetFrame& frame) {
+    if (frame.ether_type != frames::kEtherTypeIpv4) return;
+    received.push_back(frame);
+    for (int i = 0; i < 2 && sent < kFrames; ++i) send_next();
+  });
+  network.start();
+  for (int i = 0; i < 8; ++i) send_next();
+  network.run_for(des::SimTime::from_seconds(2.0));
+
+  ASSERT_EQ(sent, kFrames);
+  ASSERT_EQ(received.size(), kFrames);
+  for (std::size_t i = 0; i < received.size(); ++i) {
+    ASSERT_EQ(received[i].payload,
+              numbered_frame(sender, receiver, static_cast<std::uint32_t>(i),
+                             100)
+                  .payload)
+        << "frame " << i;
+  }
+}
+
 // --- Sniffer ---------------------------------------------------------------------------------
 
 TEST(Device, SnifferReportsAllDelimitersIncludingCollisions) {
@@ -414,6 +521,24 @@ TEST(NetworkTest, AssignsDenseTeisAndMacs) {
   EXPECT_EQ(network.device_by_mac(second.mac()), &second);
   EXPECT_EQ(network.device_by_tei(3), nullptr);
   EXPECT_EQ(network.device_count(), 2);
+}
+
+TEST(NetworkTest, DeviceByMacFindsOnlyItsStations) {
+  Network network(15);
+  HpavDevice& first = network.add_device();
+  HpavDevice& second = network.add_device();
+  EXPECT_EQ(network.device_by_mac(first.mac()), &first);
+  EXPECT_EQ(network.device_by_mac(second.mac()), &second);
+  EXPECT_EQ(network.device_by_mac(frames::MacAddress::broadcast()), nullptr);
+  // Station addresses with no device behind them.
+  EXPECT_EQ(network.device_by_mac(frames::MacAddress::for_station(0)),
+            nullptr);
+  EXPECT_EQ(network.device_by_mac(frames::MacAddress::for_station(3)),
+            nullptr);
+  // A foreign MAC whose last byte is a station's TEI.
+  EXPECT_EQ(network.device_by_mac(
+                frames::MacAddress::parse("aa:bb:cc:dd:ee:02")),
+            nullptr);
 }
 
 TEST(NetworkTest, CannotAddDevicesAfterStart) {

@@ -92,9 +92,17 @@ TEST(Ethernet, DeserializeRejectsTruncated) {
 
 // --- Segmenter / Reassembler -----------------------------------------------------
 
+/// Feeds `pb` and appends the frames it completes, parsed, to `received`.
+void feed_pb(Reassembler& reassembler, const PhysicalBlock& pb,
+             std::vector<EthernetFrame>& received) {
+  for (const std::span<const std::uint8_t> bytes : reassembler.push_pb(pb)) {
+    received.push_back(EthernetFrame::deserialize(bytes));
+  }
+}
+
 TEST(Segmentation, FramesSurviveTheConvergenceLayer) {
   Segmenter segmenter;
-  Reassembler reassembler;
+  Reassembler reassembler(segmenter);
   std::vector<EthernetFrame> sent;
   for (int i = 0; i < 20; ++i) {
     sent.push_back(make_frame(100 + i * 37,
@@ -104,12 +112,7 @@ TEST(Segmentation, FramesSurviveTheConvergenceLayer) {
   std::vector<PhysicalBlock> pbs;
   segmenter.pop_pbs(1000, /*flush=*/true, pbs);
   std::vector<EthernetFrame> received;
-  std::vector<EthernetFrame> completed;
-  for (const PhysicalBlock& pb : pbs) {
-    const std::size_t count = reassembler.push_pb(pb, completed);
-    received.insert(received.end(), completed.begin(),
-                    completed.begin() + static_cast<std::ptrdiff_t>(count));
-  }
+  for (const PhysicalBlock& pb : pbs) feed_pb(reassembler, pb, received);
   ASSERT_EQ(received.size(), sent.size());
   for (std::size_t i = 0; i < sent.size(); ++i) {
     EXPECT_EQ(received[i].payload, sent[i].payload) << "frame " << i;
@@ -167,14 +170,9 @@ TEST(Segmentation, CorruptPbDropsOnlyOverlappingFrames) {
   segmenter.pop_pbs(1000, true, pbs);
   ASSERT_GE(pbs.size(), 3u);
   pbs[1].received_ok = false;  // Corrupt the second physical block.
-  Reassembler reassembler;
+  Reassembler reassembler(segmenter);
   std::vector<EthernetFrame> received;
-  std::vector<EthernetFrame> completed;
-  for (const PhysicalBlock& pb : pbs) {
-    const std::size_t count = reassembler.push_pb(pb, completed);
-    received.insert(received.end(), completed.begin(),
-                    completed.begin() + static_cast<std::ptrdiff_t>(count));
-  }
+  for (const PhysicalBlock& pb : pbs) feed_pb(reassembler, pb, received);
   EXPECT_GT(reassembler.frames_dropped(), 0);
   EXPECT_EQ(reassembler.frames_delivered() + reassembler.frames_dropped(),
             static_cast<std::int64_t>(sent.size()));
@@ -192,9 +190,12 @@ TEST(Segmentation, CorruptPbDropsOnlyOverlappingFrames) {
 }
 
 TEST(Segmentation, CorruptRangeSurvivesCompaction) {
-  // The first compaction lands right after bad PB 16, whose last byte
-  // starts the next frame's length prefix: that frame is then the only
-  // live data, and its one bad byte must still be found after the shift.
+  // Bad PB 16's last byte starts the next frame's length prefix: once the
+  // frames before it are released, that frame is the only live data, and
+  // its one bad byte must still be found. (Written when the reassembler
+  // compacted its own copy of the stream at 8 KiB and rebased its corrupt
+  // ranges; they are absolute stream offsets now.)
+  constexpr std::size_t kCompactBytes = 8192;
   const std::size_t bad_pb = kCompactBytes / kPbBytes;
   const std::size_t prefix_end = (bad_pb + 1) * kPbBytes - 1;
   constexpr std::size_t kFullFrame = 2 + 14 + 1500;  // Stream bytes.
@@ -218,14 +219,9 @@ TEST(Segmentation, CorruptRangeSurvivesCompaction) {
   ASSERT_GT(pbs.size(), bad_pb + 1);
   pbs[bad_pb].received_ok = false;
 
-  Reassembler reassembler;
+  Reassembler reassembler(segmenter);
   std::vector<EthernetFrame> received;
-  std::vector<EthernetFrame> completed;
-  for (const PhysicalBlock& pb : pbs) {
-    const std::size_t count = reassembler.push_pb(pb, completed);
-    received.insert(received.end(), completed.begin(),
-                    completed.begin() + static_cast<std::ptrdiff_t>(count));
-  }
+  for (const PhysicalBlock& pb : pbs) feed_pb(reassembler, pb, received);
   // Dropped: the frame that runs into PB 16 and the one starting on its
   // last byte.
   std::vector<EthernetFrame> expected = sent;
@@ -239,9 +235,10 @@ TEST(Segmentation, CorruptRangeSurvivesCompaction) {
 
 // One long stream through both ends: 46..1500-byte payloads, pops of 0 to
 // 40 PBs with and without flush, PB errors, and alternating fill/drain
-// phases that swing the segmenter between empty and well past the
-// compaction threshold, for more than 2^16 PBs so the SSNs wrap. Exactly
-// the frames that overlap no bad PB must come out, intact and in order.
+// phases that swing the segmenter between empty and well past 8 KiB (its
+// ring grows, and wraps thousands of times), for more than 2^16 PBs so the
+// SSNs wrap. Exactly the frames that overlap no bad PB must come out,
+// intact and in order.
 class SegmentationStream : public ::testing::TestWithParam<double> {};
 
 TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
@@ -255,8 +252,11 @@ TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
     std::uint64_t begin = 0;  ///< Stream offset of the length prefix.
     std::uint64_t end = 0;
   };
+  // The reassembler's compaction threshold before the stream became a
+  // ring; the phases still swing the buffered bytes well past it.
+  constexpr std::size_t kCompactBytes = 8192;
   Segmenter segmenter;
-  Reassembler reassembler;
+  Reassembler reassembler(segmenter);
   std::deque<Sent> unresolved;  // Pushed, not yet fully fed.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> bad_ranges;
   std::uint64_t pushed_bytes = 0;
@@ -268,7 +268,6 @@ TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
   std::int64_t expect_dropped = 0;
   std::size_t most_buffered = 0;
   int times_emptied = 0;
-  std::vector<EthernetFrame> completed;
 
   const auto feed = [&](PhysicalBlock pb) {
     ASSERT_EQ(pb.ssn, next_ssn++);
@@ -278,8 +277,7 @@ TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
     }
     fed_bytes += pb.used;
     ++pbs_fed;
-    // Reused across calls: elements past the count keep stale frames.
-    const std::size_t delivered = reassembler.push_pb(pb, completed);
+    const auto delivered = reassembler.push_pb(pb);
     std::size_t next = 0;
     while (!unresolved.empty() && unresolved.front().end <= fed_bytes) {
       const Sent& sent = unresolved.front();
@@ -291,9 +289,10 @@ TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
         ++expect_dropped;
       } else {
         ++expect_delivered;
-        ASSERT_LT(next, delivered) << "clean frame not delivered";
-        EXPECT_EQ(completed[next].payload, sent.frame.payload);
-        EXPECT_EQ(completed[next].source, sent.frame.source);
+        ASSERT_LT(next, delivered.size()) << "clean frame not delivered";
+        const EthernetFrame frame = EthernetFrame::deserialize(delivered[next]);
+        EXPECT_EQ(frame.payload, sent.frame.payload);
+        EXPECT_EQ(frame.source, sent.frame.source);
         ++next;
       }
       std::erase_if(bad_ranges, [&sent](const auto& range) {
@@ -301,7 +300,7 @@ TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
       });
       unresolved.pop_front();
     }
-    EXPECT_EQ(next, delivered) << "delivered a frame it should not";
+    EXPECT_EQ(next, delivered.size()) << "delivered a frame it should not";
   };
 
   std::vector<PhysicalBlock> pbs;
@@ -366,6 +365,156 @@ TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
 
 INSTANTIATE_TEST_SUITE_P(ErrorRates, SegmentationStream,
                          ::testing::Values(0.0, 0.002, 0.02));
+
+// --- The stream contract: a ring read in place -----------------------------------
+
+// A full-size frame's bytes in the stream: length prefix + header + payload.
+constexpr std::uint64_t kFullFrameBytes = 2 + 14 + 1500;
+
+TEST(SegmentationRing, FrameStraddlingTheRingEndArrivesIntact) {
+  Segmenter segmenter;
+  Reassembler reassembler(segmenter);
+  std::vector<EthernetFrame> sent;
+  std::vector<EthernetFrame> received;
+  std::vector<PhysicalBlock> pbs;
+  int straddled = 0;
+  // The reader keeps up, so the ring keeps its first size and frame k
+  // occupies [k, k + 1) * kFullFrameBytes: frames 2 and 5 cross its end.
+  for (int i = 0; i < 6; ++i) {
+    sent.push_back(make_frame(1500, static_cast<std::uint8_t>(0x40 + i)));
+    sent.back().payload[0] = static_cast<std::uint8_t>(i);
+    segmenter.push_frame(sent.back());
+    const std::uint64_t begin = static_cast<std::uint64_t>(i) * kFullFrameBytes;
+    if (begin / segmenter.capacity() !=
+        (begin + kFullFrameBytes - 1) / segmenter.capacity()) {
+      ++straddled;
+    }
+    pbs.clear();
+    segmenter.pop_pbs(1000, /*flush=*/true, pbs);
+    for (const PhysicalBlock& pb : pbs) feed_pb(reassembler, pb, received);
+  }
+  EXPECT_EQ(segmenter.capacity(), 4096u);
+  EXPECT_EQ(straddled, 2);
+  ASSERT_EQ(received.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(received[i].payload, sent[i].payload) << "frame " << i;
+  }
+}
+
+TEST(SegmentationRing, BadPbAcrossTheWrapDropsOnlyItsFrames) {
+  Segmenter segmenter;
+  Reassembler reassembler(segmenter);
+  std::vector<EthernetFrame> received;
+  std::vector<PhysicalBlock> pbs;
+  // One full frame, flushed, shifts the PB grid off the ring's: PBs now
+  // start at kFullFrameBytes + 512 k, and the sixth of them crosses 4096.
+  segmenter.push_frame(make_frame(1500));
+  segmenter.pop_pbs(1000, /*flush=*/true, pbs);
+  for (const PhysicalBlock& pb : pbs) feed_pb(reassembler, pb, received);
+  ASSERT_EQ(received.size(), 1u);
+  received.clear();
+
+  struct Sent {
+    EthernetFrame frame;
+    std::uint64_t begin;
+    std::uint64_t end;
+  };
+  std::vector<Sent> sent;
+  std::uint64_t offset = kFullFrameBytes;
+  for (int i = 0; i < 30; ++i) {
+    EthernetFrame frame = make_frame(100, static_cast<std::uint8_t>(i));
+    const std::uint64_t end = offset + 2 + frame.wire_size();
+    segmenter.push_frame(frame);
+    sent.push_back({std::move(frame), offset, end});
+    offset = end;
+  }
+  pbs.clear();
+  segmenter.pop_pbs(1000, /*flush=*/true, pbs);
+  const auto bad = std::find_if(pbs.begin(), pbs.end(), [&](const auto& pb) {
+    return pb.offset < 4096 && pb.offset + pb.used > 4096;
+  });
+  ASSERT_NE(bad, pbs.end());
+  ASSERT_EQ(segmenter.capacity(), 4096u);
+  bad->received_ok = false;
+  for (const PhysicalBlock& pb : pbs) feed_pb(reassembler, pb, received);
+
+  std::vector<EthernetFrame> expected;
+  for (const Sent& frame : sent) {
+    if (frame.end <= bad->offset || frame.begin >= bad->offset + bad->used) {
+      expected.push_back(frame.frame);
+    }
+  }
+  ASSERT_EQ(received.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(received[i].payload, expected[i].payload) << "frame " << i;
+  }
+  EXPECT_EQ(reassembler.frames_dropped(),
+            static_cast<std::int64_t>(sent.size() - expected.size()));
+  EXPECT_GE(reassembler.frames_dropped(), 5);  // A PB holds > 4 such frames.
+}
+
+TEST(SegmentationRing, GrowsWhileTheReaderLagsAndKeepsUnfedPbsReadable) {
+  Segmenter segmenter;
+  Reassembler reassembler(segmenter);
+  std::vector<EthernetFrame> sent;
+  std::vector<EthernetFrame> received;
+  std::vector<PhysicalBlock> pbs;
+  const auto push = [&](int i) {
+    sent.push_back(make_frame(1500, static_cast<std::uint8_t>(i)));
+    segmenter.push_frame(sent.back());
+  };
+  // Move the release point off zero, so that the retained bytes wrap
+  // around the ring's end when it has to grow.
+  push(0);
+  push(1);
+  segmenter.pop_pbs(1000, /*flush=*/true, pbs);
+  for (const PhysicalBlock& pb : pbs) feed_pb(reassembler, pb, received);
+  ASSERT_EQ(segmenter.released(), 2 * kFullFrameBytes);
+  ASSERT_EQ(segmenter.capacity(), 4096u);
+
+  // Pop, but do not feed: the ring must keep every popped byte.
+  std::vector<PhysicalBlock> unfed;
+  for (int i = 2; i < 12; ++i) {
+    push(i);
+    segmenter.pop_pbs(2, /*flush=*/false, unfed);
+  }
+  segmenter.pop_pbs(1000, /*flush=*/true, unfed);
+  EXPECT_EQ(segmenter.released(), 2 * kFullFrameBytes);
+  EXPECT_EQ(segmenter.capacity(), 16384u);  // 10 frames behind the reader.
+  for (const PhysicalBlock& pb : unfed) feed_pb(reassembler, pb, received);
+  ASSERT_EQ(received.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(received[i].payload, sent[i].payload) << "frame " << i;
+  }
+  EXPECT_EQ(segmenter.released(), 12 * kFullFrameBytes);
+}
+
+TEST(SegmentationRing, ReadingAReleasedRangeThrows) {
+  Segmenter segmenter;
+  Reassembler reassembler(segmenter);
+  for (int i = 0; i < 4; ++i) segmenter.push_frame(make_frame(1000));
+  std::vector<PhysicalBlock> pbs;
+  segmenter.pop_pbs(1000, /*flush=*/true, pbs);
+  std::vector<EthernetFrame> received;
+  // Out of stream order is rejected before anything is read.
+  EXPECT_THROW(reassembler.push_pb(pbs[1]), plc::Error);
+  for (const PhysicalBlock& pb : pbs) feed_pb(reassembler, pb, received);
+  ASSERT_EQ(received.size(), 4u);
+  ASSERT_EQ(segmenter.released(), 4u * (2 + 14 + 1000));
+
+  std::vector<std::uint8_t> scratch;
+  EXPECT_THROW(segmenter.read(0, 16, scratch), plc::Error);
+  EXPECT_THROW(segmenter.read(segmenter.released() - 1, 1, scratch),
+               plc::Error);
+  EXPECT_THROW(segmenter.at(0), plc::Error);
+  EXPECT_THROW(segmenter.at(segmenter.released()), plc::Error);  // Past end.
+  // A PB the reader has already consumed cannot be fed again...
+  EXPECT_THROW(reassembler.push_pb(pbs.front()), plc::Error);
+  // ... and the release point moves neither back nor past the popped PBs.
+  EXPECT_THROW(segmenter.release(0), plc::Error);
+  segmenter.push_frame(make_frame(100));
+  EXPECT_THROW(segmenter.release(segmenter.released() + 1), plc::Error);
+}
 
 // --- SoF delimiter ----------------------------------------------------------------
 

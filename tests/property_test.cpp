@@ -188,13 +188,11 @@ TEST_P(SegmentationFuzz, RandomFramesSurviveRandomCorruption) {
       ++corrupted;
     }
   }
-  frames::Reassembler reassembler;
+  frames::Reassembler reassembler(segmenter);
   std::vector<frames::EthernetFrame> received;
-  std::vector<frames::EthernetFrame> completed;
   for (const auto& pb : pbs) {
-    const std::size_t count = reassembler.push_pb(pb, completed);
-    for (std::size_t i = 0; i < count; ++i) {
-      received.push_back(completed[i]);
+    for (const std::span<const std::uint8_t> bytes : reassembler.push_pb(pb)) {
+      received.push_back(frames::EthernetFrame::deserialize(bytes));
     }
   }
   // Conservation: every frame is either delivered intact or dropped.

@@ -2,6 +2,7 @@
 // aggregation + OpenMetrics exposition, the HTTP endpoint, the progress
 // heartbeat's task-based ETA formatting, and the crash flight recorder.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -296,12 +297,25 @@ TEST(ExpositionServer, SurvivesConcurrentScrapesDuringSweep) {
   std::atomic<int> scrapes{0};
   std::thread scraper([&] {
     while (!done.load()) {
-      const std::string response = http_get(server.port(), "/metrics");
+      std::string response;
+      try {
+        response = http_get(server.port(), "/metrics");
+      } catch (const std::exception&) {
+        return;  // A dead server: the wait below runs out.
+      }
       if (response.find("# EOF") != std::string::npos) {
         scrapes.fetch_add(1);
       }
     }
   });
+  // The sweep takes milliseconds: hold it until the scraper has completed
+  // a GET, so that it cannot finish first on a loaded machine. The wait is
+  // bounded, so a dead server fails the test instead of hanging it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (scrapes.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   std::vector<sim::RunSpec> specs;
   for (const int stations : {2, 5}) {
