@@ -536,9 +536,8 @@ void HpavDevice::reassemble(RxStream& stream,
   std::size_t built = 0;
   for (const std::span<const std::uint8_t> bytes :
        stream.reassembler->push_pb(pb)) {
-    const bool is_mme =
-        bytes.size() >= 14 &&
-        (bytes[12] << 8 | bytes[13]) == frames::kEtherTypeHomePlugAv;
+    const bool is_mme = frames::EthernetFrame::ether_type_of(bytes) ==
+                        frames::kEtherTypeHomePlugAv;
     if (!build_all && !is_mme) {
       count_host_frame();
       continue;

@@ -39,13 +39,17 @@ EthernetFrame EthernetFrame::deserialize(
 
 void EthernetFrame::deserialize_into(std::span<const std::uint8_t> bytes,
                                      EthernetFrame& frame) {
-  util::require(bytes.size() >= 14,
-                "EthernetFrame::deserialize: shorter than header");
+  frame.ether_type = ether_type_of(bytes);
   frame.destination = MacAddress::read_from(bytes.subspan(0, 6));
   frame.source = MacAddress::read_from(bytes.subspan(6, 6));
-  frame.ether_type =
-      static_cast<std::uint16_t>(bytes[12] << 8 | bytes[13]);
   frame.payload.assign(bytes.begin() + 14, bytes.end());
+}
+
+std::uint16_t EthernetFrame::ether_type_of(
+    std::span<const std::uint8_t> bytes) {
+  util::require(bytes.size() >= 14,
+                "EthernetFrame::deserialize: shorter than header");
+  return static_cast<std::uint16_t>(bytes[12] << 8 | bytes[13]);
 }
 
 }  // namespace plc::frames

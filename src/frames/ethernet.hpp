@@ -49,6 +49,10 @@ struct EthernetFrame {
   /// Parses like deserialize into `frame`, reusing its payload capacity.
   static void deserialize_into(std::span<const std::uint8_t> bytes,
                                EthernetFrame& frame);
+
+  /// The EtherType of a serialized frame, read without parsing the rest.
+  /// Throws plc::Error if shorter than the 14-byte header.
+  static std::uint16_t ether_type_of(std::span<const std::uint8_t> bytes);
 };
 
 }  // namespace plc::frames

@@ -62,11 +62,13 @@ TEST(MacAddress, WriteReadRoundTrip) {
 
 TEST(Ethernet, SerializeDeserializeRoundTrip) {
   const EthernetFrame frame = make_frame(300, 0x5C);
-  const EthernetFrame parsed = EthernetFrame::deserialize(frame.serialize());
+  const std::vector<std::uint8_t> bytes = frame.serialize();
+  const EthernetFrame parsed = EthernetFrame::deserialize(bytes);
   EXPECT_EQ(parsed.destination, frame.destination);
   EXPECT_EQ(parsed.source, frame.source);
   EXPECT_EQ(parsed.ether_type, frame.ether_type);
   EXPECT_EQ(parsed.payload, frame.payload);
+  EXPECT_EQ(EthernetFrame::ether_type_of(bytes), frame.ether_type);
 }
 
 TEST(Ethernet, ShortPayloadIsPadded) {
@@ -88,6 +90,7 @@ TEST(Ethernet, RejectsOversizedPayload) {
 TEST(Ethernet, DeserializeRejectsTruncated) {
   const std::vector<std::uint8_t> tiny(13, 0);
   EXPECT_THROW(EthernetFrame::deserialize(tiny), plc::Error);
+  EXPECT_THROW(EthernetFrame::ether_type_of(tiny), plc::Error);
 }
 
 // --- Segmenter / Reassembler -----------------------------------------------------
@@ -190,13 +193,11 @@ TEST(Segmentation, CorruptPbDropsOnlyOverlappingFrames) {
 }
 
 TEST(Segmentation, CorruptRangeSurvivesCompaction) {
-  // Bad PB 16's last byte starts the next frame's length prefix: once the
+  // Bad PB 16's last byte starts the next frame's length prefix. Once the
   // frames before it are released, that frame is the only live data, and
-  // its one bad byte must still be found. (Written when the reassembler
-  // compacted its own copy of the stream at 8 KiB and rebased its corrupt
-  // ranges; they are absolute stream offsets now.)
-  constexpr std::size_t kCompactBytes = 8192;
-  const std::size_t bad_pb = kCompactBytes / kPbBytes;
+  // it must still be dropped for its one bad byte.
+  constexpr std::size_t kSpanBytes = 8192;  // The stream before bad PB 16.
+  const std::size_t bad_pb = kSpanBytes / kPbBytes;
   const std::size_t prefix_end = (bad_pb + 1) * kPbBytes - 1;
   constexpr std::size_t kFullFrame = 2 + 14 + 1500;  // Stream bytes.
   Segmenter segmenter;
@@ -252,9 +253,9 @@ TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
     std::uint64_t begin = 0;  ///< Stream offset of the length prefix.
     std::uint64_t end = 0;
   };
-  // The reassembler's compaction threshold before the stream became a
-  // ring; the phases still swing the buffered bytes well past it.
-  constexpr std::size_t kCompactBytes = 8192;
+  // The fill phases take the buffered bytes past 4 x 8 KiB, so the ring
+  // grows several times before the drain phases empty it.
+  constexpr std::size_t kSpanBytes = 8192;
   Segmenter segmenter;
   Reassembler reassembler(segmenter);
   std::deque<Sent> unresolved;  // Pushed, not yet fully fed.
@@ -350,8 +351,8 @@ TEST_P(SegmentationStream, DeliversExactlyTheFramesClearOfBadPbs) {
   }
 
   EXPECT_GT(pbs_fed, 65'536);  // The SSNs wrapped.
-  // The phases crossed the compaction threshold both ways.
-  EXPECT_GT(most_buffered, 4 * kCompactBytes);
+  // The phases swung the buffered bytes past 32 KiB and back to empty.
+  EXPECT_GT(most_buffered, 4 * kSpanBytes);
   EXPECT_GT(times_emptied, 100);
   EXPECT_TRUE(unresolved.empty());
   EXPECT_FALSE(segmenter.has_pending_bytes());

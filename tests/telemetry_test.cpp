@@ -294,6 +294,7 @@ TEST(ExpositionServer, SurvivesConcurrentScrapesDuringSweep) {
   server.start();
 
   std::atomic<bool> done{false};
+  std::atomic<bool> scrape_failed{false};
   std::atomic<int> scrapes{0};
   std::thread scraper([&] {
     while (!done.load()) {
@@ -301,7 +302,8 @@ TEST(ExpositionServer, SurvivesConcurrentScrapesDuringSweep) {
       try {
         response = http_get(server.port(), "/metrics");
       } catch (const std::exception&) {
-        return;  // A dead server: the wait below runs out.
+        scrape_failed.store(true);  // Fails the test after the join.
+        return;
       }
       if (response.find("# EOF") != std::string::npos) {
         scrapes.fetch_add(1);
@@ -313,7 +315,8 @@ TEST(ExpositionServer, SurvivesConcurrentScrapesDuringSweep) {
   // bounded, so a dead server fails the test instead of hanging it.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (scrapes.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+  while (scrapes.load() == 0 && !scrape_failed.load() &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -334,6 +337,7 @@ TEST(ExpositionServer, SurvivesConcurrentScrapesDuringSweep) {
   scraper.join();
   server.stop();
 
+  EXPECT_FALSE(scrape_failed.load());
   ASSERT_EQ(summaries.size(), specs.size());
   EXPECT_GT(scrapes.load(), 0);
   const obs::TelemetryHub::Progress progress = hub.progress();
