@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -229,6 +232,49 @@ TEST(Scheduler, PendingStaysExactAcrossSlotReuse) {
   scheduler.run_until(SimTime::from_ns(100));
   EXPECT_EQ(scheduler.pending(), 0u);
   EXPECT_EQ(scheduler.events_dispatched(), 8);
+}
+
+TEST(Scheduler, RunningInStepsDispatchesTheSameSequence) {
+  // The emulated testbed runs in checkpoints with nothing scheduled in
+  // between, which is only sound if stepping through intermediate
+  // horizons dispatches exactly what one run_until does. Four chains of
+  // callbacks each schedule their next event 0-500 ns (ties and zero
+  // delays included) or 1 us ahead; the chain seeded at 7.25 us puts an
+  // event on a checkpoint.
+  using Dispatch = std::pair<std::int64_t, int>;  // (time in ns, event id)
+  const auto run = [](const std::vector<SimTime>& horizons) {
+    Scheduler scheduler;
+    RandomStream rng(0x5eed);
+    std::vector<Dispatch> dispatched;
+    int next_id = 0;
+    std::function<void(int)> fire;
+    const auto schedule_next = [&](SimTime delay) {
+      const int id = next_id++;
+      scheduler.schedule(delay, [&fire, id] { fire(id); });
+    };
+    fire = [&](int id) {
+      dispatched.emplace_back(scheduler.now().ns(), id);
+      schedule_next(rng.bernoulli(0.5)
+                        ? SimTime::from_us(1.0)
+                        : SimTime::from_ns(125 * rng.uniform_int(0, 4)));
+    };
+    for (const double start_us : {0.0, 0.0, 0.25, 7.25}) {
+      schedule_next(SimTime::from_us(start_us));
+    }
+    for (const SimTime horizon : horizons) scheduler.run_until(horizon);
+    EXPECT_EQ(scheduler.now(), horizons.back());
+    EXPECT_EQ(scheduler.events_dispatched(),
+              static_cast<std::int64_t>(dispatched.size()));
+    return dispatched;
+  };
+  const std::vector<Dispatch> once = run({SimTime::from_us(20.0)});
+  const std::vector<Dispatch> stepped =
+      run({SimTime::from_us(1.0), SimTime::from_us(2.0),
+           SimTime::from_us(7.25), SimTime::from_us(20.0)});
+  EXPECT_GT(once.size(), 50u);
+  EXPECT_NE(std::find(once.begin(), once.end(), Dispatch{7'250, 3}),
+            once.end());
+  EXPECT_EQ(stepped, once);
 }
 
 // --- RandomStream -----------------------------------------------------------------

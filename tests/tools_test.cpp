@@ -306,6 +306,59 @@ TEST(Testbed, EveryDispatchIsAMediumEvent) {
   }
 }
 
+TEST(Testbed, ProgressMeterLeavesTheRunUnchanged) {
+  // The heartbeat only reads: with MME timers pending, a registry and a
+  // trace attached, a run that feeds a meter (printing at every chance)
+  // has the same counters, metric snapshot and trace bytes as one that
+  // does not.
+  struct Observed {
+    TestbedResult result;
+    std::string metrics;
+    std::string trace;
+  };
+  const auto observe = [](obs::ProgressMeter* meter) {
+    TestbedConfig config;
+    config.stations = 3;
+    config.mme_interval = des::SimTime::from_us(50'000.0);
+    config.warmup = des::SimTime::from_seconds(0.5);
+    config.duration = des::SimTime::from_seconds(3.5);
+    obs::Registry registry;
+    obs::TraceSink trace;
+    config.registry = &registry;
+    config.trace = &trace;
+    config.progress = meter;
+    Observed observed;
+    observed.result = run_saturated_testbed(config);
+    std::ostringstream metrics;
+    registry.snapshot().write_json(metrics);
+    observed.metrics = metrics.str();
+    std::ostringstream trace_bytes;
+    trace.write_jsonl(trace_bytes);
+    observed.trace = trace_bytes.str();
+    return observed;
+  };
+  std::ostringstream lines;
+  obs::ProgressMeter::Options options;
+  options.interval_wall_seconds = 0.0;
+  options.out = &lines;
+  obs::ProgressMeter meter(des::SimTime::from_seconds(4.0), options);
+  const Observed with_meter = observe(&meter);
+  const Observed without = observe(nullptr);
+  EXPECT_EQ(with_meter.result.acknowledged, without.result.acknowledged);
+  EXPECT_EQ(with_meter.result.collided, without.result.collided);
+  EXPECT_EQ(with_meter.result.frames_delivered_to_destination,
+            without.result.frames_delivered_to_destination);
+  EXPECT_EQ(with_meter.result.domain.idle_slots,
+            without.result.domain.idle_slots);
+  EXPECT_EQ(with_meter.result.domain.successes,
+            without.result.domain.successes);
+  EXPECT_EQ(with_meter.result.domain.collision_events,
+            without.result.domain.collision_events);
+  EXPECT_EQ(with_meter.metrics, without.metrics);
+  EXPECT_EQ(with_meter.trace, without.trace);
+  EXPECT_GT(without.trace.size(), 0u);
+}
+
 TEST(Testbed, RejectsBadConfig) {
   TestbedConfig config;
   config.stations = 0;
@@ -335,6 +388,8 @@ struct TestbedPin {
   std::int64_t successes = 0;
   std::int64_t collision_events = 0;
   std::int64_t events_dispatched = 0;
+  /// The registry's medium.events total, warm-up included.
+  std::int64_t medium_events = 0;
   std::size_t captures = 0;
   std::int64_t pending_high_water = 0;
   /// hash128 (hex) over every capture's timestamp and encoded SoF.
@@ -353,6 +408,15 @@ std::string capture_digest(
     }
   }
   return util::hash128(bytes).to_hex();
+}
+
+/// The sum of a snapshot's medium.events series over all their labels.
+std::int64_t medium_events_total(const obs::Snapshot& snapshot) {
+  double total = 0.0;
+  for (const obs::MetricSample& sample : snapshot.samples()) {
+    if (sample.name == "medium.events") total += sample.value;
+  }
+  return static_cast<std::int64_t>(total);
 }
 
 /// The digest of no captures.
@@ -379,6 +443,7 @@ TestbedPin observe_testbed(TestbedConfig config) {
   pin.events_dispatched =
       dispatched == nullptr ? -1
                             : static_cast<std::int64_t>(dispatched->value);
+  pin.medium_events = medium_events_total(snapshot);
   pin.captures = result.captures.size();
   pin.pending_high_water =
       high_water == nullptr ? -1
@@ -395,6 +460,7 @@ void expect_pin(const TestbedPin& actual, const TestbedPin& expected) {
   EXPECT_EQ(actual.successes, expected.successes);
   EXPECT_EQ(actual.collision_events, expected.collision_events);
   EXPECT_EQ(actual.events_dispatched, expected.events_dispatched);
+  EXPECT_EQ(actual.medium_events, expected.medium_events);
   EXPECT_EQ(actual.captures, expected.captures);
   EXPECT_EQ(actual.pending_high_water, expected.pending_high_water);
   EXPECT_EQ(actual.capture_digest, expected.capture_digest);
@@ -404,7 +470,7 @@ TEST(TestbedGolden, OneStation) {
   TestbedConfig config;
   config.stations = 1;
   expect_pin(observe_testbed(config),
-             {{3746}, {0}, 28886, 6576, 1873, 0, 11976, 0, 0, kNoCaptures});
+             {{3746}, {0}, 28886, 6576, 1873, 0, 11976, 11976, 0, 0, kNoCaptures});
 }
 
 TEST(TestbedGolden, ThreeStations) {
@@ -412,7 +478,7 @@ TEST(TestbedGolden, ThreeStations) {
   config.stations = 3;
   expect_pin(observe_testbed(config), {{1296, 1250, 1442},
                                        {140, 178, 166},
-                                       26869, 5431, 1752, 120, 10324, 0, 0,
+                                       26869, 5431, 1752, 120, 10324, 10324, 0, 0,
                                        kNoCaptures});
 }
 
@@ -422,7 +488,7 @@ TEST(TestbedGolden, SevenStations) {
   expect_pin(observe_testbed(config),
              {{468, 646, 720, 570, 552, 684, 642},
               {120, 184, 150, 138, 128, 146, 166},
-              24749, 4004, 1626, 247, 8219, 0, 0, kNoCaptures});
+              24749, 4004, 1626, 247, 8219, 8219, 0, 0, kNoCaptures});
 }
 
 TEST(TestbedGolden, PbErrorsWithToneMapAdaptation) {
@@ -435,7 +501,7 @@ TEST(TestbedGolden, PbErrorsWithToneMapAdaptation) {
   config.device.adaptation.enabled = true;
   expect_pin(observe_testbed(config), {{1196, 1158, 1382},
                                        {132, 170, 162},
-                                       1940, 5090, 1636, 115, 9669, 0, 0,
+                                       1940, 5090, 1636, 115, 9669, 9669, 0, 0,
                                        kNoCaptures});
 }
 
@@ -452,8 +518,8 @@ TEST(TestbedGolden, CollidedMmeRunsOutgrowARobustProfile) {
   config.mme_payload_bytes = 1400;
   expect_pin(observe_testbed(config), {{440, 450, 488},
                                        {98, 122, 116},
-                                       2572, 5816, 1750, 196, 12193, 0, 3,
-                                       kNoCaptures});
+                                       2572, 5816, 1750, 196, 12193, 11353,
+                                       0, 3, kNoCaptures});
 }
 
 TEST(TestbedGolden, MmeChatterWithSniffer) {
@@ -462,7 +528,8 @@ TEST(TestbedGolden, MmeChatterWithSniffer) {
   config.mme_interval = des::SimTime::from_us(50'000.0);
   config.sniff_at_destination = true;
   expect_pin(observe_testbed(config), {{1784, 1862}, {184, 184},
-                                       25616, 6537, 1839, 105, 12080, 3872, 2,
+                                       25616, 6537, 1839, 105, 12080, 11800,
+                                       3872, 2,
                                        "efdc84cdb61556ee444a240b1b69199e"});
 }
 
