@@ -12,8 +12,8 @@
 //
 // finish() stamps wall time, snapshots the harness registry into the
 // report (pass harness.registry() into testbed/runner observability to
-// make the des.* counters land there), recovers the event count from
-// des.events_dispatched when the harness didn't set one, attaches the
+// make the medium.* counters land there), recovers the event count from
+// the medium.events total when the harness didn't set one, attaches the
 // phase-profiler aggregate when PLC_PROFILE is on, and saves the file —
 // into $PLC_BENCH_DIR when set, else the working directory.
 #pragma once
@@ -52,7 +52,7 @@ class Harness {
   explicit Harness(std::string name) { report_.name = std::move(name); }
 
   obs::RunReport& report() { return report_; }
-  /// Bind this into testbed/runner observability so scheduler and medium
+  /// Bind this into testbed/runner observability so medium and device
   /// counters accumulate across every run the bench performs.
   obs::Registry& registry() { return registry_; }
 
@@ -72,10 +72,8 @@ class Harness {
     report_.wall_seconds = stopwatch_.elapsed_seconds();
     report_.metrics = registry_.snapshot();
     if (report_.events == 0) {
-      if (const obs::MetricSample* dispatched =
-              report_.metrics.find("des.events_dispatched")) {
-        report_.events = static_cast<std::int64_t>(dispatched->value);
-      }
+      report_.events =
+          static_cast<std::int64_t>(report_.metrics.total("medium.events"));
     }
     if (obs::Profiler::enabled()) {
       report_.profile = obs::Profiler::instance().snapshot();
@@ -95,7 +93,7 @@ class Harness {
     std::cout << "\nwrote " << path << " (" << report_.scalars.size()
               << " scalars";
     if (report_.events > 0) {
-      std::cout << ", " << report_.events << " scheduler events";
+      std::cout << ", " << report_.events << " medium events";
     }
     if (report_.simulated_seconds > 0.0 && report_.wall_seconds > 0.0) {
       std::cout << ", "

@@ -282,7 +282,7 @@ void save_report(const Args& args, const obs::RunReport& report) {
 }
 
 /// A testbed run's report: wall and simulated seconds, the metric
-/// snapshot (events from des.events_dispatched) and the station count.
+/// snapshot (events: its medium.events total) and the station count.
 obs::RunReport testbed_report(const char* name, double wall_seconds,
                               double simulated_seconds,
                               const obs::Registry& registry, int stations) {
@@ -291,10 +291,8 @@ obs::RunReport testbed_report(const char* name, double wall_seconds,
   report.wall_seconds = wall_seconds;
   report.simulated_seconds = simulated_seconds;
   report.metrics = registry.snapshot();
-  if (const obs::MetricSample* dispatched =
-          report.metrics.find("des.events_dispatched")) {
-    report.events = static_cast<std::int64_t>(dispatched->value);
-  }
+  report.events =
+      static_cast<std::int64_t>(report.metrics.total("medium.events"));
   report.scalars["stations"] = static_cast<double>(stations);
   return report;
 }

@@ -1,6 +1,5 @@
 #include "des/scheduler.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/profiler.hpp"
@@ -57,21 +56,6 @@ void Scheduler::purge_cancelled() {
   }
 }
 
-void Scheduler::add_observer(SchedulerObserver* observer) {
-  util::require(observer != nullptr,
-                "Scheduler::add_observer: observer must not be null");
-  if (std::find(observers_.begin(), observers_.end(), observer) ==
-      observers_.end()) {
-    observers_.push_back(observer);
-  }
-}
-
-void Scheduler::remove_observer(SchedulerObserver* observer) {
-  observers_.erase(
-      std::remove(observers_.begin(), observers_.end(), observer),
-      observers_.end());
-}
-
 bool Scheduler::step() {
   purge_cancelled();
   if (queue_.empty()) return false;
@@ -83,12 +67,6 @@ bool Scheduler::step() {
   release(entry.slot);
   now_ = entry.when;
   ++dispatched_;
-  if (!observers_.empty()) {
-    const std::size_t pending_now = pending();
-    for (SchedulerObserver* observer : observers_) {
-      observer->on_event_dispatched(now_, dispatched_, pending_now);
-    }
-  }
   callback();
   return true;
 }

@@ -37,22 +37,6 @@ class EventHandle {
   std::uint64_t sequence_ = 0;  ///< The event's slot generation.
 };
 
-/// Passive tap on the scheduler's dispatch loop (metrics, tracing,
-/// progress heartbeats; see obs::SchedulerMetrics, obs::ProgressMeter).
-/// Installed non-owning via add_observer: the observer must outlive the
-/// scheduler or detach itself via remove_observer. Observers fire in
-/// registration order.
-class SchedulerObserver {
- public:
-  virtual ~SchedulerObserver() = default;
-
-  /// Fires once per dispatched event, after the clock has advanced to the
-  /// event's time and before its callback runs. `pending` excludes the
-  /// event being dispatched.
-  virtual void on_event_dispatched(SimTime when, std::int64_t dispatched,
-                                   std::size_t pending) = 0;
-};
-
 /// Priority-queue event scheduler with integer-nanosecond timestamps.
 class Scheduler {
  public:
@@ -74,7 +58,9 @@ class Scheduler {
   /// Runs events until the queue is empty or simulated time would exceed
   /// `horizon`. Events scheduled exactly at the horizon still fire.
   /// Afterwards now() is the horizon (unchanged when it already lay past
-  /// the horizon).
+  /// the horizon). With nothing scheduled from outside in between, runs
+  /// through several horizons dispatch the same events in the same order
+  /// as one run to the last.
   void run_until(SimTime horizon);
 
   /// Runs a single event if one is pending; returns false when idle.
@@ -86,13 +72,6 @@ class Scheduler {
   /// Number of live events pending; cancelled events are not counted,
   /// although their heap entries are discarded lazily.
   std::size_t pending() const { return queue_.size() - cancelled_pending_; }
-
-  /// Registers a dispatch-loop observer (non-owning; no-op when already
-  /// registered).
-  void add_observer(SchedulerObserver* observer);
-  /// Removes a registered observer; no-op when absent.
-  void remove_observer(SchedulerObserver* observer);
-  std::size_t observer_count() const { return observers_.size(); }
 
  private:
   struct Entry {
@@ -120,7 +99,6 @@ class Scheduler {
   std::uint64_t next_sequence_ = 1;
   std::int64_t dispatched_ = 0;
   std::size_t cancelled_pending_ = 0;
-  std::vector<SchedulerObserver*> observers_;
 
   /// True when `entry`'s event still occupies its slot (not cancelled).
   bool live(const Entry& entry) const {

@@ -60,8 +60,6 @@ void Network::bind_metrics(obs::Registry& registry) {
   for (const auto& device : devices_) {
     device->bind_metrics(registry);
   }
-  scheduler_metrics_ =
-      std::make_unique<obs::SchedulerMetrics>(scheduler_, registry);
 }
 
 void Network::start() {

@@ -43,9 +43,9 @@ class Network {
   const phy::GilbertElliottChannel* link_channel(int src_tei,
                                                  int dst_tei) const;
 
-  /// Registers the whole network into `registry`: the contention domain,
-  /// every device, and the scheduler's dispatch loop. Call after all
-  /// devices have been added (typically right before start()).
+  /// Registers the whole network into `registry`: the contention domain
+  /// and every device. Call after all devices have been added (typically
+  /// right before start()).
   void bind_metrics(obs::Registry& registry);
 
   /// Starts the contention domain (and any channel processes). Call once
@@ -72,7 +72,6 @@ class Network {
   std::vector<std::unique_ptr<HpavDevice>> devices_;
   std::map<std::pair<int, int>, std::unique_ptr<phy::GilbertElliottChannel>>
       channels_;
-  std::unique_ptr<obs::SchedulerMetrics> scheduler_metrics_;
   bool started_ = false;
 };
 

@@ -77,6 +77,14 @@ const MetricSample* Snapshot::find(std::string_view name,
   return nullptr;
 }
 
+double Snapshot::total(std::string_view name) const {
+  double sum = 0.0;
+  for (const MetricSample& sample : samples_) {
+    if (sample.name == name) sum += sample.value;
+  }
+  return sum;
+}
+
 void Snapshot::write_json(std::ostream& out) const {
   JsonWriter json(out);
   write_into(json);
@@ -187,25 +195,6 @@ Snapshot Registry::snapshot() const {
     snapshot.samples_.push_back(std::move(sample));
   }
   return snapshot;
-}
-
-SchedulerMetrics::SchedulerMetrics(des::Scheduler& scheduler,
-                                   Registry& registry)
-    : scheduler_(scheduler),
-      dispatched_(&registry.counter("des.events_dispatched")),
-      pending_high_water_(&registry.gauge("des.pending_high_water")) {
-  scheduler_.add_observer(this);
-}
-
-SchedulerMetrics::~SchedulerMetrics() {
-  scheduler_.remove_observer(this);
-}
-
-void SchedulerMetrics::on_event_dispatched(des::SimTime /*when*/,
-                                           std::int64_t /*dispatched*/,
-                                           std::size_t pending) {
-  dispatched_->add();
-  pending_high_water_->set_max(static_cast<double>(pending));
 }
 
 }  // namespace plc::obs

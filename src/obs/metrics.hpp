@@ -23,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "des/scheduler.hpp"
 #include "util/stats.hpp"
 
 namespace plc::obs {
@@ -108,6 +107,10 @@ class Snapshot {
   const MetricSample* find(std::string_view name,
                            const Labels& labels = {}) const;
 
+  /// Sums the values of every series named `name`, whatever its labels
+  /// (0 when there is none), e.g. all medium.events types.
+  double total(std::string_view name) const;
+
   /// Emits the snapshot as a JSON array of series objects.
   void write_json(std::ostream& out) const;
 
@@ -163,23 +166,6 @@ class Registry {
 
   std::deque<Entry> entries_;  ///< Deque: stable addresses across growth.
   std::map<std::string, std::size_t> index_;  ///< Flattened key -> entry.
-};
-
-/// Registers a discrete-event scheduler into a registry through the
-/// des::SchedulerObserver hook: counts dispatched events and tracks the
-/// pending-queue high-water mark. Detaches itself on destruction.
-class SchedulerMetrics final : public des::SchedulerObserver {
- public:
-  SchedulerMetrics(des::Scheduler& scheduler, Registry& registry);
-  ~SchedulerMetrics() override;
-
-  void on_event_dispatched(des::SimTime when, std::int64_t dispatched,
-                           std::size_t pending) override;
-
- private:
-  des::Scheduler& scheduler_;
-  Counter* dispatched_;
-  Gauge* pending_high_water_;
 };
 
 }  // namespace plc::obs

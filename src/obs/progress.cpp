@@ -30,23 +30,6 @@ ProgressMeter::ProgressMeter(des::SimTime goal, Options options)
   util::check_arg(goal > des::SimTime::zero(), "goal", "must be positive");
 }
 
-void ProgressMeter::on_event_dispatched(des::SimTime when,
-                                        std::int64_t dispatched,
-                                        std::size_t /*pending*/) {
-  if (--check_countdown_ > 0) return;
-  check_countdown_ = kCheckEvery;
-  sample(when, dispatched);
-}
-
-void ProgressMeter::sample(des::SimTime now, std::int64_t events) {
-  const double elapsed = stopwatch_.elapsed_seconds();
-  if (elapsed - last_report_seconds_ < options_.interval_wall_seconds) {
-    return;
-  }
-  last_report_seconds_ = elapsed;
-  report(now, events, /*final_line=*/false);
-}
-
 void ProgressMeter::set_task_goal(std::int64_t total_tasks) {
   task_goal_ += total_tasks;
 }
@@ -56,7 +39,12 @@ void ProgressMeter::task_complete(des::SimTime simulated,
   ++tasks_completed_;
   tasks_simulated_ += simulated;
   tasks_events_ += events;
-  sample(tasks_simulated_, tasks_events_);
+  const double elapsed = stopwatch_.elapsed_seconds();
+  if (elapsed - last_report_seconds_ < options_.interval_wall_seconds) {
+    return;
+  }
+  last_report_seconds_ = elapsed;
+  report(tasks_simulated_, tasks_events_, /*final_line=*/false);
 }
 
 void ProgressMeter::finish(des::SimTime now, std::int64_t events) {

@@ -1,25 +1,23 @@
 // Periodic one-line progress heartbeat for long runs.
 //
-// A ProgressMeter knows the simulated-time goal of a run and is fed the
-// current simulated time plus a processed-event count — either through
-// the des::SchedulerObserver hook (one testbed run: attach with
-// Scheduler::add_observer) or one task_complete() per retired task (the
-// parallel runner's sim leg). At most once per `interval_wall_seconds`
-// of wall time it prints one status line to its sink (stderr by
-// default):
+// A ProgressMeter knows the simulated-time goal of a run and has one
+// input, task_complete(): a span of simulated time and the events it
+// took. The parallel runner's sim leg calls it once per retired
+// repetition, and a testbed run once per simulated-second checkpoint
+// (tools::run_saturated_testbed). At most once per
+// `interval_wall_seconds` of wall time it prints one status line to its
+// sink (stderr by default):
 //
 //   progress: 12.0/60.0 sim-s (20.0%)  1.23M ev/s  ETA 3.2s
 //
-// The per-event cost is a modulo-counter check; the stopwatch is only
-// consulted every kCheckEvery events. finish() always prints a final
-// 100% line so even sub-interval runs leave one heartbeat behind.
+// finish() always prints a final 100% line so even sub-interval runs
+// leave one heartbeat behind.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 
-#include "des/scheduler.hpp"
 #include "des/time.hpp"
 #include "obs/report.hpp"
 
@@ -31,7 +29,7 @@ std::string format_duration_brief(double seconds);
 
 /// Not thread-safe: concurrent producers (parallel-runner workers) must
 /// serialize their task_complete()/finish() calls behind one mutex.
-class ProgressMeter final : public des::SchedulerObserver {
+class ProgressMeter {
  public:
   struct Options {
     double interval_wall_seconds = 1.0;
@@ -44,19 +42,15 @@ class ProgressMeter final : public des::SchedulerObserver {
   explicit ProgressMeter(des::SimTime goal);
   ProgressMeter(des::SimTime goal, Options options);
 
-  /// des::SchedulerObserver: one dispatched scheduler event.
-  void on_event_dispatched(des::SimTime when, std::int64_t dispatched,
-                           std::size_t pending) override;
-
   /// Announces a sweep task goal (cumulative across legs). Once set,
   /// the ETA comes from completed-task throughput — tasks are what the
   /// parallel runner actually retires, so the estimate respects caching
   /// (store hits complete in microseconds) and uneven task sizes in a
   /// way the raw simulated-time fraction cannot.
   void set_task_goal(std::int64_t total_tasks);
-  /// One task retired after simulating `simulated` in `events` medium
-  /// events: adds both to the running totals and prints a status line if
-  /// the interval has elapsed.
+  /// One task (or testbed checkpoint) retired after simulating
+  /// `simulated` in `events` events: adds both to the running totals and
+  /// prints a status line if the interval has elapsed.
   void task_complete(des::SimTime simulated, std::int64_t events);
 
   /// Prints the final status line (idempotent per call site; call once).
@@ -64,18 +58,12 @@ class ProgressMeter final : public des::SchedulerObserver {
 
   std::int64_t lines_printed() const { return lines_printed_; }
 
-  /// How many events between stopwatch checks.
-  static constexpr std::int64_t kCheckEvery = 8192;
-
  private:
-  /// Prints a status line unless one went out less than an interval ago.
-  void sample(des::SimTime now, std::int64_t events);
   void report(des::SimTime now, std::int64_t events, bool final_line);
 
   des::SimTime goal_;
   Options options_;
   Stopwatch stopwatch_;
-  std::int64_t check_countdown_ = kCheckEvery;
   double last_report_seconds_ = 0.0;
   std::int64_t lines_printed_ = 0;
   std::int64_t task_goal_ = 0;  ///< 0 = no task goal; sim-time ETA.

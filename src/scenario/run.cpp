@@ -427,10 +427,9 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
   if (options.registry == nullptr) {
     report.metrics = local_registry.snapshot();
     if (report.events == 0) {
-      if (const obs::MetricSample* dispatched =
-              report.metrics.find("des.events_dispatched")) {
-        report.events = static_cast<std::int64_t>(dispatched->value);
-      }
+      // No sim leg: the testbed's medium events, warm-up included.
+      report.events =
+          static_cast<std::int64_t>(report.metrics.total("medium.events"));
     }
   }
 

@@ -36,12 +36,14 @@ struct TestbedConfig {
   int mme_payload_bytes = 100;
 
   // Observability (optional, non-owning; must outlive the run). The
-  // registry receives the whole network's instruments (domain, devices,
-  // scheduler); the trace sink records every medium event.
+  // registry receives the whole network's instruments (domain and
+  // devices); the trace sink records every medium event.
   obs::Registry* registry = nullptr;
   obs::TraceSink* trace = nullptr;
-  /// Heartbeat on the scheduler's dispatch loop (construct the meter with
-  /// goal = warmup + duration). finish() fires when the run ends.
+  /// Heartbeat (construct the meter with goal = warmup + duration): the
+  /// run goes in checkpoints of one simulated second, and the meter gets
+  /// task_complete(checkpoint, events dispatched in it) after each, then
+  /// finish() when the run ends. Attached or not, the run is the same.
   obs::ProgressMeter* progress = nullptr;
 };
 

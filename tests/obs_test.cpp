@@ -394,11 +394,8 @@ TEST(TestbedObs, RegistryAndTraceSeeTheWholeStack) {
   EXPECT_GT(result.total_acknowledged, 0u);
 
   const obs::Snapshot snapshot = registry.snapshot();
-  // Scheduler, domain, and device instruments all present and non-zero.
-  const obs::MetricSample* dispatched =
-      snapshot.find("des.events_dispatched");
-  ASSERT_NE(dispatched, nullptr);
-  EXPECT_GT(dispatched->value, 0.0);
+  // Domain and device instruments all present and non-zero.
+  EXPECT_GT(snapshot.total("medium.events"), 0.0);
   const obs::MetricSample* successes =
       snapshot.find("medium.events", {{"type", "success"}});
   ASSERT_NE(successes, nullptr);

@@ -611,13 +611,13 @@ TEST(StoreScenario, InvalidCountsInPayloadsAreRerunAndRepublished) {
   }
 }
 
-// A testbed entry carries its test's metric snapshot, and the snapshot
-// of a run whose sources polled every 500 us holds other
-// des.events_dispatched and des.pending_high_water values than a run
-// whose sources refill on drain. The testbed point JSON therefore gained
-// a version field, which moves testbed keys only: an entry published
-// under the earlier point JSON (written out literally below) must miss
-// and re-run, while the sim entries in the same store still hit.
+// A testbed entry carries its test's metric snapshot. Entries written
+// before the point JSON's version field hold des.* values of runs whose
+// sources polled every 500 us, and version 2 entries hold des.* metrics
+// that reports no longer carry. The version moves testbed keys only: an
+// entry published under either earlier point JSON (written out literally
+// below) must miss and re-run, while the sim entries in the same store
+// still hit.
 TEST(StoreScenario, TestbedEntriesOfAnEarlierVersionAreNeverServed) {
   TempDir dir("stale_testbed");
   scenario::Spec spec = tiny_sim_spec();
@@ -631,7 +631,7 @@ TEST(StoreScenario, TestbedEntriesOfAnEarlierVersionAreNeverServed) {
   const std::string cold_text =
       run_report_text(spec, &reference, 1, dir.str() + "/cold.json");
 
-  // The healthy entry, with a marker in place of its event count.
+  // The healthy entry, with a marker in place of one medium event count.
   const std::optional<obs::JsonValue> healthy = reference.lookup(
       store::make_key("testbed/CA1",
                       tools::testbed_point_json(spec.to_testbed_config(2, 0)),
@@ -643,7 +643,7 @@ TEST(StoreScenario, TestbedEntriesOfAnEarlierVersionAreNeverServed) {
     if (name != "metrics") continue;
     for (obs::JsonValue& sample : member.items) {
       const obs::JsonValue* metric = sample.find("name");
-      if (metric == nullptr || metric->text != "des.events_dispatched") {
+      if (marked || metric == nullptr || metric->text != "medium.events") {
         continue;
       }
       for (auto& [field, value] : sample.members) {
@@ -657,9 +657,9 @@ TEST(StoreScenario, TestbedEntriesOfAnEarlierVersionAreNeverServed) {
   ASSERT_TRUE(marked);
 
   // A store with the spec's sim entry and the marked entry under the
-  // point JSON this test had before the version field.
-  const std::string earlier_point =
-      "{\"stations\": 2,\"warmup_ns\": 2000000000,"
+  // point JSONs this test had before the version field and at version 2.
+  const std::string point_fields =
+      "\"stations\": 2,\"warmup_ns\": 2000000000,"
       "\"duration_ns\": 500000000,\"seed\": \"0x46acdea729036836\","
       "\"timing\": {\"slot_ns\": 35840,\"success_overhead_ns\": 492640,"
       "\"collision_overhead_ns\": 870640,\"burst_gap_ns\": 0},"
@@ -670,8 +670,11 @@ TEST(StoreScenario, TestbedEntriesOfAnEarlierVersionAreNeverServed) {
     sim_only.validate();
     store::ResultStore cache(dir.str() + "/cache");
     run_report_text(sim_only, &cache, 1, dir.str() + "/sim.json");
-    cache.publish(store::make_key("testbed/CA1", earlier_point, 0),
-                  stale.dump());
+    for (const std::string& earlier_point :
+         {"{" + point_fields, "{\"version\": 2," + point_fields}) {
+      cache.publish(store::make_key("testbed/CA1", earlier_point, 0),
+                    stale.dump());
+    }
   }
 
   store::ResultStore warm(dir.str() + "/cache");
@@ -708,7 +711,7 @@ TEST(StoreScenario, TelemetryCountsTestbedTasksAndStoreTraffic) {
     EXPECT_EQ(progress.store_hits, warm ? 4 : 0);
     EXPECT_EQ(progress.store_misses, warm ? 0 : 4);
     // Cold tasks feed their testbed metrics to the live view too.
-    EXPECT_NE(hub.metrics_snapshot().find("des.events_dispatched"), nullptr);
+    EXPECT_GT(hub.metrics_snapshot().total("medium.events"), 0.0);
   }
 }
 

@@ -3,10 +3,11 @@
 // Replaces the global operator new/delete with counting versions and runs
 // two saturated testbeds that differ only in their measured duration.
 // Set-up and read-back allocate the same in both, so the difference in
-// allocations over the difference in dispatched events is what the DES
-// hot path (scheduler, contention domain, sources, devices) costs per
-// event. Its own binary, so the replacement operators affect no other
-// suite.
+// allocations over the difference in events is what the DES hot path
+// (scheduler, contention domain, sources, devices) costs per event. The
+// events are the medium.events total: without MME chatter every
+// dispatched event is one idle slot or the start of one exchange. Its
+// own binary, so the replacement operators affect no other suite.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -62,12 +63,8 @@ AllocationSample measure(double seconds) {
   run_saturated_testbed(config);
   AllocationSample sample;
   sample.allocations = g_allocations.load(std::memory_order_relaxed) - before;
-  const obs::Snapshot snapshot = registry.snapshot();
-  const obs::MetricSample* dispatched = snapshot.find("des.events_dispatched");
-  EXPECT_NE(dispatched, nullptr);
-  if (dispatched != nullptr) {
-    sample.events = static_cast<std::int64_t>(dispatched->value);
-  }
+  sample.events =
+      static_cast<std::int64_t>(registry.snapshot().total("medium.events"));
   return sample;
 }
 

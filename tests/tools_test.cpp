@@ -279,33 +279,6 @@ TEST(Testbed, DataKeepsFlowingToDestination) {
   EXPECT_GT(result.frames_delivered_to_destination, 1000);
 }
 
-TEST(Testbed, EveryDispatchIsAMediumEvent) {
-  // Each dispatched event runs one slot boundary, which is one idle slot
-  // or the start of one exchange: a saturated testbed without MMEs or a
-  // sniffer schedules nothing else (no source polls, no timers). The one
-  // event the count may hold beyond the medium's is the t = 0 slot, which
-  // runs before the zero-length warm-up's statistics reset.
-  for (const int stations : {1, 3, 7}) {
-    obs::Registry registry;
-    TestbedConfig config;
-    config.stations = stations;
-    config.warmup = des::SimTime::zero();
-    config.duration = des::SimTime::from_seconds(1.0);
-    config.registry = &registry;
-    const TestbedResult result = run_saturated_testbed(config);
-    const obs::Snapshot snapshot = registry.snapshot();
-    const obs::MetricSample* dispatched =
-        snapshot.find("des.events_dispatched");
-    ASSERT_NE(dispatched, nullptr);
-    const std::int64_t medium_events = result.domain.idle_slots +
-                                       result.domain.successes +
-                                       result.domain.collision_events;
-    const auto events = static_cast<std::int64_t>(dispatched->value);
-    EXPECT_GE(events, medium_events) << stations << " stations";
-    EXPECT_LE(events, medium_events + 1) << stations << " stations";
-  }
-}
-
 TEST(Testbed, ProgressMeterLeavesTheRunUnchanged) {
   // The heartbeat only reads: with MME timers pending, a registry and a
   // trace attached, a run that feeds a meter (printing at every chance)
@@ -357,6 +330,25 @@ TEST(Testbed, ProgressMeterLeavesTheRunUnchanged) {
   EXPECT_EQ(with_meter.metrics, without.metrics);
   EXPECT_EQ(with_meter.trace, without.trace);
   EXPECT_GT(without.trace.size(), 0u);
+
+  // One line per checkpoint: 0.5 s of warm-up, then 1, 1, 1 and 0.5 s
+  // measured; then finish()'s line.
+  std::vector<std::string> printed;
+  std::istringstream text(lines.str());
+  for (std::string line; std::getline(text, line);) printed.push_back(line);
+  ASSERT_EQ(printed.size(), 6u) << lines.str();
+  const char* const kSimulated[] = {"progress: 0.5/4.0 sim-s",
+                                    "progress: 1.5/4.0 sim-s",
+                                    "progress: 2.5/4.0 sim-s",
+                                    "progress: 3.5/4.0 sim-s",
+                                    "progress: 4.0/4.0 sim-s"};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(printed[i].rfind(kSimulated[i], 0), 0u) << printed[i];
+  }
+  EXPECT_EQ(printed[5].rfind("progress: 4.0/4.0 sim-s (100.0%)", 0), 0u)
+      << printed[5];
+  EXPECT_NE(printed[5].find("done in"), std::string::npos) << printed[5];
+  EXPECT_EQ(meter.lines_printed(), 6);
 }
 
 TEST(Testbed, RejectsBadConfig) {
@@ -370,15 +362,14 @@ TEST(Testbed, RejectsBadConfig) {
 
 // --- Golden pins: the testbed's output, exactly -------------------------------------
 //
-// Reports carry the testbed's counters and des.events_dispatched, so the
-// data plane (sources, segmenter, receive path) may get cheaper but must
-// not change a single medium event or RNG draw. These values were
-// recorded from the per-byte deque segmenter and the push-then-read
-// saturated source; the capture digest from the map-backed scheduler and
-// the per-slot MediumEventRecord. The event count and the queue
-// high-water gauge were re-recorded when sources stopped polling every
-// 500 us and began refilling on drain: each dropped by exactly the polls,
-// N * (floor((warm-up + duration) / 500 us) + 1) events and N pending.
+// Reports carry the testbed's counters and medium.events, so the data
+// plane (sources, segmenter, receive path) may get cheaper but must not
+// change a single medium event or RNG draw. These values were recorded
+// from the per-byte deque segmenter and the push-then-read saturated
+// source; the capture digest from the map-backed scheduler and the
+// per-slot MediumEventRecord. The medium.events totals were recorded
+// while reports still carried the scheduler's dispatch count, which
+// they equal except for the two MME cases' timer events.
 
 struct TestbedPin {
   std::vector<std::uint64_t> acknowledged;
@@ -387,11 +378,9 @@ struct TestbedPin {
   std::int64_t idle_slots = 0;
   std::int64_t successes = 0;
   std::int64_t collision_events = 0;
-  std::int64_t events_dispatched = 0;
   /// The registry's medium.events total, warm-up included.
   std::int64_t medium_events = 0;
   std::size_t captures = 0;
-  std::int64_t pending_high_water = 0;
   /// hash128 (hex) over every capture's timestamp and encoded SoF.
   std::string capture_digest;
 };
@@ -410,15 +399,6 @@ std::string capture_digest(
   return util::hash128(bytes).to_hex();
 }
 
-/// The sum of a snapshot's medium.events series over all their labels.
-std::int64_t medium_events_total(const obs::Snapshot& snapshot) {
-  double total = 0.0;
-  for (const obs::MetricSample& sample : snapshot.samples()) {
-    if (sample.name == "medium.events") total += sample.value;
-  }
-  return static_cast<std::int64_t>(total);
-}
-
 /// The digest of no captures.
 const std::string kNoCaptures = util::hash128("").to_hex();
 
@@ -427,12 +407,6 @@ TestbedPin observe_testbed(TestbedConfig config) {
   config.registry = &registry;
   config.duration = des::SimTime::from_seconds(5.0);
   const TestbedResult result = run_saturated_testbed(config);
-  const obs::Snapshot snapshot = registry.snapshot();
-  const obs::MetricSample* dispatched = snapshot.find("des.events_dispatched");
-  EXPECT_NE(dispatched, nullptr);
-  const obs::MetricSample* high_water =
-      snapshot.find("des.pending_high_water");
-  EXPECT_NE(high_water, nullptr);
   TestbedPin pin;
   pin.acknowledged = result.acknowledged;
   pin.collided = result.collided;
@@ -440,14 +414,9 @@ TestbedPin observe_testbed(TestbedConfig config) {
   pin.idle_slots = result.domain.idle_slots;
   pin.successes = result.domain.successes;
   pin.collision_events = result.domain.collision_events;
-  pin.events_dispatched =
-      dispatched == nullptr ? -1
-                            : static_cast<std::int64_t>(dispatched->value);
-  pin.medium_events = medium_events_total(snapshot);
+  pin.medium_events = static_cast<std::int64_t>(
+      registry.snapshot().total("medium.events"));
   pin.captures = result.captures.size();
-  pin.pending_high_water =
-      high_water == nullptr ? -1
-                            : static_cast<std::int64_t>(high_water->value);
   pin.capture_digest = capture_digest(result.captures);
   return pin;
 }
@@ -459,10 +428,8 @@ void expect_pin(const TestbedPin& actual, const TestbedPin& expected) {
   EXPECT_EQ(actual.idle_slots, expected.idle_slots);
   EXPECT_EQ(actual.successes, expected.successes);
   EXPECT_EQ(actual.collision_events, expected.collision_events);
-  EXPECT_EQ(actual.events_dispatched, expected.events_dispatched);
   EXPECT_EQ(actual.medium_events, expected.medium_events);
   EXPECT_EQ(actual.captures, expected.captures);
-  EXPECT_EQ(actual.pending_high_water, expected.pending_high_water);
   EXPECT_EQ(actual.capture_digest, expected.capture_digest);
 }
 
@@ -470,7 +437,7 @@ TEST(TestbedGolden, OneStation) {
   TestbedConfig config;
   config.stations = 1;
   expect_pin(observe_testbed(config),
-             {{3746}, {0}, 28886, 6576, 1873, 0, 11976, 11976, 0, 0, kNoCaptures});
+             {{3746}, {0}, 28886, 6576, 1873, 0, 11976, 0, kNoCaptures});
 }
 
 TEST(TestbedGolden, ThreeStations) {
@@ -478,7 +445,7 @@ TEST(TestbedGolden, ThreeStations) {
   config.stations = 3;
   expect_pin(observe_testbed(config), {{1296, 1250, 1442},
                                        {140, 178, 166},
-                                       26869, 5431, 1752, 120, 10324, 10324, 0, 0,
+                                       26869, 5431, 1752, 120, 10324, 0,
                                        kNoCaptures});
 }
 
@@ -488,7 +455,7 @@ TEST(TestbedGolden, SevenStations) {
   expect_pin(observe_testbed(config),
              {{468, 646, 720, 570, 552, 684, 642},
               {120, 184, 150, 138, 128, 146, 166},
-              24749, 4004, 1626, 247, 8219, 8219, 0, 0, kNoCaptures});
+              24749, 4004, 1626, 247, 8219, 0, kNoCaptures});
 }
 
 TEST(TestbedGolden, PbErrorsWithToneMapAdaptation) {
@@ -501,7 +468,7 @@ TEST(TestbedGolden, PbErrorsWithToneMapAdaptation) {
   config.device.adaptation.enabled = true;
   expect_pin(observe_testbed(config), {{1196, 1158, 1382},
                                        {132, 170, 162},
-                                       1940, 5090, 1636, 115, 9669, 9669, 0, 0,
+                                       1940, 5090, 1636, 115, 9669, 0,
                                        kNoCaptures});
 }
 
@@ -518,8 +485,8 @@ TEST(TestbedGolden, CollidedMmeRunsOutgrowARobustProfile) {
   config.mme_payload_bytes = 1400;
   expect_pin(observe_testbed(config), {{440, 450, 488},
                                        {98, 122, 116},
-                                       2572, 5816, 1750, 196, 12193, 11353,
-                                       0, 3, kNoCaptures});
+                                       2572, 5816, 1750, 196, 11353, 0,
+                                       kNoCaptures});
 }
 
 TEST(TestbedGolden, MmeChatterWithSniffer) {
@@ -528,8 +495,7 @@ TEST(TestbedGolden, MmeChatterWithSniffer) {
   config.mme_interval = des::SimTime::from_us(50'000.0);
   config.sniff_at_destination = true;
   expect_pin(observe_testbed(config), {{1784, 1862}, {184, 184},
-                                       25616, 6537, 1839, 105, 12080, 11800,
-                                       3872, 2,
+                                       25616, 6537, 1839, 105, 11800, 3872,
                                        "efdc84cdb61556ee444a240b1b69199e"});
 }
 
