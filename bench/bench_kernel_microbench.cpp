@@ -287,6 +287,16 @@ void BM_ExactPairSolveTiny(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactPairSolveTiny);
 
+void BM_ExactPairSolveCa1(benchmark::State& state) {
+  // The figure2 exact leg: run_scenario's iteration cap and tolerance.
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        analysis::solve_exact_pair(mac::BackoffConfig::ca0_ca1(), 3000, 1e-10)
+            .collision_probability);
+  }
+}
+BENCHMARK(BM_ExactPairSolveCa1)->Unit(benchmark::kMillisecond);
+
 void BM_AmpStatCodecRoundTrip(benchmark::State& state) {
   mme::AmpStatConfirm confirm;
   confirm.acknowledged = 162'220;
