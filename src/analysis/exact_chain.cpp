@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <cstddef>
 
 #include "obs/profiler.hpp"
 #include "util/error.hpp"
@@ -38,93 +38,221 @@ struct StateSpace {
     total = static_cast<int>(running);
   }
 
-  int index(int stage, int bc, int dc) const {
-    const int depth = config.dc[static_cast<std::size_t>(stage)] + 1;
-    return stage_offset[static_cast<std::size_t>(stage)] + bc * depth + dc;
+  int stages() const { return config.stage_count(); }
+  int cw(int stage) const {
+    return config.cw[static_cast<std::size_t>(stage)];
   }
+  int dc(int stage) const {
+    return config.dc[static_cast<std::size_t>(stage)];
+  }
+  int next_stage(int stage) const { return std::min(stage + 1, stages() - 1); }
 
-  struct Decoded {
-    int stage;
-    int bc;
-    int dc;
-  };
-  Decoded decode(int index) const {
-    const int m = config.stage_count();
-    int stage = m - 1;
-    for (int i = 1; i < m; ++i) {
-      if (index < stage_offset[static_cast<std::size_t>(i)]) {
-        stage = i - 1;
-        break;
-      }
-    }
-    const int local = index - stage_offset[static_cast<std::size_t>(stage)];
-    const int depth = config.dc[static_cast<std::size_t>(stage)] + 1;
-    return {stage, local / depth, local % depth};
+  int index(int stage, int bc, int dc_value) const {
+    return stage_offset[static_cast<std::size_t>(stage)] +
+           bc * (dc(stage) + 1) + dc_value;
   }
 };
 
-/// A sparse successor list: (state index, probability) pairs.
-using Successors = std::vector<std::pair<int, double>>;
+/// One station at the start of a cycle, right after a busy event: a
+/// known (stage, BC, DC), or a fresh window draw at `stage` (BC uniform
+/// over the window, DC = d_stage).
+struct Start {
+  int stage = 0;
+  int bc = 0;
+  int dc = 0;
+  bool draw = false;
+};
 
-/// Redraw distribution entering `stage`: BC uniform over the window,
-/// DC = d_stage.
-Successors redraw_successors(const StateSpace& space, int stage) {
-  const int cw = space.config.cw[static_cast<std::size_t>(stage)];
-  const int d = space.config.dc[static_cast<std::size_t>(stage)];
-  Successors successors;
-  successors.reserve(static_cast<std::size_t>(cw));
-  const double p = 1.0 / static_cast<double>(cw);
-  for (int b = 0; b < cw; ++b) {
-    successors.emplace_back(space.index(stage, b, d), p);
-  }
-  return successors;
-}
+/// The chain observed right after each busy event. A success leaves the
+/// winner drawing at stage 0 whatever state it won from, a collision
+/// leaves both drawing at their next stage, and idle slots only lower
+/// both BCs, so a post-event state is one of
+///   - "A won, B is in state t"  (index t, t < n_B),
+///   - "B won, A is in state t"  (index n_B + t, t < n_A),
+///   - "a collision left A drawing at stage i and B at stage j"
+///     (index n_B + n_A + i * m_B + j).
+/// One step of this chain is one cycle of the per-event chain: the idle
+/// gap g = min(BC_A, BC_B), then one busy event.
+class PostEventChain {
+ public:
+  /// What one cycle from a post-event state does. Idle slots change no
+  /// stage, so both stations keep the state's stages for the cycle.
+  struct Row {
+    int stage_a = 0;
+    int stage_b = 0;
+    double gap = 0.0;      ///< Expected idle slots before the busy event.
+    double win_a = 0.0;    ///< P(the busy event is A's success).
+    double win_b = 0.0;    ///< P(it is B's success).
+    double collide = 0.0;  ///< P(it is a collision).
+  };
 
-/// One station's transition kernels for every role it can play during a
-/// medium event.
-struct StationModel {
-  StateSpace space;
-  std::vector<Successors> idle;  ///< Idle slot: bc-- (only when bc > 0).
-  std::vector<Successors> busy;  ///< Sensed another's tx: decrement/jump.
-  std::vector<Successors> win;   ///< Own success: redraw at stage 0.
-  std::vector<Successors> lose;  ///< Own collision: redraw at next stage.
-  std::vector<bool> ready;       ///< bc == 0: transmits next event.
-  std::vector<int> stage;        ///< Stage of each state.
-  Successors start;              ///< Fresh draw at stage 0.
-
-  explicit StationModel(const mac::BackoffConfig& config)
-      : space(config) {
-    const int m = config.stage_count();
-    const int n = space.total;
-    idle.resize(static_cast<std::size_t>(n));
-    busy.resize(static_cast<std::size_t>(n));
-    win.resize(static_cast<std::size_t>(n));
-    lose.resize(static_cast<std::size_t>(n));
-    ready.resize(static_cast<std::size_t>(n));
-    stage.resize(static_cast<std::size_t>(n));
-    for (int s = 0; s < n; ++s) {
-      const auto [stg, bc, dc] = space.decode(s);
-      stage[static_cast<std::size_t>(s)] = stg;
-      ready[static_cast<std::size_t>(s)] = bc == 0;
-      const int next_stage = std::min(stg + 1, m - 1);
-      if (bc == 0) {
-        win[static_cast<std::size_t>(s)] = redraw_successors(space, 0);
-        lose[static_cast<std::size_t>(s)] =
-            redraw_successors(space, next_stage);
-      } else {
-        idle[static_cast<std::size_t>(s)] = {
-            {space.index(stg, bc - 1, dc), 1.0}};
-        if (dc == 0) {
-          busy[static_cast<std::size_t>(s)] =
-              redraw_successors(space, next_stage);
-        } else {
-          busy[static_cast<std::size_t>(s)] = {
-              {space.index(stg, bc - 1, dc - 1), 1.0}};
+  PostEventChain(const StateSpace& a, const StateSpace& b)
+      : a_(a),
+        b_(b),
+        a_won_{&b, 0, std::vector<double>(
+                          static_cast<std::size_t>(b.stages()), 0.0)},
+        b_won_{&a, static_cast<std::size_t>(b.total),
+               std::vector<double>(static_cast<std::size_t>(a.stages()),
+                                   0.0)},
+        states_(static_cast<std::size_t>(b.total) +
+                static_cast<std::size_t>(a.total) +
+                static_cast<std::size_t>(a.stages()) *
+                    static_cast<std::size_t>(b.stages())),
+        rows_(states_),
+        row_end_(states_),
+        scratch_(states_, 0.0) {
+    std::size_t s = 0;
+    for (int stage = 0; stage < b.stages(); ++stage) {
+      for (int bc = 0; bc < b.cw(stage); ++bc) {
+        for (int dc = 0; dc <= b.dc(stage); ++dc) {
+          build_row(s++, Start{0, 0, a.dc(0), true}, Start{stage, bc, dc});
         }
       }
     }
-    start = redraw_successors(space, 0);
+    for (int stage = 0; stage < a.stages(); ++stage) {
+      for (int bc = 0; bc < a.cw(stage); ++bc) {
+        for (int dc = 0; dc <= a.dc(stage); ++dc) {
+          build_row(s++, Start{stage, bc, dc}, Start{0, 0, b.dc(0), true});
+        }
+      }
+    }
+    for (int i = 0; i < a.stages(); ++i) {
+      for (int j = 0; j < b.stages(); ++j) {
+        build_row(s++, Start{i, 0, a.dc(i), true},
+                  Start{j, 0, b.dc(j), true});
+      }
+    }
   }
+
+  std::size_t states() const { return states_; }
+  const Row& row(std::size_t s) const { return rows_[s]; }
+
+  /// The per-event chain's start (both stations drawing at stage 0) as a
+  /// post-event state.
+  std::size_t fresh_start() const { return collision_index(0, 0); }
+
+  /// next = v * P.
+  void step(const std::vector<double>& v, std::vector<double>& next) const {
+    std::fill(next.begin(), next.end(), 0.0);
+    std::size_t k = 0;
+    for (std::size_t s = 0; s < states_; ++s) {
+      const double mass = v[s];
+      const std::size_t end = row_end_[s];
+      if (mass == 0.0) {
+        k = end;
+        continue;
+      }
+      for (; k < end; ++k) {
+        next[static_cast<std::size_t>(to_[k])] += mass * p_[k];
+      }
+    }
+  }
+
+ private:
+  /// The block of states in which `space`'s station lost the channel.
+  struct LoserBlock {
+    const StateSpace* space;
+    std::size_t offset;
+    std::vector<double> draws;  ///< Row scratch: next-stage draws by stage.
+  };
+
+  std::size_t collision_index(int stage_a, int stage_b) const {
+    return static_cast<std::size_t>(b_.total) +
+           static_cast<std::size_t>(a_.total) +
+           static_cast<std::size_t>(stage_a) *
+               static_cast<std::size_t>(b_.stages()) +
+           static_cast<std::size_t>(stage_b);
+  }
+
+  void add(std::size_t to, double p) {
+    if (scratch_[to] == 0.0) touched_.push_back(to);
+    scratch_[to] += p;
+  }
+
+  /// The loser's busy step at its attempt state: BC and DC drop by one,
+  /// or, with DC at 0, it draws at its next stage. Draws are collected
+  /// per stage and spread over the window once per row.
+  void lose(LoserBlock& block, int stage, int bc, int dc, double p) {
+    if (dc == 0) {
+      block.draws[static_cast<std::size_t>(block.space->next_stage(stage))] +=
+          p;
+    } else {
+      add(block.offset +
+              static_cast<std::size_t>(
+                  block.space->index(stage, bc - 1, dc - 1)),
+          p);
+    }
+  }
+
+  void spread_draws(LoserBlock& block) {
+    const StateSpace& space = *block.space;
+    for (int stage = 0; stage < space.stages(); ++stage) {
+      double& mass = block.draws[static_cast<std::size_t>(stage)];
+      if (mass == 0.0) continue;
+      const double p = mass / static_cast<double>(space.cw(stage));
+      for (int bc = 0; bc < space.cw(stage); ++bc) {
+        add(block.offset +
+                static_cast<std::size_t>(
+                    space.index(stage, bc, space.dc(stage))),
+            p);
+      }
+      mass = 0.0;
+    }
+  }
+
+  /// Every realization of the two starts: skip the gap, apply the event
+  /// at the attempt state, and merge the destinations into row s.
+  void build_row(std::size_t s, const Start& start_a, const Start& start_b) {
+    Row& row = rows_[s];
+    row.stage_a = start_a.stage;
+    row.stage_b = start_b.stage;
+    const int first_a = start_a.draw ? 0 : start_a.bc;
+    const int last_a = start_a.draw ? a_.cw(start_a.stage) : start_a.bc + 1;
+    const int first_b = start_b.draw ? 0 : start_b.bc;
+    const int last_b = start_b.draw ? b_.cw(start_b.stage) : start_b.bc + 1;
+    const double p = 1.0 / static_cast<double>(last_a - first_a) /
+                     static_cast<double>(last_b - first_b);
+    for (int bc_a = first_a; bc_a < last_a; ++bc_a) {
+      for (int bc_b = first_b; bc_b < last_b; ++bc_b) {
+        const int gap = std::min(bc_a, bc_b);
+        row.gap += p * static_cast<double>(gap);
+        if (bc_a == bc_b) {
+          row.collide += p;
+          add(collision_index(a_.next_stage(start_a.stage),
+                              b_.next_stage(start_b.stage)),
+              p);
+        } else if (bc_a == gap) {
+          row.win_a += p;
+          lose(a_won_, start_b.stage, bc_b - gap, start_b.dc, p);
+        } else {
+          row.win_b += p;
+          lose(b_won_, start_a.stage, bc_a - gap, start_a.dc, p);
+        }
+      }
+    }
+    spread_draws(a_won_);
+    spread_draws(b_won_);
+    std::sort(touched_.begin(), touched_.end());
+    for (const std::size_t to : touched_) {
+      to_.push_back(static_cast<int>(to));
+      p_.push_back(scratch_[to]);
+      scratch_[to] = 0.0;
+    }
+    touched_.clear();
+    row_end_[s] = to_.size();
+  }
+
+  const StateSpace& a_;
+  const StateSpace& b_;
+  LoserBlock a_won_;  ///< B lost: "A won, B is in state t".
+  LoserBlock b_won_;  ///< A lost: "B won, A is in state t".
+  std::size_t states_;
+  std::vector<Row> rows_;
+  std::vector<std::size_t> row_end_;  ///< Row s is [end(s - 1), end(s)).
+  std::vector<int> to_;
+  std::vector<double> p_;
+  std::vector<double> scratch_;  ///< Row scratch: merged destinations.
+  std::vector<std::size_t> touched_;
 };
 
 }  // namespace
@@ -136,106 +264,59 @@ ExactPairResult solve_exact_pair(const mac::BackoffConfig& config_a,
   PROF_SCOPE("analysis.exact_pair");
   config_a.validate();
   config_b.validate();
-  const StationModel a(config_a);
-  const StationModel b(config_b);
-  util::check_arg(a.space.total <= max_states_per_station, "config_a",
+  const StateSpace a(config_a);
+  const StateSpace b(config_b);
+  util::check_arg(a.total <= max_states_per_station, "config_a",
                   "per-station state space too large for the exact solver");
-  util::check_arg(b.space.total <= max_states_per_station, "config_b",
+  util::check_arg(b.total <= max_states_per_station, "config_b",
                   "per-station state space too large for the exact solver");
-  const int na = a.space.total;
-  const int nb = b.space.total;
-  const std::size_t joint =
-      static_cast<std::size_t>(na) * static_cast<std::size_t>(nb);
+  const PostEventChain chain(a, b);
+  const std::size_t states = chain.states();
 
-  // Power iteration, matrix-free.
-  std::vector<double> v(joint, 0.0);
-  std::vector<double> next(joint, 0.0);
-  for (const auto& [sa, pa] : a.start) {
-    for (const auto& [sb, pb] : b.start) {
-      v[static_cast<std::size_t>(sa) * static_cast<std::size_t>(nb) +
-        static_cast<std::size_t>(sb)] = pa * pb;
-    }
-  }
-
+  // Power iteration on the post-event chain.
+  std::vector<double> v(states, 0.0);
+  std::vector<double> next(states, 0.0);
+  v[chain.fresh_start()] = 1.0;
   ExactPairResult result;
   double residual = 1.0;
   int iteration = 0;
   for (; iteration < max_iterations && residual > tolerance; ++iteration) {
-    std::fill(next.begin(), next.end(), 0.0);
-    for (int sa = 0; sa < na; ++sa) {
-      const std::size_t row =
-          static_cast<std::size_t>(sa) * static_cast<std::size_t>(nb);
-      const bool ready_a = a.ready[static_cast<std::size_t>(sa)];
-      for (int sb = 0; sb < nb; ++sb) {
-        const double mass = v[row + static_cast<std::size_t>(sb)];
-        if (mass == 0.0) continue;
-        const bool ready_b = b.ready[static_cast<std::size_t>(sb)];
-        const Successors* list_a;
-        const Successors* list_b;
-        if (!ready_a && !ready_b) {
-          list_a = &a.idle[static_cast<std::size_t>(sa)];
-          list_b = &b.idle[static_cast<std::size_t>(sb)];
-        } else if (ready_a && !ready_b) {
-          list_a = &a.win[static_cast<std::size_t>(sa)];
-          list_b = &b.busy[static_cast<std::size_t>(sb)];
-        } else if (!ready_a && ready_b) {
-          list_a = &a.busy[static_cast<std::size_t>(sa)];
-          list_b = &b.win[static_cast<std::size_t>(sb)];
-        } else {
-          list_a = &a.lose[static_cast<std::size_t>(sa)];
-          list_b = &b.lose[static_cast<std::size_t>(sb)];
-        }
-        for (const auto& [ta, pa] : *list_a) {
-          const double mass_a = mass * pa;
-          const std::size_t out_row =
-              static_cast<std::size_t>(ta) * static_cast<std::size_t>(nb);
-          for (const auto& [tb, pb] : *list_b) {
-            next[out_row + static_cast<std::size_t>(tb)] += mass_a * pb;
-          }
-        }
-      }
-    }
-    // L1 residual between successive iterates (checked every 16 rounds to
-    // amortize the scan).
-    if (iteration % 16 == 15 || iteration + 1 == max_iterations) {
-      residual = 0.0;
-      for (std::size_t i = 0; i < joint; ++i) {
-        residual += std::abs(next[i] - v[i]);
-      }
+    chain.step(v, next);
+    residual = 0.0;
+    for (std::size_t s = 0; s < states; ++s) {
+      residual += std::abs(next[s] - v[s]);
     }
     v.swap(next);
   }
   result.iterations = iteration;
   result.residual = residual;
 
-  // Harvest stationary event probabilities and the stage joint.
-  const int stages_a = config_a.stage_count();
-  const int stages_b = config_b.stage_count();
+  // Harvest: a cycle from post-event state s is gap(s) idle events and
+  // one busy event, all at s's stages, so the per-event chain's
+  // frequencies are the cycle's divided by the expected cycle length.
   result.stage_joint.assign(
-      static_cast<std::size_t>(stages_a),
-      std::vector<double>(static_cast<std::size_t>(stages_b), 0.0));
-  for (int sa = 0; sa < na; ++sa) {
-    const std::size_t row =
-        static_cast<std::size_t>(sa) * static_cast<std::size_t>(nb);
-    const bool ready_a = a.ready[static_cast<std::size_t>(sa)];
-    const int stage_a = a.stage[static_cast<std::size_t>(sa)];
-    for (int sb = 0; sb < nb; ++sb) {
-      const double mass = v[row + static_cast<std::size_t>(sb)];
-      if (mass == 0.0) continue;
-      const bool ready_b = b.ready[static_cast<std::size_t>(sb)];
-      result.stage_joint[static_cast<std::size_t>(stage_a)]
-                        [static_cast<std::size_t>(
-                            b.stage[static_cast<std::size_t>(sb)])] += mass;
-      if (ready_a && ready_b) {
-        result.p_collision += mass;
-      } else if (ready_a) {
-        result.p_success_a += mass;
-      } else if (ready_b) {
-        result.p_success_b += mass;
-      } else {
-        result.p_idle += mass;
-      }
-    }
+      static_cast<std::size_t>(a.stages()),
+      std::vector<double>(static_cast<std::size_t>(b.stages()), 0.0));
+  double gap = 0.0;
+  for (std::size_t s = 0; s < states; ++s) {
+    const double mass = v[s];
+    if (mass == 0.0) continue;
+    const PostEventChain::Row& row = chain.row(s);
+    gap += mass * row.gap;
+    result.p_success_a += mass * row.win_a;
+    result.p_success_b += mass * row.win_b;
+    result.p_collision += mass * row.collide;
+    result.stage_joint[static_cast<std::size_t>(row.stage_a)]
+                      [static_cast<std::size_t>(row.stage_b)] +=
+        mass * (1.0 + row.gap);
+  }
+  const double cycle = 1.0 + gap;
+  result.p_idle = gap / cycle;
+  result.p_success_a /= cycle;
+  result.p_success_b /= cycle;
+  result.p_collision /= cycle;
+  for (std::vector<double>& stage_row : result.stage_joint) {
+    for (double& cell : stage_row) cell /= cycle;
   }
   result.p_success = result.p_success_a + result.p_success_b;
   // Paper estimator: each collision contributes 2 collided MPDUs.

@@ -46,10 +46,13 @@ constexpr double kExactTolerance = 1e-10;
 
 /// The exact-pair leg: one task per 1901-family variant when the sweep
 /// includes N = 2, each solving the exact joint chain
-/// (analysis::solve_exact_pair, ~1.4M joint states for CA1). The key is
-/// the chain's whole input — CW and DC vectors, iteration cap and
-/// tolerance — so relabelled or renamed variants share one entry. The
-/// payload is the one number the report reads.
+/// (analysis::solve_exact_pair, on its 2,400 post-event states for CA1,
+/// a few ms). The key is the chain's whole input — CW and DC vectors,
+/// iteration cap and tolerance — plus the solver, since iterations and
+/// tolerance mean steps of the post-event chain, so relabelled or
+/// renamed variants share one entry and a value solved on the full joint
+/// chain is never served. The payload is the one number the report
+/// reads.
 class ExactPairLeg final : public sim::TaskLeg {
  public:
   explicit ExactPairLeg(const Spec& spec) : collision_(spec.macs.size(), 0.0) {
@@ -82,6 +85,7 @@ class ExactPairLeg final : public sim::TaskLeg {
     for (const int d : chain.dc) json.value(d);
     json.end_array();
     json.field("max_iterations", kExactMaxIterations);
+    json.field("solver", "post-event");
     json.field("tolerance", kExactTolerance);
     json.end_object();
     return store::make_key("exact_pair", point.str(), 0);
@@ -233,8 +237,9 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
   }
 
   // Testbed and exact-pair legs: one batch with the exact-pair tasks
-  // first, so one worker solves the chain while the others run testbed
-  // tests. The emulated devices run their HomePlug AV firmware
+  // first. A solve takes milliseconds, so it delays the testbed tests by
+  // no more than that, and the batch stays one barrier. The emulated
+  // devices run their HomePlug AV firmware
   // configuration, so the testbed leg executes once (labelled by variant
   // 0), testbed_tests independent tests per station count.
   std::vector<tools::TestbedConfig> testbed_configs;

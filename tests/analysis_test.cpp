@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "analysis/model_1901.hpp"
 #include "analysis/model_dcf.hpp"
 #include "analysis/optimizer.hpp"
+#include "exact_pair_reference.hpp"
 #include "phy/timing.hpp"
 #include "sim/sim_1901.hpp"
 #include "sim/slot_simulator.hpp"
@@ -610,6 +612,104 @@ TEST(ExactPair, GuardsAgainstHugeStateSpaces) {
   big.cw = {1 << 12};
   big.dc = {1 << 12};
   EXPECT_THROW(solve_exact_pair(big), plc::Error);
+}
+
+// --- Exact pair against the full joint chain ------------------------------------------------
+
+/// Every probability field of `exact` is within `bound` of `reference`.
+void expect_exact_pair_near(const ExactPairResult& exact,
+                            const ExactPairResult& reference, double bound,
+                            const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_NEAR(exact.p_idle, reference.p_idle, bound);
+  EXPECT_NEAR(exact.p_success, reference.p_success, bound);
+  EXPECT_NEAR(exact.p_collision, reference.p_collision, bound);
+  EXPECT_NEAR(exact.p_success_a, reference.p_success_a, bound);
+  EXPECT_NEAR(exact.p_success_b, reference.p_success_b, bound);
+  EXPECT_NEAR(exact.collision_probability, reference.collision_probability,
+              bound);
+  EXPECT_NEAR(exact.gamma, reference.gamma, bound);
+  ASSERT_EQ(exact.stage_joint.size(), reference.stage_joint.size());
+  for (std::size_t i = 0; i < exact.stage_joint.size(); ++i) {
+    ASSERT_EQ(exact.stage_joint[i].size(), reference.stage_joint[i].size());
+    for (std::size_t j = 0; j < exact.stage_joint[i].size(); ++j) {
+      EXPECT_NEAR(exact.stage_joint[i][j], reference.stage_joint[i][j], bound)
+          << "stage_joint[" << i << "][" << j << "]";
+    }
+  }
+}
+
+/// The post-event solver against the full joint chain solved to 1e-13:
+/// within 1e-12 at the same tolerance, and within 5e-11 at run_scenario's
+/// (3000, 1e-10).
+void expect_matches_full_chain(const mac::BackoffConfig& a,
+                               const mac::BackoffConfig& b) {
+  const ExactPairResult reference =
+      exact_reference::solve_full_chain(a, b, 20'000, 1e-13);
+  ASSERT_LE(reference.residual, 1e-13);
+  const ExactPairResult tight = solve_exact_pair(a, b, 20'000, 1e-13);
+  EXPECT_LE(tight.residual, 1e-13);
+  expect_exact_pair_near(tight, reference, 1e-12, "tolerance 1e-13");
+  const ExactPairResult scenario = solve_exact_pair(a, b, 3000, 1e-10);
+  EXPECT_LE(scenario.residual, 1e-10);
+  expect_exact_pair_near(scenario, reference, 5e-11, "(3000, 1e-10)");
+}
+
+mac::BackoffConfig chain_config(std::vector<int> cw, std::vector<int> dc) {
+  mac::BackoffConfig config;
+  config.cw = std::move(cw);
+  config.dc = std::move(dc);
+  return config;
+}
+
+TEST(ExactPairReference, Ca1) { expect_matches_full_chain(kCa1, kCa1); }
+
+TEST(ExactPairReference, Ca2Ca3) {
+  const mac::BackoffConfig ca2 = mac::BackoffConfig::ca2_ca3();
+  expect_matches_full_chain(ca2, ca2);
+}
+
+TEST(ExactPairReference, Ca1VersusCa2Ca3) {
+  expect_matches_full_chain(kCa1, mac::BackoffConfig::ca2_ca3());
+}
+
+TEST(ExactPairReference, AggressiveDeferral) {
+  // e9-deferral-ablation's "aggressive" variant.
+  const mac::BackoffConfig aggressive =
+      chain_config({8, 16, 32, 64}, {0, 0, 1, 3});
+  expect_matches_full_chain(aggressive, aggressive);
+}
+
+TEST(ExactPairReference, SmallConfigs) {
+  for (const mac::BackoffConfig& config :
+       {chain_config({4, 8, 16}, {0, 1, 3}), chain_config({4, 8}, {0, 3}),
+        chain_config({4, 8}, {0, 1}), chain_config({2, 4}, {0, 1}),
+        chain_config({1}, {0})}) {
+    SCOPED_TRACE(::testing::PrintToString(config.cw) + " / " +
+                 ::testing::PrintToString(config.dc));
+    expect_matches_full_chain(config, config);
+  }
+}
+
+TEST(ExactPairReference, HeterogeneousSmallConfigs) {
+  expect_matches_full_chain(chain_config({4, 8}, {0, 1}),
+                            chain_config({8, 16}, {1, 3}));
+}
+
+TEST(ExactPairReference, GreedyVersusCa1) {
+  // bench_ext_coexistence's pair: deferral effectively off for A.
+  expect_matches_full_chain(chain_config({4, 8}, {3, 7}), kCa1);
+}
+
+TEST(ExactPairReference, DisabledDeferralStillThrows) {
+  // A disabled deferral counter (DC = 2^30) has no finite state space,
+  // so the guard throws instead of solving, alone or against CA1.
+  for (const mac::BackoffConfig& config :
+       {mac::BackoffConfig::dcf_like(8, 4), boosted_cw_search().config}) {
+    EXPECT_THROW(solve_exact_pair(config), plc::Error);
+    EXPECT_THROW(solve_exact_pair(config, kCa1), plc::Error);
+    EXPECT_THROW(solve_exact_pair(kCa1, config), plc::Error);
+  }
 }
 
 // --- Heterogeneous exact pair ----------------------------------------------------------------

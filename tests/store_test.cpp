@@ -800,7 +800,7 @@ TEST(StoreExactPair, HostilePayloadsAreResolvedAndRepublished) {
   const store::Key key = store::make_key(
       "exact_pair",
       R"({"cw": [4, 8], "dc": [0, 1], "max_iterations": 3000, )"
-      R"("tolerance": 1e-10})",
+      R"("solver": "post-event", "tolerance": 1e-10})",
       0);
   const std::optional<obs::JsonValue> stored = cache.lookup(key);
   ASSERT_TRUE(stored.has_value());
@@ -818,6 +818,35 @@ TEST(StoreExactPair, HostilePayloadsAreResolvedAndRepublished) {
     EXPECT_EQ(cache.counters().publishes, publishes + 1) << poison;
     EXPECT_EQ(cache.lookup(key)->dump(), healthy) << poison;
   }
+}
+
+// An entry solved on the full joint chain, under the key it had before
+// the solver field, is never served: the run misses, re-solves on the
+// post-event chain, publishes and writes the cold report.
+TEST(StoreExactPair, FullChainEntriesAreNeverServed) {
+  TempDir dir("exact_full_chain");
+  const scenario::Spec spec = tiny_exact_spec();
+  store::ResultStore reference(dir.str() + "/reference");
+  const std::string cold_text =
+      run_report_text(spec, &reference, 1, dir.str() + "/cold.json");
+
+  const store::Key full_chain_key = store::make_key(
+      "exact_pair",
+      R"({"cw": [4, 8], "dc": [0, 1], "max_iterations": 3000, )"
+      R"("tolerance": 1e-10})",
+      0);
+  {
+    store::ResultStore cache(dir.str() + "/cache");
+    cache.publish(full_chain_key, R"({"collision_probability": 0.4242})");
+  }
+  store::ResultStore warm(dir.str() + "/cache");
+  const std::string warm_text =
+      run_report_text(spec, &warm, 1, dir.str() + "/warm.json");
+  EXPECT_EQ(warm.counters().hits, 0);
+  EXPECT_EQ(warm.counters().misses, 1);
+  EXPECT_EQ(warm.counters().publishes, 1);
+  EXPECT_EQ(warm_text, cold_text);
+  EXPECT_EQ(warm_text.find("0.4242"), std::string::npos);
 }
 
 // The solver's state-space guard still fails the run, now from a worker
