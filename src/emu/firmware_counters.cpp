@@ -2,10 +2,19 @@
 
 namespace plc::emu {
 
+std::uint64_t FirmwareCounters::key(const frames::MacAddress& peer,
+                                    frames::Priority priority,
+                                    mme::StatDirection direction) {
+  std::uint64_t packed = 0;
+  for (const std::uint8_t byte : peer.bytes()) packed = (packed << 8) | byte;
+  packed = (packed << 8) | static_cast<std::uint8_t>(priority);
+  return (packed << 8) | static_cast<std::uint8_t>(direction);
+}
+
 void FirmwareCounters::on_tx_acked(const frames::MacAddress& peer,
                                    frames::Priority priority,
                                    std::uint64_t count) {
-  counters_[Key{peer, priority, mme::StatDirection::kTx}].acknowledged +=
+  counters_[key(peer, priority, mme::StatDirection::kTx)].acknowledged +=
       count;
 }
 
@@ -13,7 +22,7 @@ void FirmwareCounters::on_tx_collided(const frames::MacAddress& peer,
                                       frames::Priority priority,
                                       std::uint64_t count) {
   LinkCounters& link =
-      counters_[Key{peer, priority, mme::StatDirection::kTx}];
+      counters_[key(peer, priority, mme::StatDirection::kTx)];
   // A collided MPDU is still acknowledged (all-blocks-bad SACK).
   link.acknowledged += count;
   link.collided += count;
@@ -22,7 +31,7 @@ void FirmwareCounters::on_tx_collided(const frames::MacAddress& peer,
 void FirmwareCounters::on_rx_acked(const frames::MacAddress& peer,
                                    frames::Priority priority,
                                    std::uint64_t count) {
-  counters_[Key{peer, priority, mme::StatDirection::kRx}].acknowledged +=
+  counters_[key(peer, priority, mme::StatDirection::kRx)].acknowledged +=
       count;
 }
 
@@ -30,7 +39,7 @@ void FirmwareCounters::on_rx_collided(const frames::MacAddress& peer,
                                       frames::Priority priority,
                                       std::uint64_t count) {
   LinkCounters& link =
-      counters_[Key{peer, priority, mme::StatDirection::kRx}];
+      counters_[key(peer, priority, mme::StatDirection::kRx)];
   link.acknowledged += count;
   link.collided += count;
 }
@@ -38,7 +47,7 @@ void FirmwareCounters::on_rx_collided(const frames::MacAddress& peer,
 LinkCounters FirmwareCounters::read(const frames::MacAddress& peer,
                                     frames::Priority priority,
                                     mme::StatDirection direction) const {
-  const auto it = counters_.find(Key{peer, priority, direction});
+  const auto it = counters_.find(key(peer, priority, direction));
   return it == counters_.end() ? LinkCounters{} : it->second;
 }
 
@@ -46,8 +55,11 @@ void FirmwareCounters::reset_all() { counters_.clear(); }
 
 LinkCounters FirmwareCounters::tx_totals() const {
   LinkCounters totals;
-  for (const auto& [key, link] : counters_) {
-    if (key.direction != mme::StatDirection::kTx) continue;
+  for (const auto& [link_key, link] : counters_) {
+    if ((link_key & 0xFF) !=
+        static_cast<std::uint8_t>(mme::StatDirection::kTx)) {
+      continue;
+    }
     totals.acknowledged += link.acknowledged;
     totals.collided += link.collided;
     totals.fc_errors += link.fc_errors;

@@ -32,19 +32,6 @@ struct LinkCounters {
 /// The per-device counter bank.
 class FirmwareCounters {
  public:
-  /// Key for a link's counters.
-  struct Key {
-    frames::MacAddress peer;
-    frames::Priority priority = frames::Priority::kCa1;
-    mme::StatDirection direction = mme::StatDirection::kTx;
-
-    friend bool operator<(const Key& a, const Key& b) {
-      if (a.peer != b.peer) return a.peer < b.peer;
-      if (a.priority != b.priority) return a.priority < b.priority;
-      return a.direction < b.direction;
-    }
-  };
-
   /// Records `count` transmitted-and-acknowledged MPDUs (success path).
   void on_tx_acked(const frames::MacAddress& peer, frames::Priority priority,
                    std::uint64_t count);
@@ -73,7 +60,14 @@ class FirmwareCounters {
   LinkCounters tx_totals() const;
 
  private:
-  std::map<Key, LinkCounters> counters_;
+  /// A link's key: the peer MAC's six bytes big-endian, then the
+  /// priority byte, then the direction byte, so integer order is the
+  /// order of (peer, priority, direction).
+  static std::uint64_t key(const frames::MacAddress& peer,
+                           frames::Priority priority,
+                           mme::StatDirection direction);
+
+  std::map<std::uint64_t, LinkCounters> counters_;
 };
 
 }  // namespace plc::emu
