@@ -43,14 +43,10 @@ class Counter {
   std::int64_t value_ = 0;
 };
 
-/// Last-value instrument (queue depths, high-water marks).
+/// Last-value instrument (queue depths, tasks in flight).
 class Gauge {
  public:
   void set(double value) { value_ = value; }
-  /// Keeps the maximum of the current and the new value (high-water mark).
-  void set_max(double value) {
-    if (value > value_) value_ = value;
-  }
   double value() const { return value_; }
 
  private:
