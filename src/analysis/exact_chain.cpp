@@ -53,15 +53,20 @@ struct StateSpace {
   }
 };
 
-/// One station at the start of a cycle, right after a busy event: a
-/// known (stage, BC, DC), or a fresh window draw at `stage` (BC uniform
-/// over the window, DC = d_stage).
+/// One station at the start of a cycle, right after a busy event: BC
+/// uniform over [first_bc, last_bc) at a fixed stage and DC. A known
+/// state has one BC; a window draw at a stage has the whole window and
+/// DC = d_stage.
 struct Start {
   int stage = 0;
-  int bc = 0;
+  int first_bc = 0;
+  int last_bc = 1;
   int dc = 0;
-  bool draw = false;
 };
+
+Start window_draw(const StateSpace& space, int stage) {
+  return {stage, 0, space.cw(stage), space.dc(stage)};
+}
 
 /// The chain observed right after each busy event. A success leaves the
 /// winner drawing at stage 0 whatever state it won from, a collision
@@ -101,25 +106,25 @@ class PostEventChain {
         rows_(states_),
         row_end_(states_),
         scratch_(states_, 0.0) {
+    // Rows in state-index order; station states enumerate in index order.
     std::size_t s = 0;
     for (int stage = 0; stage < b.stages(); ++stage) {
       for (int bc = 0; bc < b.cw(stage); ++bc) {
         for (int dc = 0; dc <= b.dc(stage); ++dc) {
-          build_row(s++, Start{0, 0, a.dc(0), true}, Start{stage, bc, dc});
+          build_row(s++, window_draw(a, 0), Start{stage, bc, bc + 1, dc});
         }
       }
     }
     for (int stage = 0; stage < a.stages(); ++stage) {
       for (int bc = 0; bc < a.cw(stage); ++bc) {
         for (int dc = 0; dc <= a.dc(stage); ++dc) {
-          build_row(s++, Start{stage, bc, dc}, Start{0, 0, b.dc(0), true});
+          build_row(s++, Start{stage, bc, bc + 1, dc}, window_draw(b, 0));
         }
       }
     }
     for (int i = 0; i < a.stages(); ++i) {
       for (int j = 0; j < b.stages(); ++j) {
-        build_row(s++, Start{i, 0, a.dc(i), true},
-                  Start{j, 0, b.dc(j), true});
+        build_row(s++, window_draw(a, i), window_draw(b, j));
       }
     }
   }
@@ -206,14 +211,11 @@ class PostEventChain {
     Row& row = rows_[s];
     row.stage_a = start_a.stage;
     row.stage_b = start_b.stage;
-    const int first_a = start_a.draw ? 0 : start_a.bc;
-    const int last_a = start_a.draw ? a_.cw(start_a.stage) : start_a.bc + 1;
-    const int first_b = start_b.draw ? 0 : start_b.bc;
-    const int last_b = start_b.draw ? b_.cw(start_b.stage) : start_b.bc + 1;
-    const double p = 1.0 / static_cast<double>(last_a - first_a) /
-                     static_cast<double>(last_b - first_b);
-    for (int bc_a = first_a; bc_a < last_a; ++bc_a) {
-      for (int bc_b = first_b; bc_b < last_b; ++bc_b) {
+    const double p =
+        1.0 / static_cast<double>(start_a.last_bc - start_a.first_bc) /
+        static_cast<double>(start_b.last_bc - start_b.first_bc);
+    for (int bc_a = start_a.first_bc; bc_a < start_a.last_bc; ++bc_a) {
+      for (int bc_b = start_b.first_bc; bc_b < start_b.last_bc; ++bc_b) {
         const int gap = std::min(bc_a, bc_b);
         row.gap += p * static_cast<double>(gap);
         if (bc_a == bc_b) {
