@@ -46,13 +46,12 @@ constexpr double kExactTolerance = 1e-10;
 
 /// The exact-pair leg: one task per 1901-family variant when the sweep
 /// includes N = 2, each solving the exact joint chain
-/// (analysis::solve_exact_pair, on its 2,400 post-event states for CA1,
-/// a few ms). The key is the chain's whole input — CW and DC vectors,
-/// iteration cap and tolerance — plus the solver, since iterations and
-/// tolerance mean steps of the post-event chain, so relabelled or
-/// renamed variants share one entry and a value solved on the full joint
-/// chain is never served. The payload is the one number the report
-/// reads.
+/// (analysis::solve_exact_pair: 2,400 post-event states for CA1, a few
+/// ms). The key is the chain's whole input — CW and DC vectors, iteration
+/// cap and tolerance — so relabelled or renamed variants share one entry.
+/// It also names the solver, whose iterations and tolerance are steps of
+/// the post-event chain, so a value solved on the full joint chain is
+/// never served. The payload is the one number the report reads.
 class ExactPairLeg final : public sim::TaskLeg {
  public:
   explicit ExactPairLeg(const Spec& spec) : collision_(spec.macs.size(), 0.0) {
@@ -238,10 +237,10 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
 
   // Testbed and exact-pair legs: one batch with the exact-pair tasks
   // first. A solve takes milliseconds, so it delays the testbed tests by
-  // no more than that, and the batch stays one barrier. The emulated
-  // devices run their HomePlug AV firmware
-  // configuration, so the testbed leg executes once (labelled by variant
-  // 0), testbed_tests independent tests per station count.
+  // no more than that, and the legs share one barrier. The emulated
+  // devices run their HomePlug AV firmware configuration, so the testbed
+  // leg executes once (labelled by variant 0), testbed_tests independent
+  // tests per station count.
   std::vector<tools::TestbedConfig> testbed_configs;
   std::vector<tools::TestbedResult> testbed_runs;
   std::vector<std::string> testbed_store_legs;
