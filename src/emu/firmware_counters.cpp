@@ -2,14 +2,20 @@
 
 namespace plc::emu {
 
-std::uint64_t FirmwareCounters::key(const frames::MacAddress& peer,
-                                    frames::Priority priority,
-                                    mme::StatDirection direction) {
+namespace {
+
+/// A link's key: the peer MAC's six bytes big-endian, then the priority
+/// byte, then the direction byte, so integer order is the order of
+/// (peer, priority, direction).
+std::uint64_t key(const frames::MacAddress& peer, frames::Priority priority,
+                  mme::StatDirection direction) {
   std::uint64_t packed = 0;
   for (const std::uint8_t byte : peer.bytes()) packed = (packed << 8) | byte;
   packed = (packed << 8) | static_cast<std::uint8_t>(priority);
   return (packed << 8) | static_cast<std::uint8_t>(direction);
 }
+
+}  // namespace
 
 void FirmwareCounters::on_tx_acked(const frames::MacAddress& peer,
                                    frames::Priority priority,

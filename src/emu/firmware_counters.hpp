@@ -60,13 +60,7 @@ class FirmwareCounters {
   LinkCounters tx_totals() const;
 
  private:
-  /// A link's key: the peer MAC's six bytes big-endian, then the
-  /// priority byte, then the direction byte, so integer order is the
-  /// order of (peer, priority, direction).
-  static std::uint64_t key(const frames::MacAddress& peer,
-                           frames::Priority priority,
-                           mme::StatDirection direction);
-
+  /// Keyed by (peer, priority, direction) packed into one integer.
   std::map<std::uint64_t, LinkCounters> counters_;
 };
 

@@ -846,7 +846,6 @@ TEST(StoreExactPair, FullChainEntriesAreNeverServed) {
   EXPECT_EQ(warm.counters().misses, 1);
   EXPECT_EQ(warm.counters().publishes, 1);
   EXPECT_EQ(warm_text, cold_text);
-  EXPECT_EQ(warm_text.find("0.4242"), std::string::npos);
 }
 
 // The solver's state-space guard still fails the run, now from a worker
