@@ -10,6 +10,9 @@ namespace plc::obs {
 
 namespace {
 
+/// Minimum wall-clock spacing between time-series samples.
+constexpr double kSampleIntervalSeconds = 0.25;
+
 /// Maps an internal metric name ("slot_sim.events") onto the OpenMetrics
 /// charset [a-zA-Z0-9_:] with a "plc_" prefix ("plc_slot_sim_events").
 std::string openmetrics_name(const std::string& name) {
@@ -113,8 +116,6 @@ std::string openmetrics_render(const Snapshot& snapshot) {
   out += "# EOF\n";
   return out;
 }
-
-TelemetryHub::TelemetryHub(Options options) : options_(options) {}
 
 void TelemetryHub::begin_tasks(std::int64_t total) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -340,7 +341,7 @@ std::string TelemetryHub::progress_json() const {
 void TelemetryHub::maybe_sample_locked() {
   const double now = stopwatch_.elapsed_seconds();
   if (last_sample_seconds_ >= 0.0 &&
-      now - last_sample_seconds_ < options_.sample_interval_seconds) {
+      now - last_sample_seconds_ < kSampleIntervalSeconds) {
     return;
   }
   sample_locked(now);

@@ -46,13 +46,6 @@ std::string openmetrics_render(const Snapshot& snapshot);
 
 class TelemetryHub {
  public:
-  struct Options {
-    /// Minimum wall-clock spacing between time-series samples.
-    double sample_interval_seconds = 0.25;
-    /// Ring capacity of each sampled series (see obs::TimeSeries).
-    std::size_t series_capacity = TimeSeries::kDefaultCapacity;
-  };
-
   /// What one finished sweep task reports to the hub.
   struct TaskEnd {
     bool used_store = false;  ///< A result store was consulted.
@@ -76,9 +69,6 @@ class TelemetryHub {
     double sim_seconds = 0.0;
     std::int64_t events = 0;
   };
-
-  TelemetryHub() : TelemetryHub(Options{}) {}
-  explicit TelemetryHub(Options options);
 
   // --- producer side (runners; every call is one mutex acquisition) ---
 
@@ -152,7 +142,6 @@ class TelemetryHub {
   Progress progress_locked() const;
 
   mutable std::mutex mutex_;
-  Options options_;
   Stopwatch stopwatch_;
   Registry registry_;
   TimeSeriesSet series_;
