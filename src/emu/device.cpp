@@ -15,6 +15,25 @@ namespace plc::emu {
 
 namespace {
 
+/// Per-MPDU on-wire payload duration in reproduction mode: a 2-MPDU
+/// burst occupies 2050 us of payload — the paper's frame_length — so a
+/// successful burst costs exactly Ts = 2542.64 us.
+constexpr des::SimTime kPinnedMpduDuration = des::SimTime::from_ns(1'025'000);
+/// Aggregation timeout: a partly-filled physical block is shipped once
+/// its oldest byte has waited this long (vendor-unknown; documented
+/// value).
+constexpr des::SimTime kAggregationTimeout = des::SimTime::from_ns(500'000);
+
+// Tone-map adaptation (DeviceConfig::adaptation).
+constexpr double kStepDownThreshold = 0.10;  ///< EWMA error to go more robust.
+constexpr double kStepUpThreshold = 0.01;    ///< EWMA error to go faster.
+constexpr double kEwmaAlpha = 0.05;
+/// Hysteresis: minimum spacing between updates for one link (50 ms).
+constexpr des::SimTime kMinUpdateInterval = des::SimTime::from_ns(50'000'000);
+/// Cap on a single MPDU's on-wire duration (limits PBs per MPDU on robust
+/// profiles, as the standard's max frame length does).
+constexpr des::SimTime kMaxFrameDuration = des::SimTime::from_ns(2'050'000);
+
 /// Signed distance between 16-bit sequence numbers (wrap-aware).
 int ssn_distance(std::uint16_t a, std::uint16_t b) {
   return static_cast<std::int16_t>(static_cast<std::uint16_t>(a - b));
@@ -39,23 +58,16 @@ HpavDevice::HpavDevice(Network& network, int tei, frames::MacAddress mac,
       config_(std::move(config)),
       rng_(seed) {
   util::check_arg(tei >= 1 && tei <= 254, "tei", "must be in [1, 254]");
-  util::check_arg(config_.burst_mpdus >= 1 && config_.burst_mpdus <= 4,
-                  "burst_mpdus", "the standard allows 1..4 MPDUs per burst");
-  util::check_arg(config_.max_pbs_per_mpdu >= 1, "max_pbs_per_mpdu",
-                  "must be >= 1");
   util::check_arg(
       config_.pb_error_rate >= 0.0 && config_.pb_error_rate <= 1.0,
       "pb_error_rate", "must be in [0, 1]");
-  if (!config_.tonemap.has_value()) {
-    util::check_arg(config_.pinned_mpdu_duration > des::SimTime::zero(),
-                    "pinned_mpdu_duration", "must be positive");
-  }
-  config_.ca01.validate();
-  config_.ca23.validate();
+  // Table 1's backoff parameters per priority class.
   backoff_ca01_ = std::make_unique<mac::Backoff1901>(
-      config_.ca01, des::RandomStream(rng_.derive_seed("backoff-ca01")));
+      mac::BackoffConfig::ca0_ca1(),
+      des::RandomStream(rng_.derive_seed("backoff-ca01")));
   backoff_ca23_ = std::make_unique<mac::Backoff1901>(
-      config_.ca23, des::RandomStream(rng_.derive_seed("backoff-ca23")));
+      mac::BackoffConfig::ca2_ca3(),
+      des::RandomStream(rng_.derive_seed("backoff-ca23")));
 }
 
 void HpavDevice::bind_metrics(obs::Registry& registry) {
@@ -104,23 +116,22 @@ mac::Backoff1901& HpavDevice::entity_for(frames::Priority priority) {
 
 des::SimTime HpavDevice::mpdu_duration(const Link& link,
                                        int pb_count) const {
-  if (config_.adaptation.enabled && config_.adaptation.profile_durations) {
+  if (config_.adaptation.enabled) {
     return tonemap_profile(link.tx_profile).frame_duration(pb_count);
   }
   if (config_.tonemap.has_value()) {
     return config_.tonemap->frame_duration(pb_count);
   }
-  return config_.pinned_mpdu_duration;
+  return kPinnedMpduDuration;
 }
 
 int HpavDevice::max_pbs_for(const Link& link) const {
-  if (config_.adaptation.enabled && config_.adaptation.profile_durations) {
-    const int by_duration = tonemap_profile(link.tx_profile)
-                                .max_pb_count(
-                                    config_.adaptation.max_frame_duration);
-    return std::max(1, std::min(config_.max_pbs_per_mpdu, by_duration));
+  if (config_.adaptation.enabled) {
+    const int by_duration =
+        tonemap_profile(link.tx_profile).max_pb_count(kMaxFrameDuration);
+    return std::max(1, std::min(kMaxPbsPerMpdu, by_duration));
   }
-  return config_.max_pbs_per_mpdu;
+  return kMaxPbsPerMpdu;
 }
 
 int HpavDevice::link_tx_profile(int dst_tei,
@@ -140,7 +151,7 @@ void HpavDevice::host_send(const frames::EthernetFrame& frame) {
   }
   const bool is_mme = frame.ether_type == frames::kEtherTypeHomePlugAv;
   enqueue_for_wire(frame,
-                   is_mme ? frames::Priority::kCa2 : config_.data_priority,
+                   is_mme ? frames::Priority::kCa2 : kDataPriority,
                    is_mme);
 }
 
@@ -166,7 +177,6 @@ void HpavDevice::enqueue_for_wire(const frames::EthernetFrame& frame,
     link.oldest_arrival = network_.scheduler().now();
   }
   link.segmenter.push_frame(frame);
-  ++link.frames_enqueued;
 
   if (!was_ready) {
     if (link_ready(link)) {
@@ -174,7 +184,7 @@ void HpavDevice::enqueue_for_wire(const frames::EthernetFrame& frame,
     } else if (!link.is_mme) {
       // Partial physical block: becomes sendable at the aggregation
       // timeout; wake the domain then.
-      network_.scheduler().schedule(config_.aggregation_timeout, [this] {
+      network_.scheduler().schedule(kAggregationTimeout, [this] {
         network_.domain().notify_pending();
       });
     }
@@ -250,7 +260,7 @@ bool HpavDevice::link_ready(const Link& link) const {
   if (!link.segmenter.has_pending_bytes()) return false;
   if (link.is_mme) return true;  // Management frames ship immediately.
   return network_.scheduler().now() - link.oldest_arrival >=
-         config_.aggregation_timeout;
+         kAggregationTimeout;
 }
 
 HpavDevice::Link* HpavDevice::select_head_link() {
@@ -265,24 +275,10 @@ HpavDevice::Link* HpavDevice::select_head_link() {
   return best;
 }
 
-const HpavDevice::Link* HpavDevice::select_head_link() const {
-  return const_cast<HpavDevice*>(this)->select_head_link();
-}
-
-bool HpavDevice::has_pending_frame() {
-  if (staged_.has_value()) return true;
-  return select_head_link() != nullptr;
-}
-
-frames::Priority HpavDevice::pending_priority() {
-  if (staged_.has_value()) {
-    const auto it = links_.find(staged_->link);
-    util::require(it != links_.end(), "HpavDevice: staged link vanished");
-    return it->second.priority;
-  }
+std::optional<frames::Priority> HpavDevice::pending() {
+  if (staged_count_ > 0) return staged_link_.priority;
   const Link* head = select_head_link();
-  util::require(head != nullptr,
-                "HpavDevice::pending_priority: no pending frame");
+  if (head == nullptr) return std::nullopt;
   const frames::Priority priority = head->priority;
   // Starting (or switching) contention: (re-)arm the class's backoff
   // entity for the new head frame.
@@ -296,45 +292,30 @@ frames::Priority HpavDevice::pending_priority() {
 bool HpavDevice::poll_transmit(medium::TxDescriptor& burst) {
   util::require(contending_.has_value(),
                 "HpavDevice::poll_transmit: not contending");
-  mac::Backoff1901& entity = entity_for(*contending_);
-  if (!entity.ready_to_transmit()) return false;
-  return stage_and_describe(*contending_, burst);
+  if (!entity_for(*contending_).ready_to_transmit()) return false;
+  return stage_and_describe(burst);
 }
 
 bool HpavDevice::poll_contention_free(medium::TxDescriptor& burst) {
-  // TDMA allocation: serve whatever is at the head, no backoff involved.
-  const Link* head = select_head_link();
-  if (head == nullptr && !staged_.has_value()) return false;
-  return stage_and_describe(
-      head != nullptr ? head->priority : frames::Priority::kCa1, burst);
+  // TDMA allocation: serve the staged burst, else whatever is at the
+  // head; no backoff involved.
+  if (staged_count_ == 0 && select_head_link() == nullptr) return false;
+  return stage_and_describe(burst);
 }
 
-std::vector<frames::PhysicalBlock> HpavDevice::spare_block_vector() {
-  if (spare_blocks_.empty()) return {};
-  std::vector<frames::PhysicalBlock> pbs = std::move(spare_blocks_.back());
-  spare_blocks_.pop_back();
-  return pbs;
-}
-
-bool HpavDevice::stage_and_describe(frames::Priority priority,
-                                    medium::TxDescriptor& descriptor) {
+bool HpavDevice::stage_and_describe(medium::TxDescriptor& descriptor) {
   // Assemble (or re-use) the staged burst: a burst whose earlier attempt
   // collided went back to the retransmission queue and is rebuilt here
   // with identical content at the queue head.
-  if (!staged_.has_value()) {
+  if (staged_count_ == 0) {
     Link* link = select_head_link();
     util::require(link != nullptr,
                   "HpavDevice::poll_transmit: backoff expired with no data");
-    StagedBurst burst;
-    burst.link = LinkKey{link->dst_tei, link->priority};
-    burst.mpdus = std::move(spare_mpdus_);
-    burst.mpdus.reserve(static_cast<std::size_t>(config_.burst_mpdus));
+    staged_link_ = LinkKey{link->dst_tei, link->priority};
     const int pb_limit = max_pbs_for(*link);
-    for (int mpdu_index = 0; mpdu_index < config_.burst_mpdus;
-         ++mpdu_index) {
-      frames::Mpdu& mpdu = burst.mpdus.emplace_back();
+    for (frames::Mpdu& mpdu : burst_) {
       std::vector<frames::PhysicalBlock>& pbs = mpdu.blocks;
-      pbs = spare_block_vector();
+      pbs.clear();
       // Retransmissions first, from the head of the queue.
       while (static_cast<int>(pbs.size()) < pb_limit && !link->retx.empty()) {
         pbs.push_back(link->retx.back());
@@ -345,15 +326,11 @@ bool HpavDevice::stage_and_describe(frames::Priority priority,
             link->is_mme ||
             (link->segmenter.has_pending_bytes() &&
              network_.scheduler().now() - link->oldest_arrival >=
-                 config_.aggregation_timeout);
+                 kAggregationTimeout);
         link->segmenter.pop_pbs(pb_limit - static_cast<int>(pbs.size()),
                                 flush, pbs);
       }
-      if (pbs.empty()) {
-        spare_blocks_.push_back(std::move(pbs));
-        burst.mpdus.pop_back();
-        break;
-      }
+      if (pbs.empty()) break;
       mpdu.sof.src_tei = static_cast<std::uint8_t>(tei_);
       mpdu.sof.dst_tei = static_cast<std::uint8_t>(link->dst_tei);
       mpdu.sof.link_id = static_cast<std::uint8_t>(link->priority);
@@ -361,27 +338,26 @@ bool HpavDevice::stage_and_describe(frames::Priority priority,
       mpdu.sof.mme_flag = link->is_mme;
       mpdu.sof.set_frame_duration(
           mpdu_duration(*link, static_cast<int>(pbs.size())));
+      ++staged_count_;
     }
-    util::require(!burst.mpdus.empty(),
+    util::require(staged_count_ > 0,
                   "HpavDevice::poll_transmit: link ready but yielded no PBs");
     // MPDUCnt counts the MPDUs *remaining* after this one (0 = last).
-    const int total = static_cast<int>(burst.mpdus.size());
-    for (int i = 0; i < total; ++i) {
-      burst.mpdus[static_cast<std::size_t>(i)].sof.mpdu_cnt =
-          static_cast<std::uint8_t>(total - 1 - i);
+    int remaining = staged_count_;
+    for (frames::Mpdu& mpdu : staged()) {
+      mpdu.sof.mpdu_cnt = static_cast<std::uint8_t>(--remaining);
     }
-    staged_ = std::move(burst);
     if (drain_) drain_();
   }
 
-  descriptor.priority = priority;
-  descriptor.mpdu_count = static_cast<int>(staged_->mpdus.size());
+  descriptor.priority = staged_link_.priority;
+  descriptor.mpdu_count = staged_count_;
   // The domain charges one payload duration per MPDU; with heterogeneous
   // MPDU sizes we charge the longest (conservative, only differs when a
   // tail MPDU is short).
   des::SimTime longest = des::SimTime::zero();
   descriptor.sofs.clear();
-  for (const frames::Mpdu& mpdu : staged_->mpdus) {
+  for (const frames::Mpdu& mpdu : staged()) {
     longest = std::max(longest, mpdu.sof.frame_duration());
     descriptor.sofs.push_back(mpdu.sof);
   }
@@ -402,11 +378,11 @@ void HpavDevice::on_busy(bool transmitted, bool success) {
 }
 
 void HpavDevice::on_transmission_complete(bool success) {
-  util::require(staged_.has_value(),
+  util::require(staged_count_ > 0,
                 "HpavDevice: transmission completed with nothing staged");
-  StagedBurst burst = std::move(*staged_);
-  staged_.reset();
-  auto link_it = links_.find(burst.link);
+  const std::span<frames::Mpdu> burst = staged();
+  staged_count_ = 0;
+  auto link_it = links_.find(staged_link_);
   util::require(link_it != links_.end(), "HpavDevice: staged link vanished");
   Link& link = link_it->second;
   HpavDevice* destination = network_.device_by_tei(link.dst_tei);
@@ -417,16 +393,13 @@ void HpavDevice::on_transmission_complete(bool success) {
     // Collision: the destination decodes only the delimiters and answers
     // all-blocks-bad; every PB returns to the head of the retransmission
     // queue, in order.
-    counters_.on_tx_collided(link.dst_mac, link.priority,
-                             burst.mpdus.size());
+    counters_.on_tx_collided(link.dst_mac, link.priority, burst.size());
     if (metrics_) metrics_->bursts_collided->add();
-    for (auto mpdu_it = burst.mpdus.rbegin(); mpdu_it != burst.mpdus.rend();
-         ++mpdu_it) {
+    for (auto mpdu_it = burst.rbegin(); mpdu_it != burst.rend(); ++mpdu_it) {
       destination->hear_collided_mpdu(mpdu_it->sof);
       link.retx.insert(link.retx.end(), mpdu_it->blocks.rbegin(),
                        mpdu_it->blocks.rend());
     }
-    recycle(burst.mpdus);
     return;
   }
 
@@ -434,7 +407,7 @@ void HpavDevice::on_transmission_complete(bool success) {
   if (metrics_) metrics_->bursts_acked->add();
   const double pb_error_rate =
       network_.link_pb_error_rate(tei_, link.dst_tei, config_.pb_error_rate);
-  for (frames::Mpdu& mpdu : burst.mpdus) {
+  for (frames::Mpdu& mpdu : burst) {
     // Channel error injection happens on the receiver side of the wire.
     for (frames::PhysicalBlock& pb : mpdu.blocks) {
       pb.received_ok = !rng_.bernoulli(pb_error_rate);
@@ -454,7 +427,6 @@ void HpavDevice::on_transmission_complete(bool success) {
       link.retx.insert(link.retx.begin(), pb);
     }
   }
-  recycle(burst.mpdus);
   // The frame exchange is over; if the queue drained, stop contending.
   if (select_head_link() == nullptr) {
     contending_.reset();
@@ -554,29 +526,19 @@ void HpavDevice::reassemble(RxStream& stream,
   ++stream.expected_ssn;
 }
 
-void HpavDevice::recycle(std::vector<frames::Mpdu>& mpdus) {
-  for (frames::Mpdu& mpdu : mpdus) {
-    mpdu.blocks.clear();
-    spare_blocks_.push_back(std::move(mpdu.blocks));
-  }
-  mpdus.clear();
-  spare_mpdus_ = std::move(mpdus);
-}
-
 void HpavDevice::update_rx_adaptation(RxStream& stream,
                                       const frames::Mpdu& mpdu,
                                       int bad_blocks) {
   if (mpdu.blocks.empty()) return;
-  const auto& adaptation = config_.adaptation;
   const double bad_fraction = static_cast<double>(bad_blocks) /
                               static_cast<double>(mpdu.blocks.size());
-  stream.ewma_error = (1.0 - adaptation.ewma_alpha) * stream.ewma_error +
-                      adaptation.ewma_alpha * bad_fraction;
+  stream.ewma_error = (1.0 - kEwmaAlpha) * stream.ewma_error +
+                      kEwmaAlpha * bad_fraction;
 
   int target = stream.believed_profile;
-  if (stream.ewma_error > adaptation.step_down_threshold && target > 0) {
+  if (stream.ewma_error > kStepDownThreshold && target > 0) {
     --target;  // More robust modulation.
-  } else if (stream.ewma_error < adaptation.step_up_threshold &&
+  } else if (stream.ewma_error < kStepUpThreshold &&
              target + 1 < kToneMapProfileCount) {
     ++target;  // Faster modulation.
   }
@@ -584,7 +546,7 @@ void HpavDevice::update_rx_adaptation(RxStream& stream,
 
   const des::SimTime now = network_.scheduler().now();
   if (stream.update_sent &&
-      now - stream.last_update < adaptation.min_update_interval) {
+      now - stream.last_update < kMinUpdateInterval) {
     return;  // Hysteresis.
   }
   HpavDevice* transmitter = network_.device_by_tei(mpdu.sof.src_tei);
@@ -595,8 +557,7 @@ void HpavDevice::update_rx_adaptation(RxStream& stream,
   stream.update_sent = true;
   // Nudging the EWMA toward the thresholds' midpoint avoids immediately
   // re-triggering on the very next MPDU.
-  stream.ewma_error = 0.5 * (adaptation.step_down_threshold +
-                             adaptation.step_up_threshold);
+  stream.ewma_error = 0.5 * (kStepDownThreshold + kStepUpThreshold);
 
   mme::ToneMapUpdate update;
   update.link_id = mpdu.sof.link_id;

@@ -12,9 +12,9 @@
 //
 // Data path: host Ethernet frames are aggregated into 512-byte physical
 // blocks per (destination, priority) link; when the backoff expires the
-// device assembles a burst of up to `burst_mpdus` MPDUs from the link's
-// PBs (retransmissions first). The paper measured that its devices use
-// bursts of 2 MPDUs (§3.1) — the default here.
+// device assembles a burst of up to kBurstMpdus MPDUs from the link's
+// PBs (retransmissions first), in one buffer it keeps for its life. The
+// paper measured that its devices use bursts of 2 MPDUs (§3.1).
 //
 // A PB is a descriptor into its link's convergence stream, which the
 // sending link's Segmenter holds once. The receiver's per-source
@@ -27,14 +27,16 @@
 // Documented deviations from real silicon (vendor-secret areas, §4.1):
 // the aggregation timeout and bit-loading algorithm are unknowns, so the
 // frame duration is either pinned (reproduction mode) or derived from a
-// static tone map; the aggregation timeout is a plain config knob.
+// static tone map; the aggregation timeout is a fixed 500 us.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "des/random.hpp"
@@ -55,36 +57,29 @@ namespace plc::emu {
 
 class Network;
 
-/// Tuning knobs of one emulated device.
+/// MPDUs per burst (the standard allows 1..4; the paper's devices use 2).
+inline constexpr int kBurstMpdus = 2;
+/// Physical blocks per MPDU at most: small enough that a saturated
+/// backlog always fills every MPDU of the burst completely, so bursts
+/// have a constant shape (the paper's devices consistently used 2-MPDU
+/// bursts in the isolated experiments, §3.1).
+inline constexpr int kMaxPbsPerMpdu = 16;
+/// Priority of host data frames.
+inline constexpr frames::Priority kDataPriority = frames::Priority::kCa1;
+
+/// The settings that vary between experiments; everything else about a
+/// device (burst shape, timings, Table 1 backoff, adaptation tuning) is
+/// fixed.
 struct DeviceConfig {
-  /// MPDUs per burst (1..4 per the standard; the paper's devices use 2).
-  int burst_mpdus = 2;
-  /// Physical blocks per MPDU at most. The default is small enough that a
-  /// saturated backlog always fills every MPDU of the burst completely,
-  /// so bursts have a constant shape (the paper's devices consistently
-  /// used 2-MPDU bursts in the isolated experiments, §3.1).
-  int max_pbs_per_mpdu = 16;
-  /// Per-MPDU on-wire payload duration in reproduction mode. The default
-  /// makes a 2-MPDU burst occupy 2050 us of payload — the paper's
-  /// frame_length — so a successful burst costs exactly Ts = 2542.64 us.
-  des::SimTime pinned_mpdu_duration = des::SimTime::from_ns(1'025'000);
-  /// When set, MPDU durations come from the tone map instead (duration of
-  /// the MPDU's PB payload).
+  /// When set, MPDU durations come from the tone map (duration of the
+  /// MPDU's PB payload) instead of the pinned 1,025 us, which makes a
+  /// 2-MPDU burst occupy the paper's 2050 us frame_length.
   std::optional<phy::ToneMap> tonemap;
-  /// Priority for host data frames.
-  frames::Priority data_priority = frames::Priority::kCa1;
-  /// Aggregation timeout: a partly-filled physical block is shipped once
-  /// its oldest byte has waited this long (vendor-unknown; documented
-  /// default).
-  des::SimTime aggregation_timeout = des::SimTime::from_us(500);
   /// Channel error injection: probability that a delivered PB arrives
   /// corrupted (exercises selective retransmission; 0 = the paper's
   /// ideal-channel setting). Per-link Gilbert-Elliott channels installed
   /// on the Network override this flat rate.
   double pb_error_rate = 0.0;
-  /// Backoff parameters per priority; defaults to Table 1.
-  mac::BackoffConfig ca01 = mac::BackoffConfig::ca0_ca1();
-  mac::BackoffConfig ca23 = mac::BackoffConfig::ca2_ca3();
 
   /// Tone-map adaptation — our documented model of §4.1's "management
   /// messages exchanged for updating the modulation scheme when the
@@ -92,20 +87,10 @@ struct DeviceConfig {
   /// of the PB error rate per link and, on threshold crossings, sends a
   /// ToneMapUpdate MME (0xA038) to the transmitter, which switches the
   /// link's modulation profile in the standard ladder
-  /// (mini-ROBO / std-ROBO / HS-ROBO / high-rate).
+  /// (mini-ROBO / std-ROBO / HS-ROBO / high-rate). MPDU durations then
+  /// follow the link's current profile.
   struct AdaptationConfig {
     bool enabled = false;
-    /// When true, MPDU durations follow the link's current profile
-    /// (payload duration of its PBs) instead of pinned_mpdu_duration.
-    bool profile_durations = true;
-    double step_down_threshold = 0.10;  ///< EWMA error to go more robust.
-    double step_up_threshold = 0.01;    ///< EWMA error to go faster.
-    double ewma_alpha = 0.05;
-    /// Hysteresis: minimum spacing between updates for one link.
-    des::SimTime min_update_interval = des::SimTime::from_us(50'000);
-    /// Cap on a single MPDU's on-wire duration (limits PBs per MPDU on
-    /// robust profiles, as the standard's max frame length does).
-    des::SimTime max_frame_duration = des::SimTime::from_us(2050.0);
   } adaptation;
 };
 
@@ -158,14 +143,15 @@ class HpavDevice final : public medium::Participant,
                           frames::Priority priority, int payload_bytes);
 
   // --- medium::Participant ------------------------------------------------
-  bool has_pending_frame() override;
-  frames::Priority pending_priority() override;
+  /// The staged burst's priority, else the head link's; a new head
+  /// priority (re-)arms that class's backoff entity.
+  std::optional<frames::Priority> pending() override;
   bool poll_transmit(medium::TxDescriptor& burst) override;
   void on_idle_slot() override;
   void on_busy(bool transmitted, bool success) override;
   void on_transmission_complete(bool success) override;
-  /// Devices serve their head link in TDMA allocations they own,
-  /// bypassing the backoff entity entirely.
+  /// Devices serve their staged burst, else their head link, in TDMA
+  /// allocations they own, bypassing the backoff entity entirely.
   bool poll_contention_free(medium::TxDescriptor& burst) override;
 
   // --- medium::MediumObserver (sniffer tap) -------------------------------
@@ -220,7 +206,6 @@ class HpavDevice final : public medium::Participant,
     /// PBs awaiting retransmission, as a queue whose head is the back.
     std::vector<frames::PhysicalBlock> retx;
     des::SimTime oldest_arrival = des::SimTime::zero();
-    std::int64_t frames_enqueued = 0;
     /// Transmit modulation profile (adaptation mode).
     int tx_profile = kDefaultToneMapProfile;
   };
@@ -254,27 +239,26 @@ class HpavDevice final : public medium::Participant,
   void enqueue_for_wire(const frames::EthernetFrame& frame,
                         frames::Priority priority, bool is_mme);
   bool link_ready(const Link& link) const;
-  Link* select_head_link();          ///< Highest-priority ready link.
-  const Link* select_head_link() const;
+  Link* select_head_link();  ///< Highest-priority ready link.
   des::SimTime mpdu_duration(const Link& link, int pb_count) const;
   /// Largest PB count allowed per MPDU on this link (profile- and
   /// max-frame-duration-aware in adaptation mode).
   int max_pbs_for(const Link& link) const;
   mac::Backoff1901& entity_for(frames::Priority priority);
-  /// Assembles (or re-uses) the staged burst from the head link and
-  /// describes it for the medium in `descriptor`; returns true.
-  bool stage_and_describe(frames::Priority priority,
-                          medium::TxDescriptor& descriptor);
-  /// An emptied PB vector with capacity, from the spares when any.
-  std::vector<frames::PhysicalBlock> spare_block_vector();
+  /// Stages a burst from the head link unless one is staged, and
+  /// describes the staged burst for the medium in `descriptor` at its
+  /// link's priority; returns true.
+  bool stage_and_describe(medium::TxDescriptor& descriptor);
+  /// The staged MPDUs (empty when nothing is staged).
+  std::span<frames::Mpdu> staged() {
+    return {burst_.data(), static_cast<std::size_t>(staged_count_)};
+  }
   void emit_periodic_mme(std::size_t index);
   /// Feeds the next in-order PB (SSN `expected_ssn`) to the stream's
   /// reassembler and hands the frames it completes to the firmware/host.
   void reassemble(RxStream& stream, const frames::PhysicalBlock& pb);
   /// Counts one frame delivered on the host interface.
   void count_host_frame();
-  /// Empties a finished burst's MPDUs into the spare vectors.
-  void recycle(std::vector<frames::Mpdu>& mpdus);
   /// Receiver-side adaptation step after one MPDU's outcomes.
   void update_rx_adaptation(RxStream& stream, const frames::Mpdu& mpdu,
                             int bad_blocks);
@@ -302,16 +286,13 @@ class HpavDevice final : public medium::Participant,
   /// Priority class the device is currently contending at.
   std::optional<frames::Priority> contending_;
 
-  /// The burst staged by the last poll_transmit, awaiting its outcome.
-  struct StagedBurst {
-    LinkKey link;
-    std::vector<frames::Mpdu> mpdus;
-  };
-  std::optional<StagedBurst> staged_;
-  /// Emptied vectors of finished bursts, which the next burst reuses so
-  /// that staging a burst allocates nothing once they have grown.
-  std::vector<frames::Mpdu> spare_mpdus_;
-  std::vector<std::vector<frames::PhysicalBlock>> spare_blocks_;
+  /// The burst buffer: the first staged_count_ MPDUs are the burst
+  /// staged from staged_link_, awaiting its outcome (none when 0). Each
+  /// MPDU's PB vector is refilled in place, so staging allocates nothing
+  /// once the vectors have grown.
+  std::array<frames::Mpdu, kBurstMpdus> burst_;
+  int staged_count_ = 0;
+  LinkKey staged_link_{};
   /// Frames built from the last Reassembler::push_pb (a prefix); the
   /// elements keep their payload capacity.
   std::vector<frames::EthernetFrame> rx_frames_;

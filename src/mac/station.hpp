@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "des/scheduler.hpp"
@@ -50,8 +51,7 @@ class SaturatedStation : public medium::Participant {
                    int mpdu_count = 1, int retry_limit = 0);
 
   // medium::Participant
-  bool has_pending_frame() override { return true; }
-  frames::Priority pending_priority() override { return priority_; }
+  std::optional<frames::Priority> pending() override { return priority_; }
   bool poll_transmit(medium::TxDescriptor& burst) override;
   void on_idle_slot() override;
   void on_busy(bool transmitted, bool success) override;
@@ -93,8 +93,10 @@ class QueueStation : public medium::Participant {
   void enqueue_frame();
 
   // medium::Participant
-  bool has_pending_frame() override { return !queue_.empty(); }
-  frames::Priority pending_priority() override { return priority_; }
+  std::optional<frames::Priority> pending() override {
+    if (queue_.empty()) return std::nullopt;
+    return priority_;
+  }
   bool poll_transmit(medium::TxDescriptor& burst) override;
   void on_idle_slot() override;
   void on_busy(bool transmitted, bool success) override;

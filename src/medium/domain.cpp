@@ -49,6 +49,7 @@ int ContentionDomain::add_participant(Participant& participant) {
                 "ContentionDomain: cannot add participants after start()");
   participants_.push_back(&participant);
   descriptors_.emplace_back();
+  pending_.emplace_back();
   return static_cast<int>(participants_.size()) - 1;
 }
 
@@ -159,18 +160,17 @@ void ContentionDomain::slot_boundary() {
                 "ContentionDomain: slot boundary while an exchange is in "
                 "flight");
   // Determine the backlogged set and the winning priority (the logical
-  // outcome of the priority-resolution busy tones).
-  frames::Priority winning = frames::Priority::kCa0;
-  bool any_pending = false;
-  for (Participant* p : participants_) {
-    if (!p->has_pending_frame()) continue;
-    const frames::Priority prio = p->pending_priority();
-    if (!any_pending || static_cast<int>(prio) > static_cast<int>(winning)) {
+  // outcome of the priority-resolution busy tones): the one question
+  // each participant is asked this slot.
+  std::optional<frames::Priority> winning;
+  for (std::size_t id = 0; id < participants_.size(); ++id) {
+    const std::optional<frames::Priority> prio = participants_[id]->pending();
+    pending_[id] = prio;
+    if (prio.has_value() && (!winning.has_value() || *prio > *winning)) {
       winning = prio;
     }
-    any_pending = true;
   }
-  if (!any_pending) {
+  if (!winning.has_value()) {
     // Nothing to send anywhere: the medium goes quiet until a source
     // delivers a frame and calls notify_pending(). (Beacon airtime is
     // not accounted while the whole network is idle.)
@@ -208,15 +208,11 @@ void ContentionDomain::slot_boundary() {
   transmitter_ids_.clear();
   contender_ids_.clear();
   for (int id = 0; id < static_cast<int>(participants_.size()); ++id) {
-    Participant* p = participants_[static_cast<std::size_t>(id)];
-    if (!p->has_pending_frame()) continue;
-    if (p->pending_priority() != winning) {
-      p->on_priority_deferral();
-      continue;
-    }
+    if (pending_[static_cast<std::size_t>(id)] != winning) continue;
     contender_ids_.push_back(id);
     TxDescriptor& descriptor = descriptors_[static_cast<std::size_t>(id)];
-    if (p->poll_transmit(descriptor)) {
+    if (participants_[static_cast<std::size_t>(id)]->poll_transmit(
+            descriptor)) {
       util::require(descriptor.mpdu_count >= 1,
                     "ContentionDomain: burst must have >= 1 MPDU");
       transmitter_ids_.push_back(id);
@@ -302,7 +298,7 @@ void ContentionDomain::slot_boundary() {
   record.start = scheduler_.now();
   record.duration = busy;
   record.transmitters = transmitter_ids_;
-  record.priority = winning;
+  record.priority = *winning;
   record.sofs.clear();
   for (const int id : transmitter_ids_) {
     const TxDescriptor& d = descriptors_[static_cast<std::size_t>(id)];
@@ -332,7 +328,8 @@ void ContentionDomain::tdma_region(const BeaconSchedule::Region& region) {
               region.owner < static_cast<int>(participants_.size())
           ? participants_[static_cast<std::size_t>(region.owner)]
           : nullptr;
-  if (owner != nullptr && owner->has_pending_frame()) {
+  if (owner != nullptr &&
+      pending_[static_cast<std::size_t>(region.owner)].has_value()) {
     TxDescriptor& descriptor =
         descriptors_[static_cast<std::size_t>(region.owner)];
     if (owner->poll_contention_free(descriptor)) {

@@ -14,18 +14,18 @@
 // in a discrete-event scheduler so that full-stack stations (bursting,
 // MMEs, queues) and wall-clock timestamps work too.
 //
-// Priority resolution is logical: at each slot boundary the domain
-// computes the highest priority among backlogged stations and only those
-// stations contend; the others' counters freeze (on_priority_deferral).
+// Priority resolution is logical: at each slot boundary the domain asks
+// every station once which class it is pending at (Participant::pending),
+// and only the stations at the highest class contend; the others'
+// counters freeze.
 // The airtime of the two PRS slots is part of the success/collision
 // overheads, exactly as the paper folds them into Ts and Tc.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <vector>
-
 #include <optional>
+#include <vector>
 
 #include "des/scheduler.hpp"
 #include "des/time.hpp"
@@ -196,6 +196,11 @@ class ContentionDomain {
   // transmitters until its completion event fires.
   std::vector<int> transmitter_ids_;
   std::vector<int> contender_ids_;
+  /// Each participant's answer to this slot's pending() (indexed by id).
+  /// Nothing a slot runs between the poll and its readers can change an
+  /// answer: a poll_transmit, and the drain callback it may fire, refill
+  /// only the polled station.
+  std::vector<std::optional<frames::Priority>> pending_;
   /// One burst descriptor per participant (indexed by id), filled by its
   /// polls; a transmitter's entry holds its burst for the slot.
   std::vector<TxDescriptor> descriptors_;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "des/time.hpp"
@@ -34,21 +35,21 @@ struct TxDescriptor {
 
 /// A station attached to the contention domain.
 ///
-/// The domain drives each contending participant with exactly one callback
-/// per medium event: on_idle_slot() for an idle backoff slot, on_busy()
-/// for a busy period (someone transmitted). Stations that are not
-/// backlogged, or that lost priority resolution, receive no callbacks for
-/// that event (their counters freeze).
+/// At each slot boundary the domain asks every participant pending()
+/// exactly once, before any other call of that slot, and reads the
+/// answer for the rest of the slot. It then drives each contending
+/// participant with exactly one callback per medium event: on_idle_slot()
+/// for an idle backoff slot, on_busy() for a busy period (someone
+/// transmitted). Stations that are not backlogged, or that lost priority
+/// resolution, receive no callbacks for that event (their counters
+/// freeze).
 class Participant {
  public:
   virtual ~Participant() = default;
 
-  /// True when the station has a frame (burst) waiting for the medium.
-  virtual bool has_pending_frame() = 0;
-
-  /// Priority the station would contend at; only meaningful when
-  /// has_pending_frame() is true.
-  virtual frames::Priority pending_priority() = 0;
+  /// The priority class the station contends at when it has a frame
+  /// (burst) waiting for the medium; nullopt when it has none.
+  virtual std::optional<frames::Priority> pending() = 0;
 
   /// Polled at each backoff slot boundary (only for stations contending
   /// at the winning priority). When the backoff counter has expired,
@@ -64,10 +65,6 @@ class Participant {
   /// for transmitters; for observers it distinguishes success from
   /// collision but must not affect their counters).
   virtual void on_busy(bool transmitted, bool success) = 0;
-
-  /// The station held a pending frame but a higher priority won the
-  /// resolution phase this slot; its counters freeze.
-  virtual void on_priority_deferral() {}
 
   /// Called on transmitters at the *end* of the busy period, when the
   /// exchange (burst + SACK) completes; full-stack stations deliver their

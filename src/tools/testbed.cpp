@@ -51,7 +51,7 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
     // Keep at least two full bursts' worth of physical blocks queued so
     // every burst has the full shape (saturation).
     const std::size_t backlog_pbs = static_cast<std::size_t>(
-        4 * config.device.burst_mpdus * config.device.max_pbs_per_mpdu);
+        4 * emu::kBurstMpdus * emu::kMaxPbsPerMpdu);
     sources.push_back(std::make_unique<workload::SaturatedSource>(
         frame_template,
         [station](const frames::EthernetFrame& frame) {
@@ -117,7 +117,7 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
   // "We reset the statistics of the frames transmitted at all the
   // stations at the beginning of each test."
   for (std::size_t i = 0; i < ampstats.size(); ++i) {
-    ampstats[i]->reset(destination.mac(), config.device.data_priority);
+    ampstats[i]->reset(destination.mac(), emu::kDataPriority);
     if (config.mme_interval > des::SimTime::zero()) {
       ampstats[i]->reset(destination.mac(), frames::Priority::kCa2);
     }
@@ -137,8 +137,8 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
   result.acknowledged.reserve(ampstats.size());
   result.collided.reserve(ampstats.size());
   for (std::size_t i = 0; i < ampstats.size(); ++i) {
-    const mme::AmpStatConfirm confirm = ampstats[i]->query(
-        destination.mac(), config.device.data_priority);
+    const mme::AmpStatConfirm confirm =
+        ampstats[i]->query(destination.mac(), emu::kDataPriority);
     result.acknowledged.push_back(confirm.acknowledged);
     result.collided.push_back(confirm.collided);
     result.total_acknowledged += confirm.acknowledged;

@@ -85,10 +85,11 @@ struct TestbedSuiteResult {
 /// testbed leg's store key coordinate, mirroring sim::canonical_point_json.
 /// The device configuration is deliberately absent: scenario testbed
 /// legs always run the default emu::DeviceConfig, so changing those
-/// defaults is a simulation-semantics change covered by
-/// store::kResultEpoch. A "version" field changes when a testbed entry's
-/// stored content changes for the same inputs (its metric snapshot
-/// included), which orphans earlier testbed entries only.
+/// defaults or the device's constants is a simulation-semantics change
+/// covered by store::kResultEpoch. A "version" field changes when a
+/// testbed entry's stored content changes for the same inputs (its
+/// metric snapshot included), which orphans earlier testbed entries
+/// only.
 std::string testbed_point_json(const TestbedConfig& config);
 
 /// A batch of independent testbed tests as one leg of the task engine

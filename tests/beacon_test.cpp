@@ -236,6 +236,48 @@ TEST(Hybrid, EmulatedDevicesUseTheirAllocations) {
   EXPECT_GT(network.domain().stats().tdma_successes, 0);
 }
 
+TEST(Hybrid, StagedBurstKeepsItsPriorityInTheAllocation) {
+  // The 1 ms CSMA region fits no exchange, so a burst staged there is
+  // refused at the region's end and is still staged when the sender's
+  // allocation opens. With CA2 MMEs queued next to CA1 data, the head
+  // link's class can differ from the staged burst's; the allocation must
+  // describe the burst at the class its SoFs carry.
+  emu::Network network(0x57A6);
+  emu::HpavDevice& sender = network.add_device();
+  emu::HpavDevice& receiver = network.add_device();
+  network.domain().set_beacon_schedule(
+      BeaconSchedule(des::SimTime::from_us(10'000.0),
+                     des::SimTime::from_us(1'000.0),
+                     {{sender.tei() - 1, des::SimTime::from_us(2'000.0),
+                       des::SimTime::from_us(8'000.0)}}));
+  struct Tap : MediumObserver {
+    std::int64_t sofs = 0;
+    std::int64_t mismatched = 0;
+    void on_medium_event(const MediumEventRecord& record) override {
+      if (!record.contention_free) return;
+      for (const frames::SofDelimiter& sof : record.sofs) {
+        ++sofs;
+        if (sof.priority() != record.priority) ++mismatched;
+      }
+    }
+  } tap;
+  network.domain().add_observer(tap);
+  network.start();
+  sender.start_periodic_mme(des::SimTime::from_us(10'000.0), receiver.mac(),
+                            frames::Priority::kCa2, 100);
+  for (int i = 0; i < 8; ++i) {
+    frames::EthernetFrame frame;
+    frame.destination = receiver.mac();
+    frame.source = sender.mac();
+    frame.ether_type = frames::kEtherTypeIpv4;
+    frame.payload.assign(1400, 0);
+    sender.host_send(frame);
+  }
+  network.run_for(des::SimTime::from_seconds(0.2));
+  EXPECT_GT(tap.sofs, 0);
+  EXPECT_EQ(tap.mismatched, 0);
+}
+
 TEST(Hybrid, CsmaOnlyBehaviourUnchangedWithoutSchedule) {
   // Regression guard: the hybrid additions must not alter plain CSMA.
   HybridFixture fixture;

@@ -491,9 +491,6 @@ TEST(Device, MmeTrafficPreemptsDataTraffic) {
 TEST(Device, RejectsInvalidConfig) {
   Network network(9);
   DeviceConfig bad;
-  bad.burst_mpdus = 5;
-  EXPECT_THROW(network.add_device(bad), plc::Error);
-  bad = DeviceConfig{};
   bad.pb_error_rate = 1.5;
   EXPECT_THROW(network.add_device(bad), plc::Error);
 }

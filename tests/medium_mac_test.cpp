@@ -1,10 +1,12 @@
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "des/scheduler.hpp"
 #include "mac/station.hpp"
+#include "medium/beacon.hpp"
 #include "medium/domain.hpp"
 #include "phy/timing.hpp"
 #include "util/error.hpp"
@@ -147,6 +149,74 @@ TEST(Domain, SamePriorityClassesShareTheMedium) {
   fixture.run(5.0);
   EXPECT_GT(a.stats().successes, 0);
   EXPECT_GT(b.stats().successes, 0);
+}
+
+/// A saturated station that counts the domain's calls into it.
+class CountingStation : public Participant {
+ public:
+  CountingStation(std::uint64_t seed, frames::Priority priority)
+      : station_(make_entity(seed), priority, kMpdu) {}
+
+  std::optional<frames::Priority> pending() override {
+    ++pending_calls;
+    return station_.pending();
+  }
+  bool poll_transmit(TxDescriptor& burst) override {
+    ++polls;
+    return station_.poll_transmit(burst);
+  }
+  void on_idle_slot() override {
+    ++idle_slots;
+    station_.on_idle_slot();
+  }
+  void on_busy(bool transmitted, bool success) override {
+    ++busy_events;
+    station_.on_busy(transmitted, success);
+  }
+  bool poll_contention_free(TxDescriptor& burst) override {
+    ++contention_free_polls;
+    return station_.poll_contention_free(burst);
+  }
+
+  std::int64_t pending_calls = 0;
+  std::int64_t polls = 0;
+  std::int64_t idle_slots = 0;
+  std::int64_t busy_events = 0;
+  std::int64_t contention_free_polls = 0;
+
+ private:
+  SaturatedStation station_;
+};
+
+TEST(Domain, AsksEachParticipantOncePerSlotBoundary) {
+  des::Scheduler scheduler;
+  ContentionDomain domain(scheduler, phy::TimingConfig::paper_default());
+  CountingStation owner(1, frames::Priority::kCa3);
+  CountingStation rival(2, frames::Priority::kCa3);
+  CountingStation low(3, frames::Priority::kCa1);
+  const std::vector<CountingStation*> stations{&owner, &rival, &low};
+  for (CountingStation* station : stations) domain.add_participant(*station);
+  // Station 0 owns a TDMA allocation in every beacon period.
+  domain.set_beacon_schedule(BeaconSchedule::default_60hz(
+      {{0, des::SimTime::from_us(5'000.0), des::SimTime::from_us(8'000.0)}}));
+  domain.start();
+  scheduler.run_until(des::SimTime::from_seconds(2.0));
+
+  // Every dispatched event is one slot boundary (a slot, a region's start
+  // or an exchange's end), and each boundary asks every station once, the
+  // allocation's owner included.
+  const std::int64_t boundaries = scheduler.events_dispatched();
+  ASSERT_GT(boundaries, 0);
+  for (const CountingStation* station : stations) {
+    EXPECT_EQ(station->pending_calls, boundaries);
+  }
+  EXPECT_GT(owner.contention_free_polls, 0);
+  EXPECT_GT(rival.polls, 0);
+  // The CA3 stations are always backlogged, so the CA1 station never
+  // contends: no poll and no counter callback.
+  EXPECT_EQ(low.polls, 0);
+  EXPECT_EQ(low.idle_slots, 0);
+  EXPECT_EQ(low.busy_events, 0);
 }
 
 // --- Observer ----------------------------------------------------------------------
