@@ -1,5 +1,7 @@
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,8 +10,12 @@
 #include "mac/station.hpp"
 #include "medium/beacon.hpp"
 #include "medium/domain.hpp"
+#include "obs/trace.hpp"
 #include "phy/timing.hpp"
+#include "sim/unsaturated.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
+#include "workload/sources.hpp"
 
 namespace plc::medium {
 namespace {
@@ -404,6 +410,131 @@ TEST(Domain, ResetStatsClearsCountersOnly) {
   EXPECT_EQ(fixture.domain.stats().successes, 0);
   fixture.scheduler.run_until(des::SimTime::from_seconds(2.0));
   EXPECT_GT(fixture.domain.stats().successes, 0);  // Still running.
+}
+
+// --- Exact pins: the domain's counters -------------------------------------------------
+//
+// The testbed's pins (tools_test) cover HpavDevice; these cover the
+// domain's other users, so a change to how the domain dispatches idle
+// slots must leave every counter of theirs as it is. Poisson arrivals
+// and beacon-period region ends are what can cut an idle run short.
+
+std::string describe(const DomainStats& s) {
+  std::ostringstream out;
+  out << "idle=" << s.idle_slots << " ok=" << s.successes
+      << " coll=" << s.collision_events << " coll_tx=" << s.collided_tx
+      << " ok_mpdus=" << s.success_mpdus
+      << " coll_mpdus=" << s.collided_mpdus
+      << " idle_ns=" << s.idle_time.ns() << " ok_ns=" << s.success_time.ns()
+      << " coll_ns=" << s.collision_time.ns()
+      << " payload_ns=" << s.success_payload_time.ns()
+      << " tdma=" << s.tdma_successes << " tdma_mpdus=" << s.tdma_mpdus
+      << " beacon_ns=" << s.beacon_time.ns()
+      << " tdma_ns=" << s.tdma_time.ns()
+      << " tdma_idle_ns=" << s.tdma_idle_time.ns()
+      << " wait_ns=" << s.boundary_wait_time.ns();
+  return out.str();
+}
+
+std::string describe(const mac::StationStats& s) {
+  std::ostringstream out;
+  out << "tx=" << s.tx_attempts << " ok=" << s.successes
+      << " coll=" << s.collisions << " drops=" << s.drops
+      << " idle=" << s.idle_slots << " busy=" << s.busy_events
+      << " jumps=" << s.deferral_jumps;
+  return out.str();
+}
+
+TEST(DomainPin, PoissonQueueStations) {
+  des::Scheduler scheduler;
+  ContentionDomain domain(scheduler, phy::TimingConfig::paper_default());
+  std::vector<std::unique_ptr<mac::QueueStation>> stations;
+  std::vector<std::unique_ptr<workload::PoissonSource>> sources;
+  for (int i = 0; i < 3; ++i) {
+    stations.push_back(std::make_unique<mac::QueueStation>(
+        make_entity(40 + static_cast<std::uint64_t>(i)),
+        frames::Priority::kCa1, kMpdu, scheduler, /*retry_limit=*/3));
+    domain.add_participant(*stations.back());
+    mac::QueueStation* station = stations.back().get();
+    workload::FrameTemplate frame_template;
+    frame_template.destination = frames::MacAddress::for_station(254);
+    frame_template.source = frames::MacAddress::for_station(i + 1);
+    sources.push_back(std::make_unique<workload::PoissonSource>(
+        scheduler, frame_template,
+        [station, &domain](const frames::EthernetFrame&) {
+          station->enqueue_frame();
+          domain.notify_pending();
+        },
+        120.0, des::RandomStream(50 + static_cast<std::uint64_t>(i))));
+    sources.back()->start();
+  }
+  domain.start();
+  scheduler.run_until(des::SimTime::from_seconds(2.0));
+
+  EXPECT_EQ(describe(domain.stats()),
+            "idle=2406 ok=682 coll=60 coll_tx=121 ok_mpdus=682 "
+            "coll_mpdus=121 idle_ns=86231040 ok_ns=1734080480 "
+            "coll_ns=175238400 payload_ns=1398100000 tdma=0 tdma_mpdus=0 "
+            "beacon_ns=0 tdma_ns=0 tdma_idle_ns=0 wait_ns=0");
+  std::int64_t delay_ns = 0;
+  for (const auto& station : stations) {
+    for (const des::SimTime delay : station->delays()) delay_ns += delay.ns();
+  }
+  EXPECT_EQ(describe(stations[0]->stats()),
+            "tx=247 ok=210 coll=37 drops=1 idle=2359 busy=488 jumps=118");
+  EXPECT_EQ(describe(stations[1]->stats()),
+            "tx=287 ok=242 coll=45 drops=2 idle=2162 busy=405 jumps=105");
+  EXPECT_EQ(describe(stations[2]->stats()),
+            "tx=269 ok=230 coll=39 drops=1 idle=1907 busy=364 jumps=104");
+  EXPECT_EQ(delay_ns, 62'635'304'270);
+
+  sim::PoissonMacSpec spec;
+  spec.stations = 4;
+  spec.arrival_rate_fps = 90.0;
+  spec.duration = des::SimTime::from_seconds(2.0);
+  const sim::PoissonMacResult result = sim::run_poisson_mac(spec);
+  EXPECT_EQ(result.frames_generated, 714);
+  EXPECT_EQ(result.frames_delivered, 677);
+  EXPECT_EQ(result.backlog_at_end, 38u);
+  EXPECT_EQ(result.mean_delay_s, 0.098039479957100606);
+  EXPECT_EQ(result.collision_probability, 0.17034313725490197);
+}
+
+TEST(DomainPin, SaturatedStationsUnderBeaconPeriods) {
+  des::Scheduler scheduler;
+  ContentionDomain domain(scheduler, phy::TimingConfig::paper_default());
+  std::vector<std::unique_ptr<SaturatedStation>> stations;
+  for (int i = 0; i < 3; ++i) {
+    stations.push_back(std::make_unique<SaturatedStation>(
+        make_entity(60 + static_cast<std::uint64_t>(i)),
+        frames::Priority::kCa1, kMpdu, /*mpdu_count=*/2));
+    domain.add_participant(*stations.back());
+  }
+  // Station 0 owns a TDMA allocation; the CSMA regions around it end at
+  // the allocation and at the next beacon.
+  domain.set_beacon_schedule(BeaconSchedule::default_60hz(
+      {{0, des::SimTime::from_us(9'000.0), des::SimTime::from_us(6'000.0)}}));
+  obs::TraceSink trace;
+  domain.set_trace_sink(&trace);
+  domain.start();
+  scheduler.run_until(des::SimTime::from_seconds(2.0));
+
+  EXPECT_EQ(describe(domain.stats()),
+            "idle=704 ok=223 coll=17 coll_tx=35 ok_mpdus=446 coll_mpdus=70 "
+            "idle_ns=25231360 ok_ns=1024158720 coll_ns=84500880 "
+            "payload_ns=914300000 tdma=60 tdma_mpdus=120 beacon_ns=61000000 "
+            "tdma_ns=275558400 tdma_idle_ns=84441600 wait_ns=446108840");
+  EXPECT_EQ(describe(stations[0]->stats()),
+            "tx=71 ok=61 coll=10 drops=0 idle=704 busy=169 jumps=34");
+  EXPECT_EQ(describe(stations[1]->stats()),
+            "tx=92 ok=81 coll=11 drops=0 idle=704 busy=148 jumps=40");
+  EXPECT_EQ(describe(stations[2]->stats()),
+            "tx=95 ok=81 coll=14 drops=0 idle=704 busy=145 jumps=37");
+  std::ostringstream trace_bytes;
+  trace.write_jsonl(trace_bytes);
+  EXPECT_EQ(trace.dropped(), 0);
+  EXPECT_EQ(util::hash128(trace_bytes.str()).to_hex(),
+            "8782e58435e457e77ba49bef5987f49b");
 }
 
 }  // namespace

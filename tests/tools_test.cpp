@@ -499,6 +499,35 @@ TEST(TestbedGolden, MmeChatterWithSniffer) {
                                        "efdc84cdb61556ee444a240b1b69199e"});
 }
 
+TEST(TestbedGolden, MmeChatterTraceAndMetrics) {
+  // The per-slot record of a run whose idle runs end at MME timers, at
+  // checkpoint horizons (the warm-up reset among them) and at
+  // exchanges: every idle slot is a trace span at its own start time.
+  TestbedConfig config;
+  config.stations = 3;
+  config.mme_interval = des::SimTime::from_us(50'000.0);
+  config.warmup = des::SimTime::from_seconds(0.5);
+  config.duration = des::SimTime::from_seconds(3.0);
+  obs::Registry registry;
+  obs::TraceSink trace;
+  config.registry = &registry;
+  config.trace = &trace;
+  const TestbedResult result = run_saturated_testbed(config);
+  EXPECT_EQ(result.acknowledged, (std::vector<std::uint64_t>{668, 762, 716}));
+  EXPECT_EQ(result.domain.idle_slots, 3564);
+  EXPECT_EQ(result.domain.successes, 1102);
+  EXPECT_EQ(result.domain.collision_events, 94);
+  std::ostringstream metrics;
+  registry.snapshot().write_json(metrics);
+  std::ostringstream trace_bytes;
+  trace.write_jsonl(trace_bytes);
+  EXPECT_EQ(trace.dropped(), 0);
+  EXPECT_EQ(util::hash128(trace_bytes.str()).to_hex(),
+            "4005952c6347b36ada97ae07f9896305");
+  EXPECT_EQ(util::hash128(metrics.str()).to_hex(),
+            "815dd6e80d72152ef26c29d21543dcbd");
+}
+
 // --- benchdiff: JSON parsing -------------------------------------------------
 
 TEST(BenchDiffJson, ParsesScalarsArraysAndEscapes) {
