@@ -71,8 +71,23 @@ bool Scheduler::step() {
   return true;
 }
 
+SimTime Scheduler::next_barrier() {
+  purge_cancelled();
+  SimTime barrier = queue_.empty() ? SimTime::max() : queue_.top().when;
+  if (horizon_.has_value() && *horizon_ < barrier) {
+    barrier = *horizon_ + SimTime::from_ns(1);
+  }
+  return barrier;
+}
+
 void Scheduler::run_until(SimTime horizon) {
   PROF_SCOPE("des.run_until");
+  // The horizon holds for this call only, also when a callback throws.
+  struct HorizonScope {
+    std::optional<SimTime>& horizon;
+    ~HorizonScope() { horizon.reset(); }
+  } scope{horizon_};
+  horizon_ = horizon;
   for (;;) {
     purge_cancelled();
     if (queue_.empty() || queue_.top().when > horizon) break;

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -66,6 +67,16 @@ class Scheduler {
   /// Runs a single event if one is pending; returns false when idle.
   bool step();
 
+  /// The first instant at which an event scheduled now would no longer
+  /// be the next one this run dispatches: the time of the earliest live
+  /// pending event (scheduled earlier, it fires first at its own time)
+  /// or one nanosecond past the horizon of the run_until in progress,
+  /// whichever comes first; SimTime::max() when neither bounds it. A
+  /// caller that stands in for a chain of its own events at times before
+  /// this instant changes nothing else that is dispatched. Discards
+  /// cancelled heads, as dispatching would.
+  SimTime next_barrier();
+
   /// Number of events dispatched so far.
   std::int64_t events_dispatched() const { return dispatched_; }
 
@@ -99,6 +110,8 @@ class Scheduler {
   std::uint64_t next_sequence_ = 1;
   std::int64_t dispatched_ = 0;
   std::size_t cancelled_pending_ = 0;
+  /// The horizon of the run_until in progress; none outside run_until.
+  std::optional<SimTime> horizon_;
 
   /// True when `entry`'s event still occupies its slot (not cancelled).
   bool live(const Entry& entry) const {

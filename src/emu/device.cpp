@@ -1,6 +1,7 @@
 #include "emu/device.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -136,9 +137,18 @@ int HpavDevice::max_pbs_for(const Link& link) const {
 
 int HpavDevice::link_tx_profile(int dst_tei,
                                 frames::Priority priority) const {
-  const auto it = links_.find(LinkKey{dst_tei, priority});
-  return it == links_.end() ? kDefaultToneMapProfile
-                            : it->second.tx_profile;
+  const Link* link = find_link(dst_tei, priority);
+  return link == nullptr ? kDefaultToneMapProfile : link->tx_profile;
+}
+
+HpavDevice::Link* HpavDevice::find_link(int dst_tei,
+                                        frames::Priority priority) const {
+  for (const std::unique_ptr<Link>& link : links_) {
+    if (link->dst_tei == dst_tei && link->priority == priority) {
+      return link.get();
+    }
+  }
+  return nullptr;
 }
 
 // --- Host interface ---------------------------------------------------------
@@ -163,15 +173,20 @@ void HpavDevice::enqueue_for_wire(const frames::EthernetFrame& frame,
   util::require(destination != this,
                 "HpavDevice: frame addressed to the sending device");
 
-  const LinkKey key{destination->tei(), priority};
-  auto [it, inserted] = links_.try_emplace(key);
-  Link& link = it->second;
-  if (inserted) {
-    link.dst_tei = destination->tei();
-    link.dst_mac = frame.destination;
-    link.priority = priority;
-    link.is_mme = is_mme;
+  const auto key = std::pair(destination->tei(), priority);
+  auto at = std::lower_bound(
+      links_.begin(), links_.end(), key,
+      [](const std::unique_ptr<Link>& l, const auto& k) {
+        return std::pair(l->dst_tei, l->priority) < k;
+      });
+  if (at == links_.end() || std::pair((*at)->dst_tei, (*at)->priority) != key) {
+    at = links_.insert(at, std::make_unique<Link>());
+    (*at)->dst_tei = destination->tei();
+    (*at)->dst_mac = frame.destination;
+    (*at)->priority = priority;
+    (*at)->is_mme = is_mme;
   }
+  Link& link = **at;
   const bool was_ready = link_ready(link);
   if (!link.segmenter.has_pending_bytes() && link.retx.empty()) {
     link.oldest_arrival = network_.scheduler().now();
@@ -265,18 +280,18 @@ bool HpavDevice::link_ready(const Link& link) const {
 
 HpavDevice::Link* HpavDevice::select_head_link() {
   Link* best = nullptr;
-  for (auto& [key, link] : links_) {
-    if (!link_ready(link)) continue;
+  for (const std::unique_ptr<Link>& link : links_) {
+    if (!link_ready(*link)) continue;
     if (best == nullptr ||
-        static_cast<int>(link.priority) > static_cast<int>(best->priority)) {
-      best = &link;
+        static_cast<int>(link->priority) > static_cast<int>(best->priority)) {
+      best = link.get();
     }
   }
   return best;
 }
 
 std::optional<frames::Priority> HpavDevice::pending() {
-  if (staged_count_ > 0) return staged_link_.priority;
+  if (staged_count_ > 0) return staged_link_->priority;
   const Link* head = select_head_link();
   if (head == nullptr) return std::nullopt;
   const frames::Priority priority = head->priority;
@@ -311,7 +326,7 @@ bool HpavDevice::stage_and_describe(medium::TxDescriptor& descriptor) {
     Link* link = select_head_link();
     util::require(link != nullptr,
                   "HpavDevice::poll_transmit: backoff expired with no data");
-    staged_link_ = LinkKey{link->dst_tei, link->priority};
+    staged_link_ = link;
     const int pb_limit = max_pbs_for(*link);
     for (frames::Mpdu& mpdu : burst_) {
       std::vector<frames::PhysicalBlock>& pbs = mpdu.blocks;
@@ -350,7 +365,7 @@ bool HpavDevice::stage_and_describe(medium::TxDescriptor& descriptor) {
     if (drain_) drain_();
   }
 
-  descriptor.priority = staged_link_.priority;
+  descriptor.priority = staged_link_->priority;
   descriptor.mpdu_count = staged_count_;
   // The domain charges one payload duration per MPDU; with heterogeneous
   // MPDU sizes we charge the longest (conservative, only differs when a
@@ -365,10 +380,35 @@ bool HpavDevice::stage_and_describe(medium::TxDescriptor& descriptor) {
   return true;
 }
 
-void HpavDevice::on_idle_slot() {
+int HpavDevice::idle_slots_ahead() {
+  // pending() sets contending_ whenever it answers a class, and only a
+  // completed exchange that leaves nothing ready clears it.
+  if (contending_.has_value()) {
+    return entity_for(*contending_).backoff_counter();
+  }
+  // Nothing pending, so every link with bytes holds a partly filled data
+  // block. It turns ready once its oldest byte has waited the
+  // aggregation timeout; when the device's own staging left the block
+  // behind, no scheduler event marks that instant.
+  des::SimTime ready_at = des::SimTime::max();
+  for (const std::unique_ptr<Link>& link : links_) {
+    if (link->segmenter.has_pending_bytes()) {
+      ready_at = std::min(ready_at, link->oldest_arrival + kAggregationTimeout);
+    }
+  }
+  if (ready_at == des::SimTime::max()) return std::numeric_limits<int>::max();
+  const std::int64_t slot = network_.domain().timing().slot.ns();
+  const std::int64_t before =
+      ((ready_at - network_.scheduler().now()).ns() + slot - 1) / slot;
+  return static_cast<int>(
+      std::min<std::int64_t>(before, std::numeric_limits<int>::max()));
+}
+
+void HpavDevice::on_idle_slots(int count) {
   util::require(contending_.has_value(),
-                "HpavDevice::on_idle_slot: not contending");
-  entity_for(*contending_).on_idle_slot();
+                "HpavDevice::on_idle_slots: not contending");
+  mac::Backoff1901& entity = entity_for(*contending_);
+  for (int i = 0; i < count; ++i) entity.on_idle_slot();
 }
 
 void HpavDevice::on_busy(bool transmitted, bool success) {
@@ -382,9 +422,7 @@ void HpavDevice::on_transmission_complete(bool success) {
                 "HpavDevice: transmission completed with nothing staged");
   const std::span<frames::Mpdu> burst = staged();
   staged_count_ = 0;
-  auto link_it = links_.find(staged_link_);
-  util::require(link_it != links_.end(), "HpavDevice: staged link vanished");
-  Link& link = link_it->second;
+  Link& link = *staged_link_;
   HpavDevice* destination = network_.device_by_tei(link.dst_tei);
   util::require(destination != nullptr,
                 "HpavDevice: staged destination vanished");
@@ -409,8 +447,11 @@ void HpavDevice::on_transmission_complete(bool success) {
       network_.link_pb_error_rate(tei_, link.dst_tei, config_.pb_error_rate);
   for (frames::Mpdu& mpdu : burst) {
     // Channel error injection happens on the receiver side of the wire.
-    for (frames::PhysicalBlock& pb : mpdu.blocks) {
-      pb.received_ok = !rng_.bernoulli(pb_error_rate);
+    // Every staged PB reads received_ok, and bernoulli(0) draws nothing.
+    if (pb_error_rate > 0.0) {
+      for (frames::PhysicalBlock& pb : mpdu.blocks) {
+        pb.received_ok = !rng_.bernoulli(pb_error_rate);
+      }
     }
     const frames::SackDelimiter& sack =
         destination->receive_mpdu(mpdu, link.segmenter);
@@ -449,31 +490,45 @@ const frames::SackDelimiter& HpavDevice::receive_mpdu(
                     &stream.reassembler->source() == &source_stream,
                 "HpavDevice::receive_mpdu: MPDU from another stream");
 
-  sack_.pb_ok.clear();
+  const std::span<const frames::PhysicalBlock> blocks = mpdu.blocks;
+  sack_.pb_ok.assign(blocks.size(), true);
   int bad_blocks = 0;
-  for (const frames::PhysicalBlock& pb : mpdu.blocks) {
-    sack_.pb_ok.push_back(pb.received_ok);
+  for (std::size_t i = 0; i < blocks.size();) {
+    const frames::PhysicalBlock& pb = blocks[i];
     if (!pb.received_ok) {
+      sack_.pb_ok[i++] = false;
       ++bad_blocks;
       continue;
     }
     const int distance = ssn_distance(pb.ssn, stream.expected_ssn);
     if (distance < 0) {
       // Duplicate (already delivered); acknowledge and drop.
+      ++i;
       continue;
     }
     if (distance > 0) {
       // A hole precedes it: park it until the hole is repaired.
       stream.out_of_order[pb.ssn] = pb;
+      ++i;
       continue;
     }
-    // In order: straight to the reassembler, then every parked PB this
-    // one unblocks.
-    reassemble(stream, pb);
+    // In order. With nothing parked, the whole run of good PBs that
+    // continues the sequence goes to the reassembler in one call; then
+    // every parked PB this unblocks, in SSN order.
+    std::size_t end = i + 1;
+    if (stream.out_of_order.empty()) {
+      while (end < blocks.size() && blocks[end].received_ok &&
+             blocks[end].ssn ==
+                 static_cast<std::uint16_t>(blocks[end - 1].ssn + 1)) {
+        ++end;
+      }
+    }
+    reassemble(stream, blocks.subspan(i, end - i));
+    i = end;
     for (auto it = stream.out_of_order.find(stream.expected_ssn);
          it != stream.out_of_order.end();
          it = stream.out_of_order.find(stream.expected_ssn)) {
-      reassemble(stream, it->second);
+      reassemble(stream, std::span(&it->second, 1));
       stream.out_of_order.erase(it);
     }
   }
@@ -489,7 +544,7 @@ const frames::SackDelimiter& HpavDevice::receive_mpdu(
   counters_.on_rx_acked(src_mac, priority, 1);
   sack_.src_tei = static_cast<std::uint8_t>(tei_);
   sack_.dst_tei = mpdu.sof.src_tei;
-  sack_.update_result();
+  sack_.set_result(bad_blocks);
   return sack_;
 }
 
@@ -499,7 +554,7 @@ void HpavDevice::count_host_frame() {
 }
 
 void HpavDevice::reassemble(RxStream& stream,
-                            const frames::PhysicalBlock& pb) {
+                            std::span<const frames::PhysicalBlock> run) {
   // A frame is built only when something reads it: the firmware reads
   // every MME, a host listener every frame. With a listener, the whole
   // batch is built before any frame is delivered: a listener may push
@@ -507,7 +562,7 @@ void HpavDevice::reassemble(RxStream& stream,
   const bool build_all = !host_listeners_.empty();
   std::size_t built = 0;
   for (const std::span<const std::uint8_t> bytes :
-       stream.reassembler->push_pb(pb)) {
+       stream.reassembler->push_pbs(run)) {
     const bool is_mme = frames::EthernetFrame::ether_type_of(bytes) ==
                         frames::kEtherTypeHomePlugAv;
     if (!build_all && !is_mme) {
@@ -523,7 +578,8 @@ void HpavDevice::reassemble(RxStream& stream,
     count_host_frame();
     deliver_to_host(frame);
   }
-  ++stream.expected_ssn;
+  stream.expected_ssn =
+      static_cast<std::uint16_t>(stream.expected_ssn + run.size());
 }
 
 void HpavDevice::update_rx_adaptation(RxStream& stream,
@@ -579,15 +635,14 @@ bool HpavDevice::consume_plc_mme(const frames::EthernetFrame& frame) {
     ++tonemap_updates_received_;
     if (metrics_) metrics_->tonemap_received->add();
     HpavDevice* receiver = network_.device_by_mac(mme.source);
-    if (receiver != nullptr) {
-      const LinkKey key{receiver->tei(),
-                        static_cast<frames::Priority>(update->link_id & 3)};
-      const auto it = links_.find(key);
-      if (it != links_.end()) {
-        it->second.tx_profile =
-            std::min(std::max(0, static_cast<int>(update->profile)),
-                     kToneMapProfileCount - 1);
-      }
+    Link* link = receiver == nullptr
+                     ? nullptr
+                     : find_link(receiver->tei(), static_cast<frames::Priority>(
+                                                      update->link_id & 3));
+    if (link != nullptr) {
+      link->tx_profile =
+          std::min(std::max(0, static_cast<int>(update->profile)),
+                   kToneMapProfileCount - 1);
     }
     return true;  // Consumed by the firmware, never reaches the host.
   }
@@ -620,9 +675,9 @@ void HpavDevice::on_medium_event(const medium::MediumEventRecord& record) {
 
 std::size_t HpavDevice::tx_backlog_pbs() const {
   std::size_t total = 0;
-  for (const auto& [key, link] : links_) {
-    total += static_cast<std::size_t>(link.segmenter.complete_pb_count());
-    total += link.retx.size();
+  for (const std::unique_ptr<Link>& link : links_) {
+    total += static_cast<std::size_t>(link->segmenter.complete_pb_count());
+    total += link->retx.size();
   }
   return total;
 }

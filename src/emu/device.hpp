@@ -147,7 +147,11 @@ class HpavDevice final : public medium::Participant,
   /// priority (re-)arms that class's backoff entity.
   std::optional<frames::Priority> pending() override;
   bool poll_transmit(medium::TxDescriptor& burst) override;
-  void on_idle_slot() override;
+  /// Contending: the class's backoff counter. Nothing pending: the slots
+  /// that start before a partly filled block turns ready by its
+  /// aggregation timeout (no limit without one).
+  int idle_slots_ahead() override;
+  void on_idle_slots(int count) override;
   void on_busy(bool transmitted, bool success) override;
   void on_transmission_complete(bool success) override;
   /// Devices serve their staged burst, else their head link, in TDMA
@@ -201,22 +205,13 @@ class HpavDevice final : public medium::Participant,
     frames::Priority priority = frames::Priority::kCa1;
     bool is_mme = false;             ///< Flush immediately (management).
     /// The link's convergence stream; the destination's RxStream reads
-    /// it in place (links are never erased, and map nodes never move).
+    /// it in place (links are never erased, and never move).
     frames::Segmenter segmenter;
     /// PBs awaiting retransmission, as a queue whose head is the back.
     std::vector<frames::PhysicalBlock> retx;
     des::SimTime oldest_arrival = des::SimTime::zero();
     /// Transmit modulation profile (adaptation mode).
     int tx_profile = kDefaultToneMapProfile;
-  };
-
-  struct LinkKey {
-    int dst_tei;
-    frames::Priority priority;
-    friend bool operator<(const LinkKey& a, const LinkKey& b) {
-      if (a.dst_tei != b.dst_tei) return a.dst_tei < b.dst_tei;
-      return a.priority < b.priority;
-    }
   };
 
   /// Per-source reassembly state on the receive side.
@@ -239,7 +234,10 @@ class HpavDevice final : public medium::Participant,
   void enqueue_for_wire(const frames::EthernetFrame& frame,
                         frames::Priority priority, bool is_mme);
   bool link_ready(const Link& link) const;
-  Link* select_head_link();  ///< Highest-priority ready link.
+  /// The link to `dst_tei` at `priority`, or nullptr.
+  Link* find_link(int dst_tei, frames::Priority priority) const;
+  /// Highest-priority ready link; the first in links_ order on a tie.
+  Link* select_head_link();
   des::SimTime mpdu_duration(const Link& link, int pb_count) const;
   /// Largest PB count allowed per MPDU on this link (profile- and
   /// max-frame-duration-aware in adaptation mode).
@@ -254,9 +252,11 @@ class HpavDevice final : public medium::Participant,
     return {burst_.data(), static_cast<std::size_t>(staged_count_)};
   }
   void emit_periodic_mme(std::size_t index);
-  /// Feeds the next in-order PB (SSN `expected_ssn`) to the stream's
-  /// reassembler and hands the frames it completes to the firmware/host.
-  void reassemble(RxStream& stream, const frames::PhysicalBlock& pb);
+  /// Feeds the next in-order PBs (SSNs from `expected_ssn` on) to the
+  /// stream's reassembler in one call and hands the frames they complete
+  /// to the firmware/host, every frame built before any is delivered.
+  void reassemble(RxStream& stream,
+                  std::span<const frames::PhysicalBlock> run);
   /// Counts one frame delivered on the host interface.
   void count_host_frame();
   /// Receiver-side adaptation step after one MPDU's outcomes.
@@ -274,7 +274,10 @@ class HpavDevice final : public medium::Participant,
   std::vector<HostReceiveFn> host_listeners_;
   DrainFn drain_;
 
-  std::map<LinkKey, Link> links_;
+  /// The device's links in (destination TEI, priority) order. A device
+  /// has a handful; each Link stays where it was made, since a receiver
+  /// holds its Segmenter's address.
+  std::vector<std::unique_ptr<Link>> links_;
   /// Receive-side reassembly, keyed by (source TEI, link id): each link
   /// carries an independent SSN sequence, so streams must not mix.
   std::map<std::pair<int, int>, RxStream> rx_streams_;
@@ -292,8 +295,8 @@ class HpavDevice final : public medium::Participant,
   /// once the vectors have grown.
   std::array<frames::Mpdu, kBurstMpdus> burst_;
   int staged_count_ = 0;
-  LinkKey staged_link_{};
-  /// Frames built from the last Reassembler::push_pb (a prefix); the
+  Link* staged_link_ = nullptr;
+  /// Frames built from the last Reassembler::push_pbs (a prefix); the
   /// elements keep their payload capacity.
   std::vector<frames::EthernetFrame> rx_frames_;
   /// The SACK of the last receive_mpdu; its bitmap keeps its capacity.

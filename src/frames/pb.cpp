@@ -121,12 +121,17 @@ bool Reassembler::range_corrupt(std::uint64_t begin, std::uint64_t end) const {
   return false;
 }
 
-std::span<const std::span<const std::uint8_t>> Reassembler::push_pb(
-    const PhysicalBlock& pb) {
-  util::require(pb.offset == fed_,
-                "Reassembler::push_pb: PB out of stream order");
-  fed_ += pb.used;
-  if (!pb.received_ok) corrupt_ranges_.emplace_back(pb.offset, fed_);
+std::span<const std::span<const std::uint8_t>> Reassembler::push_pbs(
+    std::span<const PhysicalBlock> pbs) {
+  // A frame completes only once every PB it overlaps has been fed, and a
+  // later PB starts past its end: taking the frames after the last PB
+  // drops exactly the ones that feeding PB by PB drops.
+  for (const PhysicalBlock& pb : pbs) {
+    util::require(pb.offset == fed_,
+                  "Reassembler::push_pbs: PB out of stream order");
+    fed_ += pb.used;
+    if (!pb.received_ok) corrupt_ranges_.emplace_back(pb.offset, fed_);
+  }
 
   completed_.clear();
   // Extract complete length-prefixed frames from the head of the stream.

@@ -127,13 +127,19 @@ class Reassembler {
   /// Binds to `source`'s stream from its current release point on.
   explicit Reassembler(Segmenter& source);
 
-  /// Feeds the next PB in stream order (plc::Error for any other) and
-  /// returns the frames it completes, each as its serialized bytes (no
-  /// length prefix; EthernetFrame::deserialize parses them). The spans
-  /// stay valid until the next push_pb or the source's next push_frame.
-  /// Releases the consumed stream prefix on the way out.
+  /// Feeds the next PBs, consecutive in stream order (plc::Error for any
+  /// other), and returns the frames they complete, exactly as feeding
+  /// them one by one would: each as its serialized bytes (no length
+  /// prefix; EthernetFrame::deserialize parses them). The spans stay
+  /// valid until the next push or the source's next push_frame. Releases
+  /// the consumed stream prefix on the way out.
+  std::span<const std::span<const std::uint8_t>> push_pbs(
+      std::span<const PhysicalBlock> pbs);
+  /// push_pbs of one PB.
   std::span<const std::span<const std::uint8_t>> push_pb(
-      const PhysicalBlock& pb);
+      const PhysicalBlock& pb) {
+    return push_pbs({&pb, 1});
+  }
 
   const Segmenter& source() const { return *source_; }
   std::int64_t frames_delivered() const { return frames_delivered_; }
@@ -149,10 +155,10 @@ class Reassembler {
   std::uint64_t consumed_;
   /// Absolute stream ranges known to be corrupt, in stream order.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> corrupt_ranges_;
-  /// The last push_pb's frames.
+  /// The last push's frames.
   std::vector<std::span<const std::uint8_t>> completed_;
   /// Copy of the one completed frame that straddles the ring's end. One
-  /// is enough: a push_pb's frames lie in the retained range, which is
+  /// is enough: a push's frames lie in the retained range, which is
   /// never longer than the ring, so at most one crosses its end.
   std::vector<std::uint8_t> straddle_;
   std::int64_t frames_delivered_ = 0;

@@ -11,11 +11,10 @@ int SackDelimiter::good_count() const {
   return static_cast<int>(std::count(pb_ok.begin(), pb_ok.end(), true));
 }
 
-void SackDelimiter::update_result() {
-  const int good = good_count();
-  if (good == static_cast<int>(pb_ok.size())) {
+void SackDelimiter::set_result(int bad_blocks) {
+  if (bad_blocks == 0) {
     result = SackResult::kAllGood;
-  } else if (good == 0) {
+  } else if (bad_blocks == static_cast<int>(pb_ok.size())) {
     result = SackResult::kAllBad;
   } else {
     result = SackResult::kPartial;
@@ -29,7 +28,7 @@ SackDelimiter SackDelimiter::from_outcomes(std::uint8_t src_tei,
   sack.src_tei = src_tei;
   sack.dst_tei = dst_tei;
   sack.pb_ok = pb_ok;
-  sack.update_result();
+  sack.set_result(sack.bad_count());
   return sack;
 }
 

@@ -37,9 +37,9 @@ struct SackDelimiter {
   /// Number of PBs flagged for retransmission.
   int bad_count() const { return static_cast<int>(pb_ok.size()) - good_count(); }
 
-  /// Sets `result` from the bitmap (a receiver that fills `pb_ok` in
-  /// place calls this once the bitmap is complete).
-  void update_result();
+  /// Sets `result` from the number of PBs the bitmap flags bad (a
+  /// receiver that fills `pb_ok` in place counts them as it goes).
+  void set_result(int bad_blocks);
 
   /// Builds the verdict/bitmap from receive outcomes.
   static SackDelimiter from_outcomes(std::uint8_t src_tei,

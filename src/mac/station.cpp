@@ -1,5 +1,6 @@
 #include "mac/station.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "util/error.hpp"
@@ -43,9 +44,9 @@ bool SaturatedStation::poll_contention_free(medium::TxDescriptor& burst) {
   return describe(burst, priority_, mpdu_duration_, mpdu_count_);
 }
 
-void SaturatedStation::on_idle_slot() {
-  ++stats_.idle_slots;
-  backoff_->on_idle_slot();
+void SaturatedStation::on_idle_slots(int count) {
+  stats_.idle_slots += count;
+  for (int i = 0; i < count; ++i) backoff_->on_idle_slot();
 }
 
 void SaturatedStation::on_busy(bool transmitted, bool success) {
@@ -113,9 +114,14 @@ bool QueueStation::poll_contention_free(medium::TxDescriptor& burst) {
   return describe(burst, priority_, mpdu_duration_, 1);
 }
 
-void QueueStation::on_idle_slot() {
-  ++stats_.idle_slots;
-  backoff_->on_idle_slot();
+int QueueStation::idle_slots_ahead() {
+  if (queue_.empty()) return std::numeric_limits<int>::max();
+  return backoff_->backoff_counter();
+}
+
+void QueueStation::on_idle_slots(int count) {
+  stats_.idle_slots += count;
+  for (int i = 0; i < count; ++i) backoff_->on_idle_slot();
 }
 
 void QueueStation::on_busy(bool transmitted, bool success) {

@@ -53,7 +53,9 @@ class SaturatedStation : public medium::Participant {
   // medium::Participant
   std::optional<frames::Priority> pending() override { return priority_; }
   bool poll_transmit(medium::TxDescriptor& burst) override;
-  void on_idle_slot() override;
+  /// Always pending, so asked only while contending: its backoff counter.
+  int idle_slots_ahead() override { return backoff_->backoff_counter(); }
+  void on_idle_slots(int count) override;
   void on_busy(bool transmitted, bool success) override;
   /// Saturated stations happily fill any TDMA allocation they own.
   bool poll_contention_free(medium::TxDescriptor& burst) override;
@@ -98,7 +100,10 @@ class QueueStation : public medium::Participant {
     return priority_;
   }
   bool poll_transmit(medium::TxDescriptor& burst) override;
-  void on_idle_slot() override;
+  /// Contending: its backoff counter. Empty: no limit, since only
+  /// enqueue_frame, called from scheduler events, fills the queue.
+  int idle_slots_ahead() override;
+  void on_idle_slots(int count) override;
   void on_busy(bool transmitted, bool success) override;
   void on_transmission_complete(bool success) override;
   /// Queued frames may also ride a TDMA allocation the station owns.

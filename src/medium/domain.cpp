@@ -124,7 +124,7 @@ void ContentionDomain::observe_event(MediumEventType type, des::SimTime start,
     span.start = start;
     span.duration = duration;
     if (transmitters.empty()) {
-      span.track = obs::kMediumTrack;
+      span.track = obs::kMediumTrack;  // A beacon.
       trace_->record(span);
     } else {
       for (const int id : transmitters) {
@@ -146,7 +146,7 @@ void ContentionDomain::schedule_slot(des::SimTime delay) {
 }
 
 void ContentionDomain::emit_record(const MediumEventRecord& record) {
-  ++event_seq_;
+  ++medium_events_;
   observe_event(record.type, record.start, record.duration,
                 record.transmitters, static_cast<int>(record.sofs.size()));
   for (MediumObserver* observer : observers_) {
@@ -227,18 +227,7 @@ void ContentionDomain::slot_boundary() {
       schedule_slot(csma_region_end - scheduler_.now());
       return;
     }
-    // Idle slot: every contender counts it down.
-    ++stats_.idle_slots;
-    stats_.idle_time += timing_.slot;
-    if (metrics_ || trace_ != nullptr) {
-      static const std::vector<int> kNoTransmitters;
-      observe_event(MediumEventType::kIdleSlot, scheduler_.now(),
-                    timing_.slot, kNoTransmitters, 0);
-    }
-    for (const int id : contender_ids_) {
-      participants_[static_cast<std::size_t>(id)]->on_idle_slot();
-    }
-    schedule_slot(timing_.slot);
+    idle_gap(csma_region_end, *winning);
     return;
   }
 
@@ -309,6 +298,52 @@ void ContentionDomain::slot_boundary() {
   // Completion callbacks fire when the exchange (including SACK) ends.
   exchange_in_flight_ = true;
   scheduler_.schedule(busy, [this, success] { finish_exchange(success); });
+}
+
+void ContentionDomain::idle_gap(des::SimTime region_end,
+                                frames::Priority winning) {
+  // This slot is idle, and so is each next one until a contender's
+  // backoff expires, a scheduler event fires (slots start strictly
+  // before it, since it was scheduled first), the run's horizon passes
+  // (a slot starting at it is still dispatched) or a slot would cross
+  // the region's end. The gap is those slots, in one dispatch.
+  const des::SimTime now = scheduler_.now();
+  const std::int64_t slot = timing_.slot.ns();
+  std::int64_t gap = (region_end - now).ns() / slot;
+  const des::SimTime barrier = scheduler_.next_barrier();
+  if (barrier != des::SimTime::max()) {
+    gap = std::min(gap, ((barrier - now).ns() + slot - 1) / slot);
+  }
+  for (std::size_t id = 0; id < participants_.size(); ++id) {
+    if (pending_[id].has_value() && *pending_[id] != winning) continue;
+    gap = std::min<std::int64_t>(gap, participants_[id]->idle_slots_ahead());
+  }
+  const int count = static_cast<int>(std::max<std::int64_t>(gap, 1));
+  const des::SimTime duration = count * timing_.slot;
+
+  stats_.idle_slots += count;
+  stats_.idle_time += duration;
+  medium_events_ += count;
+  if (metrics_) {
+    const auto t = static_cast<std::size_t>(MediumEventType::kIdleSlot);
+    metrics_->events[t]->add(count);
+    metrics_->airtime_ns[t]->add(duration.ns());
+  }
+  if (trace_ != nullptr) {
+    // One span per slot, at its own start, as per-slot dispatch records.
+    obs::TraceEvent span;
+    span.name = event_type_name(MediumEventType::kIdleSlot);
+    span.duration = timing_.slot;
+    span.track = obs::kMediumTrack;
+    for (int k = 0; k < count; ++k) {
+      span.start = now + k * timing_.slot;
+      trace_->record(span);
+    }
+  }
+  for (const int id : contender_ids_) {
+    participants_[static_cast<std::size_t>(id)]->on_idle_slots(count);
+  }
+  schedule_slot(duration);
 }
 
 void ContentionDomain::finish_exchange(bool success) {

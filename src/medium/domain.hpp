@@ -4,7 +4,8 @@
 // collision domain, ideal channel, globally aligned backoff slots. The
 // domain therefore advances in *medium events*, each of which is exactly
 // one of:
-//   - an idle backoff slot (35.84 us),
+//   - an idle backoff slot (35.84 us; a run of them that nothing can
+//     interrupt is dispatched as one idle gap),
 //   - a successful exchange (one transmitter; costs burst payload time
 //     plus the success overhead: priority resolution, preamble, RIFS,
 //     SACK, CIFS),
@@ -135,6 +136,9 @@ class ContentionDomain {
 
   const DomainStats& stats() const { return stats_; }
   const phy::TimingConfig& timing() const { return timing_; }
+  /// Medium events since start() (idle slots, exchanges and beacons:
+  /// what medium.events counts); reset_stats() leaves it.
+  std::int64_t medium_events() const { return medium_events_; }
 
   /// Registers the domain's counters into `registry` (event counts,
   /// airtime, MPDU outcomes, per-station tx outcomes labeled
@@ -154,6 +158,9 @@ class ContentionDomain {
 
  private:
   void slot_boundary();
+  /// Dispatches the idle gap that starts at this boundary, inside a CSMA
+  /// region ending at `region_end`, for the contenders at `winning`.
+  void idle_gap(des::SimTime region_end, frames::Priority winning);
   /// Completes the exchange in flight (transmitters in transmitter_ids_).
   void finish_exchange(bool success);
   /// Handles the TDMA region owned by `region.owner`; returns having
@@ -162,7 +169,7 @@ class ContentionDomain {
   void finish_tdma_exchange(int owner_id);
   void schedule_slot(des::SimTime delay);
   void emit_record(const MediumEventRecord& record);
-  /// Observability taps shared by the idle path and emit_record.
+  /// Observability taps of emit_record.
   void observe_event(MediumEventType type, des::SimTime start,
                      des::SimTime duration,
                      const std::vector<int>& transmitters, int mpdus);
@@ -187,22 +194,22 @@ class ContentionDomain {
   DomainStats stats_;
   bool started_ = false;
   bool sleeping_ = false;   ///< No backlogged station; waiting for work.
-  std::int64_t event_seq_ = 0;
+  std::int64_t medium_events_ = 0;
 
-  // Per-slot scratch, cleared at each slot boundary and reused, so a
-  // slot allocates nothing once the vectors have grown. No slot is
+  // Per-boundary scratch, cleared at each boundary and reused, so a
+  // boundary allocates nothing once the vectors have grown. No slot is
   // scheduled while an exchange is in flight (finish_exchange starts the
   // next one), so transmitter_ids_ doubles as the in-flight exchange's
   // transmitters until its completion event fires.
   std::vector<int> transmitter_ids_;
   std::vector<int> contender_ids_;
-  /// Each participant's answer to this slot's pending() (indexed by id).
-  /// Nothing a slot runs between the poll and its readers can change an
-  /// answer: a poll_transmit, and the drain callback it may fire, refill
-  /// only the polled station.
+  /// Each participant's answer to this boundary's pending() (indexed by
+  /// id). Nothing a boundary runs between the poll and its readers can
+  /// change an answer: a poll_transmit, and the drain callback it may
+  /// fire, refill only the polled station.
   std::vector<std::optional<frames::Priority>> pending_;
   /// One burst descriptor per participant (indexed by id), filled by its
-  /// polls; a transmitter's entry holds its burst for the slot.
+  /// polls; a transmitter's entry holds its burst for the boundary.
   std::vector<TxDescriptor> descriptors_;
   MediumEventRecord busy_record_;
   bool exchange_in_flight_ = false;

@@ -35,14 +35,20 @@ struct TxDescriptor {
 
 /// A station attached to the contention domain.
 ///
-/// At each slot boundary the domain asks every participant pending()
-/// exactly once, before any other call of that slot, and reads the
-/// answer for the rest of the slot. It then drives each contending
-/// participant with exactly one callback per medium event: on_idle_slot()
-/// for an idle backoff slot, on_busy() for a busy period (someone
-/// transmitted). Stations that are not backlogged, or that lost priority
-/// resolution, receive no callbacks for that event (their counters
-/// freeze).
+/// At each boundary the domain dispatches (a slot start, a region start
+/// or an exchange's end), it asks every participant pending() exactly
+/// once, before any other call, and reads the answer until the next
+/// boundary. It then drives each contending participant with exactly one
+/// callback: on_idle_slots(count) for an idle gap of `count` backoff
+/// slots, on_busy() for a busy period (someone transmitted). Stations
+/// that are not backlogged, or that lost priority resolution, receive no
+/// callbacks for that event (their counters freeze).
+///
+/// An idle gap is exact because an idle slot changes nothing but the
+/// contenders' backoff counters: between two boundaries, a pending()
+/// answer changes only at a scheduler event or at the station's own
+/// exchange. A participant whose answer could change with time alone
+/// says so through idle_slots_ahead().
 class Participant {
  public:
   virtual ~Participant() = default;
@@ -57,8 +63,18 @@ class Participant {
   /// true; returns false to keep waiting (`burst` is then unspecified).
   virtual bool poll_transmit(TxDescriptor& burst) = 0;
 
-  /// An idle backoff slot elapsed.
-  virtual void on_idle_slot() = 0;
+  /// Asked at a boundary where no contender transmits, of each
+  /// contender and of each participant with nothing pending (a
+  /// participant pending at a losing class is frozen and not asked). A
+  /// contender answers how many idle slots it counts down before it
+  /// transmits; one with nothing pending, how many may start before it
+  /// could have something pending with no scheduler event to say so.
+  /// The domain dispatches at most the smallest answer as one gap. The
+  /// default, one slot at a time, is always safe.
+  virtual int idle_slots_ahead() { return 1; }
+
+  /// `count` (>= 1) idle backoff slots elapsed.
+  virtual void on_idle_slots(int count) = 0;
 
   /// A busy medium event elapsed. `transmitted` marks this station as one
   /// of the transmitters; `success` is the exchange outcome (meaningful

@@ -57,6 +57,8 @@ class ProgressMeter {
   void finish(des::SimTime now, std::int64_t events);
 
   std::int64_t lines_printed() const { return lines_printed_; }
+  /// The events task_complete() has been handed so far.
+  std::int64_t events_completed() const { return tasks_events_; }
 
  private:
   void report(des::SimTime now, std::int64_t events, bool final_line);

@@ -87,21 +87,21 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
   if (config.trace != nullptr) {
     network.domain().set_trace_sink(config.trace);
   }
-  // Runs `span` from now in checkpoints of kCheckpoint and hands each to
-  // the meter. Nothing is scheduled between two checkpoints, so this
-  // dispatches the same events in the same order as one run_for(span);
-  // the first checkpoint always runs, so a zero span still fires the
-  // events due now.
+  // Runs `span` from now in checkpoints of kCheckpoint and hands each,
+  // with the medium events it took, to the meter. Nothing is scheduled
+  // between two checkpoints, so this simulates the same medium events as
+  // one run_for(span); the first checkpoint always runs, so a zero span
+  // still fires the events due now.
   des::Scheduler& scheduler = network.scheduler();
+  const medium::ContentionDomain& domain = network.domain();
   const auto run_in_checkpoints = [&](des::SimTime span) {
     const des::SimTime end = scheduler.now() + span;
     do {
       const des::SimTime step = std::min(kCheckpoint, end - scheduler.now());
-      const std::int64_t dispatched = scheduler.events_dispatched();
+      const std::int64_t events = domain.medium_events();
       network.run_for(step);
       if (config.progress != nullptr) {
-        config.progress->task_complete(
-            step, scheduler.events_dispatched() - dispatched);
+        config.progress->task_complete(step, domain.medium_events() - events);
       }
     } while (scheduler.now() < end);
   };
@@ -130,7 +130,7 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
 
   run_in_checkpoints(config.duration);
   if (config.progress != nullptr) {
-    config.progress->finish(scheduler.now(), scheduler.events_dispatched());
+    config.progress->finish(scheduler.now(), domain.medium_events());
   }
 
   TestbedResult result;

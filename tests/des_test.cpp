@@ -277,6 +277,38 @@ TEST(Scheduler, RunningInStepsDispatchesTheSameSequence) {
   EXPECT_EQ(stepped, once);
 }
 
+TEST(Scheduler, NextBarrierSkipsCancelledHeadsAndSeesOnlyItsOwnRunsHorizon) {
+  Scheduler scheduler;
+  EXPECT_EQ(scheduler.next_barrier(), SimTime::max());
+  const EventHandle early = scheduler.schedule_at(SimTime::from_ns(100), [] {});
+  scheduler.schedule_at(SimTime::from_ns(300), [] {});
+  EXPECT_EQ(scheduler.next_barrier(), SimTime::from_ns(100));
+  scheduler.cancel(early);
+  EXPECT_EQ(scheduler.next_barrier(), SimTime::from_ns(300));
+  EXPECT_EQ(scheduler.pending(), 1u);
+
+  // Inside run_until, the horizon bounds it one nanosecond past itself
+  // (an event at the horizon still fires), unless an event comes first.
+  std::vector<std::pair<std::int64_t, SimTime>> seen;
+  const auto look = [&] {
+    seen.emplace_back(scheduler.now().ns(), scheduler.next_barrier());
+  };
+  scheduler.schedule_at(SimTime::from_ns(50), look);
+  scheduler.schedule_at(SimTime::from_ns(400), look);
+  scheduler.schedule_at(SimTime::from_ns(700), look);
+  scheduler.run_until(SimTime::from_ns(200));
+  EXPECT_EQ(scheduler.next_barrier(), SimTime::from_ns(300));
+  scheduler.run_until(SimTime::from_ns(1000));
+  const std::vector<std::pair<std::int64_t, SimTime>> expected{
+      {50, SimTime::from_ns(201)},
+      {400, SimTime::from_ns(700)},
+      {700, SimTime::from_ns(1001)}};
+  EXPECT_EQ(seen, expected);
+  // Outside run_until, with nothing pending, nothing bounds it.
+  EXPECT_EQ(scheduler.next_barrier(), SimTime::max());
+  EXPECT_FALSE(scheduler.step());
+}
+
 // --- RandomStream -----------------------------------------------------------------
 
 TEST(Random, DeterministicForSameSeed) {

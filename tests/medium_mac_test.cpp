@@ -1,3 +1,4 @@
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -7,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include "des/scheduler.hpp"
+#include "emu/network.hpp"
 #include "mac/station.hpp"
 #include "medium/beacon.hpp"
 #include "medium/domain.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "phy/timing.hpp"
+#include "phy/tonemap.hpp"
 #include "sim/unsaturated.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -171,9 +175,9 @@ class CountingStation : public Participant {
     ++polls;
     return station_.poll_transmit(burst);
   }
-  void on_idle_slot() override {
+  void on_idle_slots(int count) override {
     ++idle_slots;
-    station_.on_idle_slot();
+    station_.on_idle_slots(count);
   }
   void on_busy(bool transmitted, bool success) override {
     ++busy_events;
@@ -535,6 +539,332 @@ TEST(DomainPin, SaturatedStationsUnderBeaconPeriods) {
   EXPECT_EQ(trace.dropped(), 0);
   EXPECT_EQ(util::hash128(trace_bytes.str()).to_hex(),
             "8782e58435e457e77ba49bef5987f49b");
+}
+
+// --- Idle gaps ------------------------------------------------------------------------
+//
+// At a boundary where nobody transmits, the domain dispatches every idle
+// slot up to the first contender's transmission as one gap, cut short by
+// a pending scheduler event, the run's horizon or the CSMA region's end.
+
+/// Wraps a station, counts the domain's calls into it and, unless
+/// `one_at_a_time` is set, forwards its idle_slots_ahead(); set, it
+/// keeps the default of one slot per dispatch, the slot-by-slot oracle.
+class GapCounter : public Participant {
+ public:
+  GapCounter(Participant& station, bool one_at_a_time)
+      : station_(station), one_at_a_time_(one_at_a_time) {}
+
+  std::optional<frames::Priority> pending() override {
+    ++pending_calls;
+    return station_.pending();
+  }
+  bool poll_transmit(TxDescriptor& burst) override {
+    return station_.poll_transmit(burst);
+  }
+  int idle_slots_ahead() override {
+    return one_at_a_time_ ? Participant::idle_slots_ahead()
+                          : station_.idle_slots_ahead();
+  }
+  void on_idle_slots(int count) override {
+    ++gaps;
+    idle_slots += count;
+    station_.on_idle_slots(count);
+  }
+  void on_busy(bool transmitted, bool success) override {
+    station_.on_busy(transmitted, success);
+  }
+  void on_transmission_complete(bool success) override {
+    station_.on_transmission_complete(success);
+  }
+  bool poll_contention_free(TxDescriptor& burst) override {
+    return station_.poll_contention_free(burst);
+  }
+
+  std::int64_t pending_calls = 0;
+  std::int64_t gaps = 0;
+  std::int64_t idle_slots = 0;
+
+ private:
+  Participant& station_;
+  bool one_at_a_time_;
+};
+
+TEST(DomainGaps, EachGapIsOneDispatchAndItsCountsSumToIdleSlots) {
+  des::Scheduler scheduler;
+  ContentionDomain domain(scheduler, phy::TimingConfig::paper_default());
+  std::vector<std::unique_ptr<SaturatedStation>> stations;
+  std::vector<std::unique_ptr<GapCounter>> counters;
+  for (int i = 0; i < 3; ++i) {
+    stations.push_back(std::make_unique<SaturatedStation>(
+        make_entity(70 + static_cast<std::uint64_t>(i)),
+        frames::Priority::kCa1, kMpdu));
+    counters.push_back(std::make_unique<GapCounter>(*stations.back(), false));
+    domain.add_participant(*counters.back());
+  }
+  domain.start();
+  scheduler.run_until(des::SimTime::from_seconds(2.0));
+
+  // Nothing but the stations schedules events, so every dispatch is a
+  // boundary that asks each station once and is either one idle gap,
+  // which every station counts down, or one exchange.
+  const DomainStats& stats = domain.stats();
+  const std::int64_t dispatched = scheduler.events_dispatched();
+  for (const auto& counter : counters) {
+    EXPECT_EQ(counter->pending_calls, dispatched);
+    EXPECT_EQ(counter->idle_slots, stats.idle_slots);
+    EXPECT_EQ(counter->gaps + stats.successes + stats.collision_events,
+              dispatched);
+  }
+  EXPECT_EQ(domain.medium_events(),
+            stats.idle_slots + stats.successes + stats.collision_events);
+  // A gap runs until a backoff expires, so an exchange follows each one.
+  EXPECT_LE(counters[0]->gaps, stats.successes + stats.collision_events);
+  EXPECT_LT(2 * counters[0]->gaps, stats.idle_slots);
+}
+
+/// A saturated CA1 station whose backoff always counts `countdown`
+/// slots, recording each gap it is handed.
+class CountdownStation : public Participant {
+ public:
+  explicit CountdownStation(int countdown)
+      : countdown_(countdown), left_(countdown) {}
+
+  std::optional<frames::Priority> pending() override {
+    return frames::Priority::kCa1;
+  }
+  bool poll_transmit(TxDescriptor& burst) override {
+    if (left_ > 0) return false;
+    burst.priority = frames::Priority::kCa1;
+    burst.mpdu_duration = kMpdu;
+    burst.mpdu_count = 1;
+    burst.sofs.clear();
+    return true;
+  }
+  int idle_slots_ahead() override { return left_; }
+  void on_idle_slots(int count) override {
+    EXPECT_LE(count, left_);
+    gaps.push_back(count);
+    left_ -= count;
+  }
+  void on_busy(bool /*transmitted*/, bool /*success*/) override {
+    left_ = countdown_;
+  }
+
+  std::vector<int> gaps;
+
+ private:
+  int countdown_;
+  int left_;
+};
+
+constexpr des::SimTime kSlot = des::SimTime::from_ns(35'840);
+
+TEST(DomainGaps, EndAtAPendingEventAndAtARunHorizon) {
+  des::Scheduler scheduler;
+  ContentionDomain domain(scheduler, phy::TimingConfig::paper_default());
+  ASSERT_EQ(domain.timing().slot, kSlot);
+  CountdownStation station(40);
+  domain.add_participant(station);
+  domain.start();
+  // An event halfway through slot 10: slots 0..10 start before it.
+  scheduler.schedule_at(des::SimTime::from_ns(10 * kSlot.ns() + kSlot.ns() / 2),
+                        [] {});
+  // A horizon exactly at slot 20's start: that slot is still dispatched.
+  scheduler.run_until(20 * kSlot);
+  EXPECT_EQ(station.gaps, (std::vector<int>{11, 10}));
+  EXPECT_EQ(domain.stats().idle_slots, 21);
+  scheduler.run_until(des::SimTime::from_seconds(0.006));
+  // Then the rest of the countdown, and the next full one.
+  EXPECT_EQ(station.gaps, (std::vector<int>{11, 10, 19, 40}));
+  EXPECT_EQ(domain.stats().successes, 2);
+}
+
+TEST(DomainGaps, EndAtACsmaRegionEnd) {
+  des::Scheduler scheduler;
+  ContentionDomain domain(scheduler, phy::TimingConfig::paper_default());
+  CountdownStation station(1000);  // Longer than one CSMA region.
+  domain.add_participant(station);
+  const BeaconSchedule schedule = BeaconSchedule::default_60hz();
+  domain.set_beacon_schedule(schedule);
+  domain.start();
+  scheduler.run_until(schedule.period());
+
+  // The first CSMA region runs from the beacon's end to the period's; a
+  // gap takes the slots that fit in it, then the tail is a boundary wait.
+  const BeaconSchedule::Region csma =
+      schedule.region_at(schedule.beacon_duration());
+  ASSERT_EQ(csma.kind, BeaconSchedule::RegionKind::kCsma);
+  const auto fit = static_cast<int>(
+      (csma.end - schedule.beacon_duration()).ns() / kSlot.ns());
+  EXPECT_EQ(station.gaps, (std::vector<int>{fit}));
+  EXPECT_EQ(domain.stats().boundary_wait_time,
+            csma.end - schedule.beacon_duration() - fit * kSlot);
+  // The next region's first gap finishes the countdown.
+  scheduler.run_until(2 * schedule.period());
+  ASSERT_GE(station.gaps.size(), 2u);
+  EXPECT_EQ(station.gaps[1], 1000 - fit);
+  EXPECT_EQ(domain.stats().successes, 1);
+}
+
+TEST(DomainGaps, SteppedRunsMatchSlotBySlotDispatch) {
+  // Saturated stations, a TDMA owner and a Poisson-fed queue under beacon
+  // periods, run in 1 ms steps: after every step, gaps and the
+  // slot-by-slot oracle have the same counters; at the end, the same
+  // trace and metrics, which one run to the end reproduces.
+  struct Observed {
+    std::vector<std::string> steps;
+    std::string final_stats;
+    std::string trace;
+    std::string metrics;
+    std::int64_t dispatched = 0;
+  };
+  const auto observe = [](bool one_at_a_time, bool in_steps) {
+    des::Scheduler scheduler;
+    ContentionDomain domain(scheduler, phy::TimingConfig::paper_default());
+    SaturatedStation owner(make_entity(81), frames::Priority::kCa1, kMpdu);
+    SaturatedStation rival(make_entity(82), frames::Priority::kCa1, kMpdu, 2);
+    mac::QueueStation queue(make_entity(83), frames::Priority::kCa1, kMpdu,
+                            scheduler);
+    std::vector<std::unique_ptr<GapCounter>> counters;
+    for (Participant* station :
+         std::vector<Participant*>{&owner, &rival, &queue}) {
+      counters.push_back(
+          std::make_unique<GapCounter>(*station, one_at_a_time));
+      domain.add_participant(*counters.back());
+    }
+    workload::FrameTemplate frame_template;
+    frame_template.destination = frames::MacAddress::for_station(254);
+    frame_template.source = frames::MacAddress::for_station(3);
+    workload::PoissonSource arrivals(
+        scheduler, frame_template,
+        [&queue, &domain](const frames::EthernetFrame&) {
+          queue.enqueue_frame();
+          domain.notify_pending();
+        },
+        150.0, des::RandomStream(84));
+    arrivals.start();
+    domain.set_beacon_schedule(BeaconSchedule::default_60hz(
+        {{0, des::SimTime::from_us(12'000.0),
+          des::SimTime::from_us(4'000.0)}}));
+    obs::Registry registry;
+    obs::TraceSink trace;
+    domain.bind_metrics(registry);
+    domain.set_trace_sink(&trace);
+    domain.start();
+
+    Observed observed;
+    const des::SimTime end = des::SimTime::from_seconds(0.5);
+    if (in_steps) {
+      for (des::SimTime t = des::SimTime::from_ns(1'000'000); t <= end;
+           t += des::SimTime::from_ns(1'000'000)) {
+        scheduler.run_until(t);
+        observed.steps.push_back(describe(domain.stats()) + " | " +
+                                 describe(owner.stats()) + " | " +
+                                 describe(rival.stats()) + " | " +
+                                 describe(queue.stats()));
+      }
+    } else {
+      scheduler.run_until(end);
+    }
+    observed.final_stats = describe(domain.stats()) + " | " +
+                           describe(owner.stats()) + " | " +
+                           describe(rival.stats()) + " | " +
+                           describe(queue.stats());
+    std::ostringstream trace_bytes;
+    trace.write_jsonl(trace_bytes);
+    observed.trace = trace_bytes.str();
+    std::ostringstream metrics;
+    registry.snapshot().write_json(metrics);
+    observed.metrics = metrics.str();
+    observed.dispatched = scheduler.events_dispatched();
+    return observed;
+  };
+  const Observed oracle = observe(/*one_at_a_time=*/true, /*in_steps=*/true);
+  const Observed gaps = observe(false, true);
+  const Observed one_run = observe(false, false);
+  ASSERT_EQ(gaps.steps.size(), 500u);
+  for (std::size_t i = 0; i < gaps.steps.size(); ++i) {
+    ASSERT_EQ(gaps.steps[i], oracle.steps[i]) << "after step " << i + 1;
+  }
+  EXPECT_EQ(gaps.final_stats, oracle.final_stats);
+  EXPECT_EQ(gaps.trace, oracle.trace);
+  EXPECT_EQ(gaps.metrics, oracle.metrics);
+  EXPECT_EQ(one_run.final_stats, gaps.final_stats);
+  EXPECT_EQ(one_run.trace, gaps.trace);
+  EXPECT_EQ(one_run.metrics, gaps.metrics);
+  // Gaps save dispatches; the oracle dispatches every slot.
+  EXPECT_LT(one_run.dispatched, oracle.dispatched);
+}
+
+/// Never pending and never sets a limit of its own: asked about every
+/// gap, it keeps the default answer, so every idle slot is a dispatch.
+class OneSlotAtATime : public Participant {
+ public:
+  std::optional<frames::Priority> pending() override { return std::nullopt; }
+  bool poll_transmit(TxDescriptor& /*burst*/) override { return false; }
+  void on_idle_slots(int /*count*/) override {}
+  void on_busy(bool /*transmitted*/, bool /*success*/) override {}
+};
+
+TEST(DomainGaps, DeviceTailPastItsAggregationTimeoutEndsAGap) {
+  // With no exchange overheads, a device's one-PB exchange is over well
+  // within the 500 us aggregation timeout, so the partly filled block it
+  // staged around waits for the timeout with no event to mark it, while
+  // a saturated neighbour keeps the medium dispatching idle gaps. The
+  // waiting device bounds each gap by that instant: every busy record,
+  // counter and delivery matches the run that dispatches every idle slot.
+  struct Observed {
+    std::vector<std::pair<std::int64_t, std::vector<int>>> busy;
+    std::string domain;
+    std::int64_t delivered = 0;
+  };
+  class BusyLog : public MediumObserver {
+   public:
+    void on_medium_event(const MediumEventRecord& record) override {
+      busy.emplace_back(record.start.ns(), record.transmitters);
+    }
+    std::vector<std::pair<std::int64_t, std::vector<int>>> busy;
+  };
+  const auto observe = [](bool one_at_a_time) {
+    emu::Network network(7, phy::TimingConfig{});
+    emu::DeviceConfig config;
+    config.tonemap = phy::ToneMap::high_rate();
+    emu::HpavDevice& sender = network.add_device(config);
+    emu::HpavDevice& sink = network.add_device(config);
+    SaturatedStation neighbour(make_entity(9), frames::Priority::kCa1,
+                               des::SimTime::from_us(50.0));
+    network.domain().add_participant(neighbour);
+    OneSlotAtATime slot_by_slot;
+    if (one_at_a_time) network.domain().add_participant(slot_by_slot);
+    BusyLog log;
+    network.domain().add_observer(log);
+    // One full PB and a 490-byte tail, every 3 ms.
+    frames::EthernetFrame frame;
+    frame.destination = sink.mac();
+    frame.source = sender.mac();
+    frame.ether_type = frames::kEtherTypeIpv4;
+    frame.payload.assign(986, 0x5A);
+    std::function<void()> send;
+    send = [&] {
+      sender.host_send(frame);
+      network.scheduler().schedule(des::SimTime::from_us(3'000.0), send);
+    };
+    network.start();
+    send();
+    network.run_for(des::SimTime::from_seconds(0.3));
+    Observed observed;
+    observed.busy = log.busy;
+    observed.domain = describe(network.domain().stats());
+    observed.delivered = sink.host_frames_delivered();
+    return observed;
+  };
+  const Observed oracle = observe(true);
+  const Observed gaps = observe(false);
+  EXPECT_GT(oracle.delivered, 90);
+  EXPECT_EQ(gaps.busy, oracle.busy);
+  EXPECT_EQ(gaps.domain, oracle.domain);
+  EXPECT_EQ(gaps.delivered, oracle.delivered);
 }
 
 }  // namespace

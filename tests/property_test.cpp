@@ -5,11 +5,14 @@
 //    next_state arrays and all) must agree statistically with the
 //    framework's entity-based simulator across seeds and configurations.
 //  * Randomized convergence-layer round trips: frames of arbitrary sizes
-//    through Segmenter/Reassembler with random corruption patterns.
+//    through Segmenter/Reassembler with random corruption patterns, and
+//    runs of PBs fed in one call against the same PBs fed one by one.
 //  * Exact-chain sweep: the stationary solver matches long simulations
 //    for a family of small configurations.
 #include <ostream>
 #include <random>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -222,6 +225,90 @@ TEST_P(SegmentationFuzz, RandomFramesSurviveRandomCorruption) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SegmentationFuzz,
                          ::testing::Range(1, 17));
+
+// Two segmenters carry one stream. One reassembler takes its PBs one by
+// one, the other in random runs of consecutive PBs; after every run both
+// must have produced the same frame bytes, dropped the same frames and
+// released the same prefix. Random frame sizes over a small ring make
+// frames straddle its end, and more than 2^16 PBs wrap the SSNs.
+class ReassemblyRuns : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReassemblyRuns, FeedingRunsEqualsFeedingSinglePbs) {
+  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()));
+  const auto uniform = [&rng](int low, int high) {
+    return std::uniform_int_distribution<int>(low, high)(rng);
+  };
+  const auto chance = [&rng](double p) {
+    return std::uniform_real_distribution<double>(0.0, 1.0)(rng) < p;
+  };
+  using Bytes = std::vector<std::uint8_t>;
+  frames::Segmenter single_source;
+  frames::Segmenter run_source;
+  frames::Reassembler single(single_source);
+  frames::Reassembler runs(run_source);
+  const double corruption = 0.002 * GetParam();
+  std::uint64_t pushed = 0;
+  std::int64_t pbs_fed = 0;
+  std::int64_t straddling = 0;
+  bool ssn_wrapped = false;
+  std::vector<frames::PhysicalBlock> pbs;
+  std::vector<frames::PhysicalBlock> run_pbs;
+  while (pbs_fed <= 70'000) {
+    for (int i = uniform(0, 4); i > 0; --i) {
+      frames::EthernetFrame frame;
+      frame.destination = frames::MacAddress::for_station(2);
+      frame.source = frames::MacAddress::for_station(1);
+      frame.ether_type = frames::kEtherTypeIpv4;
+      frame.payload.resize(static_cast<std::size_t>(uniform(0, 1500)));
+      for (auto& byte : frame.payload) byte = static_cast<std::uint8_t>(rng());
+      single_source.push_frame(frame);
+      run_source.push_frame(frame);
+      const std::uint64_t end = pushed + 2 + frame.wire_size();
+      const std::uint64_t ring = run_source.capacity();
+      if (pushed / ring != (end - 1) / ring) ++straddling;
+      pushed = end;
+    }
+    const int max_pbs = uniform(0, 40);
+    const bool flush = chance(0.3);
+    pbs.clear();
+    run_pbs.clear();
+    single_source.pop_pbs(max_pbs, flush, pbs);
+    run_source.pop_pbs(max_pbs, flush, run_pbs);
+    ASSERT_EQ(pbs.size(), run_pbs.size());
+    for (std::size_t i = 0; i < pbs.size(); ++i) {
+      if (pbs[i].ssn == 0 && pbs_fed > 0) ssn_wrapped = true;
+      pbs[i].received_ok = run_pbs[i].received_ok = !chance(corruption);
+    }
+    for (std::size_t at = 0; at < pbs.size();) {
+      const auto length = static_cast<std::size_t>(
+          uniform(1, static_cast<int>(pbs.size() - at)));
+      std::vector<Bytes> one_by_one;
+      for (std::size_t i = at; i < at + length; ++i) {
+        for (const std::span<const std::uint8_t> bytes :
+             single.push_pb(pbs[i])) {
+          one_by_one.emplace_back(bytes.begin(), bytes.end());
+        }
+      }
+      std::vector<Bytes> in_one_call;
+      for (const std::span<const std::uint8_t> bytes :
+           runs.push_pbs(std::span(run_pbs).subspan(at, length))) {
+        in_one_call.emplace_back(bytes.begin(), bytes.end());
+      }
+      ASSERT_EQ(in_one_call, one_by_one) << "run at PB " << pbs_fed;
+      ASSERT_EQ(runs.frames_delivered(), single.frames_delivered());
+      ASSERT_EQ(runs.frames_dropped(), single.frames_dropped());
+      ASSERT_EQ(run_source.released(), single_source.released());
+      at += length;
+      pbs_fed += static_cast<std::int64_t>(length);
+    }
+  }
+  EXPECT_TRUE(ssn_wrapped);
+  EXPECT_GT(straddling, 100);
+  EXPECT_GT(single.frames_delivered(), 10'000);
+  EXPECT_GT(single.frames_dropped(), 10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReassemblyRuns, ::testing::Range(1, 4));
 
 // --- Exact-chain sweep ------------------------------------------------------------------
 

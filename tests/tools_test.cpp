@@ -351,6 +351,28 @@ TEST(Testbed, ProgressMeterLeavesTheRunUnchanged) {
   EXPECT_EQ(meter.lines_printed(), 6);
 }
 
+TEST(Testbed, ProgressMeterIsFedTheRunsMediumEvents) {
+  // The heartbeat's unit is the medium event (idle slots, exchanges and
+  // beacons), as in the sim leg, not the scheduler's dispatches: with
+  // idle gaps and MME timers the two differ.
+  TestbedConfig config;
+  config.stations = 3;
+  config.mme_interval = des::SimTime::from_us(50'000.0);
+  config.warmup = des::SimTime::from_seconds(0.5);
+  config.duration = des::SimTime::from_seconds(2.5);
+  obs::Registry registry;
+  config.registry = &registry;
+  std::ostringstream lines;
+  obs::ProgressMeter::Options options;
+  options.out = &lines;
+  obs::ProgressMeter meter(des::SimTime::from_seconds(3.0), options);
+  config.progress = &meter;
+  run_saturated_testbed(config);
+  const double medium_events = registry.snapshot().total("medium.events");
+  EXPECT_GT(medium_events, 0.0);
+  EXPECT_EQ(static_cast<double>(meter.events_completed()), medium_events);
+}
+
 TEST(Testbed, RejectsBadConfig) {
   TestbedConfig config;
   config.stations = 0;
