@@ -397,11 +397,10 @@ int HpavDevice::idle_slots_ahead() {
     }
   }
   if (ready_at == des::SimTime::max()) return std::numeric_limits<int>::max();
+  // The slots that start before it (it is at most 500 us away).
   const std::int64_t slot = network_.domain().timing().slot.ns();
-  const std::int64_t before =
-      ((ready_at - network_.scheduler().now()).ns() + slot - 1) / slot;
   return static_cast<int>(
-      std::min<std::int64_t>(before, std::numeric_limits<int>::max()));
+      ((ready_at - network_.scheduler().now()).ns() + slot - 1) / slot);
 }
 
 void HpavDevice::on_idle_slots(int count) {

@@ -330,7 +330,7 @@ void ContentionDomain::idle_gap(des::SimTime region_end,
     metrics_->airtime_ns[t]->add(duration.ns());
   }
   if (trace_ != nullptr) {
-    // One span per slot, at its own start, as per-slot dispatch records.
+    // One span per idle slot, at its own start.
     obs::TraceEvent span;
     span.name = event_type_name(MediumEventType::kIdleSlot);
     span.duration = timing_.slot;
