@@ -173,20 +173,21 @@ void HpavDevice::enqueue_for_wire(const frames::EthernetFrame& frame,
   util::require(destination != this,
                 "HpavDevice: frame addressed to the sending device");
 
-  const auto key = std::pair(destination->tei(), priority);
-  auto at = std::lower_bound(
-      links_.begin(), links_.end(), key,
-      [](const std::unique_ptr<Link>& l, const auto& k) {
-        return std::pair(l->dst_tei, l->priority) < k;
-      });
-  if (at == links_.end() || std::pair((*at)->dst_tei, (*at)->priority) != key) {
-    at = links_.insert(at, std::make_unique<Link>());
-    (*at)->dst_tei = destination->tei();
-    (*at)->dst_mac = frame.destination;
-    (*at)->priority = priority;
-    (*at)->is_mme = is_mme;
+  Link* found = find_link(destination->tei(), priority);
+  if (found == nullptr) {
+    const auto key = std::pair(destination->tei(), priority);
+    const auto at = std::lower_bound(
+        links_.begin(), links_.end(), key,
+        [](const std::unique_ptr<Link>& l, const auto& k) {
+          return std::pair(l->dst_tei, l->priority) < k;
+        });
+    found = links_.insert(at, std::make_unique<Link>())->get();
+    found->dst_tei = destination->tei();
+    found->dst_mac = frame.destination;
+    found->priority = priority;
+    found->is_mme = is_mme;
   }
-  Link& link = **at;
+  Link& link = *found;
   const bool was_ready = link_ready(link);
   if (!link.segmenter.has_pending_bytes() && link.retx.empty()) {
     link.oldest_arrival = network_.scheduler().now();
