@@ -6,13 +6,11 @@
 // drives the receiver's tone-map updates, whose rate — and cost in
 // goodput — is reported, with adaptation on and off.
 #include <iostream>
-#include <memory>
 
 #include "bench_main.hpp"
 #include "emu/network.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
-#include "workload/sources.hpp"
 
 namespace {
 
@@ -46,19 +44,8 @@ RunResult run_case(double mean_good_s, bool adaptation_enabled,
     }
   });
 
-  workload::FrameTemplate frame_template;
-  frame_template.destination = receiver.mac();
-  frame_template.source = sender.mac();
-  workload::SaturatedSource source(
-      frame_template,
-      [&sender](const frames::EthernetFrame& frame) {
-        sender.host_send(frame);
-      },
-      [&sender] { return sender.tx_backlog_pbs(); }, 256);
-  sender.set_drain_callback([&source] { source.top_up(); });
-
   network.start();
-  source.top_up();
+  sender.saturate(receiver.mac());
   network.run_for(des::SimTime::from_seconds(seconds));
 
   RunResult result;

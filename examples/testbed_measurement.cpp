@@ -16,7 +16,6 @@
 #include "emu/network.hpp"
 #include "tools/ampstat.hpp"
 #include "tools/faifa.hpp"
-#include "workload/sources.hpp"
 
 int main(int argc, char** argv) {
   using namespace plc;
@@ -30,23 +29,10 @@ int main(int argc, char** argv) {
   std::printf("power strip: %d stations + destination %s\n", n,
               destination.mac().to_string().c_str());
 
-  // Saturating sources (an iperf per station, if you like), refilled
+  // Saturating hosts (an iperf per station, if you like), refilled
   // each time their station stages a burst.
-  std::vector<std::unique_ptr<workload::SaturatedSource>> sources;
   for (emu::HpavDevice* station : stations) {
-    workload::FrameTemplate frames;
-    frames.destination = destination.mac();
-    frames.source = station->mac();
-    sources.push_back(std::make_unique<workload::SaturatedSource>(
-        frames,
-        [station](const plc::frames::EthernetFrame& frame) {
-          station->host_send(frame);
-        },
-        [station] { return station->tx_backlog_pbs(); },
-        /*target_backlog=*/128));
-    workload::SaturatedSource* source = sources.back().get();
-    station->set_drain_callback([source] { source->top_up(); });
-    source->top_up();
+    station->saturate(destination.mac());
   }
 
   // One ampstat shell per station; faifa on the destination.

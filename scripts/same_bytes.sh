@@ -7,15 +7,17 @@
 #     --capture, --trace, --metrics and --report: capture, trace, metrics
 #     and stdout byte for byte, the report apart from its wall fields;
 #   - six bench_ext_* harnesses: stdout apart from lines that mention
-#     wall time, the BENCH JSON apart from its wall fields.
+#     wall time, the BENCH JSON apart from its wall fields;
+#   - `testbed_measurement 3 20`, the §3 measurement example: stdout.
 #
 # usage: scripts/same_bytes.sh <parent-build> <change-build> [work-dir]
 #
 # Each build is a CMake build tree of this repository (examples/plcsim,
-# bench/bench_ext_*). Outputs go to work-dir (default: a fresh temporary
-# directory), under parent/ and change/. Prints one line per check and
-# exits 0 when everything matches, 1 on any other difference, 2 on a
-# usage error or a failed run.
+# examples/testbed_measurement, bench/bench_ext_*). Outputs go to
+# work-dir (default: a fresh temporary directory), under parent/ and
+# change/. Prints one line per check and exits 0 when everything
+# matches, 1 on any other difference, 2 on a usage error or a failed
+# run.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
@@ -129,6 +131,18 @@ for bench in tdma_qos priority_classes retry_limit delay_vs_load mme_overhead \
     differ "bench_ext_$bench $json"
   fi
 done
+
+# --- The testbed_measurement example ------------------------------------------------
+for i in 0 1; do
+  run_in "${sides[$i]}" "${builds[$i]}/examples/testbed_measurement" 3 20 \
+    > "$work/${sides[$i]}/testbed_measurement.out"
+done
+if cmp -s "$work/parent/testbed_measurement.out" \
+     "$work/change/testbed_measurement.out"; then
+  same "testbed_measurement 3 20 stdout"
+else
+  differ "testbed_measurement 3 20 stdout"
+fi
 
 echo "outputs in $work"
 if [[ $differences -gt 0 ]]; then

@@ -24,6 +24,9 @@ constexpr des::SimTime kPinnedMpduDuration = des::SimTime::from_ns(1'025'000);
 /// its oldest byte has waited this long (vendor-unknown; documented
 /// value).
 constexpr des::SimTime kAggregationTimeout = des::SimTime::from_ns(500'000);
+/// Payload of a saturating host's frame: a typical saturating UDP
+/// datagram.
+constexpr std::size_t kSaturatedPayloadBytes = 1470;
 
 // Tone-map adaptation (DeviceConfig::adaptation).
 constexpr double kStepDownThreshold = 0.10;  ///< EWMA error to go more robust.
@@ -99,10 +102,6 @@ void HpavDevice::add_host_listener(HostReceiveFn callback) {
   util::check_arg(static_cast<bool>(callback), "callback",
                   "must not be empty");
   host_listeners_.push_back(std::move(callback));
-}
-
-void HpavDevice::set_drain_callback(DrainFn callback) {
-  drain_ = std::move(callback);
 }
 
 void HpavDevice::deliver_to_host(const frames::EthernetFrame& frame) {
@@ -198,12 +197,36 @@ void HpavDevice::enqueue_for_wire(const frames::EthernetFrame& frame,
     if (link_ready(link)) {
       network_.domain().notify_pending();
     } else if (!link.is_mme) {
-      // Partial physical block: becomes sendable at the aggregation
-      // timeout; wake the domain then.
-      network_.scheduler().schedule(kAggregationTimeout, [this] {
-        network_.domain().notify_pending();
-      });
+      wake_at_aggregation_timeout(link);
     }
+  }
+}
+
+void HpavDevice::wake_at_aggregation_timeout(const Link& link) {
+  network_.scheduler().schedule_at(
+      link.oldest_arrival + kAggregationTimeout,
+      [this] { network_.domain().notify_pending(); });
+}
+
+void HpavDevice::saturate(const frames::MacAddress& destination) {
+  frames::EthernetFrame& frame = saturating_frame_.emplace();
+  frame.destination = destination;
+  frame.source = mac_;
+  frame.ether_type = frames::kEtherTypeIpv4;
+  frame.payload.assign(kSaturatedPayloadBytes, 0);
+  top_up();
+}
+
+void HpavDevice::top_up() {
+  frames::EthernetFrame& frame = *saturating_frame_;
+  while (tx_backlog_pbs() < kSaturatedBacklogPbs) {
+    // Stamp a sequence number so end-to-end tests can check ordering.
+    for (std::size_t i = 0; i < 4; ++i) {
+      frame.payload[i] =
+          static_cast<std::uint8_t>(saturating_sequence_ >> (8 * (3 - i)));
+    }
+    ++saturating_sequence_;
+    enqueue_for_wire(frame, kDataPriority, /*is_mme=*/false);
   }
 }
 
@@ -363,7 +386,12 @@ bool HpavDevice::stage_and_describe(medium::TxDescriptor& descriptor) {
     for (frames::Mpdu& mpdu : staged()) {
       mpdu.sof.mpdu_cnt = static_cast<std::uint8_t>(--remaining);
     }
-    if (drain_) drain_();
+    if (saturating_frame_.has_value()) top_up();
+    // A partly filled block left behind turns ready at its aggregation
+    // timeout, which no other event may mark.
+    if (link->segmenter.has_pending_bytes() && !link_ready(*link)) {
+      wake_at_aggregation_timeout(*link);
+    }
   }
 
   descriptor.priority = staged_link_->priority;
@@ -387,21 +415,9 @@ int HpavDevice::idle_slots_ahead() {
   if (contending_.has_value()) {
     return entity_for(*contending_).backoff_counter();
   }
-  // Nothing pending, so every link with bytes holds a partly filled data
-  // block. It turns ready once its oldest byte has waited the
-  // aggregation timeout; when the device's own staging left the block
-  // behind, no scheduler event marks that instant.
-  des::SimTime ready_at = des::SimTime::max();
-  for (const std::unique_ptr<Link>& link : links_) {
-    if (link->segmenter.has_pending_bytes()) {
-      ready_at = std::min(ready_at, link->oldest_arrival + kAggregationTimeout);
-    }
-  }
-  if (ready_at == des::SimTime::max()) return std::numeric_limits<int>::max();
-  // The slots that start before it (it is at most 500 us away).
-  const std::int64_t slot = network_.domain().timing().slot.ns();
-  return static_cast<int>(
-      ((ready_at - network_.scheduler().now()).ns() + slot - 1) / slot);
+  // Nothing pending: every link with bytes holds a partly filled data
+  // block, and a wake-up event marks its aggregation timeout.
+  return std::numeric_limits<int>::max();
 }
 
 void HpavDevice::on_idle_slots(int count) {

@@ -100,11 +100,13 @@ inline constexpr int kToneMapProfileCount = 4;
 inline constexpr int kDefaultToneMapProfile = 3;
 const phy::ToneMap& tonemap_profile(int index);
 
+/// Transmit backlog a saturating host keeps queued (see saturate): two
+/// full bursts' worth of PBs, so every burst has the full shape.
+inline constexpr std::size_t kSaturatedBacklogPbs =
+    4 * kBurstMpdus * kMaxPbsPerMpdu;
+
 /// Callback receiving frames on the device's host interface.
 using HostReceiveFn = std::function<void(const frames::EthernetFrame&)>;
-
-/// Callback fired when the device has taken PBs off its transmit queues.
-using DrainFn = std::function<void()>;
 
 /// The emulated station.
 class HpavDevice final : public medium::Participant,
@@ -127,12 +129,14 @@ class HpavDevice final : public medium::Participant,
   /// without displacing the application's callback).
   void add_host_listener(HostReceiveFn callback);
 
-  /// Installs the drain callback, replacing any previous one (an empty
-  /// function detaches it). It fires each time the device stages a burst,
-  /// right after taking the burst's PBs off its queues, so a host that
-  /// keeps the device saturated refills it there
-  /// (workload::SaturatedSource::top_up). It may call host_send.
-  void set_drain_callback(DrainFn callback);
+  /// Makes the host a saturating UDP flood to `destination` (§3.1): it
+  /// sends 1,470-byte IPv4 frames from this device, the first four
+  /// payload bytes a big-endian sequence number from 0, while the
+  /// transmit backlog is below kSaturatedBacklogPbs. It fills the backlog
+  /// now and again each time the device stages a burst, right after
+  /// taking the burst's PBs off its queues, so the backlog is back at
+  /// target before anything reads it.
+  void saturate(const frames::MacAddress& destination);
 
   // --- Device-to-device management traffic (§3.3 / E10) ------------------
   /// Starts emitting a management frame of `payload_bytes` to `peer`
@@ -147,9 +151,9 @@ class HpavDevice final : public medium::Participant,
   /// priority (re-)arms that class's backoff entity.
   std::optional<frames::Priority> pending() override;
   bool poll_transmit(medium::TxDescriptor& burst) override;
-  /// Contending: the class's backoff counter. Nothing pending: the slots
-  /// that start before a partly filled block turns ready by its
-  /// aggregation timeout (no limit without one).
+  /// Contending: the class's backoff counter. Nothing pending: no limit,
+  /// since a partly filled block turns ready at its aggregation timeout,
+  /// where a wake-up event is scheduled.
   int idle_slots_ahead() override;
   void on_idle_slots(int count) override;
   void on_busy(bool transmitted, bool success) override;
@@ -233,7 +237,12 @@ class HpavDevice final : public medium::Participant,
   void deliver_to_host(const frames::EthernetFrame& frame);
   void enqueue_for_wire(const frames::EthernetFrame& frame,
                         frames::Priority priority, bool is_mme);
+  /// Sends saturating frames while the backlog is below target.
+  void top_up();
   bool link_ready(const Link& link) const;
+  /// Wakes the domain when `link`'s partly filled block passes its
+  /// aggregation timeout.
+  void wake_at_aggregation_timeout(const Link& link);
   /// The link to `dst_tei` at `priority`, or nullptr.
   Link* find_link(int dst_tei, frames::Priority priority) const;
   /// Highest-priority ready link; the first in links_ order on a tie.
@@ -272,7 +281,10 @@ class HpavDevice final : public medium::Participant,
   DeviceConfig config_;
   des::RandomStream rng_;
   std::vector<HostReceiveFn> host_listeners_;
-  DrainFn drain_;
+  /// The saturating host's frame (none until saturate()), restamped for
+  /// each one it sends.
+  std::optional<frames::EthernetFrame> saturating_frame_;
+  std::uint32_t saturating_sequence_ = 0;
 
   /// The device's links in (destination TEI, priority) order. A device
   /// has a handful; each Link stays where it was made, since a receiver

@@ -205,8 +205,8 @@ class ContentionDomain {
   std::vector<int> contender_ids_;
   /// Each participant's answer to this boundary's pending() (indexed by
   /// id). Nothing a boundary runs between the poll and its readers can
-  /// change an answer: a poll_transmit, and the drain callback it may
-  /// fire, refill only the polled station.
+  /// change an answer: a poll_transmit, and the saturating host's refill
+  /// it may run, fill only the polled station.
   std::vector<std::optional<frames::Priority>> pending_;
   /// One burst descriptor per participant (indexed by id), filled by its
   /// polls; a transmitter's entry holds its burst for the boundary.

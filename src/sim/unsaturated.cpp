@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "des/random.hpp"
 #include "des/scheduler.hpp"
@@ -10,9 +11,34 @@
 #include "medium/domain.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
-#include "workload/sources.hpp"
 
 namespace plc::sim {
+
+PoissonArrivals::PoissonArrivals(des::Scheduler& scheduler,
+                                 medium::ContentionDomain& domain,
+                                 mac::QueueStation& station, double rate_fps,
+                                 des::RandomStream rng)
+    : scheduler_(scheduler),
+      domain_(domain),
+      station_(station),
+      mean_gap_s_(1.0 / rate_fps),
+      rng_(std::move(rng)) {
+  util::check_arg(rate_fps > 0.0, "rate_fps", "must be positive");
+}
+
+void PoissonArrivals::start() { schedule_next(); }
+
+void PoissonArrivals::schedule_next() {
+  scheduler_.schedule(des::SimTime::from_seconds(rng_.exponential(mean_gap_s_)),
+                      [this] { arrive(); });
+}
+
+void PoissonArrivals::arrive() {
+  station_.enqueue_frame();
+  domain_.notify_pending();
+  ++arrivals_;
+  schedule_next();
+}
 
 PoissonMacResult run_poisson_mac(const PoissonMacSpec& spec) {
   util::check_arg(spec.stations >= 1, "stations", "must be >= 1");
@@ -38,27 +64,14 @@ PoissonMacResult run_poisson_mac(const PoissonMacSpec& spec) {
     domain.add_participant(*stations.back());
   }
 
-  // Poisson sources; the generated Ethernet frame is a placeholder (the
-  // pure-MAC station only counts frames), arrivals and wake-ups are what
-  // matter.
-  std::vector<std::unique_ptr<workload::PoissonSource>> sources;
+  std::vector<std::unique_ptr<PoissonArrivals>> arrivals;
   for (int i = 0; i < spec.stations; ++i) {
-    workload::FrameTemplate frame_template;
-    frame_template.destination = frames::MacAddress::for_station(254);
-    frame_template.source =
-        frames::MacAddress::for_station(i + 1);
-    mac::QueueStation* station = stations[static_cast<std::size_t>(i)].get();
-    sources.push_back(std::make_unique<workload::PoissonSource>(
-        scheduler, frame_template,
-        [station, &domain](const frames::EthernetFrame&) {
-          station->enqueue_frame();
-          domain.notify_pending();
-          return station->queue_depth();
-        },
+    arrivals.push_back(std::make_unique<PoissonArrivals>(
+        scheduler, domain, *stations[static_cast<std::size_t>(i)],
         spec.arrival_rate_fps,
         des::RandomStream(
             root.derive_seed("arrivals-" + std::to_string(i)))));
-    sources.back()->start();
+    arrivals.back()->start();
   }
 
   domain.start();
@@ -68,7 +81,7 @@ PoissonMacResult run_poisson_mac(const PoissonMacSpec& spec) {
   util::QuantileEstimator delays;
   util::RunningStats delay_stats;
   for (std::size_t i = 0; i < stations.size(); ++i) {
-    result.frames_generated += sources[i]->frames_generated();
+    result.frames_generated += arrivals[i]->arrivals();
     result.frames_delivered += stations[i]->stats().successes;
     result.backlog_at_end += stations[i]->queue_depth();
     for (const des::SimTime delay : stations[i]->delays()) {

@@ -7,11 +7,51 @@
 #include <cstdint>
 #include <vector>
 
+#include "des/random.hpp"
 #include "des/time.hpp"
 #include "mac/config.hpp"
 #include "phy/timing.hpp"
 
+namespace plc::des {
+class Scheduler;
+}
+namespace plc::mac {
+class QueueStation;
+}
+namespace plc::medium {
+class ContentionDomain;
+}
+
 namespace plc::sim {
+
+/// Poisson frame arrivals at `rate_fps` (frames per second) into one
+/// queueing station: each arrival enqueues a frame and wakes the domain.
+/// Scheduled arrivals hold its address, so it neither copies nor moves.
+class PoissonArrivals {
+ public:
+  PoissonArrivals(des::Scheduler& scheduler,
+                  medium::ContentionDomain& domain,
+                  mac::QueueStation& station, double rate_fps,
+                  des::RandomStream rng);
+  PoissonArrivals(const PoissonArrivals&) = delete;
+  PoissonArrivals& operator=(const PoissonArrivals&) = delete;
+
+  /// Schedules the first arrival.
+  void start();
+
+  std::int64_t arrivals() const { return arrivals_; }
+
+ private:
+  void schedule_next();
+  void arrive();
+
+  des::Scheduler& scheduler_;
+  medium::ContentionDomain& domain_;
+  mac::QueueStation& station_;
+  double mean_gap_s_;
+  des::RandomStream rng_;
+  std::int64_t arrivals_ = 0;
+};
 
 /// Configuration of one unsaturated run.
 struct PoissonMacSpec {

@@ -16,7 +16,6 @@
 #include "store/result_store.hpp"
 #include "tools/ampstat.hpp"
 #include "util/error.hpp"
-#include "workload/sources.hpp"
 
 namespace plc::tools {
 
@@ -40,27 +39,6 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
     stations.push_back(&network.add_device(config.device));
   }
   emu::HpavDevice& destination = network.add_device(config.device);
-
-  // Saturating sources, one per station, all towards D (§3). Each
-  // refills its station whenever the station stages a burst.
-  std::vector<std::unique_ptr<workload::SaturatedSource>> sources;
-  for (emu::HpavDevice* station : stations) {
-    workload::FrameTemplate frame_template;
-    frame_template.destination = destination.mac();
-    frame_template.source = station->mac();
-    // Keep at least two full bursts' worth of physical blocks queued so
-    // every burst has the full shape (saturation).
-    const std::size_t backlog_pbs = static_cast<std::size_t>(
-        4 * emu::kBurstMpdus * emu::kMaxPbsPerMpdu);
-    sources.push_back(std::make_unique<workload::SaturatedSource>(
-        frame_template,
-        [station](const frames::EthernetFrame& frame) {
-          station->host_send(frame);
-        },
-        [station] { return station->tx_backlog_pbs(); }, backlog_pbs));
-    station->set_drain_callback(
-        [source = sources.back().get()] { source->top_up(); });
-  }
 
   // Optional management chatter (MME-overhead methodology, §3.3).
   if (config.mme_interval > des::SimTime::zero()) {
@@ -110,7 +88,10 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
       .num("stations", config.stations)
       .num("duration_s", config.duration.seconds())
       .num("warmup_s", config.warmup.seconds());
-  for (const auto& source : sources) source->top_up();
+  // Saturating hosts, one per station, all towards D (§3).
+  for (emu::HpavDevice* station : stations) {
+    station->saturate(destination.mac());
+  }
   network.start();
   run_in_checkpoints(config.warmup);
 

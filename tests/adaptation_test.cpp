@@ -2,7 +2,6 @@
 // tone-map update MMEs, and receiver-driven modulation adaptation.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 
 #include "emu/network.hpp"
@@ -10,7 +9,6 @@
 #include "mme/tonemap_update.hpp"
 #include "phy/channel.hpp"
 #include "util/error.hpp"
-#include "workload/sources.hpp"
 
 namespace plc {
 namespace {
@@ -121,7 +119,6 @@ struct AdaptationFixture {
   emu::Network network{0xADA97};
   emu::HpavDevice* sender = nullptr;
   emu::HpavDevice* receiver = nullptr;
-  std::unique_ptr<workload::SaturatedSource> source;
 
   explicit AdaptationFixture(double good_error, double bad_error,
                              bool install_channel = true) {
@@ -137,21 +134,11 @@ struct AdaptationFixture {
       params.bad_pb_error = bad_error;
       network.add_link_channel(sender->tei(), receiver->tei(), params);
     }
-    workload::FrameTemplate frame_template;
-    frame_template.destination = receiver->mac();
-    frame_template.source = sender->mac();
-    source = std::make_unique<workload::SaturatedSource>(
-        frame_template,
-        [this](const frames::EthernetFrame& frame) {
-          sender->host_send(frame);
-        },
-        [this] { return sender->tx_backlog_pbs(); }, 256);
-    sender->set_drain_callback([this] { source->top_up(); });
   }
 
   void run(double seconds) {
     network.start();
-    source->top_up();
+    sender->saturate(receiver->mac());
     network.run_for(des::SimTime::from_seconds(seconds));
   }
 };

@@ -85,31 +85,6 @@ TEST(Scheduler, HorizonIsInclusive) {
   EXPECT_EQ(scheduler.now().ns(), 50);
 }
 
-TEST(Scheduler, CancelPreventsFiring) {
-  Scheduler scheduler;
-  bool fired = false;
-  const EventHandle handle =
-      scheduler.schedule(SimTime::from_ns(10), [&] { fired = true; });
-  EXPECT_TRUE(scheduler.cancel(handle));
-  EXPECT_FALSE(scheduler.cancel(handle));  // Second cancel is a no-op.
-  scheduler.run_until(SimTime::from_ns(100));
-  EXPECT_FALSE(fired);
-}
-
-TEST(Scheduler, CancelledHeadDoesNotLeakPastHorizon) {
-  Scheduler scheduler;
-  bool late_fired = false;
-  const EventHandle early =
-      scheduler.schedule(SimTime::from_ns(5), [] {});
-  scheduler.schedule(SimTime::from_ns(200), [&] { late_fired = true; });
-  scheduler.cancel(early);
-  scheduler.run_until(SimTime::from_ns(100));
-  EXPECT_FALSE(late_fired);
-  EXPECT_EQ(scheduler.now().ns(), 100);
-  scheduler.run_until(SimTime::from_ns(300));
-  EXPECT_TRUE(late_fired);
-}
-
 TEST(Scheduler, EventsCanScheduleEvents) {
   Scheduler scheduler;
   int chain = 0;
@@ -122,11 +97,6 @@ TEST(Scheduler, EventsCanScheduleEvents) {
   scheduler.schedule(SimTime::zero(), tick);
   scheduler.run_until(SimTime::from_us(1.0));
   EXPECT_EQ(chain, 10);
-}
-
-TEST(Scheduler, NullHandleCancelIsNoop) {
-  Scheduler scheduler;
-  EXPECT_FALSE(scheduler.cancel(EventHandle{}));
 }
 
 TEST(Scheduler, RejectsNegativeDelayAndPast) {
@@ -145,93 +115,6 @@ TEST(Scheduler, StepReturnsFalseWhenIdle) {
   scheduler.schedule(SimTime::from_ns(1), [] {});
   EXPECT_TRUE(scheduler.step());
   EXPECT_FALSE(scheduler.step());
-}
-
-TEST(Scheduler, PendingCountsLiveEvents) {
-  Scheduler scheduler;
-  const EventHandle a = scheduler.schedule(SimTime::from_ns(1), [] {});
-  scheduler.schedule(SimTime::from_ns(2), [] {});
-  EXPECT_EQ(scheduler.pending(), 2u);
-  scheduler.cancel(a);
-  EXPECT_EQ(scheduler.pending(), 1u);
-}
-
-TEST(Scheduler, CancelAfterFiringIsNoopEvenWhenTheSlotIsReused) {
-  Scheduler scheduler;
-  const EventHandle fired = scheduler.schedule(SimTime::from_ns(1), [] {});
-  scheduler.run_until(SimTime::from_ns(1));
-  EXPECT_FALSE(scheduler.cancel(fired));
-  // The next event takes the freed slot; the stale handle must not reach
-  // it.
-  bool reused_fired = false;
-  const EventHandle reused =
-      scheduler.schedule(SimTime::from_ns(1), [&] { reused_fired = true; });
-  EXPECT_FALSE(scheduler.cancel(fired));
-  EXPECT_EQ(scheduler.pending(), 1u);
-  scheduler.run_until(SimTime::from_ns(10));
-  EXPECT_TRUE(reused_fired);
-  EXPECT_FALSE(scheduler.cancel(reused));
-}
-
-TEST(Scheduler, CancelledSlotReuseKeepsTheNewEvent) {
-  Scheduler scheduler;
-  const EventHandle cancelled =
-      scheduler.schedule(SimTime::from_ns(5), [] { FAIL(); });
-  EXPECT_TRUE(scheduler.cancel(cancelled));
-  // Reuses the cancelled event's slot while its heap entry is still
-  // queued at t = 5.
-  bool fired = false;
-  scheduler.schedule(SimTime::from_ns(7), [&] { fired = true; });
-  EXPECT_FALSE(scheduler.cancel(cancelled));
-  EXPECT_EQ(scheduler.pending(), 1u);
-  scheduler.run_until(SimTime::from_ns(10));
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(scheduler.events_dispatched(), 1);
-  EXPECT_EQ(scheduler.pending(), 0u);
-}
-
-TEST(Scheduler, EventCancelsALaterOneFromItsCallback) {
-  Scheduler scheduler;
-  bool later_fired = false;
-  bool cancelled = false;
-  EventHandle later;
-  EventHandle self;
-  self = scheduler.schedule(SimTime::from_ns(1), [&] {
-    cancelled = scheduler.cancel(later);
-    // The running event has already left the queue.
-    EXPECT_FALSE(scheduler.cancel(self));
-  });
-  later = scheduler.schedule(SimTime::from_ns(2), [&] { later_fired = true; });
-  scheduler.run_until(SimTime::from_ns(10));
-  EXPECT_TRUE(cancelled);
-  EXPECT_FALSE(later_fired);
-  EXPECT_EQ(scheduler.events_dispatched(), 1);
-  EXPECT_EQ(scheduler.pending(), 0u);
-}
-
-TEST(Scheduler, PendingStaysExactAcrossSlotReuse) {
-  Scheduler scheduler;
-  std::vector<EventHandle> handles;
-  for (int i = 0; i < 8; ++i) {
-    handles.push_back(scheduler.schedule(SimTime::from_ns(10 + i), [] {}));
-  }
-  for (int i = 0; i < 8; i += 2) {
-    EXPECT_TRUE(scheduler.cancel(handles[static_cast<std::size_t>(i)]));
-  }
-  EXPECT_EQ(scheduler.pending(), 4u);
-  // Four new events take the four freed slots; the cancelled entries are
-  // still in the heap.
-  int fired = 0;
-  for (int i = 0; i < 4; ++i) {
-    scheduler.schedule(SimTime::from_ns(5), [&] { ++fired; });
-  }
-  EXPECT_EQ(scheduler.pending(), 8u);
-  scheduler.run_until(SimTime::from_ns(12));
-  EXPECT_EQ(fired, 4);
-  EXPECT_EQ(scheduler.pending(), 3u);  // t = 13, 15, 17 remain.
-  scheduler.run_until(SimTime::from_ns(100));
-  EXPECT_EQ(scheduler.pending(), 0u);
-  EXPECT_EQ(scheduler.events_dispatched(), 8);
 }
 
 TEST(Scheduler, RunningInStepsDispatchesTheSameSequence) {
@@ -277,13 +160,10 @@ TEST(Scheduler, RunningInStepsDispatchesTheSameSequence) {
   EXPECT_EQ(stepped, once);
 }
 
-TEST(Scheduler, NextBarrierSkipsCancelledHeadsAndSeesOnlyItsOwnRunsHorizon) {
+TEST(Scheduler, NextBarrierSeesOnlyItsOwnRunsHorizon) {
   Scheduler scheduler;
   EXPECT_EQ(scheduler.next_barrier(), SimTime::max());
-  const EventHandle early = scheduler.schedule_at(SimTime::from_ns(100), [] {});
   scheduler.schedule_at(SimTime::from_ns(300), [] {});
-  EXPECT_EQ(scheduler.next_barrier(), SimTime::from_ns(100));
-  scheduler.cancel(early);
   EXPECT_EQ(scheduler.next_barrier(), SimTime::from_ns(300));
   EXPECT_EQ(scheduler.pending(), 1u);
 

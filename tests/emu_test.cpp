@@ -1,5 +1,4 @@
 #include <map>
-#include <memory>
 #include <random>
 #include <vector>
 
@@ -9,7 +8,6 @@
 #include "emu/network.hpp"
 #include "mme/sniffer.hpp"
 #include "util/error.hpp"
-#include "workload/sources.hpp"
 
 namespace plc::emu {
 namespace {
@@ -129,6 +127,22 @@ TEST(Device, SmallFrameShipsAfterAggregationTimeout) {
   EXPECT_EQ(received, 1);
 }
 
+TEST(Device, TailLeftByStagingShipsAtItsAggregationTimeout) {
+  // One full PB and a 490-byte tail. With no exchange overheads the
+  // exchange that carries the full PB ends well before the tail's 500 us
+  // aggregation timeout, and nothing else is pending: the device must
+  // still wake the domain to send the tail.
+  Network network(7, phy::TimingConfig{});
+  DeviceConfig config;
+  config.tonemap = phy::ToneMap::high_rate();
+  HpavDevice& sender = network.add_device(config);
+  HpavDevice& receiver = network.add_device(config);
+  network.start();
+  sender.host_send(data_frame(sender, receiver, 986));
+  network.run_for(des::SimTime::from_seconds(1.0));
+  EXPECT_EQ(receiver.host_frames_delivered(), 1);
+}
+
 TEST(Device, CountersMatchDomainGroundTruth) {
   Network network(3);
   HpavDevice& a = network.add_device();
@@ -136,21 +150,8 @@ TEST(Device, CountersMatchDomainGroundTruth) {
   HpavDevice& d = network.add_device();
   network.start();
   // Saturate both senders toward d.
-  workload::FrameTemplate ta;
-  ta.destination = d.mac();
-  ta.source = a.mac();
-  workload::SaturatedSource sa(
-      ta, [&a](const frames::EthernetFrame& f) { a.host_send(f); },
-      [&a] { return a.tx_backlog_pbs(); }, 128);
-  workload::FrameTemplate tb = ta;
-  tb.source = b.mac();
-  workload::SaturatedSource sb(
-      tb, [&b](const frames::EthernetFrame& f) { b.host_send(f); },
-      [&b] { return b.tx_backlog_pbs(); }, 128);
-  a.set_drain_callback([&sa] { sa.top_up(); });
-  b.set_drain_callback([&sb] { sb.top_up(); });
-  sa.top_up();
-  sb.top_up();
+  a.saturate(d.mac());
+  b.saturate(d.mac());
   network.run_for(des::SimTime::from_seconds(5.0));
 
   const medium::DomainStats& stats = network.domain().stats();
@@ -190,15 +191,8 @@ TEST(Device, BurstsHaveUniformShapeUnderSaturation) {
     }
   } tap;
   network.domain().add_observer(tap);
-  workload::FrameTemplate t;
-  t.destination = receiver.mac();
-  t.source = sender.mac();
-  workload::SaturatedSource source(
-      t, [&sender](const frames::EthernetFrame& f) { sender.host_send(f); },
-      [&sender] { return sender.tx_backlog_pbs(); }, 128);
-  sender.set_drain_callback([&source] { source.top_up(); });
   network.start();
-  source.top_up();
+  sender.saturate(receiver.mac());
   network.run_for(des::SimTime::from_seconds(2.0));
   ASSERT_GT(tap.burst_sizes.size(), 100u);
   for (const int size : tap.burst_sizes) {
@@ -207,38 +201,63 @@ TEST(Device, BurstsHaveUniformShapeUnderSaturation) {
 }
 
 TEST(Device, SaturatedBacklogStaysBoundedWhenContending) {
-  // At N = 4 each station gets about a quarter of the medium; the source
+  // At N = 4 each station gets about a quarter of the medium; the host
   // tops its station up after every burst the station stages and must
   // hold every backlog at its target instead of letting the queues grow.
   Network network(6);
   std::vector<HpavDevice*> stations;
   for (int i = 0; i < 4; ++i) stations.push_back(&network.add_device());
   HpavDevice& destination = network.add_device();
-  constexpr std::size_t kTarget = 128;
-  std::vector<std::unique_ptr<workload::SaturatedSource>> sources;
-  workload::FrameTemplate t;
-  t.destination = destination.mac();
-  for (HpavDevice* station : stations) {
-    t.source = station->mac();
-    sources.push_back(std::make_unique<workload::SaturatedSource>(
-        t,
-        [station](const frames::EthernetFrame& f) { station->host_send(f); },
-        [station] { return station->tx_backlog_pbs(); }, kTarget));
-    station->set_drain_callback(
-        [source = sources.back().get()] { source->top_up(); });
-  }
+  constexpr std::size_t kTarget = kSaturatedBacklogPbs;
   network.start();
-  for (auto& source : sources) source->top_up();
+  for (HpavDevice* station : stations) station->saturate(destination.mac());
   network.run_for(des::SimTime::from_seconds(10.0));
 
   // One frame (length prefix included) completes at most this many PBs.
   const std::size_t frame_pbs =
-      (2 + t.make(0).wire_size() + frames::kPbBytes - 1) / frames::kPbBytes;
+      (2 + data_frame(*stations[0], destination, 1470).wire_size() +
+       frames::kPbBytes - 1) /
+      frames::kPbBytes;
   for (const HpavDevice* station : stations) {
     EXPECT_GT(station->counters().tx_totals().acknowledged, 0u);
     EXPECT_LE(station->tx_backlog_pbs(), kTarget + frame_pbs)
         << "station " << station->tei();
   }
+}
+
+TEST(Device, SaturateSendsNumberedFramesAndHoldsItsBacklog) {
+  Network network(16);
+  HpavDevice& sender = network.add_device();
+  HpavDevice& receiver = network.add_device();
+  std::vector<frames::EthernetFrame> received;
+  receiver.set_host_receive([&](const frames::EthernetFrame& frame) {
+    if (frame.ether_type == frames::kEtherTypeIpv4) {
+      received.push_back(frame);
+    }
+  });
+  network.start();
+  sender.saturate(receiver.mac());
+  EXPECT_GE(sender.tx_backlog_pbs(), kSaturatedBacklogPbs);
+  network.run_for(des::SimTime::from_seconds(1.0));
+  // Refilled whenever a burst is staged: at most one burst below target.
+  EXPECT_GE(sender.tx_backlog_pbs() +
+                static_cast<std::size_t>(kBurstMpdus * kMaxPbsPerMpdu),
+            kSaturatedBacklogPbs);
+
+  // 1,470-byte frames stamped 0, 1, 2, ... big-endian in their first
+  // four payload bytes, zeros after.
+  ASSERT_GT(received.size(), 1000u);
+  std::vector<std::uint8_t> expected(1470, 0);
+  for (std::size_t i = 0; i < received.size(); ++i) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      expected[b] = static_cast<std::uint8_t>(i >> (8 * (3 - b)));
+    }
+    ASSERT_EQ(received[i].payload, expected) << "frame " << i;
+    ASSERT_EQ(received[i].source, sender.mac());
+    ASSERT_EQ(received[i].destination, receiver.mac());
+  }
+  EXPECT_EQ(receiver.host_frames_delivered(),
+            static_cast<std::int64_t>(received.size()));
 }
 
 TEST(Device, MpduCntCountsDown) {
@@ -348,18 +367,13 @@ TEST(Device, PayloadBytesSurviveCollisionsAndPbErrors) {
       received[frame.source].push_back(frame);
     }
   });
-  std::map<int, std::uint32_t> sent;
-  for (HpavDevice* sender : {&a, &b}) {
-    sender->set_drain_callback([&, sender] {
-      while (sender->tx_backlog_pbs() < 128) {
-        sender->host_send(numbered_frame(*sender, d, sent[sender->tei()]++));
-      }
-    });
-  }
+  // More frames than either sender delivers in the run, so both stay
+  // backlogged throughout.
+  constexpr std::uint32_t kSent = 8'000;
   network.start();
   for (HpavDevice* sender : {&a, &b}) {
-    while (sender->tx_backlog_pbs() < 128) {
-      sender->host_send(numbered_frame(*sender, d, sent[sender->tei()]++));
+    for (std::uint32_t i = 0; i < kSent; ++i) {
+      sender->host_send(numbered_frame(*sender, d, i));
     }
   }
   network.run_for(des::SimTime::from_seconds(2.0));
@@ -369,7 +383,7 @@ TEST(Device, PayloadBytesSurviveCollisionsAndPbErrors) {
     // Complete, in order and byte for byte: a prefix of what was sent.
     const std::vector<frames::EthernetFrame>& got = received[sender->mac()];
     ASSERT_GT(got.size(), 1000u) << "station " << sender->tei();
-    ASSERT_LE(got.size(), sent[sender->tei()]);
+    ASSERT_LT(got.size(), kSent) << "station " << sender->tei();
     for (std::size_t i = 0; i < got.size(); ++i) {
       const frames::EthernetFrame expected =
           numbered_frame(*sender, d, static_cast<std::uint32_t>(i));

@@ -19,7 +19,6 @@
 #include "sim/unsaturated.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
-#include "workload/sources.hpp"
 
 namespace plc::medium {
 namespace {
@@ -306,6 +305,40 @@ TEST(Domain, QueueStationDrainsBacklogInOrder) {
   }
 }
 
+TEST(PoissonArrivals, RateIsStatisticallyCorrect) {
+  des::Scheduler scheduler;
+  ContentionDomain domain(scheduler, phy::TimingConfig::paper_default());
+  mac::QueueStation station(make_entity(7), frames::Priority::kCa1, kMpdu,
+                            scheduler);
+  domain.add_participant(station);
+  sim::PoissonArrivals arrivals(scheduler, domain, station, 100.0,
+                                des::RandomStream(7));
+  arrivals.start();
+  domain.start();
+  scheduler.run_until(des::SimTime::from_seconds(200.0));
+  // 20k expected; 3-sigma ~ 3*sqrt(20000) ~ 424.
+  EXPECT_NEAR(static_cast<double>(arrivals.arrivals()), 20'000.0, 600.0);
+  // Every arrival queued one frame, which the station woke to send or
+  // still holds; a frame whose exchange is in flight counts as both.
+  const std::int64_t carried =
+      station.stats().successes +
+      static_cast<std::int64_t>(station.queue_depth());
+  EXPECT_GE(carried, arrivals.arrivals());
+  EXPECT_LE(carried, arrivals.arrivals() + 1);
+}
+
+TEST(PoissonArrivals, RejectsNonPositiveRate) {
+  des::Scheduler scheduler;
+  ContentionDomain domain(scheduler, phy::TimingConfig::paper_default());
+  mac::QueueStation station(make_entity(8), frames::Priority::kCa1, kMpdu,
+                            scheduler);
+  for (const double rate : {0.0, -1.0}) {
+    EXPECT_THROW(sim::PoissonArrivals(scheduler, domain, station, rate,
+                                      des::RandomStream(1)),
+                 plc::Error);
+  }
+}
+
 // --- Retry limits (standard behaviour; the paper assumes infinite) -----------------------
 
 TEST(RetryLimit, SaturatedStationDropsAndRestartsAtStageZero) {
@@ -453,23 +486,15 @@ TEST(DomainPin, PoissonQueueStations) {
   des::Scheduler scheduler;
   ContentionDomain domain(scheduler, phy::TimingConfig::paper_default());
   std::vector<std::unique_ptr<mac::QueueStation>> stations;
-  std::vector<std::unique_ptr<workload::PoissonSource>> sources;
+  std::vector<std::unique_ptr<sim::PoissonArrivals>> sources;
   for (int i = 0; i < 3; ++i) {
     stations.push_back(std::make_unique<mac::QueueStation>(
         make_entity(40 + static_cast<std::uint64_t>(i)),
         frames::Priority::kCa1, kMpdu, scheduler, /*retry_limit=*/3));
     domain.add_participant(*stations.back());
-    mac::QueueStation* station = stations.back().get();
-    workload::FrameTemplate frame_template;
-    frame_template.destination = frames::MacAddress::for_station(254);
-    frame_template.source = frames::MacAddress::for_station(i + 1);
-    sources.push_back(std::make_unique<workload::PoissonSource>(
-        scheduler, frame_template,
-        [station, &domain](const frames::EthernetFrame&) {
-          station->enqueue_frame();
-          domain.notify_pending();
-        },
-        120.0, des::RandomStream(50 + static_cast<std::uint64_t>(i))));
+    sources.push_back(std::make_unique<sim::PoissonArrivals>(
+        scheduler, domain, *stations.back(), 120.0,
+        des::RandomStream(50 + static_cast<std::uint64_t>(i))));
     sources.back()->start();
   }
   domain.start();
@@ -733,16 +758,8 @@ TEST(DomainGaps, SteppedRunsMatchSlotBySlotDispatch) {
           std::make_unique<GapCounter>(*station, one_at_a_time));
       domain.add_participant(*counters.back());
     }
-    workload::FrameTemplate frame_template;
-    frame_template.destination = frames::MacAddress::for_station(254);
-    frame_template.source = frames::MacAddress::for_station(3);
-    workload::PoissonSource arrivals(
-        scheduler, frame_template,
-        [&queue, &domain](const frames::EthernetFrame&) {
-          queue.enqueue_frame();
-          domain.notify_pending();
-        },
-        150.0, des::RandomStream(84));
+    sim::PoissonArrivals arrivals(scheduler, domain, queue, 150.0,
+                                  des::RandomStream(84));
     arrivals.start();
     domain.set_beacon_schedule(BeaconSchedule::default_60hz(
         {{0, des::SimTime::from_us(12'000.0),

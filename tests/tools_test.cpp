@@ -10,7 +10,6 @@
 #include "tools/testbed.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
-#include "workload/sources.hpp"
 
 namespace plc::tools {
 namespace {
