@@ -225,7 +225,7 @@ TEST(Device, SaturatedBacklogStaysBoundedWhenContending) {
   }
 }
 
-TEST(Device, SaturateSendsNumberedFramesAndHoldsItsBacklog) {
+TEST(Device, SaturateStampsSequenceNumbers) {
   Network network(16);
   HpavDevice& sender = network.add_device();
   HpavDevice& receiver = network.add_device();
@@ -237,12 +237,7 @@ TEST(Device, SaturateSendsNumberedFramesAndHoldsItsBacklog) {
   });
   network.start();
   sender.saturate(receiver.mac());
-  EXPECT_GE(sender.tx_backlog_pbs(), kSaturatedBacklogPbs);
   network.run_for(des::SimTime::from_seconds(1.0));
-  // Refilled whenever a burst is staged: at most one burst below target.
-  EXPECT_GE(sender.tx_backlog_pbs() +
-                static_cast<std::size_t>(kBurstMpdus * kMaxPbsPerMpdu),
-            kSaturatedBacklogPbs);
 
   // 1,470-byte frames stamped 0, 1, 2, ... big-endian in their first
   // four payload bytes, zeros after.
@@ -258,6 +253,46 @@ TEST(Device, SaturateSendsNumberedFramesAndHoldsItsBacklog) {
   }
   EXPECT_EQ(receiver.host_frames_delivered(),
             static_cast<std::int64_t>(received.size()));
+}
+
+TEST(Device, SaturateKeepsBacklogAboveTarget) {
+  // The device takes a burst off its queues at a time and the host
+  // refills right after, so at no instant is the backlog more than one
+  // burst below target.
+  Network network(16);
+  HpavDevice& sender = network.add_device();
+  HpavDevice& receiver = network.add_device();
+  network.start();
+  sender.saturate(receiver.mac());
+  EXPECT_GE(sender.tx_backlog_pbs(), kSaturatedBacklogPbs);
+  constexpr std::size_t kBurstPbs = kBurstMpdus * kMaxPbsPerMpdu;
+  for (int step = 0; step < 100; ++step) {
+    network.run_for(des::SimTime::from_us(10'000.0));
+    EXPECT_GE(sender.tx_backlog_pbs() + kBurstPbs, kSaturatedBacklogPbs)
+        << "step " << step;
+  }
+  EXPECT_GT(receiver.host_frames_delivered(), 1000);
+}
+
+TEST(Device, SaturateNeverPushesAtOrAboveTarget) {
+  // Nothing drains before the network runs: the first saturate fills the
+  // backlog to target, and each of 2,000 later calls must find it full
+  // and push nothing.
+  Network network(16);
+  HpavDevice& sender = network.add_device();
+  HpavDevice& receiver = network.add_device();
+  network.start();
+  sender.saturate(receiver.mac());
+  const std::size_t filled = sender.tx_backlog_pbs();
+  // One frame (length prefix included) completes at most this many PBs.
+  const std::size_t frame_pbs =
+      (2 + data_frame(sender, receiver, 1470).wire_size() +
+       frames::kPbBytes - 1) /
+      frames::kPbBytes;
+  EXPECT_GE(filled, kSaturatedBacklogPbs);
+  EXPECT_LT(filled, kSaturatedBacklogPbs + frame_pbs);
+  for (int i = 0; i < 2000; ++i) sender.saturate(receiver.mac());
+  EXPECT_EQ(sender.tx_backlog_pbs(), filled);
 }
 
 TEST(Device, MpduCntCountsDown) {
