@@ -22,7 +22,8 @@ int main() {
   // The driver shards every (point x repetition) simulation and all 7 x 10
   // testbed tests across $PLC_JOBS workers; results are bit-identical to
   // the serial loop for any jobs count. The harness registry is bound in,
-  // so des.* counters accumulate across every run.
+  // so the sim leg's slot_sim.* and the testbed's medium.* and emu.*
+  // counters accumulate across every run.
   const int jobs = util::jobs_from_env();
   scenario::RunOptions options;
   options.jobs = jobs;

@@ -10,6 +10,7 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
@@ -19,6 +20,8 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -39,7 +42,6 @@
 #include "obs/metrics.hpp"
 #include "obs/observatory.hpp"
 #include "obs/profiler.hpp"
-#include "obs/progress.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -395,6 +397,53 @@ struct Telemetry {
   }
 };
 
+/// --progress on sim and testbed: a view of the run's telemetry hub. A
+/// ticker thread prints obs::progress_line to stderr once per wall
+/// second; finish() stops it and prints the final line.
+class ProgressTicker {
+ public:
+  ProgressTicker(const obs::TelemetryHub& hub, double goal_sim_seconds)
+      : hub_(hub), goal_sim_seconds_(goal_sim_seconds),
+        thread_([this] { tick(); }) {}
+  ~ProgressTicker() { stop(); }
+  ProgressTicker(const ProgressTicker&) = delete;
+  ProgressTicker& operator=(const ProgressTicker&) = delete;
+
+  void finish() {
+    stop();
+    print(/*final_line=*/true);
+  }
+
+ private:
+  void print(bool final_line) const {
+    const std::string line =
+        obs::progress_line(hub_.progress(), goal_sim_seconds_, final_line);
+    std::cerr << line + "\n" << std::flush;
+  }
+  void tick() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!wake_.wait_for(lock, std::chrono::seconds(1),
+                           [this] { return done_; })) {
+      print(/*final_line=*/false);
+    }
+  }
+  void stop() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      done_ = true;
+    }
+    wake_.notify_one();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  const obs::TelemetryHub& hub_;
+  double goal_sim_seconds_;
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  bool done_ = false;
+  std::thread thread_;  ///< Last, so it starts after the members above.
+};
+
 int cmd_sim(const Args& args) {
   sim::RunSpec spec;
   spec.stations = args.get_int("n");
@@ -417,13 +466,12 @@ int cmd_sim(const Args& args) {
     observability.trace = &trace;
     observability.trace_counter_samples = args.has("trace-counters");
   }
-  std::unique_ptr<obs::ProgressMeter> progress;
-  if (args.has("progress")) {
-    progress = std::make_unique<obs::ProgressMeter>(
-        spec.duration * static_cast<std::int64_t>(spec.repetitions));
-    observability.progress = progress.get();
-  }
   Telemetry telemetry = Telemetry::from(args);
+  // --progress reads the hub; alone, it attaches one without a server,
+  // a series file or a report section.
+  if (args.has("progress") && telemetry.hub == nullptr) {
+    telemetry.hub = std::make_unique<obs::TelemetryHub>();
+  }
   observability.telemetry = telemetry.hub.get();
   // MAC-state observatory: --stations-out and --obs-window imply it.
   obs::ObservatoryOptions observatory_options;
@@ -451,13 +499,20 @@ int cmd_sim(const Args& args) {
 
   sim::ParallelRunner runner(args.has("jobs") ? args.get_int("jobs")
                                               : util::jobs_from_env());
+  std::optional<ProgressTicker> ticker;
+  if (args.has("progress")) {
+    const des::SimTime goal =
+        spec.duration * static_cast<std::int64_t>(spec.repetitions);
+    ticker.emplace(*telemetry.hub, goal.seconds());
+  }
   obs::RunReport report =
       runner.run_point_report(spec, "plcsim-sim", observability);
+  if (ticker) ticker->finish();
   std::printf("jobs=%d  speedup=%.2fx (serial-equivalent %.2f s)\n",
               runner.jobs(), runner.speedup(),
               runner.serial_equivalent_seconds());
   profile.write();
-  if (telemetry.hub != nullptr) {
+  if (telemetry.server != nullptr || !telemetry.timeseries_path.empty()) {
     // Sim reports already carry wall-clock fields, so embedding the
     // sampled series keeps the report's determinism story intact.
     telemetry.hub->sample_now();
@@ -595,17 +650,18 @@ int cmd_testbed(const Args& args) {
   obs::TraceSink trace;
   config.registry = &registry;
   if (!args.get_string("trace").empty()) config.trace = &trace;
-  std::unique_ptr<obs::ProgressMeter> progress;
-  if (args.has("progress")) {
-    progress =
-        std::make_unique<obs::ProgressMeter>(config.warmup + config.duration);
-    config.progress = progress.get();
-  }
   const ProfileOutputs profile = ProfileOutputs::from(args);
 
+  obs::TelemetryHub hub;
+  std::optional<ProgressTicker> ticker;
+  if (args.has("progress")) {
+    config.telemetry = &hub;
+    ticker.emplace(hub, (config.warmup + config.duration).seconds());
+  }
   obs::Stopwatch stopwatch;
   const tools::TestbedResult result = tools::run_saturated_testbed(config);
   const double wall_seconds = stopwatch.elapsed_seconds();
+  if (ticker) ticker->finish();
   profile.write();
 
   util::TablePrinter table({"station", "acked (Ai)", "collided (Ci)"});

@@ -3,9 +3,15 @@
 # that must not move any output:
 #   - the registry scenarios' reports at --jobs 1 and 4 (cmp);
 #   - a cold figure2 + table2 result store (diff -r);
+#   - `plcsim sim --n 5 --time-s 20 --reps 3 --observatory` with
+#     --stations-out, --trace --trace-counters, --metrics, --report and
+#     --progress, on 3 workers from PLC_JOBS: trace, metrics and stations
+#     JSONL byte for byte, stdout apart from its jobs/speedup and wall
+#     lines, the report apart from its wall fields;
 #   - `plcsim testbed --n 3 --time-s 20 --mme-ms 50 --sniff` with
-#     --capture, --trace, --metrics and --report: capture, trace, metrics
-#     and stdout byte for byte, the report apart from its wall fields;
+#     --capture, --trace, --metrics, --report and --progress: capture,
+#     trace, metrics and stdout byte for byte, the report apart from its
+#     wall fields;
 #   - six bench_ext_* harnesses: stdout apart from lines that mention
 #     wall time, the BENCH JSON apart from its wall fields;
 #   - `testbed_measurement 3 20`, the §3 measurement example: stdout.
@@ -84,11 +90,41 @@ else
   differ "figure2 + table2 store"
 fi
 
+# --- The sim CLI --------------------------------------------------------------------
+# Without --jobs, so the trace carries no wall-clock task spans.
+for i in 0 1; do
+  side=${sides[$i]}
+  run_in "$side" env PLC_JOBS=3 "$(plcsim "$i")" sim --n 5 --time-s 20 \
+    --reps 3 --observatory --stations-out sim-stations.jsonl \
+    --trace sim-trace.json --trace-counters --metrics sim-metrics.json \
+    --report sim-report.json --progress > "$work/$side/sim.out" 2> /dev/null
+  grep -v -e '^jobs=.*speedup' -e 'wall' "$work/$side/sim.out" \
+    > "$work/$side/sim.out.nowall" || true
+done
+for file in sim-trace.json sim-metrics.json sim-stations.jsonl; do
+  if cmp -s "$work/parent/$file" "$work/change/$file"; then
+    same "sim $file"
+  else
+    differ "sim $file"
+  fi
+done
+if cmp -s "$work/parent/sim.out.nowall" "$work/change/sim.out.nowall"; then
+  same "sim stdout (jobs and wall lines aside)"
+else
+  differ "sim stdout"
+fi
+if "${report_diff[@]}" "${wall_fields[@]}" "$work/parent/sim-report.json" \
+     "$work/change/sim-report.json" > /dev/null; then
+  same "sim sim-report.json (wall fields aside)"
+else
+  differ "sim sim-report.json"
+fi
+
 # --- The testbed CLI ----------------------------------------------------------------
 for i in 0 1; do
   run_in "${sides[$i]}" "$(plcsim "$i")" testbed --n 3 --time-s 20 \
     --mme-ms 50 --sniff --capture testbed.plcc --trace testbed-trace.json \
-    --metrics testbed-metrics.json --report testbed-report.json \
+    --metrics testbed-metrics.json --report testbed-report.json --progress \
     > "$work/${sides[$i]}/testbed.out" 2> /dev/null
 done
 for file in testbed.plcc testbed-trace.json testbed-metrics.json testbed.out; do

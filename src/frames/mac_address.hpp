@@ -44,6 +44,13 @@ class MacAddress {
 
   std::string to_string() const;
 
+  /// Compares the six bytes inline; the defaulted <=> below, which
+  /// orders addresses, would call memcmp for equality too.
+  friend constexpr bool operator==(const MacAddress& a, const MacAddress& b) {
+    return ((a.bytes_[0] ^ b.bytes_[0]) | (a.bytes_[1] ^ b.bytes_[1]) |
+            (a.bytes_[2] ^ b.bytes_[2]) | (a.bytes_[3] ^ b.bytes_[3]) |
+            (a.bytes_[4] ^ b.bytes_[4]) | (a.bytes_[5] ^ b.bytes_[5])) == 0;
+  }
   friend constexpr auto operator<=>(const MacAddress&,
                                     const MacAddress&) = default;
 

@@ -6,7 +6,6 @@
 #include <iostream>
 #include <ostream>
 
-#include "obs/json.hpp"
 #include "util/strings.hpp"
 
 namespace plc::obs {
@@ -59,10 +58,8 @@ void LogRecord::add_text(const char* key, std::string_view value) {
   ++field_count;
 }
 
-Log::Log(LogLevel level, std::ostream* text_sink, std::size_t ring_capacity)
-    : level_(level), text_sink_(text_sink), capacity_(ring_capacity) {
-  ring_.reserve(capacity_ < 64 ? capacity_ : 64);
-}
+Log::Log(LogLevel level, std::ostream* text_sink)
+    : level_(level), text_sink_(text_sink) {}
 
 Log& Log::instance() {
   static Log log = [] {
@@ -70,7 +67,7 @@ Log& Log::instance() {
     if (const char* env = std::getenv("PLC_LOG")) {
       level = parse_log_level(env, level);
     }
-    return Log(level, &std::cerr, 4096);
+    return Log(level, &std::cerr);
   }();
   return log;
 }
@@ -80,69 +77,12 @@ void Log::set_text_sink(std::ostream* out) {
   text_sink_ = out;
 }
 
-void Log::set_ring_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity;
-  ring_.clear();
-  head_ = 0;
-  size_ = 0;
-}
-
-void Log::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  head_ = 0;
-  size_ = 0;
-  recorded_ = 0;
-}
-
-std::size_t Log::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return size_;
-}
-
-std::size_t Log::capacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
-}
-
-std::int64_t Log::recorded() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return recorded_;
-}
-
-std::int64_t Log::dropped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return recorded_ - static_cast<std::int64_t>(size_);
-}
-
 void Log::write(LogRecord record) {
   record.wall_seconds = stopwatch_.elapsed_seconds();
   std::lock_guard<std::mutex> lock(mutex_);
-  if (capacity_ > 0) {
-    if (ring_.size() < capacity_) {
-      ring_.push_back(record);
-    } else {
-      ring_[head_] = record;
-    }
-    head_ = (head_ + 1) % capacity_;
-    size_ = ring_.size();
-  }
-  ++recorded_;
   if (text_sink_ != nullptr) {
     format_text(*text_sink_, record);
   }
-}
-
-std::vector<LogRecord> Log::records() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<LogRecord> out;
-  out.reserve(size_);
-  const std::size_t start = size_ < capacity_ ? 0 : head_;
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
 }
 
 void Log::format_text(std::ostream& out, const LogRecord& record) {
@@ -152,11 +92,6 @@ void Log::format_text(std::ostream& out, const LogRecord& record) {
   line += "] +";
   line += util::format_fixed(record.wall_seconds, 3);
   line += "s ";
-  if (record.sim_ns >= 0) {
-    line += "sim=";
-    line += des::SimTime::from_ns(record.sim_ns).to_string();
-    line += " ";
-  }
   line += record.component;
   line += ": ";
   line += record.message;
@@ -172,32 +107,6 @@ void Log::format_text(std::ostream& out, const LogRecord& record) {
   }
   line += "\n";
   out << line << std::flush;
-}
-
-void Log::write_jsonl(std::ostream& out) const {
-  for (const LogRecord& record : records()) {
-    JsonWriter json(out);
-    json.begin_object()
-        .field("level", to_string(record.level))
-        .field("wall_seconds", record.wall_seconds);
-    if (record.sim_ns >= 0) json.field("sim_ns", record.sim_ns);
-    json.field("component", record.component)
-        .field("message", record.message);
-    if (record.field_count > 0) {
-      json.key("fields").begin_object();
-      for (int i = 0; i < record.field_count; ++i) {
-        if (record.values[i].kind == LogValue::Kind::kNumber) {
-          json.field(record.keys[i], record.values[i].number);
-        } else {
-          json.field(record.keys[i],
-                     std::string_view(record.values[i].text));
-        }
-      }
-      json.end_object();
-    }
-    json.end_object();
-    out << '\n';
-  }
 }
 
 }  // namespace plc::obs

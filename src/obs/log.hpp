@@ -1,12 +1,11 @@
 // Leveled, structured, allocation-free logging for the simulator stack.
 //
 // A log record is a fixed-size POD: level, static component and message
-// strings, a wall-clock stamp, an optional simulated-time stamp, and up
-// to kMaxFields key=value fields (numbers, or short strings copied into
-// an inline buffer). Records below the active level cost one comparison.
-// Accepted records go to the bounded in-memory ring (oldest overwritten,
-// dumpable as JSONL) and, when a text sink is installed, are formatted as
-// one "[level] +wall component: message key=value ..." line.
+// strings, a wall-clock stamp, and up to kMaxFields key=value fields
+// (numbers, or short strings copied into an inline buffer). Records below
+// the active level cost one comparison. Accepted records go, when a text
+// sink is installed, to it as one "[level] +wall component: message
+// key=value ..." line.
 //
 // The process-global logger (obs::log() / the PLC_LOG_* macros) reads its
 // initial level from the PLC_LOG environment variable
@@ -19,9 +18,7 @@
 #include <iosfwd>
 #include <mutex>
 #include <string_view>
-#include <vector>
 
-#include "des/time.hpp"
 #include "obs/report.hpp"
 
 namespace plc::obs {
@@ -61,8 +58,6 @@ struct LogRecord {
   /// Wall seconds since the owning logger was constructed (stamped by
   /// Log::write).
   double wall_seconds = 0.0;
-  /// Simulated time in ns; negative when the record carries none.
-  std::int64_t sim_ns = -1;
   const char* keys[kMaxFields] = {};
   LogValue values[kMaxFields];
   int field_count = 0;
@@ -73,18 +68,14 @@ struct LogRecord {
   void add_text(const char* key, std::string_view value);
 };
 
-/// A leveled logger with a bounded record ring. Thread-safe: records are
-/// committed (ring + text sink) under an internal mutex so worker threads
-/// of a parallel sweep can log concurrently; the level check on the fast
-/// path is a single relaxed atomic load. The global instance is created
-/// on first use.
+/// A leveled logger. Thread-safe: records are written to the text sink
+/// under an internal mutex so worker threads of a parallel sweep can log
+/// concurrently; the level check on the fast path is a single relaxed
+/// atomic load. The global instance is created on first use.
 class Log {
  public:
-  static constexpr std::size_t kDefaultRingCapacity = 1024;
-
   explicit Log(LogLevel level = LogLevel::kInfo,
-               std::ostream* text_sink = nullptr,
-               std::size_t ring_capacity = kDefaultRingCapacity);
+               std::ostream* text_sink = nullptr);
 
   /// The process-global logger (level from PLC_LOG, text to stderr).
   static Log& instance();
@@ -100,24 +91,9 @@ class Log {
   /// Installs (or with nullptr removes) the text sink.
   void set_text_sink(std::ostream* out);
 
-  /// Resizes the ring (drops retained records).
-  void set_ring_capacity(std::size_t capacity);
-
-  /// Stamps `record` (wall time) and commits it: ring + text sink. The
+  /// Stamps `record` (wall time) and writes it to the text sink. The
   /// level filter is the caller's job (see the PLC_LOG_* macros).
   void write(LogRecord record);
-
-  std::size_t size() const;
-  std::size_t capacity() const;
-  std::int64_t recorded() const;
-  std::int64_t dropped() const;
-  void clear();
-
-  /// Retained records, oldest first.
-  std::vector<LogRecord> records() const;
-
-  /// One JSON object per retained record, one per line.
-  void write_jsonl(std::ostream& out) const;
 
   /// Text rendering of one record ("[info ] +1.203s comp: msg k=v ...").
   static void format_text(std::ostream& out, const LogRecord& record);
@@ -126,12 +102,7 @@ class Log {
   std::atomic<LogLevel> level_;
   std::ostream* text_sink_;
   Stopwatch stopwatch_;
-  mutable std::mutex mutex_;  ///< Guards the ring, counters and sink.
-  std::vector<LogRecord> ring_;
-  std::size_t capacity_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::int64_t recorded_ = 0;
+  std::mutex mutex_;  ///< Guards the sink.
 };
 
 /// Fluent builder used by the PLC_LOG_* macros: fields chain onto the
@@ -159,10 +130,6 @@ class LogEvent {
   }
   LogEvent& str(const char* key, std::string_view value) {
     if (live_) record_.add_text(key, value);
-    return *this;
-  }
-  LogEvent& sim(des::SimTime when) {
-    if (live_) record_.sim_ns = when.ns();
     return *this;
   }
 

@@ -314,6 +314,66 @@ TelemetryHub::Progress TelemetryHub::progress_locked() const {
   return view;
 }
 
+std::string format_duration_brief(double seconds) {
+  if (seconds < 0.0) return "?";
+  if (seconds < 60.0) return util::format_fixed(seconds, 1) + "s";
+  const auto total = static_cast<std::int64_t>(seconds);
+  const auto pad2 = [](std::int64_t value) {
+    return (value < 10 ? "0" : "") + std::to_string(value);
+  };
+  if (total < 3600) {
+    return std::to_string(total / 60) + "m" + pad2(total % 60) + "s";
+  }
+  return std::to_string(total / 3600) + "h" + pad2((total % 3600) / 60) +
+         "m";
+}
+
+std::string progress_line(const TelemetryHub::Progress& progress,
+                          double goal_sim_seconds, bool final_line) {
+  const double elapsed = progress.wall_seconds;
+  double fraction = 1.0;
+  if (!final_line) {
+    fraction = goal_sim_seconds > 0.0
+                   ? progress.sim_seconds / goal_sim_seconds
+                   : 0.0;
+  }
+  const double events_per_second =
+      elapsed > 0.0 ? static_cast<double>(progress.events) / elapsed : 0.0;
+
+  std::string line = "progress: ";
+  line += util::format_fixed(progress.sim_seconds, 1);
+  line += "/";
+  line += util::format_fixed(goal_sim_seconds, 1);
+  line += " sim-s (";
+  line += util::format_fixed(100.0 * fraction, 1);
+  line += "%)  ";
+  if (events_per_second >= 1e6) {
+    line += util::format_fixed(events_per_second / 1e6, 2);
+    line += "M ev/s";
+  } else {
+    line += util::format_fixed(events_per_second / 1e3, 1);
+    line += "k ev/s";
+  }
+  if (progress.tasks_total > 0) {
+    line += "  tasks ";
+    line += std::to_string(progress.tasks_completed);
+    line += "/";
+    line += std::to_string(progress.tasks_total);
+  }
+  if (final_line) {
+    line += "  done in ";
+    line += util::format_fixed(elapsed, 1);
+    line += "s";
+  } else if (progress.tasks_total > 0) {
+    line += "  ETA ";
+    line += format_duration_brief(progress.eta_seconds);
+  } else if (fraction > 0.0) {
+    line += "  ETA ";
+    line += format_duration_brief(elapsed / fraction - elapsed);
+  }
+  return line;
+}
+
 std::string TelemetryHub::progress_json() const {
   const Progress view = progress();
   std::ostringstream out;

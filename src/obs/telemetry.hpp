@@ -1,7 +1,9 @@
 // The live telemetry plane: a thread-safe aggregation hub between the
 // (deliberately lock-free, thread-confined) metrics path and live
-// consumers — the OpenMetrics exposition server, the CLI's progress
-// endpoints, and the "timeseries" section of a run report.
+// consumers — the OpenMetrics exposition server, the CLI's --progress
+// heartbeat (progress_line), and the "timeseries" section of a run
+// report. The hub is the only progress accumulator: whatever counts
+// tasks, simulated seconds or events live reads it.
 //
 // Design constraints, inherited from the rest of the obs layer:
 //
@@ -54,7 +56,8 @@ class TelemetryHub {
     double task_seconds = 0.0;        ///< start -> end wall time.
   };
 
-  /// A point-in-time view of sweep progress for the /progress endpoint.
+  /// A point-in-time view of sweep progress for the /progress endpoint
+  /// and the --progress heartbeat.
   struct Progress {
     std::int64_t tasks_total = 0;
     std::int64_t tasks_completed = 0;
@@ -76,8 +79,10 @@ class TelemetryHub {
   void begin_tasks(std::int64_t total);
   void task_started();
   void task_finished(const TaskEnd& end);
-  /// Adds simulated progress: each leg feeds the deltas of its own
-  /// tasks, so the total covers every leg and run fed to the hub.
+  /// Adds simulated progress where it was simulated: a sim repetition
+  /// when its kernel returns, a testbed run at each one-second
+  /// checkpoint. The total covers every leg and run fed to the hub; a
+  /// store hit adds nothing, because nothing was simulated.
   void add_sim(double delta_seconds, std::int64_t delta_events);
   /// Folds a finished task's metric snapshot into the hub registry.
   void absorb(const Snapshot& snapshot);
@@ -160,5 +165,21 @@ class TelemetryHub {
   double sim_seconds_ = 0.0;
   std::int64_t events_ = 0;
 };
+
+/// Renders a duration for the heartbeat's ETA field with an adaptive
+/// unit: "3.2s", "4m10s", "2h05m"; "?" for negative/unknown values.
+std::string format_duration_brief(double seconds);
+
+/// The --progress heartbeat line for a hub view, without a newline:
+///
+///   progress: 2.5/10.0 sim-s (25.0%)  1.23M ev/s  tasks 1/4  ETA 3.2s
+///
+/// `goal_sim_seconds` is the simulated time at which the run is done.
+/// The ETA comes from completed-task throughput when tasks were
+/// announced — store hits retire in microseconds, so caching shortens
+/// it honestly — and otherwise from the simulated-time fraction. A
+/// `final_line` reads 100% and ends in "done in <wall>s".
+std::string progress_line(const TelemetryHub::Progress& progress,
+                          double goal_sim_seconds, bool final_line);
 
 }  // namespace plc::obs

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -121,7 +120,6 @@ class SimLeg final : public TaskLeg {
                      const obs::Snapshot& metrics) const override;
   bool decode(std::size_t task, const obs::JsonValue& payload,
               obs::Snapshot* metrics) override;
-  void finished(std::size_t task) override;
   void merge(std::size_t task) override;
 
   std::vector<RunSummary> take_summaries() { return std::move(summaries_); }
@@ -186,9 +184,6 @@ class SimLeg final : public TaskLeg {
     }
     return results;
   }
-
-  // The meter is not thread-safe; workers retire tasks concurrently.
-  std::mutex progress_mutex_;
 };
 
 void SimLeg::run(std::size_t task, obs::Registry* metrics) {
@@ -213,6 +208,15 @@ void SimLeg::run(std::size_t task, obs::Registry* metrics) {
     shares.push_back(static_cast<double>(s));
   }
   slot.jain_index = util::jain_index(shares);
+  // Live views only (arrival order): never feed reports. Observatory
+  // tasks always run live, so every summary reaches the hub.
+  if (obs_.telemetry != nullptr) {
+    if (slot.stations) {
+      obs_.telemetry->publish_stations("point-" + std::to_string(p),
+                                       *slot.stations);
+    }
+    obs_.telemetry->add_sim(slot.elapsed.seconds(), slot.medium_events);
+  }
 }
 
 /// Serializes everything a warm run needs to refill a slot
@@ -266,22 +270,6 @@ bool SimLeg::decode(std::size_t task, const obs::JsonValue& payload,
     return true;
   } catch (const Error&) {
     return false;
-  }
-}
-
-void SimLeg::finished(std::size_t task) {
-  const Slot& slot = slots_[task];
-  // Live views only (arrival order): never feed reports.
-  if (obs_.telemetry != nullptr) {
-    if (slot.stations) {
-      obs_.telemetry->publish_stations(
-          "point-" + std::to_string(tasks_[task].first), *slot.stations);
-    }
-    obs_.telemetry->add_sim(slot.elapsed.seconds(), slot.medium_events);
-  }
-  if (obs_.progress != nullptr) {
-    std::lock_guard<std::mutex> lock(progress_mutex_);
-    obs_.progress->task_complete(slot.elapsed, slot.medium_events);
   }
 }
 
@@ -403,7 +391,6 @@ void ParallelRunner::run_tasks(const std::vector<TaskLeg*>& legs,
         obs.telemetry->task_finished(end);
         obs.telemetry->absorb(stamp->metrics);
       }
-      leg->finished(task);
     });
   }
   pool_.wait();
@@ -468,21 +455,8 @@ std::vector<RunSummary> ParallelRunner::run_points(
     const std::vector<RunSpec>& specs, const RunObservability& obs) {
   PROF_SCOPE("sim.parallel.run_points");
   SimLeg leg(specs, obs);
-  if (obs.progress != nullptr) {
-    obs.progress->set_task_goal(static_cast<std::int64_t>(leg.size()));
-  }
   run_tasks({&leg}, obs);
-  std::vector<RunSummary> summaries = leg.take_summaries();
-  if (obs.progress != nullptr) {
-    des::SimTime total_sim = des::SimTime::zero();
-    std::int64_t total_events = 0;
-    for (const RunSummary& summary : summaries) {
-      total_sim += summary.simulated;
-      total_events += summary.medium_events;
-    }
-    obs.progress->finish(total_sim, total_events);
-  }
-  return summaries;
+  return leg.take_summaries();
 }
 
 obs::RunReport ParallelRunner::run_point_report(const RunSpec& spec,

@@ -86,9 +86,6 @@ class TaskLeg {
   /// re-publishes.
   virtual bool decode(std::size_t task, const obs::JsonValue& payload,
                       obs::Snapshot* metrics) = 0;
-  /// Live observers, on the worker right after the task finished (from
-  /// the store or by running).
-  virtual void finished(std::size_t /*task*/) {}
   /// Folds the task into the leg's result after the barrier, in task
   /// order.
   virtual void merge(std::size_t /*task*/) {}

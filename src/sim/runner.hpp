@@ -18,7 +18,6 @@
 
 #include "macdef/registry.hpp"
 #include "obs/observatory.hpp"
-#include "obs/progress.hpp"
 #include "obs/report.hpp"
 #include "sim/event_kernel.hpp"
 #include "sim/slot_simulator.hpp"
@@ -110,10 +109,6 @@ struct RunObservability {
   obs::TraceSink* trace = nullptr;
   /// Also sample per-station BC/DC/BPC counter series into the trace.
   bool trace_counter_samples = false;
-  /// Heartbeat for long sweeps: fed each retired repetition's simulated
-  /// time and medium-event count (construct the meter with goal =
-  /// duration * repetitions). finish() fires when the points end.
-  obs::ProgressMeter* progress = nullptr;
   /// Result cache (see plc::store): consulted before each task runs — a
   /// validated hit skips the run and restores the task's results
   /// (metrics included) bit-identically — and published to on
@@ -127,10 +122,12 @@ struct RunObservability {
   /// non-null with one label per point when `store` is set.
   const std::vector<std::string>* store_legs = nullptr;
   /// Live telemetry hub (see obs::TelemetryHub): fed the task lifecycle
-  /// (started/finished with queue-wait and store hit/miss), cumulative
-  /// simulated progress, and every finished task's metric snapshot.
-  /// Strictly a live view for /metrics and /progress — it never feeds
-  /// reports, so attaching it cannot change any output byte.
+  /// (started/finished with queue-wait and store hit/miss), every
+  /// finished task's metric snapshot, and the simulated seconds and
+  /// medium events of each run where it simulates (a sim repetition when
+  /// its kernel returns, a testbed test per one-second checkpoint).
+  /// Strictly a live view for /metrics, /progress and --progress — it
+  /// never feeds reports, so attaching it cannot change any output byte.
   obs::TelemetryHub* telemetry = nullptr;
   /// Also emit one scheduler span per (point, rep) task into `trace`
   /// after the barrier merge — name "task" on a per-worker track (see

@@ -82,7 +82,10 @@ PoissonMacResult run_poisson_mac(const PoissonMacSpec& spec) {
   util::RunningStats delay_stats;
   for (std::size_t i = 0; i < stations.size(); ++i) {
     result.frames_generated += arrivals[i]->arrivals();
-    result.frames_delivered += stations[i]->stats().successes;
+    // Completed exchanges: a success counts when its exchange starts, so
+    // a frame in flight at the horizon is a success still in the queue.
+    result.frames_delivered +=
+        static_cast<std::int64_t>(stations[i]->delays().size());
     result.backlog_at_end += stations[i]->queue_depth();
     for (const des::SimTime delay : stations[i]->delays()) {
       delays.add(delay.seconds());

@@ -68,6 +68,8 @@ struct PoissonMacSpec {
 /// Aggregated results.
 struct PoissonMacResult {
   std::int64_t frames_generated = 0;
+  /// Frames whose exchange completed: frames_generated equals this plus
+  /// backlog_at_end.
   std::int64_t frames_delivered = 0;
   double mean_delay_s = 0.0;    ///< Arrival to successful transmission.
   double p50_delay_s = 0.0;

@@ -21,7 +21,7 @@ namespace plc::tools {
 
 namespace {
 
-/// How much simulated time a testbed runs between two progress reports.
+/// How much simulated time a testbed runs between two hub updates.
 constexpr des::SimTime kCheckpoint = des::SimTime::from_seconds(1.0);
 
 }  // namespace
@@ -66,7 +66,7 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
     network.domain().set_trace_sink(config.trace);
   }
   // Runs `span` from now in checkpoints of kCheckpoint and hands each,
-  // with the medium events it took, to the meter. Nothing is scheduled
+  // with the medium events it took, to the hub. Nothing is scheduled
   // between two checkpoints, so this simulates the same medium events as
   // one run_for(span); the first checkpoint always runs, so a zero span
   // still fires the events due now.
@@ -78,8 +78,9 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
       const des::SimTime step = std::min(kCheckpoint, end - scheduler.now());
       const std::int64_t events = domain.medium_events();
       network.run_for(step);
-      if (config.progress != nullptr) {
-        config.progress->task_complete(step, domain.medium_events() - events);
+      if (config.telemetry != nullptr) {
+        config.telemetry->add_sim(step.seconds(),
+                                  domain.medium_events() - events);
       }
     } while (scheduler.now() < end);
   };
@@ -110,9 +111,6 @@ TestbedResult run_saturated_testbed(const TestbedConfig& config) {
   }
 
   run_in_checkpoints(config.duration);
-  if (config.progress != nullptr) {
-    config.progress->finish(scheduler.now(), domain.medium_events());
-  }
 
   TestbedResult result;
   result.acknowledged.reserve(ampstats.size());
@@ -267,8 +265,6 @@ TestbedLeg::TestbedLeg(const std::vector<TestbedConfig>& configs,
   for (const TestbedConfig& config : configs) {
     util::check_arg(config.trace == nullptr, "configs",
                     "suite runs cannot share a trace sink");
-    util::check_arg(config.progress == nullptr, "configs",
-                    "suite runs cannot share a progress meter");
   }
   util::check_arg(obs.store == nullptr ||
                       (obs.store_legs != nullptr &&
@@ -291,6 +287,7 @@ store::Key TestbedLeg::key(std::size_t task) const {
 void TestbedLeg::run(std::size_t task, obs::Registry* metrics) {
   TestbedConfig config = configs_[task];
   config.registry = metrics;
+  config.telemetry = obs_.telemetry;
   (*runs_)[task] = run_saturated_testbed(config);
 }
 
@@ -302,12 +299,6 @@ std::string TestbedLeg::encode(std::size_t task,
 bool TestbedLeg::decode(std::size_t task, const obs::JsonValue& payload,
                         obs::Snapshot* metrics) {
   return testbed_result_from_payload(payload, &(*runs_)[task], metrics);
-}
-
-void TestbedLeg::finished(std::size_t task) {
-  if (obs_.telemetry == nullptr) return;
-  const TestbedConfig& config = configs_[task];
-  obs_.telemetry->add_sim((config.warmup + config.duration).seconds(), 0);
 }
 
 TestbedSuiteResult run_testbed_suite(sim::ParallelRunner& runner,

@@ -14,10 +14,13 @@
 #include "emu/network.hpp"
 #include "medium/domain.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "sim/parallel_runner.hpp"
 #include "tools/faifa.hpp"
+
+namespace plc::obs {
+class TelemetryHub;
+}
 
 namespace plc::tools {
 
@@ -40,11 +43,10 @@ struct TestbedConfig {
   // devices); the trace sink records every medium event.
   obs::Registry* registry = nullptr;
   obs::TraceSink* trace = nullptr;
-  /// Heartbeat (construct the meter with goal = warmup + duration): the
-  /// run goes in checkpoints of one simulated second, and the meter gets
-  /// task_complete(checkpoint, events dispatched in it) after each, then
-  /// finish() when the run ends. Attached or not, the run is the same.
-  obs::ProgressMeter* progress = nullptr;
+  /// Live hub: the run goes in checkpoints of one simulated second, and
+  /// the hub gets add_sim(checkpoint, medium events in it) after each.
+  /// Attached or not, the run is the same.
+  obs::TelemetryHub* telemetry = nullptr;
 };
 
 /// Results of one run.
@@ -100,10 +102,11 @@ std::string testbed_point_json(const TestbedConfig& config);
 /// carries one leg label per point (e.g. "testbed/CA1"). The leg reads
 /// store_legs and telemetry of `obs`, which with `configs` must outlive
 /// the run. The engine runs each test on a private registry and absorbs
-/// the snapshots into its registry in config order, so the configs' own
-/// `registry` is ignored. Configs must not attach trace sinks or
-/// progress meters: those are not shareable across workers, so the leg
-/// rejects them (run such configs through run_saturated_testbed).
+/// the snapshots into its registry in config order, and each test feeds
+/// `obs.telemetry`, so the configs' own `registry` and `telemetry` are
+/// ignored. Configs must not attach trace sinks: a sink is not
+/// shareable across workers, so the leg rejects them (run such configs
+/// through run_saturated_testbed).
 /// Bit-identical to running the configs serially in order, for any jobs
 /// count, cold or warm.
 class TestbedLeg final : public sim::TaskLeg {
@@ -120,7 +123,6 @@ class TestbedLeg final : public sim::TaskLeg {
                      const obs::Snapshot& metrics) const override;
   bool decode(std::size_t task, const obs::JsonValue& payload,
               obs::Snapshot* metrics) override;
-  void finished(std::size_t task) override;
 
  private:
   const std::vector<TestbedConfig>& configs_;

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,7 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/observatory.hpp"
 #include "obs/profiler.hpp"
-#include "obs/progress.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
@@ -254,16 +253,12 @@ TEST(EventKernelRunner, ObserversRunOnTheEventKernel) {
   const obs::ObservatoryOptions observatory;
 
   const auto observed_run = [&](sim::Kernel kernel, obs::TraceSink& trace,
-                                std::ostream& progress_out) {
+                                obs::TelemetryHub& hub) {
     spec.kernel = kernel;
-    obs::ProgressMeter::Options progress_options;
-    progress_options.out = &progress_out;
-    obs::ProgressMeter progress(spec.duration * spec.repetitions,
-                                progress_options);
     sim::RunObservability obs;
     obs.trace = &trace;
     obs.observatory = &observatory;
-    obs.progress = &progress;
+    obs.telemetry = &hub;
     return sim::ParallelRunner(2).run_point(spec, obs);
   };
 
@@ -271,9 +266,9 @@ TEST(EventKernelRunner, ObserversRunOnTheEventKernel) {
   profiler.reset();
   obs::Profiler::set_enabled(true);
   obs::TraceSink event_trace;
-  std::ostringstream event_progress;
+  obs::TelemetryHub event_hub;
   const sim::RunSummary event =
-      observed_run(sim::Kernel::kEvent, event_trace, event_progress);
+      observed_run(sim::Kernel::kEvent, event_trace, event_hub);
   obs::Profiler::set_enabled(false);
   const obs::ProfileSnapshot profile = profiler.snapshot();
   profiler.reset();
@@ -288,9 +283,9 @@ TEST(EventKernelRunner, ObserversRunOnTheEventKernel) {
   EXPECT_FALSE(ran("slot_sim.run"));
 
   obs::TraceSink slot_trace;
-  std::ostringstream slot_progress;
+  obs::TelemetryHub slot_hub;
   const sim::RunSummary slot =
-      observed_run(sim::Kernel::kSlot, slot_trace, slot_progress);
+      observed_run(sim::Kernel::kSlot, slot_trace, slot_hub);
   EXPECT_EQ(slot.medium_events, event.medium_events);
   EXPECT_EQ(slot.simulated.ns(), event.simulated.ns());
   EXPECT_EQ(slot.collision_probability.mean(),
@@ -307,7 +302,8 @@ TEST(EventKernelRunner, ObserversRunOnTheEventKernel) {
   event_trace.write_chrome_trace(event_json);
   EXPECT_GT(event_trace.size(), 0u);
   EXPECT_EQ(slot_json.str(), event_json.str());
-  EXPECT_NE(event_progress.str().find("100.0%"), std::string::npos);
+  EXPECT_DOUBLE_EQ(event_hub.progress().sim_seconds,
+                   event.simulated.seconds());
 }
 
 TEST(EventKernelRunner, ParallelRunnerMatchesSerialForEventKernel) {

@@ -555,7 +555,7 @@ TEST(Profiler, ChromeTraceCarriesScopeInvocations) {
 
 TEST(Log, LevelFilterDropsQuietRecords) {
   std::ostringstream sink;
-  obs::Log log(obs::LogLevel::kWarn, &sink, 8);
+  obs::Log log(obs::LogLevel::kWarn, &sink);
   EXPECT_FALSE(log.enabled(obs::LogLevel::kDebug));
   EXPECT_FALSE(log.enabled(obs::LogLevel::kInfo));
   EXPECT_TRUE(log.enabled(obs::LogLevel::kWarn));
@@ -563,13 +563,11 @@ TEST(Log, LevelFilterDropsQuietRecords) {
 
   { obs::LogEvent(log, obs::LogLevel::kInfo, "unit", "dropped").num("x", 1); }
   { obs::LogEvent(log, obs::LogLevel::kError, "unit", "kept").num("x", 2); }
-  EXPECT_EQ(log.recorded(), 1);
-  ASSERT_EQ(log.size(), 1u);
-  const obs::LogRecord record = log.records().front();
-  EXPECT_EQ(record.level, obs::LogLevel::kError);
-  EXPECT_STREQ(record.message, "kept");
-  EXPECT_NE(sink.str().find("[error"), std::string::npos);
-  EXPECT_EQ(sink.str().find("dropped"), std::string::npos);
+  const std::string text = sink.str();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+  EXPECT_EQ(text.rfind("[error]", 0), 0u) << text;
+  EXPECT_NE(text.find("unit: kept x=2"), std::string::npos) << text;
+  EXPECT_EQ(text.find("dropped"), std::string::npos);
 }
 
 TEST(Log, FormatTextRendersFieldsAndSimTime) {
@@ -577,14 +575,12 @@ TEST(Log, FormatTextRendersFieldsAndSimTime) {
   record.level = obs::LogLevel::kInfo;
   record.component = "sim";
   record.message = "step done";
-  record.sim_ns = 2'000'000;
   record.add_number("n", 42.0);
   record.add_text("mode", "ca1");
   std::ostringstream out;
   obs::Log::format_text(out, record);
   const std::string text = out.str();
   EXPECT_NE(text.find("[info ]"), std::string::npos);
-  EXPECT_NE(text.find("sim="), std::string::npos);
   EXPECT_NE(text.find("sim: step done"), std::string::npos);
   EXPECT_NE(text.find(" n=42"), std::string::npos);
   EXPECT_NE(text.find(" mode=ca1"), std::string::npos);
@@ -604,43 +600,6 @@ TEST(Log, FieldLimitsTruncateGracefully) {
   text_record.add_text("s", long_value);
   EXPECT_EQ(std::string(text_record.values[0].text).size(),
             obs::LogValue::kTextCapacity);
-}
-
-TEST(Log, RingOverflowKeepsMostRecent) {
-  obs::Log log(obs::LogLevel::kTrace, nullptr, 4);
-  for (int i = 0; i < 10; ++i) {
-    obs::LogRecord record;
-    record.level = obs::LogLevel::kInfo;
-    record.component = "unit";
-    record.message = "tick";
-    record.add_number("i", static_cast<double>(i));
-    log.write(record);
-  }
-  EXPECT_EQ(log.recorded(), 10);
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.dropped(), 6);
-  const std::vector<obs::LogRecord> records = log.records();
-  ASSERT_EQ(records.size(), 4u);
-  EXPECT_DOUBLE_EQ(records.front().values[0].number, 6.0);
-  EXPECT_DOUBLE_EQ(records.back().values[0].number, 9.0);
-}
-
-TEST(Log, JsonlOneObjectPerRecord) {
-  obs::Log log(obs::LogLevel::kTrace, nullptr, 8);
-  {
-    obs::LogEvent(log, obs::LogLevel::kInfo, "unit", "first")
-        .num("x", 1.5)
-        .str("tag", "a");
-  }
-  { obs::LogEvent(log, obs::LogLevel::kWarn, "unit", "second"); }
-  std::ostringstream out;
-  log.write_jsonl(out);
-  const std::string text = out.str();
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
-  EXPECT_NE(text.find("\"message\": \"first\""), std::string::npos);
-  EXPECT_NE(text.find("\"x\": 1.5"), std::string::npos);
-  EXPECT_NE(text.find("\"tag\": \"a\""), std::string::npos);
-  EXPECT_NE(text.find("\"level\": \"warn\""), std::string::npos);
 }
 
 TEST(Log, ParseLogLevel) {

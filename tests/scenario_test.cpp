@@ -340,7 +340,8 @@ TEST(RunScenario, TestbedLegProducesPerStationScalars) {
 
 // The hub's simulated seconds add up every leg and every run fed to it:
 // the sim repetitions' elapsed time plus each testbed test's warmup and
-// duration, which is what the report's simulated_seconds sums too.
+// duration, which is what the report's simulated_seconds sums too. Its
+// events are the sim repetitions' plus the testbed's medium events.
 TEST(RunScenario, HubSimSecondsCoverEveryLegAndRun) {
   Spec spec;
   spec.name = "hub-sim-seconds";
@@ -358,8 +359,12 @@ TEST(RunScenario, HubSimSecondsCoverEveryLegAndRun) {
   RunOptions options;
   options.jobs = 2;
   options.telemetry = &hub;
-  const double both_legs = run_scenario(spec, options).report.simulated_seconds;
+  const obs::RunReport report = run_scenario(spec, options).report;
+  const double both_legs = report.simulated_seconds;
   EXPECT_NEAR(hub.progress().sim_seconds, both_legs, 1e-9);
+  EXPECT_EQ(static_cast<double>(hub.progress().events),
+            static_cast<double>(report.events) +
+                report.metrics.total("medium.events"));
   run_scenario(spec, options);
   EXPECT_NEAR(hub.progress().sim_seconds, 2.0 * both_legs, 1e-9);
 }

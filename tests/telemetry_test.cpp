@@ -17,7 +17,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
@@ -358,14 +357,15 @@ TEST(Progress, FormatDurationBrief) {
 }
 
 TEST(Progress, TaskGoalDrivesHeartbeatLine) {
-  std::ostringstream out;
-  obs::ProgressMeter::Options popts;
-  popts.interval_wall_seconds = 0.0;
-  popts.out = &out;
-  obs::ProgressMeter meter(des::SimTime::from_seconds(10.0), popts);
-  meter.set_task_goal(4);
-  meter.task_complete(des::SimTime::from_seconds(2.5), 1000);
-  const std::string text = out.str();
+  obs::TelemetryHub::Progress progress;
+  progress.tasks_total = 4;
+  progress.tasks_completed = 1;
+  progress.wall_seconds = 1.0;
+  progress.eta_seconds = 3.0;
+  progress.sim_seconds = 2.5;
+  progress.events = 1000;
+  const std::string text =
+      obs::progress_line(progress, 10.0, /*final_line=*/false);
   EXPECT_NE(text.find("tasks 1/4"), std::string::npos) << text;
   EXPECT_NE(text.find("2.5/10.0 sim-s (25.0%)"), std::string::npos) << text;
 }

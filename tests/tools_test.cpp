@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "emu/network.hpp"
+#include "obs/telemetry.hpp"
 #include "tools/ampstat.hpp"
 #include "tools/benchdiff.hpp"
 #include "tools/capture.hpp"
@@ -279,16 +280,17 @@ TEST(Testbed, DataKeepsFlowingToDestination) {
 }
 
 TEST(Testbed, ProgressMeterLeavesTheRunUnchanged) {
-  // The heartbeat only reads: with MME timers pending, a registry and a
-  // trace attached, a run that feeds a meter (printing at every chance)
-  // has the same counters, metric snapshot and trace bytes as one that
-  // does not.
+  // --progress reads the telemetry hub, which a run feeds at each
+  // one-second checkpoint. The hub only reads: with MME timers pending,
+  // a registry and a trace attached, a run that feeds a hub has the same
+  // counters, metric snapshot and trace bytes as one that does not.
   struct Observed {
     TestbedResult result;
     std::string metrics;
     std::string trace;
+    double medium_events = 0.0;
   };
-  const auto observe = [](obs::ProgressMeter* meter) {
+  const auto observe = [](obs::TelemetryHub* hub) {
     TestbedConfig config;
     config.stations = 3;
     config.mme_interval = des::SimTime::from_us(50'000.0);
@@ -298,78 +300,44 @@ TEST(Testbed, ProgressMeterLeavesTheRunUnchanged) {
     obs::TraceSink trace;
     config.registry = &registry;
     config.trace = &trace;
-    config.progress = meter;
+    config.telemetry = hub;
     Observed observed;
     observed.result = run_saturated_testbed(config);
+    const obs::Snapshot snapshot = registry.snapshot();
     std::ostringstream metrics;
-    registry.snapshot().write_json(metrics);
+    snapshot.write_json(metrics);
     observed.metrics = metrics.str();
+    observed.medium_events = snapshot.total("medium.events");
     std::ostringstream trace_bytes;
     trace.write_jsonl(trace_bytes);
     observed.trace = trace_bytes.str();
     return observed;
   };
-  std::ostringstream lines;
-  obs::ProgressMeter::Options options;
-  options.interval_wall_seconds = 0.0;
-  options.out = &lines;
-  obs::ProgressMeter meter(des::SimTime::from_seconds(4.0), options);
-  const Observed with_meter = observe(&meter);
+  obs::TelemetryHub hub;
+  const Observed with_hub = observe(&hub);
   const Observed without = observe(nullptr);
-  EXPECT_EQ(with_meter.result.acknowledged, without.result.acknowledged);
-  EXPECT_EQ(with_meter.result.collided, without.result.collided);
-  EXPECT_EQ(with_meter.result.frames_delivered_to_destination,
+  EXPECT_EQ(with_hub.result.acknowledged, without.result.acknowledged);
+  EXPECT_EQ(with_hub.result.collided, without.result.collided);
+  EXPECT_EQ(with_hub.result.frames_delivered_to_destination,
             without.result.frames_delivered_to_destination);
-  EXPECT_EQ(with_meter.result.domain.idle_slots,
+  EXPECT_EQ(with_hub.result.domain.idle_slots,
             without.result.domain.idle_slots);
-  EXPECT_EQ(with_meter.result.domain.successes,
+  EXPECT_EQ(with_hub.result.domain.successes,
             without.result.domain.successes);
-  EXPECT_EQ(with_meter.result.domain.collision_events,
+  EXPECT_EQ(with_hub.result.domain.collision_events,
             without.result.domain.collision_events);
-  EXPECT_EQ(with_meter.metrics, without.metrics);
-  EXPECT_EQ(with_meter.trace, without.trace);
+  EXPECT_EQ(with_hub.metrics, without.metrics);
+  EXPECT_EQ(with_hub.trace, without.trace);
   EXPECT_GT(without.trace.size(), 0u);
 
-  // One line per checkpoint: 0.5 s of warm-up, then 1, 1, 1 and 0.5 s
-  // measured; then finish()'s line.
-  std::vector<std::string> printed;
-  std::istringstream text(lines.str());
-  for (std::string line; std::getline(text, line);) printed.push_back(line);
-  ASSERT_EQ(printed.size(), 6u) << lines.str();
-  const char* const kSimulated[] = {"progress: 0.5/4.0 sim-s",
-                                    "progress: 1.5/4.0 sim-s",
-                                    "progress: 2.5/4.0 sim-s",
-                                    "progress: 3.5/4.0 sim-s",
-                                    "progress: 4.0/4.0 sim-s"};
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(printed[i].rfind(kSimulated[i], 0), 0u) << printed[i];
-  }
-  EXPECT_EQ(printed[5].rfind("progress: 4.0/4.0 sim-s (100.0%)", 0), 0u)
-      << printed[5];
-  EXPECT_NE(printed[5].find("done in"), std::string::npos) << printed[5];
-  EXPECT_EQ(meter.lines_printed(), 6);
-}
-
-TEST(Testbed, ProgressMeterIsFedTheRunsMediumEvents) {
-  // The heartbeat's unit is the medium event (idle slots, exchanges and
-  // beacons), as in the sim leg, not the scheduler's dispatches: with
-  // idle gaps and MME timers the two differ.
-  TestbedConfig config;
-  config.stations = 3;
-  config.mme_interval = des::SimTime::from_us(50'000.0);
-  config.warmup = des::SimTime::from_seconds(0.5);
-  config.duration = des::SimTime::from_seconds(2.5);
-  obs::Registry registry;
-  config.registry = &registry;
-  std::ostringstream lines;
-  obs::ProgressMeter::Options options;
-  options.out = &lines;
-  obs::ProgressMeter meter(des::SimTime::from_seconds(3.0), options);
-  config.progress = &meter;
-  run_saturated_testbed(config);
-  const double medium_events = registry.snapshot().total("medium.events");
-  EXPECT_GT(medium_events, 0.0);
-  EXPECT_EQ(static_cast<double>(meter.events_completed()), medium_events);
+  // The hub gets the run's 0.5 s of warm-up and 3.5 s measured, and its
+  // medium events (idle slots, exchanges and beacons, as in the sim leg),
+  // not the scheduler's dispatches: with idle gaps and MME timers the
+  // two differ.
+  const obs::TelemetryHub::Progress progress = hub.progress();
+  EXPECT_EQ(progress.sim_seconds, 4.0);
+  EXPECT_GT(with_hub.medium_events, 0.0);
+  EXPECT_EQ(static_cast<double>(progress.events), with_hub.medium_events);
 }
 
 TEST(Testbed, RejectsBadConfig) {
