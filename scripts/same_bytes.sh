@@ -12,8 +12,11 @@
 #     --capture, --trace, --metrics, --report and --progress: capture,
 #     trace, metrics and stdout byte for byte, the report apart from its
 #     wall fields;
-#   - six bench_ext_* harnesses: stdout apart from lines that mention
-#     wall time, the BENCH JSON apart from its wall fields;
+#   - `plcsim model --n 4`, `plcsim boost --n 8` and `plcsim delay --n 2
+#     --load 0.3 --time-s 10`, the analytical models' commands: stdout;
+#   - eight bench_ext_* harnesses (E7, E10-E15, E17): stdout apart from
+#     lines that mention wall time, the BENCH JSON apart from its wall
+#     fields;
 #   - `testbed_measurement 3 20`, the §3 measurement example: stdout.
 #
 # usage: scripts/same_bytes.sh <parent-build> <change-build> [work-dir]
@@ -141,9 +144,24 @@ else
   differ "testbed testbed-report.json"
 fi
 
+# --- The model CLI -------------------------------------------------------------------
+for command in "model --n 4" "boost --n 8" "delay --n 2 --load 0.3 --time-s 10"; do
+  out="${command%% *}.out"
+  for i in 0 1; do
+    # shellcheck disable=SC2086  # $command is intentionally word-split.
+    run_in "${sides[$i]}" "$(plcsim "$i")" $command \
+      > "$work/${sides[$i]}/$out"
+  done
+  if cmp -s "$work/parent/$out" "$work/change/$out"; then
+    same "plcsim $command stdout"
+  else
+    differ "plcsim $command stdout"
+  fi
+done
+
 # --- bench_ext harnesses ------------------------------------------------------------
-for bench in tdma_qos priority_classes retry_limit delay_vs_load mme_overhead \
-             tonemap_adaptation; do
+for bench in coexistence short_term_fairness tdma_qos priority_classes \
+             retry_limit delay_vs_load mme_overhead tonemap_adaptation; do
   for i in 0 1; do
     side=${sides[$i]}
     mkdir -p "$work/$side/bench"

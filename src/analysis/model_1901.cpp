@@ -86,14 +86,6 @@ StageRow stage_row(int cw, int dc, double p) {
           countdown_sum / static_cast<double>(cw)};
 }
 
-double stage_attempt_probability(int cw, int dc, double p) {
-  return stage_row(cw, dc, p).attempt_probability;
-}
-
-double stage_expected_countdown(int cw, int dc, double p) {
-  return stage_row(cw, dc, p).expected_countdown;
-}
-
 namespace {
 
 /// tau as a function of the busy probability p, via the renewal cycle
@@ -159,13 +151,6 @@ double tau_given_busy(const mac::BackoffConfig& config, double p,
 }
 
 }  // namespace
-
-double transmission_probability_given_busy(const mac::BackoffConfig& config,
-                                           double p) {
-  util::check_arg(p >= 0.0 && p <= 1.0, "p", "must be in [0, 1]");
-  config.validate();
-  return tau_given_busy(config, p, nullptr);
-}
 
 Model1901Result solve_1901(int n, const mac::BackoffConfig& config) {
   util::check_arg(n >= 1, "n", "need at least one station");

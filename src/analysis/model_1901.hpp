@@ -76,27 +76,14 @@ Model1901Result solve_1901_continuous(double n_effective,
                                       const mac::BackoffConfig& config);
 
 /// One stage's x_i(p) and S_i(p), both summed from one pass over the CDF
-/// row P(Bin(b, p) <= d_i), b < CW_i. Used by the fixed point and the
-/// drift model; throws plc::Error unless cw >= 1, dc >= 0 and p is in
+/// row P(Bin(b, p) <= d_i), b < CW_i: x_i is the average over b of that
+/// CDF, S_i the expected countdown events per visit. The fixed point
+/// reads both; throws plc::Error unless cw >= 1, dc >= 0 and p is in
 /// [0, 1].
 struct StageRow {
   double attempt_probability = 0.0;  ///< x_i.
   double expected_countdown = 0.0;   ///< S_i.
 };
 StageRow stage_row(int cw, int dc, double p);
-
-/// The per-stage attempt probability x_i(p): average over b of
-/// P(Bin(b, p) <= d_i). stage_row's x, for tests.
-double stage_attempt_probability(int cw, int dc, double p);
-
-/// The renewal-cycle transmission probability tau of a station whose
-/// every countdown event is busy independently with probability p.
-/// Exposed for the heterogeneous model.
-double transmission_probability_given_busy(const mac::BackoffConfig& config,
-                                           double p);
-
-/// The per-stage expected countdown events S_i(p). stage_row's S, for
-/// tests.
-double stage_expected_countdown(int cw, int dc, double p);
 
 }  // namespace plc::analysis

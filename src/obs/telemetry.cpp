@@ -119,6 +119,10 @@ std::string openmetrics_render(const Snapshot& snapshot) {
 
 void TelemetryHub::begin_tasks(std::int64_t total) {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (tasks_completed_ >= tasks_total_) {
+    busy_since_seconds_ = stopwatch_.elapsed_seconds();
+    completed_at_busy_start_ = tasks_completed_;
+  }
   tasks_total_ += total;
   registry_.gauge("sweep.tasks_total").set(static_cast<double>(tasks_total_));
   // Materialize the queue/store series up front so the very first
@@ -300,9 +304,12 @@ TelemetryHub::Progress TelemetryHub::progress_locked() const {
   view.wall_seconds = stopwatch_.elapsed_seconds();
   view.sim_seconds = sim_seconds_;
   view.events = events_;
-  if (view.wall_seconds > 0.0 && tasks_completed_ > 0) {
+  const double busy_seconds = view.wall_seconds - busy_since_seconds_;
+  const std::int64_t busy_completed =
+      tasks_completed_ - completed_at_busy_start_;
+  if (busy_seconds > 0.0 && busy_completed > 0) {
     view.tasks_per_second =
-        static_cast<double>(tasks_completed_) / view.wall_seconds;
+        static_cast<double>(busy_completed) / busy_seconds;
     if (tasks_total_ > tasks_completed_) {
       view.eta_seconds =
           static_cast<double>(tasks_total_ - tasks_completed_) /

@@ -65,6 +65,7 @@ class TelemetryHub {
     std::int64_t store_hits = 0;
     std::int64_t store_misses = 0;
     double wall_seconds = 0.0;
+    /// Completions per wall second over the current busy period.
     double tasks_per_second = 0.0;
     /// Remaining / throughput; negative when unknown (no completions
     /// yet or no task goal announced).
@@ -75,7 +76,10 @@ class TelemetryHub {
 
   // --- producer side (runners; every call is one mutex acquisition) ---
 
-  /// Announces `total` more tasks (cumulative across legs).
+  /// Announces `total` more tasks (cumulative across legs). Announcing
+  /// while no announced task is outstanding starts a new busy period,
+  /// the window tasks_per_second is measured over, so time the hub sat
+  /// idle (serve's hub lives as long as the daemon) does not count.
   void begin_tasks(std::int64_t total);
   void task_started();
   void task_finished(const TaskEnd& end);
@@ -164,6 +168,10 @@ class TelemetryHub {
   std::int64_t store_misses_ = 0;
   double sim_seconds_ = 0.0;
   std::int64_t events_ = 0;
+  // The current busy period (see begin_tasks): its start on stopwatch_
+  // and the completed count then.
+  double busy_since_seconds_ = 0.0;
+  std::int64_t completed_at_busy_start_ = 0;
 };
 
 /// Renders a duration for the heartbeat's ETA field with an adaptive

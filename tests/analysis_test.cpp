@@ -13,8 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/delay.hpp"
-#include "analysis/drift.hpp"
-#include "analysis/heterogeneous.hpp"
 #include "analysis/exact_chain.hpp"
 #include "analysis/model_1901.hpp"
 #include "analysis/model_dcf.hpp"
@@ -42,7 +40,7 @@ TEST(StageMath, AttemptProbabilityAtZeroBusyIsOne) {
   // station always reaches BC = 0 and transmits.
   for (const int cw : {1, 8, 64}) {
     for (const int dc : {0, 3, 15}) {
-      EXPECT_DOUBLE_EQ(stage_attempt_probability(cw, dc, 0.0), 1.0);
+      EXPECT_DOUBLE_EQ(stage_row(cw, dc, 0.0).attempt_probability, 1.0);
     }
   }
 }
@@ -50,15 +48,15 @@ TEST(StageMath, AttemptProbabilityAtZeroBusyIsOne) {
 TEST(StageMath, AttemptProbabilityAtFullBusy) {
   // p = 1: every countdown event is busy, so the station transmits iff
   // its draw b <= dc; the average is min(dc+1, cw)/cw.
-  EXPECT_DOUBLE_EQ(stage_attempt_probability(8, 0, 1.0), 1.0 / 8.0);
-  EXPECT_DOUBLE_EQ(stage_attempt_probability(64, 15, 1.0), 16.0 / 64.0);
-  EXPECT_DOUBLE_EQ(stage_attempt_probability(4, 15, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(stage_row(8, 0, 1.0).attempt_probability, 1.0 / 8.0);
+  EXPECT_DOUBLE_EQ(stage_row(64, 15, 1.0).attempt_probability, 16.0 / 64.0);
+  EXPECT_DOUBLE_EQ(stage_row(4, 15, 1.0).attempt_probability, 1.0);
 }
 
 TEST(StageMath, AttemptProbabilityDecreasesWithBusy) {
   double previous = 2.0;
   for (double p = 0.0; p <= 1.0; p += 0.1) {
-    const double x = stage_attempt_probability(32, 3, p);
+    const double x = stage_row(32, 3, p).attempt_probability;
     EXPECT_LE(x, previous + 1e-12);
     EXPECT_GE(x, 0.0);
     EXPECT_LE(x, 1.0);
@@ -68,9 +66,9 @@ TEST(StageMath, AttemptProbabilityDecreasesWithBusy) {
 
 TEST(StageMath, CountdownAtZeroBusyIsMeanBackoff) {
   // No busy events: countdown slots = E[b] = (CW-1)/2.
-  EXPECT_DOUBLE_EQ(stage_expected_countdown(8, 0, 0.0), 3.5);
-  EXPECT_DOUBLE_EQ(stage_expected_countdown(64, 15, 0.0), 31.5);
-  EXPECT_DOUBLE_EQ(stage_expected_countdown(1, 0, 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(stage_row(8, 0, 0.0).expected_countdown, 3.5);
+  EXPECT_DOUBLE_EQ(stage_row(64, 15, 0.0).expected_countdown, 31.5);
+  EXPECT_DOUBLE_EQ(stage_row(1, 0, 0.5).expected_countdown, 0.0);
 }
 
 TEST(StageMath, CountdownShrinksWithBusyWhenDeferralActive) {
@@ -78,7 +76,7 @@ TEST(StageMath, CountdownShrinksWithBusyWhenDeferralActive) {
   // expected countdown events.
   double previous = 100.0;
   for (double p = 0.0; p <= 1.0; p += 0.2) {
-    const double s = stage_expected_countdown(32, 0, p);
+    const double s = stage_row(32, 0, p).expected_countdown;
     EXPECT_LE(s, previous + 1e-12);
     previous = s;
   }
@@ -87,21 +85,19 @@ TEST(StageMath, CountdownShrinksWithBusyWhenDeferralActive) {
 TEST(StageMath, DisabledDeferralMatchesPlainBackoff) {
   // With an unreachable deferral counter, busy probability is irrelevant.
   EXPECT_DOUBLE_EQ(
-      stage_attempt_probability(64, mac::kDeferralDisabled, 0.7), 1.0);
+      stage_row(64, mac::kDeferralDisabled, 0.7).attempt_probability, 1.0);
   EXPECT_DOUBLE_EQ(
-      stage_expected_countdown(64, mac::kDeferralDisabled, 0.7), 31.5);
+      stage_row(64, mac::kDeferralDisabled, 0.7).expected_countdown, 31.5);
 }
 
 TEST(StageMath, RejectsBadArguments) {
-  EXPECT_THROW(stage_attempt_probability(0, 0, 0.5), plc::Error);
-  EXPECT_THROW(stage_attempt_probability(8, -1, 0.5), plc::Error);
-  EXPECT_THROW(stage_expected_countdown(8, 0, -0.1), plc::Error);
+  EXPECT_THROW(stage_row(0, 0, 0.5), plc::Error);
+  EXPECT_THROW(stage_row(8, -1, 0.5), plc::Error);
+  EXPECT_THROW(stage_row(8, 0, -0.1), plc::Error);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const int cw : {1, 8}) {
     for (const double p : {nan, -0.1, -1e-300, 1.5}) {
-      EXPECT_THROW(stage_attempt_probability(cw, 0, p), plc::Error)
-          << "cw=" << cw << " p=" << p;
-      EXPECT_THROW(stage_expected_countdown(cw, 0, p), plc::Error)
+      EXPECT_THROW(stage_row(cw, 0, p), plc::Error)
           << "cw=" << cw << " p=" << p;
     }
   }
@@ -137,12 +133,6 @@ TEST(StageMath, RowMatchesPerBinomialCdfSumsBitForBit) {
         EXPECT_EQ(std::bit_cast<std::uint64_t>(row.expected_countdown),
                   std::bit_cast<std::uint64_t>(reference.expected_countdown))
             << "S: cw=" << cw << " dc=" << dc << " p=" << p;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                      stage_attempt_probability(cw, dc, p)),
-                  std::bit_cast<std::uint64_t>(row.attempt_probability));
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                      stage_expected_countdown(cw, dc, p)),
-                  std::bit_cast<std::uint64_t>(row.expected_countdown));
       }
     }
   }
@@ -463,86 +453,6 @@ TEST(ModelDcf, GammaIncreasesWithN) {
   }
 }
 
-// --- Drift (coupled occupancy) model -----------------------------------------------------
-
-TEST(Drift, ConvergesForDefaultConfig) {
-  for (const int n : {1, 2, 5, 10}) {
-    const DriftResult result = solve_drift(n, kCa1);
-    EXPECT_TRUE(result.converged) << "n=" << n;
-    double total = 0.0;
-    for (const double occupancy : result.occupancy) total += occupancy;
-    EXPECT_NEAR(total, static_cast<double>(n), 1e-6) << "n=" << n;
-  }
-}
-
-TEST(Drift, AgreesWithDecouplingAtLargeN) {
-  const DriftResult drift = solve_drift(20, kCa1);
-  const Model1901Result decoupled = solve_1901(20, kCa1);
-  EXPECT_NEAR(drift.gamma, decoupled.gamma, 0.02);
-}
-
-TEST(Drift, OccupancyShiftsUpWithN) {
-  const DriftResult few = solve_drift(2, kCa1);
-  const DriftResult many = solve_drift(20, kCa1);
-  // Fraction of stations beyond stage 0 grows with contention.
-  const double tail_few = 1.0 - few.occupancy[0] / 2.0;
-  const double tail_many = 1.0 - many.occupancy[0] / 20.0;
-  EXPECT_GT(tail_many, tail_few);
-}
-
-TEST(Drift, TrajectoryConservesStationsAndConverges) {
-  std::vector<double> start = {5.0, 0.0, 0.0, 0.0};
-  const auto trajectory = drift_trajectory(5, kCa1, start, 4000, 0.5);
-  ASSERT_EQ(trajectory.size(), 4001u);
-  for (const DriftState& state : trajectory) {
-    double total = 0.0;
-    for (const double occupancy : state.occupancy) total += occupancy;
-    EXPECT_NEAR(total, 5.0, 1e-6);
-  }
-  // The trajectory should approach the solved equilibrium (loosely: the
-  // integrator refreshes its busy estimate once per step, the solver
-  // iterates it to convergence).
-  const DriftResult equilibrium = solve_drift(5, kCa1);
-  const auto& final_state = trajectory.back();
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(final_state.occupancy[i], equilibrium.occupancy[i], 0.5)
-        << "stage " << i;
-  }
-}
-
-TEST(Drift, OccupancyMatchesSimulatedStageDistribution) {
-  // Validate the occupancy itself, not just gamma: sample the per-stage
-  // station counts of a long simulation at every medium event and
-  // compare the time-average against the drift equilibrium.
-  const int n = 5;
-  sim::SlotSimulator simulator(sim::make_1901_entities(n, kCa1, 99));
-  std::vector<double> occupancy_sum(4, 0.0);
-  std::int64_t samples = 0;
-  simulator.set_observer([&](const sim::SlotEvent&) {
-    for (int i = 0; i < n; ++i) {
-      occupancy_sum[static_cast<std::size_t>(
-          simulator.entity(i).stage())] += 1.0;
-    }
-    ++samples;
-  });
-  simulator.run(des::SimTime::from_seconds(60.0));
-  const DriftResult drift = solve_drift(n, kCa1);
-  for (std::size_t stage = 0; stage < 4; ++stage) {
-    const double simulated =
-        occupancy_sum[stage] / static_cast<double>(samples);
-    EXPECT_NEAR(drift.occupancy[stage], simulated, 0.45)
-        << "stage " << stage;
-  }
-}
-
-TEST(Drift, TrajectoryValidatesInputs) {
-  EXPECT_THROW(drift_trajectory(5, kCa1, {1.0, 1.0}, 10, 0.5), plc::Error);
-  EXPECT_THROW(drift_trajectory(5, kCa1, {1.0, 1.0, 1.0, 1.0}, 10, 0.5),
-               plc::Error);  // Sums to 4, not 5.
-  EXPECT_THROW(drift_trajectory(5, kCa1, {5.0, 0.0, 0.0, 0.0}, 0, 0.5),
-               plc::Error);
-}
-
 // --- Exact two-station chain ---------------------------------------------------------------
 
 TEST(ExactPair, TinyConfigMatchesLongSimulation) {
@@ -767,76 +677,6 @@ TEST(ExactPairHeterogeneous, MatchesHeterogeneousSimulation) {
       static_cast<double>(results.tx_success[0]) /
       static_cast<double>(results.successes);
   EXPECT_NEAR(exact.success_share_a(), share_a, 0.02);
-}
-
-// --- Heterogeneous decoupling model ------------------------------------------------------------
-
-TEST(Heterogeneous, SingleClassMatchesHomogeneousModel) {
-  const HeterogeneousResult mixed =
-      solve_heterogeneous({{kCa1, 5}});
-  const Model1901Result homogeneous = solve_1901(5, kCa1);
-  ASSERT_TRUE(mixed.converged);
-  EXPECT_NEAR(mixed.classes[0].tau, homogeneous.tau, 1e-9);
-  EXPECT_NEAR(mixed.classes[0].gamma, homogeneous.gamma, 1e-9);
-  EXPECT_NEAR(mixed.p_success, homogeneous.p_success, 1e-9);
-  EXPECT_NEAR(mixed.classes[0].success_share, 1.0, 1e-12);
-  EXPECT_NEAR(mixed.classes[0].per_station_share, 0.2, 1e-12);
-}
-
-TEST(Heterogeneous, SingleStationHasNoCollisions) {
-  const HeterogeneousResult result = solve_heterogeneous({{kCa1, 1}});
-  EXPECT_TRUE(result.converged);
-  EXPECT_DOUBLE_EQ(result.classes[0].gamma, 0.0);
-  EXPECT_DOUBLE_EQ(result.p_collision, 0.0);
-}
-
-TEST(Heterogeneous, GreedyClassTakesMoreThanItsFairShare) {
-  mac::BackoffConfig greedy;
-  greedy.cw = {4, 8};
-  greedy.dc = {3, 7};  // d >= CW-1: deferral effectively disabled.
-  const HeterogeneousResult result =
-      solve_heterogeneous({{greedy, 1}, {kCa1, 4}});
-  ASSERT_TRUE(result.converged);
-  // 5 stations, fair per-station share 0.2.
-  EXPECT_GT(result.classes[0].per_station_share, 0.3);
-  EXPECT_LT(result.classes[1].per_station_share, 0.2);
-  double share_sum = 0.0;
-  for (const ClassResult& c : result.classes) share_sum += c.success_share;
-  EXPECT_NEAR(share_sum, 1.0, 1e-9);
-}
-
-TEST(Heterogeneous, SharesMatchMixedSimulation) {
-  mac::BackoffConfig greedy;
-  greedy.cw = {4, 8};
-  greedy.dc = {3, 7};
-  const HeterogeneousResult model =
-      solve_heterogeneous({{greedy, 1}, {kCa1, 4}});
-
-  des::RandomStream root(0x4E7);
-  std::vector<std::unique_ptr<mac::BackoffEntity>> entities;
-  entities.push_back(std::make_unique<mac::Backoff1901>(
-      greedy, des::RandomStream(root.derive_seed("greedy"))));
-  for (int i = 0; i < 4; ++i) {
-    entities.push_back(std::make_unique<mac::Backoff1901>(
-        kCa1,
-        des::RandomStream(root.derive_seed("d" + std::to_string(i)))));
-  }
-  sim::SlotSimulator simulator(std::move(entities), kTiming);
-  const sim::SlotSimResults results =
-      simulator.run(des::SimTime::from_seconds(120.0));
-  const double greedy_share =
-      static_cast<double>(results.tx_success[0]) /
-      static_cast<double>(results.successes);
-  // Decoupling error is larger in heterogeneous settings; the *ordering*
-  // and rough magnitude must hold.
-  EXPECT_NEAR(model.classes[0].success_share, greedy_share, 0.12);
-  EXPECT_GT(model.classes[0].success_share, 0.3);
-  EXPECT_GT(greedy_share, 0.3);
-}
-
-TEST(Heterogeneous, ValidatesInput) {
-  EXPECT_THROW(solve_heterogeneous({}), plc::Error);
-  EXPECT_THROW(solve_heterogeneous({{kCa1, 0}}), plc::Error);
 }
 
 // --- Unsaturated delay model -------------------------------------------------------------------

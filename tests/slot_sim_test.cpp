@@ -1,9 +1,15 @@
 #include <memory>
 #include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "des/random.hpp"
+#include "mac/backoff.hpp"
 #include "mac/config.hpp"
+#include "phy/timing.hpp"
 #include "sim/parallel_runner.hpp"
 #include "sim/runner.hpp"
 #include "sim/sim_1901.hpp"
@@ -153,6 +159,32 @@ TEST(SlotSim, EntityAccessorBoundsChecked) {
   EXPECT_NO_THROW(simulator.entity(1));
   EXPECT_THROW(simulator.entity(2), plc::Error);
   EXPECT_THROW(simulator.entity(-1), plc::Error);
+}
+
+TEST(SlotSim, GreedyStationTakesMoreThanItsFairShare) {
+  // E12's simulated 1+k leg: one station tuned to {4,8}/{3,7} (d >= CW-1,
+  // so deferral never fires) among 4 CA1 stations. The fair share is
+  // 0.2; the greedy station must take more than 0.3 of the successes.
+  mac::BackoffConfig greedy;
+  greedy.cw = {4, 8};
+  greedy.dc = {3, 7};
+  des::RandomStream root(0x4E7);
+  std::vector<std::unique_ptr<mac::BackoffEntity>> entities;
+  entities.push_back(std::make_unique<mac::Backoff1901>(
+      greedy, des::RandomStream(root.derive_seed("greedy"))));
+  for (int i = 0; i < 4; ++i) {
+    entities.push_back(std::make_unique<mac::Backoff1901>(
+        mac::BackoffConfig::ca0_ca1(),
+        des::RandomStream(root.derive_seed("d" + std::to_string(i)))));
+  }
+  SlotSimulator simulator(std::move(entities),
+                          phy::TimingConfig::paper_default());
+  const SlotSimResults results =
+      simulator.run(des::SimTime::from_seconds(120.0));
+  const double greedy_share =
+      static_cast<double>(results.tx_success[0]) /
+      static_cast<double>(results.successes);
+  EXPECT_GT(greedy_share, 0.3);
 }
 
 // --- Parameterized: estimator sanity across configurations ----------------------------

@@ -200,6 +200,22 @@ TEST(TelemetryHub, TracksTaskLifecycle) {
   EXPECT_DOUBLE_EQ(parsed.find("tasks")->find("completed")->number, 1.0);
 }
 
+TEST(TelemetryHub, TaskRateIgnoresIdleTimeBeforeTheBatch) {
+  // A long-lived hub (serve's) sits idle before a batch arrives. The
+  // rate, and with it the ETA, counts from the announcement: two tasks
+  // finished within microseconds of it leave two more due at once, not
+  // after as long again as the idle spell.
+  obs::TelemetryHub hub;
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  hub.begin_tasks(4);
+  hub.task_finished({});
+  hub.task_finished({});
+  const obs::TelemetryHub::Progress progress = hub.progress();
+  EXPECT_EQ(progress.tasks_completed, 2);
+  EXPECT_GE(progress.eta_seconds, 0.0);
+  EXPECT_LT(progress.eta_seconds, 0.1);
+}
+
 TEST(TelemetryHub, AbsorbMergesAndProbesEvaluateLazily) {
   obs::TelemetryHub hub;
   obs::Registry registry;
